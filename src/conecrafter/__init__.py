@@ -57,7 +57,7 @@ from .torus import (
 )
 from .wedderburn import WedderburnDecomposition, decompose, lookup_kind
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AffineAuto",

@@ -29,7 +29,7 @@ from .wedderburn import SimpleFactor, WedderburnDecomposition, decompose
 
 
 def ns_to_endo(t: PolarizedTorus, f: Matrix) -> Matrix:
-    return t.e.inverse() @ f
+    return t.e_inv @ f
 
 
 def endo_to_ns(t: PolarizedTorus, phi: Matrix) -> Matrix:

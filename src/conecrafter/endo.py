@@ -84,6 +84,10 @@ class EndoAlgebra:
             return False
 
     @cached_property
+    def center(self) -> tuple[Matrix, ...]:
+        return tuple(center_basis(self))
+
+    @cached_property
     def unit(self) -> tuple[Fraction, ...]:
         return self.coordinates(Matrix.identity(self.rank))
 
@@ -139,7 +143,7 @@ class EndoAlgebra:
 
 def rosati(t: PolarizedTorus, phi: Matrix) -> Matrix:
     """Rosati adjoint of phi: the unique psi with psi.T @ E = E @ phi."""
-    return t.e.inverse() @ phi.T @ t.e
+    return t.e_inv @ phi.T @ t.e
 
 
 def compute_end(t: PolarizedTorus) -> EndoAlgebra:

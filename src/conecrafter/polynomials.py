@@ -6,7 +6,10 @@ Sturm-sequence root counting, and factorization for the small degrees
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cache
+from itertools import product
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from ._kernels import berkowitz_charpoly, poly_sign_at, sign_variations
@@ -327,15 +330,51 @@ def _rational_roots(coeffs: list[int]) -> list[Fraction]:
     return sorted(found)
 
 
-def _interpolate(points: list[tuple[int, Fraction]]) -> Polynomial:
-    out = Polynomial([])
-    for i, (xi, yi) in enumerate(points):
-        term = Polynomial([yi])
-        for j, (xj, _) in enumerate(points):
+_KRONECKER_POINTS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
+
+
+@cache
+def _scaled_lagrange(d: int) -> tuple[tuple[int, ...], ...]:
+    """The Lagrange basis on the first d + 1 points, scaled to integers.
+
+    D * L_i has integer coefficients when D is the lcm of the node products
+    prod_{j != i} (x_i - x_j). Entry k lists the x^k coefficient of every
+    D * L_i, so a candidate with values v_i at the nodes is D times the
+    polynomial whose x^k coefficient is sum_i v_i * entry[k][i].
+    """
+    points = _KRONECKER_POINTS[: d + 1]
+    rows, dens = [], []
+    for i, xi in enumerate(points):
+        num, den = [1], 1
+        for j, xj in enumerate(points):
             if i != j:
-                term = term * Polynomial([Fraction(-xj, xi - xj), Fraction(1, xi - xj)])
-        out = out + term
-    return out
+                num = [a - xj * b for a, b in zip([0] + num, num + [0])]
+                den *= xi - xj
+        rows.append(num)
+        dens.append(den)
+    scale = lcm(*dens)
+    rows = [[c * (scale // den) for c in num] for num, den in zip(rows, dens)]
+    return tuple(zip(*rows))
+
+
+def _exact_quotient(p: list[int], g: list[int]) -> list[int] | None:
+    """p / g in Z[x], or None when g does not divide p there."""
+    dg = len(g) - 1
+    lead = g[-1]
+    rem = list(p)
+    quo = [0] * (len(p) - dg)
+    for i in range(len(p) - 1, dg - 1, -1):
+        if rem[i] == 0:
+            continue
+        f, r = divmod(rem[i], lead)
+        if r:
+            return None
+        quo[i - dg] = f
+        for j, c in enumerate(g):
+            rem[i - dg + j] -= f * c
+    if any(rem[:dg]):
+        return None
+    return quo
 
 
 def _kronecker_split(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
@@ -344,40 +383,36 @@ def _kronecker_split(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
 
     Searches factor degrees 2..deg//2; since deg <= 8 that bound is at
     most 4, and any nontrivial factorization contains a factor in range.
+    A candidate factor is given by its values at the first d + 1 points;
+    its primitive part g divides the polynomial over Q exactly when it
+    divides it in Z[x] (Gauss's lemma), so every test is in integers.
     """
     deg = len(coeffs) - 1
-    poly = Polynomial(coeffs)
-    xs = [0, 1, -1, 2, -2, 3, -3, 4, -4]
+    lead = coeffs[-1]
     for d in range(2, deg // 2 + 1):
-        pts = xs[: d + 1]
         value_divs = []
         budget = 1
-        for x in pts:
-            v = _int_poly_eval(coeffs, x)
-            divs = _divisors(v)
+        for x in _KRONECKER_POINTS[: d + 1]:
+            divs = _divisors(_int_poly_eval(coeffs, x))
             cands = [w for dd in divs for w in (dd, -dd)]
             value_divs.append(cands)
             budget *= len(cands)
         if budget > _KRONECKER_TUPLE_CAP:
             raise DeskScaleError("factor search budget exceeded")
-        stack = [(0, [])]
-        while stack:
-            idx, chosen = stack.pop()
-            if idx == len(pts):
-                cand = _interpolate(list(zip(pts, [Fraction(v) for v in chosen])))
-                if cand.degree != d:
-                    continue
-                quo, rem = divmod(poly, cand)
-                if rem.is_zero:
-                    ci = cand.primitive_integer()
-                    qi = quo.primitive_integer()
-                    if len(ci) - 1 == d and len(qi) - 1 == deg - d:
-                        return ci, qi
+        # fix the sign ambiguity g vs -g by pinning the first value positive
+        value_divs[0] = [v for v in value_divs[0] if v > 0]
+        columns = _scaled_lagrange(d)
+        for values in product(*value_divs):
+            scaled = [sum(map(mul, values, col)) for col in columns]
+            if scaled[-1] == 0:
                 continue
-            # fix the sign ambiguity g vs -g by pinning the first value positive
-            opts = value_divs[idx] if idx > 0 else [v for v in value_divs[0] if v > 0]
-            for v in reversed(opts):
-                stack.append((idx + 1, chosen + [v]))
+            content = gcd(*scaled)
+            g = [c // content for c in scaled]
+            if lead % g[-1]:
+                continue
+            quo = _exact_quotient(coeffs, g)
+            if quo is not None:
+                return g, quo
     return None
 
 

@@ -14,6 +14,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Callable, Sequence
 
@@ -352,7 +353,7 @@ class ReductionProblem:
         if not self.is_interior(self.base_point):
             raise ValidationError("base_point", "base point must be interior")
 
-    @property
+    @cached_property
     def symmetric_generators(self) -> tuple[tuple[str, Matrix], ...]:
         """Generators and their inverses, deduplicated by matrix."""
         out = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ClosureError, ValidationError
@@ -47,6 +48,10 @@ class PolarizedTorus:
     @property
     def n(self) -> int:
         return self.j.nrows // 2
+
+    @cached_property
+    def e_inv(self) -> Matrix:
+        return self.e.inverse()
 
 
 @dataclass(frozen=True)

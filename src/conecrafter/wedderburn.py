@@ -20,8 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .endo import EndoAlgebra, center_basis
+from .endo import EndoAlgebra
 from .errors import InternalInvariantError, ValidationError
 from .matrices import Matrix
 from .polynomials import (
@@ -94,7 +95,7 @@ def _flat_rank(mats: list[Matrix]) -> int:
 
 
 def primitive_center_element(
-    algebra: EndoAlgebra, center: list[Matrix], seed: int = 42
+    algebra: EndoAlgebra, center: Sequence[Matrix], seed: int = 42
 ) -> tuple[Matrix, Polynomial]:
     """An element generating the center as a Q-algebra, with its minimal
     polynomial (degree equals the center dimension).
@@ -147,8 +148,7 @@ def central_idempotents(
 
     Ordering follows the sorted factor list of the primitive element's
     minimal polynomial, so output is deterministic for a fixed seed."""
-    center = center_basis(algebra)
-    z, mu = primitive_center_element(algebra, center, seed)
+    z, mu = primitive_center_element(algebra, algebra.center, seed)
     if mu.squarefree_part().monic() != mu.monic():
         raise InternalInvariantError("center minimal polynomial must be squarefree")
     factors = factor_squarefree_small(mu)
@@ -217,7 +217,7 @@ class WedderburnDecomposition:
 
 
 def _classify_factor(
-    algebra: EndoAlgebra, center: list[Matrix], e: Matrix, m_poly: Polynomial
+    algebra: EndoAlgebra, center: Sequence[Matrix], e: Matrix, m_poly: Polynomial
 ) -> SimpleFactor:
     cut = [e @ b @ e for b in algebra.basis]
     dim = _flat_rank(cut)
@@ -266,10 +266,9 @@ def _classify_factor(
 def decompose(algebra: EndoAlgebra, seed: int = 42) -> WedderburnDecomposition:
     """Split the algebra along its primitive central idempotents and
     classify every simple factor."""
-    center = center_basis(algebra)
     factors = []
     for e, m_poly in central_idempotents(algebra, seed):
-        factors.append(_classify_factor(algebra, center, e, m_poly))
+        factors.append(_classify_factor(algebra, algebra.center, e, m_poly))
     if sum(f.dim for f in factors) != algebra.dim:
         raise InternalInvariantError("factor dimensions must add up to the algebra")
     return WedderburnDecomposition(algebra, tuple(factors))

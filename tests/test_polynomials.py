@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
+from conecrafter.errors import DeskScaleError
 from conecrafter.matrices import Matrix
 from conecrafter.polynomials import (
     Polynomial,
+    _kronecker_split,
+    _rational_roots,
     all_roots_nonnegative,
     all_roots_positive,
     char_poly,
@@ -229,6 +233,108 @@ class TestFactoring:
         factors = factor_squarefree_small(p)
         assert len(factors) == 1
         assert factors[0][0].monic().coeffs == p.monic().coeffs
+
+
+def _reference_kronecker_split(coeffs):
+    """Kronecker's method as first written: every candidate is built by
+    Fraction Lagrange interpolation and divided over Q."""
+
+    def divisors(n):
+        n = abs(int(n))
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in reversed(small) if d * d != n]
+
+    def interpolate(points):
+        out = Polynomial([])
+        for i, (xi, yi) in enumerate(points):
+            term = Polynomial([yi])
+            for j, (xj, _) in enumerate(points):
+                if i != j:
+                    term = term * Polynomial([Fraction(-xj, xi - xj), Fraction(1, xi - xj)])
+            out = out + term
+        return out
+
+    deg = len(coeffs) - 1
+    poly = Polynomial(coeffs)
+    xs = [0, 1, -1, 2, -2, 3, -3, 4, -4]
+    for d in range(2, deg // 2 + 1):
+        pts = xs[: d + 1]
+        value_divs = []
+        budget = 1
+        for x in pts:
+            cands = [w for dd in divisors(poly(x)) for w in (dd, -dd)]
+            value_divs.append(cands)
+            budget *= len(cands)
+        if budget > 300_000:
+            raise DeskScaleError("factor search budget exceeded")
+        stack = [(0, [])]
+        while stack:
+            idx, chosen = stack.pop()
+            if idx == len(pts):
+                cand = interpolate(list(zip(pts, [Fraction(v) for v in chosen])))
+                if cand.degree != d:
+                    continue
+                quo, rem = divmod(poly, cand)
+                if rem.is_zero:
+                    ci = cand.primitive_integer()
+                    qi = quo.primitive_integer()
+                    if len(ci) - 1 == d and len(qi) - 1 == deg - d:
+                        return ci, qi
+                continue
+            opts = value_divs[idx] if idx > 0 else [v for v in value_divs[0] if v > 0]
+            for v in reversed(opts):
+                stack.append((idx + 1, chosen + [v]))
+    return None
+
+
+def _split_or_error(split, coeffs):
+    try:
+        return split(coeffs)
+    except DeskScaleError as exc:
+        return ("DeskScaleError", str(exc))
+
+
+def _random_squarefree_products(seed, count):
+    """Monic products of random monic factors of degree 2..4, of total
+    degree 4..8, squarefree and without rational roots. Coefficients stay in
+    [-3, 3] so that the Fraction reference runs in well under a second."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        target = rng.randint(4, 8)
+        acc = Polynomial([1])
+        while acc.degree < target - 1:
+            k = rng.randint(2, min(4, target - acc.degree))
+            acc = acc * Polynomial([rng.randint(-3, 3) for _ in range(k)] + [1])
+        coeffs = list(acc.coeffs)
+        if acc.degree < 4 or _rational_roots(coeffs) or acc.gcd(acc.derivative()).degree > 0:
+            continue
+        out.append(coeffs)
+    return out
+
+
+class TestKroneckerSplit:
+    # center polynomials met on the corpus, and x^4 + x^2 + 10528, whose
+    # 307200 candidate tuples lie just over the search budget
+    FIXED = [
+        [130, 118, 47, 10, 1],
+        [648, 0, 36, -12, 1],
+        [466, -228, 62, -12, 1],
+        [64, 0, 0, 0, 1],
+        [10528, 0, 1, 0, 1],
+    ]
+
+    @pytest.mark.parametrize("coeffs", FIXED + _random_squarefree_products(0, 12))
+    def test_matches_fraction_reference(self, coeffs):
+        want = _split_or_error(_reference_kronecker_split, coeffs)
+        assert _split_or_error(_kronecker_split, coeffs) == want
+
+    def test_cases_cover_every_outcome(self):
+        outcomes = set()
+        for coeffs in self.FIXED + _random_squarefree_products(0, 12):
+            got = _split_or_error(_kronecker_split, coeffs)
+            outcomes.add("none" if got is None else "error" if got[0] == "DeskScaleError" else "split")
+        assert outcomes == {"none", "split", "error"}
 
 
 class TestXgcd:
