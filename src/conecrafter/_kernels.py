@@ -2,8 +2,6 @@
 and sign evaluations used by the exact linear algebra layer.
 
 All functions work on Python big integers, so results are exact at any size.
-A compiled twin with identical semantics lives in _ckernels.pyx; the package
-selects one at import time.
 """
 
 BACKEND = "pure"

@@ -16,13 +16,12 @@ definite Hermitian elements whose shape is reported as a flag:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .endo import EndoAlgebra, InvariantSubalgebra, invariant_subalgebra
 from .errors import InternalInvariantError, ValidationError
-from .matrices import Matrix, matrix_kernel_basis, vstack
+from .matrices import Matrix, MatrixLattice, matrix_kernel_basis, vstack
 from .polynomials import all_roots_nonnegative, all_roots_positive, char_poly
 from .torus import GroupAction, PolarizedTorus, is_polarization_invariant
 from .wedderburn import SimpleFactor, WedderburnDecomposition, decompose
@@ -52,41 +51,18 @@ def trace_dual_pairing(t: PolarizedTorus, f1: Matrix, f2: Matrix):
 
 
 @dataclass(frozen=True)
-class NSLattice:
+class NSLattice(MatrixLattice):
     """Lattice of integral alternating J-compatible forms with a fixed
     canonical basis; coordinates are taken in that basis."""
 
     torus: PolarizedTorus
     basis: tuple[Matrix, ...]
 
+    membership = ("ns_membership", "form is outside the lattice span")
+
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def _flat_basis(self) -> Matrix:
-        flats = [b.flat() for b in self.basis]
-        return Matrix([[flats[j][i] for j in range(len(flats))] for i in range(len(flats[0]))])
-
-    def coordinates(self, f: Matrix) -> tuple[Fraction, ...]:
-        rhs = Matrix([[x] for x in f.flat()])
-        sol = self._flat_basis.solve(rhs)
-        if sol is None:
-            raise ValidationError("ns_membership", "form is outside the lattice span")
-        coords = tuple(Fraction(sol[i, 0]) for i in range(self.rank))
-        if self.from_coordinates(coords) != f:
-            raise ValidationError("ns_membership", "form is outside the lattice span")
-        return coords
-
-    def from_coordinates(self, coords: Sequence) -> Matrix:
-        if len(coords) != self.rank:
-            raise ValueError("coordinate length mismatch")
-        n = self.torus.rank
-        acc = Matrix.zeros(n, n)
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                acc = acc + b * Fraction(c)
-        return acc
 
     def pullback_matrix(self, g: Matrix) -> Matrix:
         """Matrix of F -> g.T @ F @ g on coordinates (columns are images of

@@ -57,9 +57,14 @@ def _matrix(obj, where: str, square: bool = False) -> Matrix:
     return Matrix(rows)
 
 
-def _vector(obj, where: str, length: int | None = None) -> tuple:
+def _list(obj, where: str) -> list:
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected a list")
+    return obj
+
+
+def _vector(obj, where: str, length: int | None = None) -> tuple:
+    _list(obj, where)
     if length is not None and len(obj) != length:
         raise ParseError(f"{where}: expected length {length}, got {len(obj)}")
     return tuple(_rational(x, where) for x in obj)
@@ -104,7 +109,7 @@ def _parse_torus(data: dict, name: str) -> TorusDocument:
     group = data.get("group", {})
     if not isinstance(group, dict):
         raise ParseError("group: expected an object with generators")
-    for i, g in enumerate(group.get("generators", [])):
+    for i, g in enumerate(_list(group.get("generators", []), "group.generators")):
         if not isinstance(g, dict) or "linear" not in g:
             raise ParseError(f"group.generators[{i}]: expected an object with linear")
         lin = _matrix(g["linear"], f"group.generators[{i}].linear", square=True)
@@ -126,7 +131,7 @@ def _parse_torus(data: dict, name: str) -> TorusDocument:
     if expect is not None and not isinstance(expect, bool):
         raise ParseError("expect_ghv must be a boolean")
     classes = []
-    for i, c in enumerate(data.get("test_classes", [])):
+    for i, c in enumerate(_list(data.get("test_classes", []), "test_classes")):
         if not isinstance(c, list):
             raise ParseError(f"test_classes[{i}]: expected a list")
         classes.append(tuple(_integer(x, f"test_classes[{i}]") for x in c))
@@ -146,12 +151,17 @@ def _parse_problem(data: dict, name: str) -> ProblemDocument:
         raise ParseError(f"unsupported cone type {cone!r}")
     if "domain_rays" not in data:
         raise ParseError("reduction problem needs domain_rays")
-    rays = tuple(
-        tuple(_integer(x, f"domain_rays[{i}]") for x in _vector(r, f"domain_rays[{i}]", 3))
-        for i, r in enumerate(data["domain_rays"])
-    )
+    rays = []
+    for i, r in enumerate(_list(data["domain_rays"], "domain_rays")):
+        ray = tuple(_integer(x, f"domain_rays[{i}]") for x in _vector(r, f"domain_rays[{i}]", 3))
+        if not any(ray):
+            raise ParseError(f"domain_rays[{i}]: a ray must be nonzero")
+        rays.append(ray)
+    generators = data.get("generators", {})
+    if not isinstance(generators, dict):
+        raise ParseError("generators: expected an object of named matrices")
     gens = []
-    for gname, m in data.get("generators", {}).items():
+    for gname, m in generators.items():
         mat = _matrix(m, f"generators.{gname}", square=True)
         if mat.nrows != 3:
             raise ParseError(f"generators.{gname}: expected 3x3")
@@ -160,12 +170,12 @@ def _parse_problem(data: dict, name: str) -> ProblemDocument:
         gens.append((str(gname), mat))
     forms = tuple(
         tuple(_integer(x, f"test_forms[{i}]") for x in _vector(f, f"test_forms[{i}]", 3))
-        for i, f in enumerate(data.get("test_forms", []))
+        for i, f in enumerate(_list(data.get("test_forms", []), "test_forms"))
     )
     return ProblemDocument(
         name=name,
         cone=cone,
-        domain_rays=rays,
+        domain_rays=tuple(rays),
         generators=tuple(gens),
         test_forms=forms,
     )

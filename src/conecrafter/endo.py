@@ -15,7 +15,13 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InternalInvariantError, ValidationError
-from .matrices import Matrix, is_positive_definite, matrix_kernel_basis, vstack
+from .matrices import (
+    Matrix,
+    MatrixLattice,
+    is_positive_definite,
+    matrix_kernel_basis,
+    vstack,
+)
 from .torus import GroupAction, PolarizedTorus
 
 
@@ -30,7 +36,7 @@ def _dedup(mats: Sequence[Matrix]) -> list[Matrix]:
 
 
 @dataclass(frozen=True)
-class EndoAlgebra:
+class EndoAlgebra(MatrixLattice):
     """A unital matrix algebra over Q given by an exact basis.
 
     basis entries are integral matrices of size rank x rank; the identity
@@ -42,6 +48,8 @@ class EndoAlgebra:
     basis: tuple[Matrix, ...]
     commutants: tuple[Matrix, ...]
 
+    membership = ("algebra_membership", "matrix is not in the algebra")
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -49,32 +57,6 @@ class EndoAlgebra:
     @property
     def rank(self) -> int:
         return self.torus.rank
-
-    @cached_property
-    def _flat_basis(self) -> Matrix:
-        # columns are vectorized basis elements
-        flats = [b.flat() for b in self.basis]
-        return Matrix([[flats[j][i] for j in range(len(flats))] for i in range(len(flats[0]))])
-
-    def coordinates(self, m: Matrix) -> tuple[Fraction, ...]:
-        """Exact coordinates of m in the basis; raises when m is outside."""
-        rhs = Matrix([[x] for x in m.flat()])
-        sol = self._flat_basis.solve(rhs)
-        if sol is None:
-            raise ValidationError("algebra_membership", "matrix is not in the algebra")
-        coords = tuple(Fraction(sol[i, 0]) for i in range(self.dim))
-        if self.from_coordinates(coords) != m:
-            raise ValidationError("algebra_membership", "matrix is not in the algebra")
-        return coords
-
-    def from_coordinates(self, coords: Sequence) -> Matrix:
-        if len(coords) != self.dim:
-            raise ValueError("coordinate length mismatch")
-        acc = Matrix.zeros(self.rank, self.rank)
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                acc = acc + b * Fraction(c)
-        return acc
 
     def contains(self, m: Matrix) -> bool:
         try:
@@ -114,21 +96,8 @@ class EndoAlgebra:
                         out[k] += f * row[k]
         return tuple(out)
 
-    @cached_property
-    def trace_form(self) -> Matrix:
-        """Gram matrix of (x, y) -> Tr(x @ y) on the basis."""
-        return Matrix(
-            [[(bi @ bj).trace() for bj in self.basis] for bi in self.basis]
-        )
-
     def rosati(self, phi: Matrix) -> Matrix:
         return rosati(self.torus, phi)
-
-    @cached_property
-    def involution_matrix(self) -> Matrix:
-        """Column j holds the coordinates of rosati(basis[j])."""
-        cols = [self.coordinates(self.rosati(b)) for b in self.basis]
-        return Matrix([[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
     @cached_property
     def rosati_gram(self) -> Matrix:
@@ -136,9 +105,6 @@ class EndoAlgebra:
         return Matrix(
             [[(bi @ self.rosati(bj)).trace() for bj in self.basis] for bi in self.basis]
         )
-
-    def centralizer_constraints(self) -> list[Matrix]:
-        return list(self.commutants)
 
 
 def rosati(t: PolarizedTorus, phi: Matrix) -> Matrix:

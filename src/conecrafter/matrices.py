@@ -1,5 +1,5 @@
 """Exact matrices over the rationals, with the integer lattice algorithms
-(Hermite and Smith normal forms, integer kernels, integer linear solves)
+(Hermite normal form, integer kernels, integer linear solves)
 that the rest of the package is built on.
 
 Entries are Python ints or fractions.Fraction; nothing here ever rounds.
@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from ._kernels import imat_mul
+from .errors import ValidationError
 
 Scalar = int | Fraction
 
@@ -266,20 +268,6 @@ class Matrix:
                 out[p][j] = red[r, n + j]
         return Matrix(out) if out else None
 
-    def kernel_rational(self) -> list[tuple]:
-        """Basis of {x : self @ x = 0} over Q (free-variable parametrization)."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [j for j in range(self._ncols) if j not in pivset]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self._ncols
-            v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -red[r, f]
-            basis.append(tuple(_norm(x) for x in v))
-        return basis
-
     def leading_principal_minors(self) -> list[Fraction]:
         if not self.is_square:
             raise ValueError("principal minors need a square matrix")
@@ -393,88 +381,6 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
     return Matrix(h), Matrix(u)
 
 
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: (d, u, v) with d = u @ m @ v diagonal,
-    d1 | d2 | ... , u and v unimodular, diagonal entries non-negative."""
-    _require_integral(m, "smith_normal_form")
-    r, c = m.shape
-    a = [list(row) for row in m.rows]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(r, c):
-        entries = [
-            (abs(a[i][j]), i, j)
-            for i in range(t, r)
-            for j in range(t, c)
-            if a[i][j] != 0
-        ]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # divisibility: fold any non-multiple into the pivot position
-        piv = a[t][t]
-        bad = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if a[i][j] % piv != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_op(t, bad, -1)  # add the offending row, restart the pivot
-            continue
-        if piv < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return Matrix(a), Matrix(u), Matrix(v)
-
-
 def integer_kernel_matrix(c: Matrix) -> Matrix | None:
     """Z-basis (as rows, HNF-canonical) of {x in Z^n : c @ x = 0};
     None when the kernel is zero. The lattice returned is saturated."""
@@ -517,6 +423,43 @@ def matrix_kernel_basis(
     if kernel is None:
         return []
     return [Matrix.from_flat(kernel.row(i), p, q) for i in range(kernel.nrows)]
+
+
+class MatrixLattice:
+    """Exact coordinates of matrices in a fixed basis of integral matrices.
+
+    Subclasses hold ``basis`` and set ``membership`` to the invariant name
+    and message raised for a matrix outside the span of the basis.
+    """
+
+    basis: tuple[Matrix, ...]
+    membership: tuple[str, str]
+
+    @cached_property
+    def _flat_basis(self) -> Matrix:
+        # columns are vectorized basis elements
+        flats = [b.flat() for b in self.basis]
+        return Matrix([[flats[j][i] for j in range(len(flats))] for i in range(len(flats[0]))])
+
+    def coordinates(self, m: Matrix) -> tuple[Fraction, ...]:
+        """Exact coordinates of m in the basis; raises when m is outside."""
+        rhs = Matrix([[x] for x in m.flat()])
+        sol = self._flat_basis.solve(rhs)
+        if sol is None:
+            raise ValidationError(*self.membership)
+        coords = tuple(Fraction(sol[i, 0]) for i in range(len(self.basis)))
+        if self.from_coordinates(coords) != m:
+            raise ValidationError(*self.membership)
+        return coords
+
+    def from_coordinates(self, coords: Sequence) -> Matrix:
+        if len(coords) != len(self.basis):
+            raise ValueError("coordinate length mismatch")
+        acc = Matrix.zeros(*self.basis[0].shape)
+        for c, b in zip(coords, self.basis):
+            if c != 0:
+                acc = acc + b * Fraction(c)
+        return acc
 
 
 def solve_integer(a: Matrix, b: Sequence) -> list[int] | None:
@@ -565,14 +508,3 @@ def in_lattice_plus_integers(cols: Matrix, t: Sequence) -> bool:
     w = left
     y = [_dot(w.row(i), t) for i in range(w.nrows)]
     return solve_integer(w, y) is not None
-
-
-def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
-    """Scale an integer vector by the positive gcd; first nonzero entry keeps
-    its sign."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(v)
-    return tuple(x // g for x in v)

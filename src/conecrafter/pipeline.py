@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .cone import ConeStructure, cone_structure, ns_to_endo
-from .documents import ProblemDocument, TorusDocument
+from .documents import SCHEMA, ProblemDocument, TorusDocument
 from .endo import rosati_fixes_algebra, trace_positivity_check
 from .errors import InternalInvariantError, ValidationError
 from .matrices import Matrix, integer_kernel_matrix, vstack
@@ -24,7 +23,7 @@ from .reduction import (
     gauss_reduce,
     hyperbolic_domain,
     is_gauss_reduced,
-    product_cone,
+    primitive_tuple,
     pushdown_domain,
     transform_form,
     verify_tiling,
@@ -56,6 +55,11 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _header(command: str, doc) -> dict:
+    """The keys every report starts with, in their fixed order."""
+    return {"schema": SCHEMA, "command": command, "document": doc.name}
 
 
 @dataclass(frozen=True)
@@ -124,9 +128,7 @@ def run_check(doc, seed: int = 42) -> dict:
     free = action_is_free(ctx.torus, ctx.group)
     translations = has_translations(ctx.group)
     return {
-        "schema": "conecrafter/1",
-        "command": "check",
-        "document": doc.name,
+        **_header("check", doc),
         "kind": doc.kind,
         "checks": checks,
         "polarization_flipped": ctx.flipped,
@@ -149,9 +151,7 @@ def _check_problem(doc: ProblemDocument) -> dict:
         if not problem.is_closure(r):
             raise ValidationError("domain_rays", "rays must lie in the closed cone")
     return {
-        "schema": "conecrafter/1",
-        "command": "check",
-        "document": doc.name,
+        **_header("check", doc),
         "kind": doc.kind,
         "cone": doc.cone,
         "generators": [name for name, _ in problem.generators],
@@ -177,9 +177,7 @@ def run_endo(doc, seed: int = 42) -> dict:
     sub = structure.subalgebra
     dec = structure.decomposition
     return {
-        "schema": "conecrafter/1",
-        "command": "endo",
-        "document": doc.name,
+        **_header("endo", doc),
         "end_dim": sub.parent.dim,
         "invariant_dim": sub.dim,
         "polarization_averaged": ctx.averaged,
@@ -221,9 +219,7 @@ def run_cone(doc, seed: int = 42) -> dict:
             }
         )
     return {
-        "schema": "conecrafter/1",
-        "command": "cone",
-        "document": doc.name,
+        **_header("cone", doc),
         "ns_rank": structure.ns.rank,
         "invariant_rank": structure.invariant.rank,
         "polarization_averaged": ctx.averaged,
@@ -289,18 +285,6 @@ def _piece_coordinates(piece: list[tuple[int, ...]], vec: Sequence) -> tuple:
     return tuple(sol[j, 0] for j in range(len(piece)))
 
 
-def _primitive_int_vector(vec: Sequence) -> tuple[int, ...]:
-    fracs = [Fraction(x) for x in vec]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
-
-
 @dataclass(frozen=True)
 class DomainConstruction:
     structure: ConeStructure
@@ -356,7 +340,7 @@ def build_domain(ctx: TorusContext, seed: int = 42) -> DomainConstruction:
                 )
             local_action = _restrict_to_piece(norm_action, piece)
             base_local = _piece_coordinates(piece, _project(structure, fc, e_coords))
-            base_prim = _primitive_int_vector(base_local)
+            base_prim = primitive_tuple(base_local)
             local = hyperbolic_domain(local_action, base_prim)
             local_cones.append((piece, local))
             summaries.append(
@@ -439,9 +423,7 @@ def run_funddom(doc, seed: int = 42) -> dict:
     if doc.kind == "reduction_problem":
         domain = PolyhedralCone.from_rays(doc.domain_rays)
         return {
-            "schema": "conecrafter/1",
-            "command": "funddom",
-            "document": doc.name,
+            **_header("funddom", doc),
             "supported": True,
             "dim": domain.dim,
             "rays": _jsonable(domain.rays),
@@ -452,17 +434,13 @@ def run_funddom(doc, seed: int = 42) -> dict:
     built = build_domain(ctx, seed)
     if built.domain is None:
         return {
-            "schema": "conecrafter/1",
-            "command": "funddom",
-            "document": doc.name,
+            **_header("funddom", doc),
             "supported": False,
             "downgrade": _downgrade_message(built),
             "factors": list(built.factor_summaries),
         }
     return {
-        "schema": "conecrafter/1",
-        "command": "funddom",
-        "document": doc.name,
+        **_header("funddom", doc),
         "supported": True,
         "dim": built.domain.dim,
         "rays": _jsonable(built.domain.rays),
@@ -531,9 +509,7 @@ def run_reduce(doc, seed: int = 42) -> dict:
             }
         )
     return {
-        "schema": "conecrafter/1",
-        "command": "reduce",
-        "document": doc.name,
+        **_header("reduce", doc),
         "results": results,
     }
 
@@ -548,9 +524,7 @@ def run_verify(doc, seed: int = 42, samples: int = 1000, max_steps: int = 20_000
         built = build_domain(ctx, seed)
         if built.domain is None:
             return {
-                "schema": "conecrafter/1",
-                "command": "verify",
-                "document": doc.name,
+                **_header("verify", doc),
                 "downgrade": _downgrade_message(built),
                 "eta": None,
                 "samples": 0,
@@ -565,9 +539,7 @@ def run_verify(doc, seed: int = 42, samples: int = 1000, max_steps: int = 20_000
     tiling = verify_tiling(problem, domain, samples=samples, seed=seed, max_steps=max_steps)
     overlap = find_interior_overlap(problem, domain, seed=seed)
     report = {
-        "schema": "conecrafter/1",
-        "command": "verify",
-        "document": doc.name,
+        **_header("verify", doc),
         "eta": _jsonable(tiling.eta),
         "samples": tiling.samples,
         "verified": tiling.verified,

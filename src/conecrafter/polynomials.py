@@ -35,10 +35,6 @@ class Polynomial:
     def __init__(self, coeffs: Sequence):
         self._coeffs = _norm_coeffs(coeffs)
 
-    @classmethod
-    def x_power(cls, k: int, coeff=1) -> "Polynomial":
-        return cls([0] * k + [coeff])
-
     @property
     def coeffs(self) -> tuple:
         return self._coeffs

@@ -148,18 +148,6 @@ def _integer_orthogonal(sub: Matrix) -> list[tuple]:
     return [tuple(ker.row(i)) for i in range(ker.nrows)]
 
 
-def product_cone(cones: Sequence[PolyhedralCone]) -> PolyhedralCone:
-    """Direct product, rays embedded block by block."""
-    total = sum(c.dim for c in cones)
-    rays = []
-    offset = 0
-    for c in cones:
-        for r in c.rays:
-            rays.append((0,) * offset + r + (0,) * (total - offset - c.dim))
-        offset += c.dim
-    return PolyhedralCone.from_rays(rays)
-
-
 @dataclass(frozen=True)
 class GroupWord:
     """Word in named generators with the composed group element.

@@ -17,6 +17,10 @@ MUTANT_CODES = {
     "m08_ragged_matrix": 4,
     "m09_missing_polarization": 4,
     "m10_bad_schema": 4,
+    "m11_zero_domain_ray": 4,
+    "m12_generators_not_object": 4,
+    "m13_test_classes_not_list": 4,
+    "m14_domain_rays_not_list": 4,
 }
 
 

@@ -157,6 +157,17 @@ class TestTorusParsing:
             parse_document(torus_data)
 
 
+    def test_test_classes_must_be_a_list(self, torus_data):
+        torus_data["test_classes"] = 5
+        with pytest.raises(ParseError, match="test_classes: expected a list"):
+            parse_document(torus_data)
+
+    def test_group_generators_must_be_a_list(self, torus_data):
+        torus_data["group"]["generators"] = 5
+        with pytest.raises(ParseError, match="group.generators: expected a list"):
+            parse_document(torus_data)
+
+
 class TestProblemParsing:
     def test_round_trip(self, problem_data):
         doc = parse_document(problem_data)
@@ -191,6 +202,22 @@ class TestProblemParsing:
         with pytest.raises(ParseError, match="length"):
             parse_document(problem_data)
 
+    def test_zero_ray(self, problem_data):
+        problem_data["domain_rays"][1] = [0, 0, 0]
+        with pytest.raises(ParseError, match=r"domain_rays\[1\]: a ray must be nonzero"):
+            parse_document(problem_data)
+
+    @pytest.mark.parametrize("key", ["domain_rays", "test_forms"])
+    def test_lists_must_be_lists(self, problem_data, key):
+        problem_data[key] = 3
+        with pytest.raises(ParseError, match=f"{key}: expected a list"):
+            parse_document(problem_data)
+
+    def test_generators_must_be_an_object(self, problem_data):
+        problem_data["generators"] = list(problem_data["generators"].values())
+        with pytest.raises(ParseError, match="generators: expected an object"):
+            parse_document(problem_data)
+
 
 class TestLoadDocument:
     def test_corpus_files_load(self):
@@ -217,7 +244,9 @@ class TestLoadDocument:
     def test_mutants_parse_or_fail_as_designed(self):
         # parse-level mutants raise ParseError; semantic mutants parse fine
         parse_level = {"m07_zero_denominator", "m08_ragged_matrix",
-                       "m09_missing_polarization", "m10_bad_schema"}
+                       "m09_missing_polarization", "m10_bad_schema",
+                       "m11_zero_domain_ray", "m12_generators_not_object",
+                       "m13_test_classes_not_list", "m14_domain_rays_not_list"}
         import glob
         import os
 

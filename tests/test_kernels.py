@@ -1,37 +1,15 @@
-"""The pure and compiled kernels must be interchangeable: same inputs, same
-outputs, bit for bit.  These tests drive both implementations over seeded
-random inputs and a few independent oracles.
+"""The integer kernels against independent oracles: naive products,
+cofactor expansion and Fraction arithmetic.
 """
 
-import os
 import random
-
-import pytest
+from fractions import Fraction
 
 from conecrafter import _kernels
-from conecrafter._kernels import _pykernels
-
-try:
-    from conecrafter._kernels import _ckernels
-except ImportError:
-    _ckernels = None
-
-IMPLS = [_pykernels] if _ckernels is None else [_pykernels, _ckernels]
-
-
-def impl_pairs():
-    # always compare against the pure reference
-    return [(impl, _pykernels) for impl in IMPLS]
 
 
 def test_backend_reports_something():
-    assert _kernels.BACKEND in ("pure", "compiled")
-
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled backend not built")
-@pytest.mark.skipif(os.environ.get("CONECRAFTER_PURE"), reason="pure backend forced")
-def test_compiled_backend_selected_by_default():
-    assert _kernels.BACKEND == "compiled"
+    assert _kernels.BACKEND == "pure"
 
 
 def naive_mul(a, b, n, k, m):
@@ -42,8 +20,7 @@ def naive_mul(a, b, n, k, m):
     ]
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda i: i.BACKEND)
-def test_imat_mul_matches_naive(impl):
+def test_imat_mul_matches_naive():
     rng = random.Random(1201)
     for _ in range(80):
         n = rng.randrange(1, 6)
@@ -51,15 +28,14 @@ def test_imat_mul_matches_naive(impl):
         m = rng.randrange(1, 6)
         a = [rng.randrange(-50, 51) for _ in range(n * k)]
         b = [rng.randrange(-50, 51) for _ in range(k * m)]
-        assert list(impl.imat_mul(a, b, n, k, m)) == naive_mul(a, b, n, k, m)
+        assert _kernels.imat_mul(a, b, n, k, m) == naive_mul(a, b, n, k, m)
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda i: i.BACKEND)
-def test_imat_mul_big_integers(impl):
+def test_imat_mul_big_integers():
     # entries far beyond machine words must not overflow
     a = [10**30, -3, 7, 10**25]
     b = [2, 10**40, -1, 5]
-    got = list(impl.imat_mul(a, b, 2, 2, 2))
+    got = _kernels.imat_mul(a, b, 2, 2, 2)
     assert got == naive_mul(a, b, 2, 2, 2)
 
 
@@ -104,26 +80,21 @@ def laplace_charpoly(a, n):
     return out + [0] * (n + 1 - len(out))
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda i: i.BACKEND)
-def test_berkowitz_matches_laplace(impl):
+def test_berkowitz_matches_laplace():
     rng = random.Random(77)
     for _ in range(60):
         n = rng.randrange(1, 6)
         a = [rng.randrange(-9, 10) for _ in range(n * n)]
-        assert list(impl.berkowitz_charpoly(a, n)) == laplace_charpoly(a, n)
+        assert _kernels.berkowitz_charpoly(a, n) == laplace_charpoly(a, n)
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda i: i.BACKEND)
-def test_berkowitz_identity_and_empty(impl):
-    assert list(impl.berkowitz_charpoly([], 0)) == [1]
+def test_berkowitz_identity_and_empty():
+    assert _kernels.berkowitz_charpoly([], 0) == [1]
     # det(xI - I) = (x - 1)^2 = 1 - 2x + x^2
-    assert list(impl.berkowitz_charpoly([1, 0, 0, 1], 2)) == [1, -2, 1]
+    assert _kernels.berkowitz_charpoly([1, 0, 0, 1], 2) == [1, -2, 1]
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda i: i.BACKEND)
-def test_poly_sign_at_matches_fractions(impl):
-    from fractions import Fraction
-
+def test_poly_sign_at_matches_fractions():
     rng = random.Random(3)
     for _ in range(300):
         deg = rng.randrange(0, 7)
@@ -133,64 +104,13 @@ def test_poly_sign_at_matches_fractions(impl):
         x = Fraction(p, q)
         val = sum(c * x**i for i, c in enumerate(coeffs))
         want = (val > 0) - (val < 0)
-        assert impl.poly_sign_at(coeffs, p, q) == want
+        assert _kernels.poly_sign_at(coeffs, p, q) == want
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda i: i.BACKEND)
-def test_sign_variations_known(impl):
-    assert impl.sign_variations([]) == 0
-    assert impl.sign_variations([1, 1, 1]) == 0
-    assert impl.sign_variations([1, -1, 1]) == 2
-    assert impl.sign_variations([1, 0, -1]) == 1
-    assert impl.sign_variations([0, 0, 1, 0, 0, -1, 0]) == 1
-    assert impl.sign_variations([-1, 0, 0, -1]) == 0
-
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled backend not built")
-def test_backends_agree_on_random_inputs():
-    rng = random.Random(2024)
-    for _ in range(40):
-        n = rng.randrange(1, 7)
-        a = [rng.randrange(-100, 101) for _ in range(n * n)]
-        assert list(_ckernels.berkowitz_charpoly(a, n)) == list(
-            _pykernels.berkowitz_charpoly(a, n)
-        )
-        b = [rng.randrange(-100, 101) for _ in range(n * n)]
-        assert list(_ckernels.imat_mul(a, b, n, n, n)) == list(
-            _pykernels.imat_mul(a, b, n, n, n)
-        )
-        coeffs = [rng.randrange(-50, 51) for _ in range(rng.randrange(1, 8))]
-        p = rng.randrange(-20, 21)
-        q = rng.randrange(1, 9)
-        assert _ckernels.poly_sign_at(coeffs, p, q) == _pykernels.poly_sign_at(
-            coeffs, p, q
-        )
-
-
-def test_pure_override_env():
-    """CONECRAFTER_PURE forces the pure backend on a fresh import.
-
-    The child inherits this process's environment with CONECRAFTER_PURE=1 set
-    on top. The directory holding the conecrafter package this process
-    imported goes first on its PYTHONPATH, so it imports the same tree,
-    whether that was found through PYTHONPATH or an install. Without the
-    compiled module the override and the fallback give the same answer, so
-    there the test only shows that the import under the override succeeds and
-    reports "pure".
-    """
-    import subprocess
-    import sys
-
-    import conecrafter
-
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(conecrafter.__file__)))
-    env = dict(os.environ, CONECRAFTER_PURE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "from conecrafter import _kernels; print(_kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure"
+def test_sign_variations_known():
+    assert _kernels.sign_variations([]) == 0
+    assert _kernels.sign_variations([1, 1, 1]) == 0
+    assert _kernels.sign_variations([1, -1, 1]) == 2
+    assert _kernels.sign_variations([1, 0, -1]) == 1
+    assert _kernels.sign_variations([0, 0, 1, 0, 0, -1, 0]) == 1
+    assert _kernels.sign_variations([-1, 0, 0, -1]) == 0

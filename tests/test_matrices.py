@@ -15,8 +15,6 @@ from conecrafter.matrices import (
     is_positive_definite,
     lattice_coordinates,
     matrix_kernel_basis,
-    primitive_vector,
-    smith_normal_form,
     solve_integer,
     vstack,
 )
@@ -74,14 +72,6 @@ class TestArithmetic:
             b = Matrix([[rng.randrange(-9, 10)] for _ in range(3)])
             x = a.solve(b)
             assert a @ x == b
-
-    def test_kernel_rational(self):
-        m = Matrix([[1, 2, 3], [2, 4, 6]])
-        basis = m.kernel_rational()
-        assert len(basis) == 2
-        for v in basis:
-            prod = m @ Matrix([[x] for x in v])
-            assert all(prod[i, 0] == 0 for i in range(2))
 
     def test_rank_and_rref(self):
         m = Matrix([[1, 2], [2, 4], [3, 6]])
@@ -150,46 +140,6 @@ class TestHermite:
             assert h == h2
 
 
-class TestSmith:
-    def test_known_form(self):
-        d, l, r = smith_normal_form(Matrix([[2, 0], [0, 3]]))
-        assert d == Matrix([[1, 0], [0, 6]])
-        assert l @ Matrix([[2, 0], [0, 3]]) @ r == d
-
-    @settings(max_examples=60, deadline=None)
-    @given(int_matrices())
-    def test_reassembly_divisibility(self, m):
-        d, l, r = smith_normal_form(m)
-        assert l @ m @ r == d
-        assert abs(l.det()) == 1
-        assert abs(r.det()) == 1
-        diag = [d[i, i] for i in range(min(d.nrows, d.ncols))]
-        for i in range(d.nrows):
-            for j in range(d.ncols):
-                if i != j:
-                    assert d[i, j] == 0
-        for a, b in zip(diag, diag[1:]):
-            assert a >= 0
-            if a != 0:
-                assert b % a == 0
-            else:
-                assert b == 0
-
-    def test_invariant_factors_match_gcd_of_minors(self):
-        # first invariant factor is the gcd of all entries
-        import math
-
-        rng = random.Random(99)
-        for _ in range(20):
-            m = rand_int_matrix(rng, 3, 3)
-            d, _, _ = smith_normal_form(m)
-            g = 0
-            for row in m.rows:
-                for x in row:
-                    g = math.gcd(g, x)
-            assert d[0, 0] == g
-
-
 class TestIntegerKernels:
     def test_kernel_is_saturated(self):
         # kernel of (1 2 3): the lattice of integer relations
@@ -244,12 +194,6 @@ class TestIntegerKernels:
         assert sol is not None
         back = a @ Matrix([[s] for s in sol])
         assert back == b
-
-
-def test_primitive_vector():
-    assert primitive_vector([4, 6, -2]) == (2, 3, -1)
-    assert primitive_vector([0, -5, 0]) == (0, -1, 0)
-    assert primitive_vector([0, 0]) == (0, 0)
 
 
 def test_in_lattice_plus_integers():

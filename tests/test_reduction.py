@@ -25,7 +25,6 @@ from conecrafter.reduction import (
     pell_fundamental_unit,
     pell_positive_unit,
     primitive_tuple,
-    product_cone,
     transform_form,
     verify_tiling,
 )
@@ -250,15 +249,6 @@ class TestPolyhedralCone:
     def test_samples_deterministic(self):
         cone = minkowski_domain_p2()
         assert cone.interior_samples(20, seed=9) == cone.interior_samples(20, seed=9)
-
-    def test_product_cone(self):
-        a = PolyhedralCone.from_rays([(1,)])
-        b = PolyhedralCone.from_rays([(1, 0), (1, 2)])
-        prod = product_cone([a, b])
-        assert prod.dim == 3
-        assert prod.contains((1, 1, 1))
-        assert not prod.contains((-1, 1, 1))
-        assert prod.contains((0, 1, 1))
 
 
 def test_primitive_tuple():
