@@ -21,7 +21,13 @@ from typing import Sequence
 
 from .endo import EndoAlgebra, InvariantSubalgebra, invariant_subalgebra
 from .errors import InternalInvariantError, ValidationError
-from .matrices import Matrix, MatrixLattice, matrix_kernel_basis, vstack
+from .matrices import (
+    Matrix,
+    MatrixLattice,
+    antisymmetry_rows,
+    congruence_rows,
+    matrix_kernel_basis,
+)
 from .polynomials import all_roots_nonnegative, all_roots_positive, char_poly
 from .torus import GroupAction, PolarizedTorus, is_polarization_invariant
 from .wedderburn import SimpleFactor, WedderburnDecomposition, decompose
@@ -88,11 +94,8 @@ class NSLattice(MatrixLattice):
 
 def compute_ns(t: PolarizedTorus) -> NSLattice:
     """Canonical basis of {F integral : F alternating, J.T F J = F}."""
-
-    def op(f: Matrix) -> Matrix:
-        return vstack(f + f.T, t.j.T @ f @ t.j - f)
-
-    basis = matrix_kernel_basis(op, (t.rank, t.rank))
+    rows = antisymmetry_rows(t.rank) + congruence_rows(t.j)
+    basis = matrix_kernel_basis(rows, (t.rank, t.rank))
     if not basis:
         raise InternalInvariantError("polarization lost from the form lattice")
     return NSLattice(t, tuple(basis))
@@ -106,13 +109,10 @@ def invariant_ns(t: PolarizedTorus, group: GroupAction) -> NSLattice:
         if g.linear not in seen and g.linear != Matrix.identity(t.rank):
             seen.add(g.linear)
             gens.append(g.linear)
-
-    def op(f: Matrix) -> Matrix:
-        parts = [f + f.T, t.j.T @ f @ t.j - f]
-        parts.extend(g.T @ f @ g - f for g in gens)
-        return vstack(*parts)
-
-    basis = matrix_kernel_basis(op, (t.rank, t.rank))
+    rows = antisymmetry_rows(t.rank) + congruence_rows(t.j)
+    for g in gens:
+        rows.extend(congruence_rows(g))
+    basis = matrix_kernel_basis(rows, (t.rank, t.rank))
     if not basis:
         raise InternalInvariantError("invariant polarization lost from the lattice")
     return NSLattice(t, tuple(basis))

@@ -18,9 +18,9 @@ from .errors import InternalInvariantError, ValidationError
 from .matrices import (
     Matrix,
     MatrixLattice,
+    commutator_rows,
     is_positive_definite,
     matrix_kernel_basis,
-    vstack,
 )
 from .torus import GroupAction, PolarizedTorus
 
@@ -102,9 +102,8 @@ class EndoAlgebra(MatrixLattice):
     @cached_property
     def rosati_gram(self) -> Matrix:
         """Gram matrix of the pairing (x, y) -> Tr(x @ rosati(y))."""
-        return Matrix(
-            [[(bi @ self.rosati(bj)).trace() for bj in self.basis] for bi in self.basis]
-        )
+        adjoints = [self.rosati(b) for b in self.basis]
+        return Matrix([[(bi @ aj).trace() for aj in adjoints] for bi in self.basis])
 
 
 def rosati(t: PolarizedTorus, phi: Matrix) -> Matrix:
@@ -114,7 +113,7 @@ def rosati(t: PolarizedTorus, phi: Matrix) -> Matrix:
 
 def compute_end(t: PolarizedTorus) -> EndoAlgebra:
     """Basis of the rational endomorphism algebra {M : M J = J M}."""
-    basis = matrix_kernel_basis(lambda m: m @ t.j - t.j @ m, (t.rank, t.rank))
+    basis = matrix_kernel_basis(commutator_rows(t.j), (t.rank, t.rank))
     if not basis:
         raise InternalInvariantError("endomorphism algebra lost its identity")
     return EndoAlgebra(t, tuple(basis), (t.j,))
@@ -127,11 +126,8 @@ def invariant_subalgebra(t: PolarizedTorus, group: GroupAction) -> "InvariantSub
     """
     gens = _dedup(g.linear for g in group.elements)
     constraints = [t.j] + [g for g in gens if g != Matrix.identity(t.rank)]
-
-    def op(m: Matrix) -> Matrix:
-        return vstack(*[m @ c - c @ m for c in constraints])
-
-    basis = matrix_kernel_basis(op, (t.rank, t.rank))
+    rows = [row for c in constraints for row in commutator_rows(c)]
+    basis = matrix_kernel_basis(rows, (t.rank, t.rank))
     if not basis:
         raise InternalInvariantError("invariant algebra lost its identity")
     sub = EndoAlgebra(t, tuple(basis), tuple(constraints))
@@ -161,11 +157,8 @@ def center_basis(algebra: EndoAlgebra) -> list[Matrix]:
     """Integral basis of the center, canonical in the same sense as the
     algebra basis."""
     constraints = list(algebra.commutants) + list(algebra.basis)
-
-    def op(m: Matrix) -> Matrix:
-        return vstack(*[m @ c - c @ m for c in constraints])
-
-    basis = matrix_kernel_basis(op, (algebra.rank, algebra.rank))
+    rows = [row for c in constraints for row in commutator_rows(c)]
+    basis = matrix_kernel_basis(rows, (algebra.rank, algebra.rank))
     if not basis:
         raise InternalInvariantError("center lost its identity")
     return basis

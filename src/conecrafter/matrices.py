@@ -8,9 +8,10 @@ Entries are Python ints or fractions.Fraction; nothing here ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 from ._kernels import imat_mul
 from .errors import ValidationError
@@ -394,39 +395,75 @@ def integer_kernel_matrix(c: Matrix) -> Matrix | None:
     return Matrix([canon.row(i) for i in range(len(zero_rows))])
 
 
-def matrix_kernel_basis(
-    op: Callable[[Matrix], Matrix], shape: tuple[int, int]
-) -> list[Matrix]:
-    """Z-basis of {M integer p*q matrix : op(M) = 0} for a linear op.
+def commutator_rows(c: Matrix) -> list[list]:
+    """Constraint rows of M -> M @ c - c @ M on row-major M, one row per
+    entry (i, j): (M c)[i][j] puts c[k][j] on M[i][k], (c M)[i][j] puts
+    c[i][k] on M[k][j]."""
+    n = c.nrows
+    cols = [c.col(j) for j in range(n)]
+    rows = []
+    for i, c_row in enumerate(c.rows):
+        for j in range(n):
+            row = [0] * (n * n)
+            row[i * n:(i + 1) * n] = cols[j]
+            for k, x in enumerate(c_row):
+                row[k * n + j] -= x
+            rows.append(row)
+    return rows
 
-    op may return rational matrices; each constraint row is scaled integral.
-    Basis is HNF-canonical, so output is deterministic.
+
+def congruence_rows(g: Matrix) -> list[list]:
+    """Constraint rows of M -> g.T @ M @ g - M: entry (i, j) puts
+    g[k][i] * g[l][j] on M[k][l]."""
+    n = g.nrows
+    cols = [g.col(j) for j in range(n)]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [a * b for a in cols[i] for b in cols[j]]
+            row[i * n + j] -= 1
+            rows.append(row)
+    return rows
+
+
+def antisymmetry_rows(n: int) -> list[list]:
+    """Constraint rows of M -> M + M.T on row-major n x n matrices."""
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            row[i * n + j] += 1
+            row[j * n + i] += 1
+            rows.append(row)
+    return rows
+
+
+def matrix_kernel_basis(rows: Iterable[Sequence], shape: tuple[int, int]) -> list[Matrix]:
+    """Z-basis of the integer p*q matrices M whose row-major entries satisfy
+    every constraint row (row . vec(M) = 0).
+
+    Rows may be rational; each is scaled integral. Zero and repeated rows
+    are dropped, which leaves the kernel unchanged. Basis is HNF-canonical,
+    so output is deterministic and independent of the row order.
     """
     p, q = shape
-    cols = []
-    for k in range(p):
-        for l in range(q):
-            e = Matrix([[1 if (i, j) == (k, l) else 0 for j in range(q)] for i in range(p)])
-            cols.append(op(e).flat())
-    nrows = len(cols[0])
-    if any(len(c) != nrows for c in cols):
-        raise ValueError("op must return a fixed shape")
-    rows = []
-    for i in range(nrows):
-        row = [c[i] for c in cols]
-        d = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = d * x.denominator // gcd(d, x.denominator)
-        rows.append([int(x * d) for x in row])
-    kernel = integer_kernel_matrix(Matrix(rows))
+    distinct = {}
+    for row in rows:
+        if len(row) != p * q:
+            raise ValueError("constraint row length does not match shape")
+        d = lcm(*(x.denominator for x in row))
+        scaled = tuple(row) if d == 1 else tuple(int(x * d) for x in row)
+        if any(scaled):
+            distinct[scaled] = None
+    kernel = integer_kernel_matrix(Matrix(list(distinct) or [[0] * (p * q)]))
     if kernel is None:
         return []
     return [Matrix.from_flat(kernel.row(i), p, q) for i in range(kernel.nrows)]
 
 
 class MatrixLattice:
-    """Exact coordinates of matrices in a fixed basis of integral matrices.
+    """Exact coordinates of matrices in a fixed basis of independent
+    integral matrices.
 
     Subclasses hold ``basis`` and set ``membership`` to the invariant name
     and message raised for a matrix outside the span of the basis.
@@ -436,18 +473,22 @@ class MatrixLattice:
     membership: tuple[str, str]
 
     @cached_property
-    def _flat_basis(self) -> Matrix:
-        # columns are vectorized basis elements
-        flats = [b.flat() for b in self.basis]
-        return Matrix([[flats[j][i] for j in range(len(flats))] for i in range(len(flats[0]))])
+    def _solver(self) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+        """Entry positions where the basis is independent, and the inverse
+        of the basis restricted to them. Built once per lattice."""
+        flats = Matrix([b.flat() for b in self.basis])
+        _, pivots = flats.rref()
+        block = Matrix([[flats[r, p] for r in range(flats.nrows)] for p in pivots])
+        return pivots, block.inverse().rows
 
     def coordinates(self, m: Matrix) -> tuple[Fraction, ...]:
         """Exact coordinates of m in the basis; raises when m is outside."""
-        rhs = Matrix([[x] for x in m.flat()])
-        sol = self._flat_basis.solve(rhs)
-        if sol is None:
-            raise ValidationError(*self.membership)
-        coords = tuple(Fraction(sol[i, 0]) for i in range(len(self.basis)))
+        if m.shape != self.basis[0].shape:
+            raise ValueError("shape mismatch")
+        pivots, inv = self._solver
+        flat = m.flat()
+        rhs = [flat[p] for p in pivots]
+        coords = tuple(Fraction(sum(map(mul, row, rhs))) for row in inv)
         if self.from_coordinates(coords) != m:
             raise ValidationError(*self.membership)
         return coords

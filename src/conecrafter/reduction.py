@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import (
@@ -49,9 +50,7 @@ def _dot(u: Sequence, v: Sequence):
 
 
 def _apply(m: Matrix, v: Sequence) -> tuple:
-    return tuple(
-        sum(m[i, j] * v[j] for j in range(m.ncols)) for i in range(m.nrows)
-    )
+    return tuple(sum(map(mul, row, v)) for row in m.rows)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Structures that a document needs many times are built once: the center
 of an algebra, the inverse of the polarization, the symmetric generators
-of a reduction problem."""
+of a reduction problem, the coordinate solver of a lattice."""
+
+import pytest
 
 import conecrafter.endo as endo
-from conecrafter.cone import is_ample, is_nef
-from conecrafter.endo import invariant_subalgebra, rosati
+from conecrafter.cone import compute_ns, is_ample, is_nef
+from conecrafter.endo import compute_end, invariant_subalgebra, rosati
+from conecrafter.errors import ValidationError
 from conecrafter.matrices import Matrix
 from conecrafter.pipeline import prepare_torus
 from conecrafter.reduction import binary_quadratic_problem
@@ -57,3 +60,32 @@ def test_symmetric_generators_are_built_once():
     assert prob.symmetric_generators is first
     prob.word_ball(2)
     assert prob.symmetric_generators is first
+
+
+def test_each_lattice_is_solved_once(monkeypatch):
+    reduced = []
+    original = Matrix.rref
+
+    def counted(self):
+        reduced.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    t = prepare_torus(load_corpus("bielliptic_z4.json")).invariant_torus
+    end = compute_end(t)
+    ns = compute_ns(t)
+    units = [
+        Matrix([[int((i, j) == (k, l)) for j in range(t.rank)] for i in range(t.rank)])
+        for k in range(t.rank) for l in range(t.rank)
+    ]
+    # a unit matrix off the commutant of J, and a form that is not alternating
+    off_end = next(u for u in units if u @ t.j != t.j @ u)
+    for lattice, outside in ((end, off_end), (ns, units[0])):
+        before = len(reduced)
+        for _ in range(3):
+            for b in lattice.basis:
+                assert lattice.from_coordinates(lattice.coordinates(b)) == b
+        with pytest.raises(ValidationError) as exc:
+            lattice.coordinates(outside)
+        assert exc.value.invariant == lattice.membership[0]
+        assert len(reduced) - before <= 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 
 from conecrafter.matrices import (
     Matrix,
+    antisymmetry_rows,
     block_diag,
+    commutator_rows,
+    congruence_rows,
     definiteness_sign,
     hermite_normal_form,
     in_lattice_plus_integers,
@@ -172,10 +176,18 @@ class TestIntegerKernels:
 
     def test_matrix_kernel_basis_commutant(self):
         j = Matrix([[0, -1], [1, 0]])
-        basis = matrix_kernel_basis(lambda m: m @ j - j @ m, (2, 2))
+        basis = matrix_kernel_basis(commutator_rows(j), (2, 2))
         assert len(basis) == 2
         for m in basis:
             assert m @ j == j @ m
+
+    def test_matrix_kernel_basis_without_constraints_is_everything(self):
+        basis = matrix_kernel_basis([[0, 0, 0, 0]], (2, 2))
+        assert basis == [Matrix.from_flat(row, 2, 2) for row in Matrix.identity(4).rows]
+
+    def test_matrix_kernel_basis_rejects_short_rows(self):
+        with pytest.raises(ValueError):
+            matrix_kernel_basis([[1, 0, 0]], (2, 2))
 
     def test_solve_integer(self):
         a = Matrix([[2, 0], [0, 3]])
@@ -226,3 +238,91 @@ class TestDefiniteness:
         assert definiteness_sign(gram) in (0, 1)
         if m.rank() == m.ncols:
             assert is_positive_definite(gram)
+
+
+def closure_rows(op, n):
+    """Reference: the constraint rows of a linear map on n x n matrices,
+    read off by applying it to every unit matrix (column k*n + l is the
+    flattened image of the unit matrix at (k, l))."""
+    images = []
+    for k in range(n):
+        for l in range(n):
+            unit = Matrix([[int((i, j) == (k, l)) for j in range(n)] for i in range(n)])
+            images.append(op(unit).flat())
+    return [[img[r] for img in images] for r in range(len(images[0]))]
+
+
+def closure_kernel_basis(op, n):
+    """Reference: the kernel basis as built from a closure, each row
+    scaled integral, zero rows kept."""
+    rows = []
+    for row in closure_rows(op, n):
+        d = lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(x * d) for x in row])
+    kernel = integer_kernel_matrix(Matrix(rows))
+    if kernel is None:
+        return []
+    return [Matrix.from_flat(kernel.row(i), n, n) for i in range(kernel.nrows)]
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+small_scalars = st.one_of(small_entries, small_fractions)
+
+
+def square_matrices(n, entries=small_scalars):
+    return st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(Matrix)
+
+
+square_sizes = st.integers(min_value=1, max_value=4)
+
+
+class TestConstraintRows:
+    """The constraint rows equal the closure they replace, evaluated on
+    unit matrices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_sizes.flatmap(square_matrices))
+    def test_commutator_rows_match_closure(self, c):
+        assert commutator_rows(c) == closure_rows(lambda m: m @ c - c @ m, c.nrows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_sizes.flatmap(square_matrices))
+    def test_congruence_rows_match_closure(self, g):
+        assert congruence_rows(g) == closure_rows(lambda m: g.T @ m @ g - m, g.nrows)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_antisymmetry_rows_match_closure(self, n):
+        assert antisymmetry_rows(n) == closure_rows(lambda m: m + m.T, n)
+
+    def test_rational_complex_structure(self):
+        # J = P J0 P^-1 with det P = 2: rational, and still J @ J = -I
+        p = Matrix([[2, 0], [0, 1]])
+        j = p @ Matrix([[0, -1], [1, 0]]) @ p.inverse()
+        assert not j.is_integral
+        assert j @ j == -Matrix.identity(2)
+
+        def op(f):
+            return vstack(f + f.T, j.T @ f @ j - f)
+
+        rows = antisymmetry_rows(2) + congruence_rows(j)
+        assert rows == closure_rows(op, 2)
+        basis = matrix_kernel_basis(rows, (2, 2))
+        assert basis == closure_kernel_basis(op, 2)
+        assert basis
+        for f in basis:
+            assert f == -f.T and j.T @ f @ j == f
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(square_matrices(n, small_entries), square_matrices(n))
+    ))
+    def test_kernel_basis_matches_closure(self, pair):
+        c, g = pair
+
+        def op(m):
+            return vstack(m @ c - c @ m, g.T @ m @ g - m)
+
+        rows = commutator_rows(c) + congruence_rows(g)
+        assert matrix_kernel_basis(rows, c.shape) == closure_kernel_basis(op, c.nrows)
