@@ -26,7 +26,9 @@ from .matrices import (
     MatrixLattice,
     antisymmetry_rows,
     congruence_rows,
+    integer_kernel_matrix,
     matrix_kernel_basis,
+    trace_gram,
 )
 from .polynomials import all_roots_nonnegative, all_roots_positive, char_poly
 from .torus import GroupAction, PolarizedTorus, is_polarization_invariant
@@ -53,7 +55,7 @@ def is_nef(t: PolarizedTorus, f: Matrix) -> bool:
 
 def trace_dual_pairing(t: PolarizedTorus, f1: Matrix, f2: Matrix):
     """Tr(E^-1 f1 E^-1 f2); positive whenever both forms are ample."""
-    return (ns_to_endo(t, f1) @ ns_to_endo(t, f2)).trace()
+    return trace_gram([ns_to_endo(t, f1)], [ns_to_endo(t, f2)])[0, 0]
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,8 @@ class NSLattice(MatrixLattice):
     @cached_property
     def pairing_matrix(self) -> Matrix:
         """Gram matrix of the trace pairing on the basis."""
-        t = self.torus
-        halves = [ns_to_endo(t, b) for b in self.basis]
-        return Matrix(
-            [[(hi @ hj).trace() for hj in halves] for hi in halves]
-        )
+        halves = [ns_to_endo(self.torus, b) for b in self.basis]
+        return trace_gram(halves, halves)
 
     def is_ample_coords(self, coords: Sequence) -> bool:
         return is_ample(self.torus, self.from_coordinates(coords))
@@ -121,11 +120,22 @@ def invariant_ns(t: PolarizedTorus, group: GroupAction) -> NSLattice:
 @dataclass(frozen=True)
 class FactorCone:
     """Positive cone of one simple factor, as seen inside the invariant
-    form lattice; ns_dim is the factor's share of the lattice rank."""
+    form lattice.
+
+    projection acts on invariant coordinates as F -> E e E^-1 F e for the
+    factor's idempotent e; piece is the saturated integer basis (rows,
+    HNF-canonical) of its image, and ns_dim, the piece's rank, is the
+    factor's share of the lattice rank.
+    """
 
     factor: SimpleFactor
     flag: str
-    ns_dim: int
+    projection: Matrix
+    piece: tuple[tuple[int, ...], ...]
+
+    @property
+    def ns_dim(self) -> int:
+        return len(self.piece)
 
 
 @dataclass(frozen=True)
@@ -169,18 +179,27 @@ def cone_structure(
     dec = decompose(sub.algebra, seed)
     full = compute_ns(t)
     inv = invariant_ns(t, group)
+    ident = Matrix.identity(inv.rank)
     factors = []
-    total = 0
+    total = Matrix.zeros(inv.rank, inv.rank)
     for sf in dec.factors:
-        pieces = [sf.idempotent @ ns_to_endo(t, b) @ sf.idempotent for b in inv.basis]
-        flats = [p.flat() for p in pieces]
-        dim = Matrix(flats).rank() if flats else 0
-        if dim != sf.fixed_dim:
+        e = sf.idempotent
+        cols = [inv.coordinates(t.e @ (e @ ns_to_endo(t, b) @ e)) for b in inv.basis]
+        projection = Matrix(list(zip(*cols)))
+        if projection.rank() != sf.fixed_dim:
             raise InternalInvariantError(
                 "factor cone dimension disagrees with its fixed part"
             )
-        factors.append(FactorCone(sf, _cone_flag(dim), dim))
-        total += dim
-    if total != inv.rank:
+        # The projections are orthogonal idempotents summing to I, so P's
+        # image is ker(I - P), whose integer points are saturated.
+        kernel = integer_kernel_matrix((ident - projection).to_integer()[0])
+        piece = () if kernel is None else kernel.rows
+        if len(piece) != sf.fixed_dim:
+            raise InternalInvariantError("factor piece has the wrong rank")
+        factors.append(FactorCone(sf, _cone_flag(len(piece)), projection, piece))
+        total = total + projection
+    if sum(fc.ns_dim for fc in factors) != inv.rank:
         raise InternalInvariantError("factor cones do not fill the invariant lattice")
+    if total != ident:
+        raise InternalInvariantError("factor projections must sum to the identity")
     return ConeStructure(t, group, sub, dec, full, inv, tuple(factors))

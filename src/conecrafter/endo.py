@@ -21,6 +21,7 @@ from .matrices import (
     commutator_rows,
     is_positive_definite,
     matrix_kernel_basis,
+    trace_gram,
 )
 from .torus import GroupAction, PolarizedTorus
 
@@ -102,8 +103,7 @@ class EndoAlgebra(MatrixLattice):
     @cached_property
     def rosati_gram(self) -> Matrix:
         """Gram matrix of the pairing (x, y) -> Tr(x @ rosati(y))."""
-        adjoints = [self.rosati(b) for b in self.basis]
-        return Matrix([[(bi @ aj).trace() for aj in adjoints] for bi in self.basis])
+        return trace_gram(self.basis, [self.rosati(b) for b in self.basis])
 
 
 def rosati(t: PolarizedTorus, phi: Matrix) -> Matrix:

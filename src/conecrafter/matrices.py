@@ -8,7 +8,7 @@ Entries are Python ints or fractions.Fraction; nothing here ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
@@ -187,67 +187,25 @@ class Matrix:
     def det(self) -> Fraction:
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        n = self._nrows
-        m = [[Fraction(x) for x in row] for row in self._rows]
-        sign = 1
-        for col in range(n):
-            piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                sign = -sign
-            pv = m[col][col]
-            for i in range(col + 1, n):
-                if m[i][col] != 0:
-                    f = m[i][col] / pv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-        out = Fraction(sign)
-        for i in range(n):
-            out *= m[i][i]
-        return out
+        _, pivots, values, swaps = _eliminate(self._rows, self._ncols, above=False)
+        if len(pivots) < self._nrows:
+            return Fraction(0)
+        return Fraction((-1) ** swaps) * prod(values)
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise ValueError("inverse needs a square matrix")
         n = self._nrows
-        m = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self._rows)
-        ]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            m[col], m[piv] = m[piv], m[col]
-            pv = m[col][col]
-            m[col] = [x / pv for x in m[col]]
-            for i in range(n):
-                if i != col and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+        aug = [row + tuple(int(i == j) for j in range(n))
+               for i, row in enumerate(self._rows)]
+        m, pivots, _, _ = _eliminate(aug, n, above=True)
+        if len(pivots) < n:
+            raise ValueError("matrix is singular")
         return Matrix([row[n:] for row in m])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form over Q, with pivot column indices."""
-        m = [[Fraction(x) for x in row] for row in self._rows]
-        pivots = []
-        r = 0
-        for col in range(self._ncols):
-            if r == self._nrows:
-                break
-            piv = next((i for i in range(r, self._nrows) if m[i][col] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            pv = m[r][col]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self._nrows):
-                if i != r and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
+        m, pivots, _, _ = _eliminate(self._rows, self._ncols, above=True)
         return Matrix(m), tuple(pivots)
 
     def rank(self) -> int:
@@ -269,14 +227,6 @@ class Matrix:
                 out[p][j] = red[r, n + j]
         return Matrix(out) if out else None
 
-    def leading_principal_minors(self) -> list[Fraction]:
-        if not self.is_square:
-            raise ValueError("principal minors need a square matrix")
-        return [
-            Matrix([row[: k + 1] for row in self._rows[: k + 1]]).det()
-            for k in range(self._nrows)
-        ]
-
     def trace(self) -> Scalar:
         if not self.is_square:
             raise ValueError("trace needs a square matrix")
@@ -287,22 +237,67 @@ def _dot(u: Sequence, v: Sequence):
     return _norm(sum(a * b for a, b in zip(u, v)))
 
 
+def trace_gram(left: Sequence[Matrix], right: Sequence[Matrix]) -> Matrix:
+    """Matrix of Tr(a @ b) for a in left (rows) and b in right (columns).
+    Tr(a @ b) is the dot product of a's entries with b.T's, so no product
+    is formed."""
+    lflat = [a.flat() for a in left]
+    rflat = [b.T.flat() for b in right]
+    return Matrix([[_dot(a, b) for b in rflat] for a in lflat])
+
+
+def _eliminate(rows: Sequence[Sequence], width: int, above: bool) -> tuple:
+    """Gaussian elimination over Q on a copy of rows, pivoting on the first
+    ``width`` columns. Each pivot row is scaled to 1 and its column cleared
+    below it, and above it too when ``above`` (Gauss-Jordan).
+
+    Returns the reduced rows, the pivot columns, each pivot's value before
+    scaling, and the number of row swaps."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, values, swaps = [], [], 0
+    r = 0
+    nrows = len(m)
+    for col in range(width):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        pv = m[r][col]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(0 if above else r + 1, nrows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        values.append(pv)
+        r += 1
+    return m, pivots, values, swaps
+
+
 def is_positive_definite(m: Matrix) -> bool:
     """Exact Sylvester test on a symmetric matrix."""
-    if not m.is_symmetric:
-        raise ValueError("definiteness test needs a symmetric matrix")
-    return all(d > 0 for d in m.leading_principal_minors())
+    return definiteness_sign(m) == 1
 
 
 def definiteness_sign(m: Matrix) -> int:
     """+1 / -1 when the symmetric matrix is positive / negative definite,
-    0 otherwise."""
+    0 otherwise.
+
+    Sylvester's criterion read off one forward elimination: when no row
+    swap is needed, the k-th pivot is the ratio of the k-th to the (k-1)-th
+    leading principal minor, and a needed swap means a minor vanishes."""
     if not m.is_symmetric:
         raise ValueError("definiteness test needs a symmetric matrix")
-    minors = m.leading_principal_minors()
-    if all(d > 0 for d in minors):
+    _, pivots, values, swaps = _eliminate(m.rows, m.ncols, above=False)
+    if swaps or len(pivots) < m.nrows:
+        return 0
+    if all(v > 0 for v in values):
         return 1
-    if all((d > 0 if k % 2 else d < 0) for k, d in enumerate(minors)):
+    if all(v < 0 for v in values):
         return -1
     return 0
 

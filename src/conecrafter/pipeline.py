@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .cone import ConeStructure, cone_structure, ns_to_endo
+from .cone import ConeStructure, cone_structure
 from .documents import SCHEMA, ProblemDocument, TorusDocument
-from .endo import rosati_fixes_algebra, trace_positivity_check
+from .endo import invariant_subalgebra, rosati_fixes_algebra, trace_positivity_check
 from .errors import InternalInvariantError, ValidationError
-from .matrices import Matrix, integer_kernel_matrix, vstack
+from .matrices import Matrix
 from .reduction import (
     PolyhedralCone,
     ReductionProblem,
@@ -41,6 +42,7 @@ from .torus import (
     validate_automorphism,
     validate_torus,
 )
+from .wedderburn import decompose
 
 
 def _jsonable(x):
@@ -71,12 +73,18 @@ class TorusContext:
     averaged: bool
     invariant_torus: PolarizedTorus
 
+    @cached_property
+    def is_free(self) -> bool:
+        return action_is_free(self.torus, self.group)
+
     @property
     def is_ghv(self) -> bool:
+        """Whether X = A/G is generalized hyperelliptic: a nontrivial group
+        acting freely, with no translation."""
         return (
             self.group.order > 1
             and not has_translations(self.group)
-            and action_is_free(self.torus, self.group)
+            and self.is_free
         )
 
 
@@ -92,18 +100,6 @@ def prepare_torus(doc: TorusDocument) -> TorusContext:
         group = close_group(doc.generators)
     else:
         group = trivial_group(torus.rank)
-    if doc.expect_ghv is not None:
-        is_ghv = (
-            group.order > 1
-            and not has_translations(group)
-            and action_is_free(torus, group)
-        )
-        if is_ghv != doc.expect_ghv:
-            raise ValidationError(
-                "expectation",
-                f"document claims expect_ghv={doc.expect_ghv} but the action "
-                f"{'is' if is_ghv else 'is not'} a free translation-free action",
-            )
     averaged = False
     inv_torus = torus
     if not is_polarization_invariant(torus, group):
@@ -113,7 +109,14 @@ def prepare_torus(doc: TorusDocument) -> TorusContext:
         if not report.ok or report.sign <= 0:
             raise InternalInvariantError("averaged polarization must stay definite")
         averaged = True
-    return TorusContext(doc, torus, flipped, group, averaged, inv_torus)
+    ctx = TorusContext(doc, torus, flipped, group, averaged, inv_torus)
+    if doc.expect_ghv is not None and ctx.is_ghv != doc.expect_ghv:
+        raise ValidationError(
+            "expectation",
+            f"document claims expect_ghv={doc.expect_ghv} but the action "
+            f"{'is' if ctx.is_ghv else 'is not'} a free translation-free action",
+        )
+    return ctx
 
 
 def run_check(doc, seed: int = 42) -> dict:
@@ -125,8 +128,6 @@ def run_check(doc, seed: int = 42) -> dict:
         {"name": c.name, "passed": bool(c.passed) or (c.name == "polarization_definite" and ctx.flipped)}
         for c in report.checks
     ]
-    free = action_is_free(ctx.torus, ctx.group)
-    translations = has_translations(ctx.group)
     return {
         **_header("check", doc),
         "kind": doc.kind,
@@ -134,8 +135,8 @@ def run_check(doc, seed: int = 42) -> dict:
         "polarization_flipped": ctx.flipped,
         "group": {
             "order": ctx.group.order,
-            "is_free": free,
-            "has_translations": translations,
+            "is_free": ctx.is_free,
+            "has_translations": has_translations(ctx.group),
             "preserves_polarization": is_polarization_invariant(ctx.torus, ctx.group),
         },
         "is_ghv": ctx.is_ghv,
@@ -173,9 +174,8 @@ def _require_problem(doc):
 def run_endo(doc, seed: int = 42) -> dict:
     _require_torus(doc)
     ctx = prepare_torus(doc)
-    structure = cone_structure(ctx.invariant_torus, ctx.group, seed)
-    sub = structure.subalgebra
-    dec = structure.decomposition
+    sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+    dec = decompose(sub.algebra, seed)
     return {
         **_header("endo", doc),
         "end_dim": sub.parent.dim,
@@ -231,58 +231,14 @@ def run_cone(doc, seed: int = 42) -> dict:
     }
 
 
-def _factor_pieces(structure: ConeStructure) -> list[list[tuple[int, ...]]]:
-    """Saturated integer basis, in invariant coordinates, of each factor's
-    share of the invariant form lattice."""
-    inv = structure.invariant
-    t = structure.torus
-    projections = []
-    for sf in structure.decomposition.factors:
-        cols = []
-        for b in inv.basis:
-            piece = t.e @ (sf.idempotent @ ns_to_endo(t, b) @ sf.idempotent)
-            cols.append(inv.coordinates(piece))
-        projections.append(
-            Matrix([[cols[j][i] for j in range(inv.rank)] for i in range(inv.rank)])
-        )
-    total = None
-    for p in projections:
-        total = p if total is None else total + p
-    if total != Matrix.identity(inv.rank):
-        raise InternalInvariantError("factor projections must sum to the identity")
-    pieces = []
-    for i, sf in enumerate(structure.decomposition.factors):
-        others = [p for j, p in enumerate(projections) if j != i]
-        if not others:
-            basis = [
-                tuple(1 if k == l else 0 for l in range(inv.rank))
-                for k in range(inv.rank)
-            ]
-            pieces.append(basis)
-            continue
-        stacked = vstack(*others)
-        scaled, _ = stacked.to_integer()
-        kernel = integer_kernel_matrix(scaled)
-        if kernel is None or kernel.nrows != sf.fixed_dim:
-            raise InternalInvariantError("factor piece has the wrong rank")
-        pieces.append([tuple(kernel.row(r)) for r in range(kernel.nrows)])
-    return pieces
-
-
-def _piece_coordinates(piece: list[tuple[int, ...]], vec: Sequence) -> tuple:
+def _piece_coordinates(piece: Sequence[tuple[int, ...]], vec: Sequence) -> tuple:
     """Coordinates of vec in the piece basis; error if outside."""
-    mat = Matrix([[Fraction(piece[j][i]) for j in range(len(piece))] for i in range(len(vec))])
-    rhs = Matrix([[Fraction(x)] for x in vec])
+    mat = Matrix(piece).T
+    rhs = Matrix.column(vec)
     sol = mat.solve(rhs)
-    if sol is None:
+    if sol is None or mat @ sol != rhs:
         raise InternalInvariantError("vector left its factor piece")
-    back = [
-        sum(sol[j, 0] * piece[j][i] for j in range(len(piece)))
-        for i in range(len(vec))
-    ]
-    if [Fraction(x) for x in vec] != back:
-        raise InternalInvariantError("vector left its factor piece")
-    return tuple(sol[j, 0] for j in range(len(piece)))
+    return sol.col(0)
 
 
 @dataclass(frozen=True)
@@ -316,20 +272,19 @@ def build_domain(ctx: TorusContext, seed: int = 42) -> DomainConstruction:
             raise ValidationError(
                 "normalizer_lattice", "normalizer must preserve the invariant lattice"
             )
-    pieces = _factor_pieces(structure)
-    e_coords = structure.invariant.coordinates(t.e)
-    local_cones = []
+    e_coords = Matrix.column(structure.invariant.coordinates(t.e))
+    global_rays = []
     summaries = []
     downgrades = []
-    for fc, piece in zip(structure.factors, pieces):
+    for fc in structure.factors:
+        piece = fc.piece
         if fc.flag == "ray":
             ray = piece[0]
             if not structure.invariant.is_nef_coords(ray):
                 ray = tuple(-x for x in ray)
             if not structure.invariant.is_nef_coords(ray):
                 raise InternalInvariantError("ray factor has no nef generator")
-            piece[0] = ray
-            local_cones.append((piece, PolyhedralCone((tuple([1]),), (tuple([1]),))))
+            global_rays.append(ray)
             summaries.append({"label": fc.factor.label, "flag": fc.flag, "rays": [_jsonable(ray)]})
         elif fc.flag == "hyperbolic":
             if norm_action is None:
@@ -339,16 +294,17 @@ def build_domain(ctx: TorusContext, seed: int = 42) -> DomainConstruction:
                     "rational polyhedral domain",
                 )
             local_action = _restrict_to_piece(norm_action, piece)
-            base_local = _piece_coordinates(piece, _project(structure, fc, e_coords))
+            base_local = _piece_coordinates(piece, (fc.projection @ e_coords).col(0))
             base_prim = primitive_tuple(base_local)
             local = hyperbolic_domain(local_action, base_prim)
-            local_cones.append((piece, local))
+            rays = [_unproject(piece, r) for r in local.rays]
+            global_rays.extend(rays)
             summaries.append(
                 {
                     "label": fc.factor.label,
                     "flag": fc.flag,
                     "action": _jsonable(local_action),
-                    "rays": [_jsonable(_unproject(piece, r)) for r in local.rays],
+                    "rays": _jsonable(rays),
                 }
             )
         else:
@@ -362,22 +318,11 @@ def build_domain(ctx: TorusContext, seed: int = 42) -> DomainConstruction:
             )
     if downgrades:
         return DomainConstruction(structure, None, tuple(summaries), norm_action, tuple(downgrades))
-    global_rays = []
-    for piece, local in local_cones:
-        for r in local.rays:
-            global_rays.append(_unproject(piece, r))
     domain = PolyhedralCone.from_rays(global_rays)
     return DomainConstruction(structure, domain, tuple(summaries), norm_action)
 
 
-def _project(structure: ConeStructure, fc, coords: Sequence) -> tuple:
-    t = structure.torus
-    form = structure.invariant.from_coordinates(coords)
-    piece_form = t.e @ (fc.factor.idempotent @ ns_to_endo(t, form) @ fc.factor.idempotent)
-    return structure.invariant.coordinates(piece_form)
-
-
-def _unproject(piece: list[tuple[int, ...]], local: Sequence) -> tuple[int, ...]:
+def _unproject(piece: Sequence[tuple[int, ...]], local: Sequence) -> tuple[int, ...]:
     dim = len(piece[0])
     return tuple(
         int(sum(Fraction(c) * piece[k][i] for k, c in enumerate(local)))
@@ -385,14 +330,8 @@ def _unproject(piece: list[tuple[int, ...]], local: Sequence) -> tuple[int, ...]
     )
 
 
-def _restrict_to_piece(action: Matrix, piece: list[tuple[int, ...]]) -> Matrix:
-    cols = []
-    for b in piece:
-        image = tuple(
-            sum(action[i, j] * b[j] for j in range(action.ncols))
-            for i in range(action.nrows)
-        )
-        cols.append(_piece_coordinates(piece, image))
+def _restrict_to_piece(action: Matrix, piece: Sequence[tuple[int, ...]]) -> Matrix:
+    cols = [_piece_coordinates(piece, (action @ Matrix.column(b)).col(0)) for b in piece]
     local = Matrix([[cols[j][i] for j in range(len(piece))] for i in range(len(piece))])
     if not local.is_integral:
         raise ValidationError(

@@ -1,15 +1,18 @@
 """Structures that a document needs many times are built once: the center
 of an algebra, the inverse of the polarization, the symmetric generators
-of a reduction problem, the coordinate solver of a lattice."""
+of a reduction problem, the coordinate solver of a lattice, the factor
+projections of a cone, the freeness of an action."""
 
 import pytest
 
+import conecrafter.cone as cone
 import conecrafter.endo as endo
+import conecrafter.pipeline as pipeline
 from conecrafter.cone import compute_ns, is_ample, is_nef
 from conecrafter.endo import compute_end, invariant_subalgebra, rosati
 from conecrafter.errors import ValidationError
 from conecrafter.matrices import Matrix
-from conecrafter.pipeline import prepare_torus
+from conecrafter.pipeline import build_domain, prepare_torus, run_check, run_endo
 from conecrafter.reduction import binary_quadratic_problem
 from conecrafter.torus import PolarizedTorus
 from conecrafter.wedderburn import decompose
@@ -89,3 +92,61 @@ def test_each_lattice_is_solved_once(monkeypatch):
             lattice.coordinates(outside)
         assert exc.value.invariant == lattice.membership[0]
         assert len(reduced) - before <= 1
+
+
+TORI = ["elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"]
+
+
+@pytest.mark.parametrize("name", TORI)
+def test_build_domain_projects_only_inside_cone_structure(monkeypatch, name):
+    """Only cone_structure cuts out the factors; the ampleness tests also
+    map forms to endomorphisms and are not counted."""
+    depth = [0]
+    outside = []
+    original = cone.ns_to_endo
+
+    def scoped(fn):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    def counted(t, f):
+        if depth[0] == 0:
+            outside.append(f)
+        return original(t, f)
+
+    for fn in ("cone_structure", "is_ample", "is_nef"):
+        monkeypatch.setattr(cone, fn, scoped(getattr(cone, fn)))
+    monkeypatch.setattr(pipeline, "cone_structure", cone.cone_structure)
+    monkeypatch.setattr(cone, "ns_to_endo", counted)
+    monkeypatch.setattr(pipeline, "ns_to_endo", counted, raising=False)
+    build_domain(prepare_torus(load_corpus(name + ".json")))
+    assert outside == []
+
+
+@pytest.mark.parametrize("name", ["bielliptic_z4", "hyperbolic_z8"])
+def test_check_decides_freeness_once(monkeypatch, name):
+    calls = []
+    original = pipeline.action_is_free
+
+    def counted(t, group):
+        calls.append(group)
+        return original(t, group)
+
+    monkeypatch.setattr(pipeline, "action_is_free", counted)
+    run_check(load_corpus(name + ".json"))
+    assert len(calls) == 1
+
+
+def test_endo_builds_no_form_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("endo needs no form lattice")
+
+    monkeypatch.setattr(cone, "compute_ns", refuse)
+    monkeypatch.setattr(cone, "invariant_ns", refuse)
+    for name in TORI:
+        assert run_endo(load_corpus(name + ".json"))["factors"]

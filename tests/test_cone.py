@@ -14,7 +14,7 @@ from conecrafter.cone import (
     trace_dual_pairing,
 )
 from conecrafter.errors import ValidationError
-from conecrafter.matrices import Matrix, block_diag
+from conecrafter.matrices import Matrix, block_diag, integer_kernel_matrix, vstack
 from conecrafter.pipeline import prepare_torus
 from conecrafter.torus import AffineAuto, PolarizedTorus, close_group
 
@@ -267,3 +267,60 @@ class TestConeStructure:
         with pytest.raises(ValidationError) as exc:
             cone_structure(t, group)
         assert exc.value.invariant == "polarization_invariant"
+
+
+def three_factor_torus():
+    """E_i^3 with the order-4 action diag(R, -I, I): the three curves carry
+    distinct characters, so End^G is Q(i)^3 and the cone has three rays."""
+    i2 = Matrix.identity(2)
+    t = PolarizedTorus(block_diag(R, R, R), block_diag(E1, E1, E1))
+    return t, close_group([AffineAuto(block_diag(R, -i2, i2))])
+
+
+def reference_pieces(cs):
+    """The factor pieces as first built: project every invariant basis form
+    through each idempotent, then take the integer kernel of the other
+    factors' projections stacked (the whole lattice for a single factor)."""
+    t, inv = cs.torus, cs.invariant
+    projections = []
+    for sf in cs.decomposition.factors:
+        e = sf.idempotent
+        cols = [inv.coordinates(t.e @ e @ t.e.inverse() @ b @ e) for b in inv.basis]
+        projections.append(Matrix([[c[i] for c in cols] for i in range(inv.rank)]))
+    pieces = []
+    for i in range(len(projections)):
+        others = [p for j, p in enumerate(projections) if j != i]
+        if not others:
+            pieces.append(Matrix.identity(inv.rank).rows)
+            continue
+        kernel = integer_kernel_matrix(vstack(*others).to_integer()[0])
+        pieces.append(kernel.rows)
+    return projections, pieces
+
+
+class TestFactorPieces:
+    @pytest.mark.parametrize("name", [
+        "elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8", "three_factor",
+    ])
+    def test_projections_and_pieces(self, name):
+        if name == "three_factor":
+            t, group = three_factor_torus()
+        else:
+            ctx = ctx_for(name)
+            t, group = ctx.invariant_torus, ctx.group
+        cs = cone_structure(t, group)
+        projections, pieces = reference_pieces(cs)
+        ident = Matrix.identity(cs.invariant.rank)
+        total = Matrix.zeros(cs.invariant.rank, cs.invariant.rank)
+        for fc, p, piece in zip(cs.factors, projections, pieces, strict=True):
+            assert fc.projection == p
+            assert fc.projection @ fc.projection == fc.projection
+            assert fc.piece == piece
+            assert fc.ns_dim == len(piece) == fc.factor.fixed_dim
+            total = total + fc.projection
+        assert total == ident
+
+    def test_three_factor_torus_has_three_rays(self):
+        cs = cone_structure(*three_factor_torus())
+        assert cs.flags() == ["ray", "ray", "ray"]
+        assert cs.invariant.rank == 3

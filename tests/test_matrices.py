@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecrafter.matrices import (
@@ -20,6 +20,7 @@ from conecrafter.matrices import (
     lattice_coordinates,
     matrix_kernel_basis,
     solve_integer,
+    trace_gram,
     vstack,
 )
 
@@ -276,6 +277,77 @@ def square_matrices(n, entries=small_scalars):
 
 
 square_sizes = st.integers(min_value=1, max_value=4)
+
+
+def cofactor_det(rows):
+    """Reference: Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return Fraction(rows[0][0])
+    return sum(
+        (-1) ** j * rows[0][j] * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def minors_sign(m):
+    """Reference: Sylvester's criterion on the leading principal minors,
+    each by cofactor expansion."""
+    minors = [cofactor_det([r[: k + 1] for r in m.rows[: k + 1]]) for k in range(m.nrows)]
+    if all(d > 0 for d in minors):
+        return 1
+    if all((d > 0 if k % 2 else d < 0) for k, d in enumerate(minors)):
+        return -1
+    return 0
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    """Gram matrices a.T @ a (positive definite, or singular when a is),
+    their negatives, and a + a.T (often indefinite)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entries = st.integers(min_value=-4, max_value=4)
+    a = Matrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["gram", "negative", "sum"]))
+    if kind == "sum":
+        return a + a.T
+    gram = a.T @ a
+    return gram if kind == "gram" else -gram
+
+
+class TestElimination:
+    """det and definiteness_sign share one elimination; both are checked
+    against cofactor expansion."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_int_matrices())
+    @example(Matrix([[0, 1], [1, 0]]))  # indefinite, zero leading minor
+    @example(Matrix([[1, 1], [1, 1]]))  # singular, positive semidefinite
+    @example(Matrix([[0, 0], [0, 2]]))  # singular, first pivot missing
+    @example(Matrix([[-2, 1], [1, -2]]))  # negative definite
+    @example(Matrix([[-1, 0], [0, 0]]))  # singular, negative semidefinite
+    @example(Matrix([[2, 3], [3, 2]]))  # indefinite, no row swap
+    def test_definiteness_sign_matches_leading_minors(self, m):
+        assert definiteness_sign(m) == minors_sign(m)
+        assert is_positive_definite(m) == (minors_sign(m) == 1)
+
+    def test_examples_reach_every_sign(self):
+        signs = {
+            minors_sign(Matrix(rows))
+            for rows in ([[0, 1], [1, 0]], [[-2, 1], [1, -2]], [[2, 1], [1, 2]])
+        }
+        assert signs == {-1, 0, 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_sizes.flatmap(lambda n: square_matrices(n)))
+    def test_det_matches_cofactor_expansion(self, m):
+        assert m.det() == cofactor_det(m.rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_sizes.flatmap(lambda n: st.tuples(square_matrices(n), square_matrices(n))))
+    def test_trace_gram_matches_products(self, ab):
+        a, b = ab
+        gram = trace_gram([a, b], [b, a.T])
+        assert gram == Matrix([[(x @ y).trace() for y in (b, a.T)] for x in (a, b)])
 
 
 class TestConstraintRows:
