@@ -2,11 +2,24 @@
 ample and nef cones, and the product shape of the invariant cone.
 
 Forms correspond to endomorphisms through F -> E^-1 F, which lands in the
-involution-fixed part of the endomorphism algebra. Positivity of a form is
-an exact root count: F is ample iff every root of det(x I - E^-1 F) is
-positive, nef iff nonnegative. The invariant cone then splits along the
-simple factors of the invariant algebra, each piece a cone of positive
-definite Hermitian elements whose shape is reported as a flag:
+involution-fixed part of the endomorphism algebra. Positivity of a form has
+two exact criteria, and both are kept:
+
+    bare form      is_ample / is_nef: every root of det(x I - E^-1 F) is
+                   positive / nonnegative (a Sturm root count)
+    coordinates    NSLattice.is_ample_coords / is_nef_coords: the symmetric
+                   form F J is positive definite / semidefinite
+                   (Prendergast-Smith's Hermitian form criterion)
+
+They agree because E J is positive definite on a normalized torus and
+E^-1 F is similar to (E J)^-1 (F J), whose eigenvalues have the signs of
+the inertia of F J. Every command tests classes in lattice coordinates;
+the bare-form criterion stays as the reference the coordinate one is
+tested against, and needs no lattice.
+
+The invariant cone then splits along the simple factors of the invariant
+algebra, each piece a cone of positive definite Hermitian elements whose
+shape is reported as a flag:
 
     ray          fixed part of the factor has dimension 1
     hyperbolic   dimension 2, one branch of a signature (1,1) quadric
@@ -16,7 +29,10 @@ definite Hermitian elements whose shape is reported as a flag:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .endo import EndoAlgebra, InvariantSubalgebra, invariant_subalgebra
@@ -26,8 +42,10 @@ from .matrices import (
     MatrixLattice,
     antisymmetry_rows,
     congruence_rows,
+    definiteness_sign,
     integer_kernel_matrix,
     matrix_kernel_basis,
+    semidefinite_rank,
     trace_gram,
 )
 from .polynomials import all_roots_nonnegative, all_roots_positive, char_poly
@@ -61,7 +79,13 @@ def trace_dual_pairing(t: PolarizedTorus, f1: Matrix, f2: Matrix):
 @dataclass(frozen=True)
 class NSLattice(MatrixLattice):
     """Lattice of integral alternating J-compatible forms with a fixed
-    canonical basis; coordinates are taken in that basis."""
+    canonical basis; coordinates are taken in that basis.
+
+    Classes given by coordinates are tested for ampleness (nefness) by
+    whether sum c_i S_i is positive definite (semidefinite), where
+    S_i = D (b_i @ J) are integer symmetric matrices built once per
+    lattice; see the module docstring for why this agrees with the
+    bare-form is_ample / is_nef, which stay as the reference."""
 
     torus: PolarizedTorus
     basis: tuple[Matrix, ...]
@@ -84,11 +108,35 @@ class NSLattice(MatrixLattice):
         halves = [ns_to_endo(self.torus, b) for b in self.basis]
         return trace_gram(halves, halves)
 
+    @cached_property
+    def hermitian_forms(self) -> tuple[tuple[int, ...], ...]:
+        """Entries of S_i = D (b_i @ J), row-major, each entry as the tuple
+        of its values over the basis. D clears the denominators of J and
+        carries the sign of E @ J, so that the polarization is positive."""
+        t = self.torus
+        j, _ = t.j.to_integer()
+        sign = definiteness_sign(t.e @ j)
+        if sign == 0:
+            raise ValueError("ampleness needs a definite polarization")
+        return tuple(zip(*((b @ j * sign).flat() for b in self.basis)))
+
+    def _hermitian_rows(self, coords: Sequence) -> list[list[int]]:
+        """sum c_i S_i, scaled by the least positive integer clearing the
+        denominators of the coordinates."""
+        if len(coords) != self.rank:
+            raise ValueError("coordinate length mismatch")
+        exact = [c if isinstance(c, int) else Fraction(c) for c in coords]
+        den = lcm(*(c.denominator for c in exact))
+        scaled = [c.numerator * (den // c.denominator) for c in exact]
+        n = self.torus.rank
+        flat = [sum(map(mul, scaled, entry)) for entry in self.hermitian_forms]
+        return [flat[i * n:(i + 1) * n] for i in range(n)]
+
     def is_ample_coords(self, coords: Sequence) -> bool:
-        return is_ample(self.torus, self.from_coordinates(coords))
+        return semidefinite_rank(self._hermitian_rows(coords)) == self.torus.rank
 
     def is_nef_coords(self, coords: Sequence) -> bool:
-        return is_nef(self.torus, self.from_coordinates(coords))
+        return semidefinite_rank(self._hermitian_rows(coords)) is not None
 
 
 def compute_ns(t: PolarizedTorus) -> NSLattice:
@@ -144,9 +192,14 @@ class ConeStructure:
     group: GroupAction
     subalgebra: InvariantSubalgebra
     decomposition: WedderburnDecomposition
-    ns: NSLattice
     invariant: NSLattice
     factors: tuple[FactorCone, ...]
+
+    @cached_property
+    def ns(self) -> NSLattice:
+        """The full form lattice, built only for the commands that read it.
+        It holds the invariant lattice, so it is never empty."""
+        return compute_ns(self.torus)
 
     def flags(self) -> list[str]:
         return [f.flag for f in self.factors]
@@ -177,7 +230,6 @@ def cone_structure(
         )
     sub = invariant_subalgebra(t, group)
     dec = decompose(sub.algebra, seed)
-    full = compute_ns(t)
     inv = invariant_ns(t, group)
     ident = Matrix.identity(inv.rank)
     factors = []
@@ -202,4 +254,4 @@ def cone_structure(
         raise InternalInvariantError("factor cones do not fill the invariant lattice")
     if total != ident:
         raise InternalInvariantError("factor projections must sum to the identity")
-    return ConeStructure(t, group, sub, dec, full, inv, tuple(factors))
+    return ConeStructure(t, group, sub, dec, inv, tuple(factors))

@@ -278,26 +278,60 @@ def _eliminate(rows: Sequence[Sequence], width: int, above: bool) -> tuple:
     return m, pivots, values, swaps
 
 
+def semidefinite_rank(rows: Sequence[Sequence[int]]) -> int | None:
+    """Rank of an integer symmetric matrix when it is positive
+    semidefinite, None when it is not.
+
+    Fraction-free symmetric elimination (Bareiss 1968) with positive
+    diagonal pivots. Each step takes the first positive diagonal entry of
+    the remaining block as pivot and replaces the block by the Schur
+    complement times the pivot minor, so every division is exact and the
+    signs of the block are those of the Schur complement. A negative
+    diagonal entry means not semidefinite. When no positive one is left,
+    the matrix is semidefinite exactly when the remaining block is zero."""
+    a = [list(row) for row in rows]
+    left = list(range(len(a)))
+    prev = 1
+    rank = 0
+    while left:
+        k = None
+        for i in left:
+            d = a[i][i]
+            if d < 0:
+                return None
+            if d > 0 and k is None:
+                k = i
+        if k is None:
+            return None if any(a[i][j] for i in left for j in left) else rank
+        left.remove(k)
+        row_k = a[k]
+        p = row_k[k]
+        for i in left:
+            row_i = a[i]
+            f = row_i[k]
+            for j in left:
+                row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
+        prev = p
+        rank += 1
+    return rank
+
+
 def is_positive_definite(m: Matrix) -> bool:
-    """Exact Sylvester test on a symmetric matrix."""
+    """Exact test on a symmetric matrix."""
     return definiteness_sign(m) == 1
 
 
 def definiteness_sign(m: Matrix) -> int:
     """+1 / -1 when the symmetric matrix is positive / negative definite,
-    0 otherwise.
-
-    Sylvester's criterion read off one forward elimination: when no row
-    swap is needed, the k-th pivot is the ratio of the k-th to the (k-1)-th
-    leading principal minor, and a needed swap means a minor vanishes."""
+    0 otherwise, read from semidefinite_rank of m and of -m scaled
+    integral."""
     if not m.is_symmetric:
         raise ValueError("definiteness test needs a symmetric matrix")
-    _, pivots, values, swaps = _eliminate(m.rows, m.ncols, above=False)
-    if swaps or len(pivots) < m.nrows:
-        return 0
-    if all(v > 0 for v in values):
+    scaled, _ = m.to_integer()
+    n = m.nrows
+    if semidefinite_rank(scaled.rows) == n:
         return 1
-    if all(v < 0 for v in values):
+    if semidefinite_rank((-scaled).rows) == n:
         return -1
     return 0
 

@@ -32,6 +32,7 @@ from .reduction import (
 from .torus import (
     GroupAction,
     PolarizedTorus,
+    TorusReport,
     action_is_free,
     close_group,
     has_translations,
@@ -67,6 +68,7 @@ def _header(command: str, doc) -> dict:
 @dataclass(frozen=True)
 class TorusContext:
     document: TorusDocument
+    report: TorusReport  # the document's torus, before normalization
     torus: PolarizedTorus
     flipped: bool
     group: GroupAction
@@ -91,7 +93,8 @@ class TorusContext:
 def prepare_torus(doc: TorusDocument) -> TorusContext:
     """Validate invariants, normalize the polarization sign, close the
     group, and average the polarization when the action moves it."""
-    torus, flipped = normalize_polarization(doc.torus)
+    report = validate_torus(doc.torus)
+    torus, flipped = normalize_polarization(doc.torus, report)
     for i, g in enumerate(doc.generators):
         for check in validate_automorphism(torus, g):
             if not check.passed:
@@ -105,11 +108,11 @@ def prepare_torus(doc: TorusDocument) -> TorusContext:
     if not is_polarization_invariant(torus, group):
         e_avg = invariant_polarization(torus, group)
         inv_torus = PolarizedTorus(torus.j, e_avg)
-        report = validate_torus(inv_torus)
-        if not report.ok or report.sign <= 0:
+        averaged_report = validate_torus(inv_torus)
+        if not averaged_report.ok or averaged_report.sign <= 0:
             raise InternalInvariantError("averaged polarization must stay definite")
         averaged = True
-    ctx = TorusContext(doc, torus, flipped, group, averaged, inv_torus)
+    ctx = TorusContext(doc, report, torus, flipped, group, averaged, inv_torus)
     if doc.expect_ghv is not None and ctx.is_ghv != doc.expect_ghv:
         raise ValidationError(
             "expectation",
@@ -122,11 +125,10 @@ def prepare_torus(doc: TorusDocument) -> TorusContext:
 def run_check(doc, seed: int = 42) -> dict:
     if doc.kind == "reduction_problem":
         return _check_problem(doc)
-    report = validate_torus(doc.torus)
     ctx = prepare_torus(doc)
     checks = [
         {"name": c.name, "passed": bool(c.passed) or (c.name == "polarization_definite" and ctx.flipped)}
-        for c in report.checks
+        for c in ctx.report.checks
     ]
     return {
         **_header("check", doc),

@@ -122,13 +122,17 @@ def validate_torus(t: PolarizedTorus) -> TorusReport:
     return TorusReport(tuple(checks), sign)
 
 
-def normalize_polarization(t: PolarizedTorus) -> tuple[PolarizedTorus, bool]:
+def normalize_polarization(
+    t: PolarizedTorus, report: TorusReport | None = None
+) -> tuple[PolarizedTorus, bool]:
     """Flip E -> -E when the definite form comes out negative.
 
     Returns (torus, flipped). Raises ValidationError when the torus fails
-    any other invariant, or is not definite either way.
+    any other invariant, or is not definite either way. A caller that has
+    already validated t passes its report.
     """
-    report = validate_torus(t)
+    if report is None:
+        report = validate_torus(t)
     bad = [n for n in report.failed_names() if n != "polarization_definite"]
     if bad:
         raise ValidationError(bad[0])

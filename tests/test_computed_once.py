@@ -1,18 +1,30 @@
 """Structures that a document needs many times are built once: the center
 of an algebra, the inverse of the polarization, the symmetric generators
 of a reduction problem, the coordinate solver of a lattice, the factor
-projections of a cone, the freeness of an action."""
+projections of a cone, the freeness of an action, the validation of a
+torus, the integer forms of a lattice. Structures a command does not read
+are not built: the form lattices for endo, the full one for funddom."""
 
 import pytest
 
 import conecrafter.cone as cone
 import conecrafter.endo as endo
 import conecrafter.pipeline as pipeline
+import conecrafter.polynomials as polynomials
+import conecrafter.torus as torus
 from conecrafter.cone import compute_ns, is_ample, is_nef
 from conecrafter.endo import compute_end, invariant_subalgebra, rosati
 from conecrafter.errors import ValidationError
 from conecrafter.matrices import Matrix
-from conecrafter.pipeline import build_domain, prepare_torus, run_check, run_endo
+from conecrafter.pipeline import (
+    build_domain,
+    prepare_torus,
+    run_check,
+    run_cone,
+    run_endo,
+    run_funddom,
+    run_verify,
+)
 from conecrafter.reduction import binary_quadratic_problem
 from conecrafter.torus import PolarizedTorus
 from conecrafter.wedderburn import decompose
@@ -150,3 +162,65 @@ def test_endo_builds_no_form_lattice(monkeypatch):
     monkeypatch.setattr(cone, "invariant_ns", refuse)
     for name in TORI:
         assert run_endo(load_corpus(name + ".json"))["factors"]
+
+
+@pytest.mark.parametrize("name", ["bielliptic_z4", "hyperbolic_z8"])
+def test_check_validates_the_torus_once(monkeypatch, name):
+    calls = []
+    original = torus.validate_torus
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(torus, "validate_torus", counted)
+    monkeypatch.setattr(pipeline, "validate_torus", counted)
+    assert run_check(load_corpus(name + ".json"))["verdict"] == "pass"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("run,builds", [
+    (run_funddom, 0), (run_cone, 1), (run_verify, 1),
+])
+def test_full_form_lattice_only_where_read(monkeypatch, run, builds):
+    calls = []
+    original = cone.compute_ns
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(cone, "compute_ns", counted)
+    run(load_corpus("hyperbolic_z8.json"))
+    assert len(calls) == builds
+
+
+def test_coordinate_ampleness_builds_its_forms_once(monkeypatch):
+    def refuse(m):
+        raise AssertionError("no characteristic polynomial in lattice coordinates")
+
+    monkeypatch.setattr(cone, "char_poly", refuse)
+    monkeypatch.setattr(polynomials, "char_poly", refuse)
+    products = []
+    original = Matrix.__matmul__
+
+    def counted(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    ctx = prepare_torus(load_corpus("bielliptic_z4.json"))
+    lattice = compute_ns(ctx.invariant_torus)
+    e = lattice.coordinates(ctx.invariant_torus.e)
+    units = [[int(i == k) for i in range(lattice.rank)] for k in range(lattice.rank)]
+    classes = [[k * x for x in e] for k in (-1, 0, 1, 2)] + units
+    products.clear()
+    verdicts = [(lattice.is_ample_coords(c), lattice.is_nef_coords(c)) for c in classes]
+    built = len(products)
+    assert 0 < built <= lattice.rank + 1
+    for _ in range(2):
+        for c in classes:
+            lattice.is_ample_coords(c)
+            lattice.is_nef_coords(c)
+    assert len(products) == built
+    assert set(verdicts) == {(True, True), (False, True), (False, False)}

@@ -1,7 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecrafter.cone import (
     compute_ns,
@@ -158,6 +162,100 @@ class TestAmpleness:
             coords = [rng.randrange(-6, 7) for _ in range(4)]
             if ns.is_ample_coords(coords):
                 assert ns.is_nef_coords(coords)
+
+
+def ei_torus(n, sign=1):
+    """E_i^n with its product polarization, times sign."""
+    return PolarizedTorus(block_diag(*[R] * n), block_diag(*[E1 * sign] * n))
+
+
+def cyclic_shift(n):
+    """The automorphism of E_i^n moving factor k to factor k + 1 mod n."""
+    return Matrix([
+        [int(i // 2 == (j // 2 + 1) % n and i % 2 == j % 2) for j in range(2 * n)]
+        for i in range(2 * n)
+    ])
+
+
+@cache
+def coordinate_lattices():
+    """Full and invariant lattices of the corpus tori and of E_i^n, n <= 3,
+    and the full lattice of E_i^2 under -E (E J negative definite)."""
+    out = []
+    for name in ("elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"):
+        ctx = ctx_for(name)
+        out += [compute_ns(ctx.invariant_torus), invariant_ns(ctx.invariant_torus, ctx.group)]
+    for n in (1, 2, 3):
+        out.append(compute_ns(ei_torus(n)))
+        if n > 1:
+            group = close_group([AffineAuto(cyclic_shift(n))])
+            out.append(invariant_ns(ei_torus(n), group))
+    out.append(compute_ns(ei_torus(2, sign=-1)))
+    return tuple(out)
+
+
+def boundary_classes(ns):
+    """0, the basis forms and the polarization, each with both signs, and
+    the polarization plus or minus each basis form."""
+    e = list(ns.coordinates(ns.torus.e))
+    units = [[int(i == k) for i in range(ns.rank)] for k in range(ns.rank)]
+    out = [[0] * ns.rank]
+    for v in units + [e]:
+        out += [v, [-x for x in v]]
+    for u in units:
+        out += [[x + y for x, y in zip(e, u)], [x - y for x, y in zip(e, u)]]
+    return out
+
+
+@st.composite
+def lattice_classes(draw):
+    lattices = coordinate_lattices()
+    ns = lattices[draw(st.integers(0, len(lattices) - 1))]
+    small = st.integers(-4, 4)
+    kind = draw(st.sampled_from(["boundary", "box", "near_e", "rational"]))
+    if kind == "boundary":
+        coords = draw(st.sampled_from(boundary_classes(ns)))
+    elif kind == "box":
+        coords = draw(st.lists(small, min_size=ns.rank, max_size=ns.rank))
+    else:
+        e = ns.coordinates(ns.torus.e)
+        scale = draw(st.integers(1, 3))
+        shift = draw(st.lists(small, min_size=ns.rank, max_size=ns.rank))
+        coords = [scale * x + d for x, d in zip(e, shift)]
+        if kind == "rational":
+            dens = draw(st.lists(st.integers(1, 6), min_size=ns.rank, max_size=ns.rank))
+            coords = [Fraction(c, d) for c, d in zip(coords, dens)]
+    return ns, coords
+
+
+class TestCoordinateAmpleness:
+    """is_ample_coords / is_nef_coords (inertia of F J) against the
+    bare-form is_ample / is_nef (roots of the characteristic polynomial
+    of E^-1 F) on the same class."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_classes())
+    def test_matches_characteristic_polynomial(self, drawn):
+        ns, coords = drawn
+        f = ns.from_coordinates(coords)
+        assert ns.is_ample_coords(coords) == is_ample(ns.torus, f)
+        assert ns.is_nef_coords(coords) == is_nef(ns.torus, f)
+
+    def test_boundary_draws_reach_every_verdict(self):
+        verdicts = set()
+        for ns in coordinate_lattices():
+            for coords in boundary_classes(ns):
+                if any(coords):
+                    f = ns.from_coordinates(coords)
+                    verdicts.add((is_ample(ns.torus, f), is_nef(ns.torus, f)))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    def test_wrong_length_raises(self):
+        ns = compute_ns(ctx_for("product_gauss_squared").invariant_torus)
+        for test in (ns.is_ample_coords, ns.is_nef_coords):
+            for coords in ([1, 2, 3], [1, 2, 3, 4, 5]):
+                with pytest.raises(ValueError, match="coordinate length mismatch"):
+                    test(coords)
 
 
 class TestEndoBridge:

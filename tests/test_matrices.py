@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -19,6 +20,7 @@ from conecrafter.matrices import (
     is_positive_definite,
     lattice_coordinates,
     matrix_kernel_basis,
+    semidefinite_rank,
     solve_integer,
     trace_gram,
     vstack,
@@ -300,6 +302,17 @@ def minors_sign(m):
     return 0
 
 
+def principal_minors_rank(m):
+    """Reference: m is positive semidefinite iff every principal minor
+    (not only the leading ones) is nonnegative; its rank by Matrix.rank."""
+    n = m.nrows
+    for k in range(1, n + 1):
+        for idx in combinations(range(n), k):
+            if cofactor_det([[m[i, j] for j in idx] for i in idx]) < 0:
+                return None
+    return m.rank()
+
+
 @st.composite
 def symmetric_int_matrices(draw):
     """Gram matrices a.T @ a (positive definite, or singular when a is),
@@ -315,8 +328,26 @@ def symmetric_int_matrices(draw):
 
 
 class TestElimination:
-    """det and definiteness_sign share one elimination; both are checked
-    against cofactor expansion."""
+    """det, definiteness_sign and semidefinite_rank are checked against
+    cofactor expansion."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_int_matrices())
+    @example(Matrix([[0, 0], [0, 0]]))  # zero: semidefinite of rank 0
+    @example(Matrix([[0, 1], [1, 0]]))  # zero diagonal, nonzero block
+    @example(Matrix([[1, 2], [2, 4]]))  # rank 1 after one pivot
+    @example(Matrix([[0, 0], [0, -1]]))  # negative entry behind a zero
+    @example(Matrix([[1, 1, 0], [1, 1, 1], [0, 1, 0]]))  # zero block after a pivot
+    @example(Matrix([[0, 0, 0], [0, 2, 1], [0, 1, 2]]))  # first pivot not in row 0
+    def test_semidefinite_rank_matches_principal_minors(self, m):
+        assert semidefinite_rank(m.rows) == principal_minors_rank(m)
+
+    def test_semidefinite_rank_examples_reach_every_outcome(self):
+        outcomes = {
+            principal_minors_rank(Matrix(rows))
+            for rows in ([[0, 1], [1, 0]], [[1, 2], [2, 4]], [[2, 1], [1, 2]])
+        }
+        assert outcomes == {None, 1, 2}
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_int_matrices())
