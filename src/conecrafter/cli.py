@@ -8,6 +8,7 @@ timing goes to stderr so repeated runs stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -28,7 +29,11 @@ EXIT_INCOMPLETE = 3
 EXIT_PARSE = 4
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: argparse builds a help
+    formatter for every argument, which costs an in-process caller (tests,
+    the benchmark, library use) about a millisecond per main() call."""
     parser = argparse.ArgumentParser(
         prog="conecrafter",
         description="polarized torus actions, invariant cones, fundamental domains",

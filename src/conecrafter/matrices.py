@@ -237,6 +237,14 @@ def _dot(u: Sequence, v: Sequence):
     return _norm(sum(a * b for a, b in zip(u, v)))
 
 
+def rows_product(a: tuple, b: tuple) -> tuple:
+    """a @ b for integer matrices given as row tuples, as row tuples. Loops
+    that compose many small matrices use it and build a Matrix only for
+    what they return."""
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
 def trace_gram(left: Sequence[Matrix], right: Sequence[Matrix]) -> Matrix:
     """Matrix of Tr(a @ b) for a in left (rows) and b in right (columns).
     Tr(a @ b) is the dot product of a's entries with b.T's, so no product

@@ -10,11 +10,11 @@ instead of guessing.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Sequence
@@ -25,7 +25,7 @@ from .errors import (
     SearchExhausted,
     ValidationError,
 )
-from .matrices import Matrix
+from .matrices import Matrix, rows_product
 
 MAX_CONE_DIM = 4
 
@@ -46,11 +46,12 @@ def primitive_tuple(v: Sequence) -> tuple[int, ...]:
 
 
 def _dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
-def _apply(m: Matrix, v: Sequence) -> tuple:
-    return tuple(sum(map(mul, row, v)) for row in m.rows)
+def _apply(rows: tuple, v: Sequence) -> tuple:
+    """rows @ v for a matrix given by its row tuples."""
+    return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,7 @@ def hyperbolic_domain(action: Matrix, base: Sequence[int]) -> PolyhedralCone:
         raise ValidationError(
             "hyperbolic_action", "discriminant must not be a perfect square"
         )
-    image = _apply(action, base)
+    image = _apply(action.rows, base)
     if base[0] * image[1] - base[1] * image[0] == 0:
         raise ValidationError("hyperbolic_base", "base ray must not be an eigenvector")
     return PolyhedralCone.from_rays([tuple(base), image])
@@ -353,26 +354,40 @@ class ReductionProblem:
                     out.append((nm, mat))
         return tuple(out)
 
-    def word_ball(self, max_length: int) -> list[tuple[tuple[tuple[str, int], ...], Matrix]]:
+    @cached_property
+    def identity_word(self) -> GroupWord:
+        return GroupWord.identity(self.dim)
+
+    @cached_property
+    def _word_balls(self) -> dict:
+        return {}
+
+    def word_ball(self, max_length: int) -> tuple[tuple[tuple[tuple[str, int], ...], Matrix], ...]:
         """All nontrivial group elements reachable by words up to the given
-        length, one shortest word each, identity excluded."""
-        ident = Matrix.identity(self.dim)
+        length, one shortest word each, identity excluded. Each length is
+        built once per problem, on row tuples."""
+        ball = self._word_balls.get(max_length)
+        if ball is not None:
+            return ball
+        gens = [(name, m.rows) for name, m in self.symmetric_generators]
+        ident = Matrix.identity(self.dim).rows
         frontier = [((), ident)]
         seen = {ident}
-        out = []
+        found = []
         for _ in range(max_length):
             nxt = []
-            for letters, mat in frontier:
-                for name, gen in self.symmetric_generators:
-                    m2 = gen @ mat
-                    if m2 in seen:
+            for letters, rows in frontier:
+                for name, gen in gens:
+                    image = rows_product(gen, rows)
+                    if image in seen:
                         continue
-                    seen.add(m2)
-                    entry = (letters + ((name, 1),), m2)
-                    nxt.append(entry)
-                    out.append(entry)
+                    seen.add(image)
+                    nxt.append((letters + ((name, 1),), image))
+            found.extend(nxt)
             frontier = nxt
-        return out
+        ball = tuple((letters, Matrix(rows)) for letters, rows in found)
+        self._word_balls[max_length] = ball
+        return ball
 
 
 def binary_quadratic_problem() -> ReductionProblem:
@@ -409,7 +424,8 @@ def find_eta(
     Candidates are pairings against interior lattice points, which makes
     cone positivity exact; genericity is enforced against the word ball.
     """
-    ball = [m for _, m in problem.word_ball(stabilizer_word_length)]
+    transposes = [tuple(zip(*m.rows)) for _, m in problem.word_ball(stabilizer_word_length)]
+    pairing = problem.pairing.rows
     rng = random.Random(seed)
     base = problem.base_point
     tried = 0
@@ -423,8 +439,8 @@ def find_eta(
             scale += 1
         if not problem.is_interior(pt):
             continue
-        eta = primitive_tuple(_apply(problem.pairing, pt))
-        if any(_apply(m.T, eta) == eta for m in ball):
+        eta = primitive_tuple(_apply(pairing, pt))
+        if any(_apply(t, eta) == eta for t in transposes):
             continue
         return eta
     raise SearchExhausted(
@@ -459,41 +475,58 @@ def _best_first_reduce(
 ) -> GroupWord | None:
     """Search the orbit of start for a point of the domain, expanding the
     frontier in order of the eta value. Greedy descent plus the bounded
-    uphill that boundary flips need, in one queue."""
-    gens = problem.symmetric_generators
+    uphill that boundary flips need, in one queue.
+
+    Nodes are int tuples and generators row tuples; a Matrix is built only
+    for a nonempty word found."""
+    gens = [(name, m.rows) for name, m in problem.symmetric_generators]
+    facets = domain.facets
     seen = {start}
     parent: dict[tuple, tuple] = {}
     heap = [(_dot(eta, start), 0, start)]
     counter = 1
     popped = 0
     while heap and popped < max_nodes:
-        _, _, cur = heapq.heappop(heap)
+        _, _, cur = heappop(heap)
         popped += 1
-        if domain.contains(cur):
-            letters: list[tuple[str, int]] = []
-            mat = Matrix.identity(problem.dim)
-            node = cur
-            chain = []
-            while node in parent:
-                prev, name, gmat = parent[node]
-                chain.append((name, gmat))
-                node = prev
-            for name, gmat in reversed(chain):
-                letters.append((name, 1))
-                mat = gmat @ mat
-            word = GroupWord(tuple(letters), mat)
-            if _apply(word.matrix, start) != cur:
-                raise InternalInvariantError("reduction path does not recompose")
-            return word
-        for name, gmat in gens:
-            nxt = _apply(gmat, cur)
+        for f in facets:
+            if _dot(f, cur) < 0:
+                break
+        else:
+            return _path_word(problem, parent, start, cur)
+        for name, rows in gens:
+            nxt = _apply(rows, cur)
             if nxt in seen:
                 continue
             seen.add(nxt)
-            parent[nxt] = (cur, name, gmat)
-            heapq.heappush(heap, (_dot(eta, nxt), counter, nxt))
+            parent[nxt] = (cur, name, rows)
+            heappush(heap, (_dot(eta, nxt), counter, nxt))
             counter += 1
     return None
+
+
+def _path_word(
+    problem: ReductionProblem,
+    parent: dict[tuple, tuple],
+    start: tuple[int, ...],
+    end: tuple[int, ...],
+) -> GroupWord:
+    """The word of the search path from start to end, its matrix composed
+    on row tuples and rechecked against end."""
+    chain = []
+    node = end
+    while node in parent:
+        node, name, rows = parent[node]
+        chain.append((name, rows))
+    if not chain:
+        return problem.identity_word
+    chain.reverse()
+    mat = chain[0][1]
+    for _, rows in chain[1:]:
+        mat = rows_product(rows, mat)
+    if _apply(mat, start) != end:
+        raise InternalInvariantError("reduction path does not recompose")
+    return GroupWord(tuple((name, 1) for name, _ in chain), Matrix(mat))
 
 
 def _tiling_samples(
@@ -525,7 +558,7 @@ def _tiling_samples(
         if gens:
             for _ in range(rng.randint(1, 8)):
                 name, gmat = gens[rng.randrange(len(gens))]
-                cur = _apply(gmat, cur)
+                cur = _apply(gmat.rows, cur)
         if problem.is_interior(cur):
             samples.append(cur)
         else:
@@ -557,7 +590,7 @@ def verify_tiling(
         if word is None:
             failures.append(TilingFailure(pt, "search budget exhausted"))
             continue
-        image = _apply(word.matrix, pt)
+        image = _apply(word.matrix.rows, pt)
         if not domain.contains(image):
             failures.append(TilingFailure(pt, "certificate recheck failed"))
             continue
@@ -583,13 +616,26 @@ def find_interior_overlap(
 ) -> OverlapWitness | None:
     """Search for a nontrivial group element carrying an interior domain
     point to another interior domain point. None means no witness was
-    found at this search size, not a proof of disjointness."""
+    found at this search size, not a proof of disjointness.
+
+    M carries a point p into the open domain exactly when p is strictly
+    inside every facet pulled back through M (f.M p > 0), so each element
+    filters the points by its pulled-back facets, and the image is formed
+    and rechecked only for a witness."""
     pts = [p for p in domain.interior_samples(samples, seed) if domain.contains(p, strict=True)]
     for letters, mat in problem.word_ball(word_length):
-        for pt in pts:
-            image = _apply(mat, pt)
-            if domain.contains(image, strict=True):
-                return OverlapWitness(GroupWord(letters, mat), pt, image)
+        cols = tuple(zip(*mat.rows))
+        inside = pts
+        for f in domain.facets:
+            pulled = _apply(cols, f)
+            inside = [p for p in inside if _dot(pulled, p) > 0]
+            if not inside:
+                break
+        else:
+            image = _apply(mat.rows, inside[0])
+            if not domain.contains(image, strict=True):
+                raise InternalInvariantError("pulled-back facets disagree with the image")
+            return OverlapWitness(GroupWord(letters, mat), inside[0], image)
     return None
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ClosureError, ValidationError
@@ -19,6 +21,7 @@ from .matrices import (
     Matrix,
     definiteness_sign,
     in_lattice_plus_integers,
+    rows_product,
 )
 
 DEFAULT_MAX_ORDER = 64
@@ -241,19 +244,31 @@ def close_group(
     generators: Iterable[AffineAuto], max_order: int = DEFAULT_MAX_ORDER
 ) -> GroupAction:
     """Close a generator list under composition (identity added). Raises
-    ClosureError when the closure passes max_order elements."""
+    ClosureError when the closure passes max_order elements.
+
+    The closure runs on pairs (linear rows, translation numerators mod N),
+    N the least common denominator of the generators' translations, so
+    g after h is (A_g A_h, A_g s_h + t_g mod N). Each AffineAuto is built
+    once, at the end. Linear parts must be integral."""
     gens = list(generators)
-    n = gens[0].linear.nrows if gens else 0
     if not gens:
         raise ValueError("need at least one generator or an explicit rank")
-    ident = AffineAuto(Matrix.identity(n))
+    if not all(g.linear.is_integral for g in gens):
+        raise ValueError("group closure needs integral linear parts")
+    n = gens[0].linear.nrows
+    den = lcm(*(x.denominator for g in gens for x in g.translation))
+    pairs = [(g.linear.rows, tuple(int(x * den) for x in g.translation)) for g in gens]
+    ident = (Matrix.identity(n).rows, (0,) * n)
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
-        for g in frontier:
-            for h in gens:
-                gh = g.compose(h)
+        for lin, tr in frontier:
+            for hlin, htr in pairs:
+                gh = (
+                    rows_product(lin, hlin),
+                    tuple([(sum(map(mul, row, htr)) + t) % den for row, t in zip(lin, tr)]),
+                )
                 if gh not in seen:
                     if len(seen) >= max_order:
                         raise ClosureError(
@@ -262,11 +277,11 @@ def close_group(
                     seen.add(gh)
                     nxt.append(gh)
         frontier = nxt
-    ordered = [ident] + sorted(
-        (g for g in seen if g != ident),
-        key=lambda g: (g.linear.rows, g.translation),
-    )
-    return GroupAction(tuple(ordered))
+    seen.remove(ident)
+    return GroupAction(tuple(
+        AffineAuto(Matrix(lin), tuple(Fraction(x, den) for x in tr))
+        for lin, tr in [ident] + sorted(seen)
+    ))
 
 
 def trivial_group(rank: int) -> GroupAction:

@@ -6,8 +6,10 @@ cross-checked against an oracle implemented here, independent of the
 library code paths it certifies.
 """
 
+import glob
 import itertools
 import json
+import os
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -48,18 +50,11 @@ CORPUS_NAMES = [
     "p2_minkowski",
 ]
 
-MUTANTS = [
-    "m01_indefinite_polarization",
-    "m02_complex_structure_not_square_root",
-    "m03_polarization_not_alternating",
-    "m04_translation_claimed_ghv",
-    "m05_generator_not_unimodular",
-    "m06_group_never_closes",
-    "m07_zero_denominator",
-    "m08_ragged_matrix",
-    "m09_missing_polarization",
-    "m10_bad_schema",
-]
+# every broken variant in corpus/mutants, so a new mutant is covered too
+MUTANTS = sorted(
+    os.path.splitext(os.path.basename(p))[0]
+    for p in glob.glob(corpus_path("mutants/*.json"))
+)
 
 
 @contextmanager
@@ -400,6 +395,7 @@ def test_criterion_10_cli_end_to_end(capsys):
             out = capsys.readouterr().out
             assert code == 0, name
             assert json.loads(out)["complete"] is True
+        assert len(MUTANTS) >= 14
         for name in MUTANTS:
             code = cli_main(["verify", corpus_path(f"mutants/{name}.json")])
             out = capsys.readouterr().out

@@ -1,10 +1,14 @@
 import json
+import os
 
 import pytest
 
+from conecrafter import cli
 from conecrafter.cli import main
 
 from conftest import corpus_path
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 MUTANT_CODES = {
     "m01_indefinite_polarization": 2,
@@ -155,3 +159,42 @@ class TestFailurePaths:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate", "x.json"])
+
+
+class TestParserBuiltOnce:
+    """main() reuses one parser per process; a call that exits through
+    argparse must leave it fit for the calls after it."""
+
+    ARGVS = [["check", "--seed"]] + [
+        [command, corpus_path(doc + ".json"), "--seed", seed]
+        for seed in ("42", "7")
+        for doc in ("hyperbolic_z8", "p2_minkowski")
+        for command in ("check", "verify")
+    ]
+
+    @staticmethod
+    def _run_all(capsys, fresh: bool) -> list:
+        results = []
+        for argv in TestParserBuiltOnce.ARGVS:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    def test_outputs_match_a_fresh_parser_per_call(self, capsys):
+        fresh = self._run_all(capsys, fresh=True)
+        cli._parser.cache_clear()
+        reused = self._run_all(capsys, fresh=False)
+        assert cli._parser.cache_info().misses == 1
+        assert reused == fresh
+        assert reused[0] == (("SystemExit", 2), "")
+        for (code, out), argv in zip(reused[1:], self.ARGVS[1:]):
+            assert code == 0
+            if argv[-1] == "42":  # the default seed: the golden report
+                stem = os.path.splitext(os.path.basename(argv[1]))[0]
+                with open(os.path.join(GOLDEN, f"{stem}.{argv[0]}.json"), encoding="utf-8") as fh:
+                    assert out == fh.read()

@@ -2,8 +2,9 @@
 of an algebra, the inverse of the polarization, the symmetric generators
 of a reduction problem, the coordinate solver of a lattice, the factor
 projections of a cone, the freeness of an action, the validation of a
-torus, the integer forms of a lattice. Structures a command does not read
-are not built: the form lattices for endo, the full one for funddom."""
+torus, the integer forms of a lattice, the word ball of a verification.
+Structures a command does not read are not built: the form lattices for
+endo, the full one for funddom, a Matrix per tiling sample for verify."""
 
 import pytest
 
@@ -25,7 +26,7 @@ from conecrafter.pipeline import (
     run_funddom,
     run_verify,
 )
-from conecrafter.reduction import binary_quadratic_problem
+from conecrafter.reduction import ReductionProblem, binary_quadratic_problem
 from conecrafter.torus import PolarizedTorus
 from conecrafter.wedderburn import decompose
 
@@ -224,3 +225,40 @@ def test_coordinate_ampleness_builds_its_forms_once(monkeypatch):
             lattice.is_nef_coords(c)
     assert len(products) == built
     assert set(verdicts) == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("name", ["p2_minkowski", "hyperbolic_z8"])
+def test_verify_builds_one_word_ball(monkeypatch, name):
+    """find_eta and find_interior_overlap read the same ball."""
+    balls = []
+    original = ReductionProblem.word_ball
+
+    def recorded(self, max_length):
+        ball = original(self, max_length)
+        balls.append(ball)
+        return ball
+
+    monkeypatch.setattr(ReductionProblem, "word_ball", recorded)
+    assert run_verify(load_corpus(name + ".json"), samples=20)["complete"]
+    assert len(balls) == 2
+    assert balls[1] is balls[0]
+
+
+def test_verify_builds_no_matrix_per_sample(monkeypatch):
+    """bielliptic_z4 has no normalizer, so its problem has no generator and
+    every sample reduces by the identity word."""
+    built = [0]
+    original = Matrix.__init__
+
+    def counted(self, rows):
+        built[0] += 1
+        original(self, rows)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    counts = []
+    for samples in (100, 200):
+        built[0] = 0
+        report = run_verify(load_corpus("bielliptic_z4.json"), samples=samples)
+        assert report["complete"] and report["verified"] == samples
+        counts.append(built[0])
+    assert counts[0] == counts[1]

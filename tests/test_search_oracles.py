@@ -1,0 +1,321 @@
+"""The integer-tuple search loops against the Matrix and Fraction versions
+they replaced.
+
+The reference functions below are the earlier implementations, kept
+verbatim in behaviour: the group closure composes AffineAuto objects, the
+word ball and the tiling search compose Matrix objects, the eta search
+transposes each ball element per candidate, and the overlap search forms
+every image. The rewritten functions must give equal results: the same
+group elements in the same order, the same words, matrices, points and
+images, and the same errors.
+"""
+
+import heapq
+import random
+from fractions import Fraction
+from operator import mul
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conecrafter.errors import ClosureError, InternalInvariantError, SearchExhausted
+from conecrafter.matrices import Matrix
+from conecrafter.pipeline import (
+    build_domain,
+    build_problem,
+    build_torus_problem,
+    prepare_torus,
+)
+from conecrafter.reduction import (
+    GroupWord,
+    OverlapWitness,
+    PolyhedralCone,
+    ReductionProblem,
+    _best_first_reduce,
+    _tiling_samples,
+    binary_quadratic_problem,
+    find_eta,
+    find_interior_overlap,
+    minkowski_domain_p2,
+    primitive_tuple,
+)
+from conecrafter.torus import AffineAuto, GroupAction, close_group
+
+from conftest import load_corpus
+
+SEEDS = (42, 7, 1003)
+
+
+# --- reference implementations ----------------------------------------------
+
+def reference_close_group(generators, max_order=64):
+    gens = list(generators)
+    n = gens[0].linear.nrows
+    ident = AffineAuto(Matrix.identity(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                gh = g.compose(h)
+                if gh not in seen:
+                    if len(seen) >= max_order:
+                        raise ClosureError(
+                            f"group does not close within {max_order} elements"
+                        )
+                    seen.add(gh)
+                    nxt.append(gh)
+        frontier = nxt
+    ordered = [ident] + sorted(
+        (g for g in seen if g != ident),
+        key=lambda g: (g.linear.rows, g.translation),
+    )
+    return GroupAction(tuple(ordered))
+
+
+def _apply_matrix(m, v):
+    return tuple(sum(map(mul, row, v)) for row in m.rows)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def reference_word_ball(problem, max_length):
+    ident = Matrix.identity(problem.dim)
+    frontier = [((), ident)]
+    seen = {ident}
+    out = []
+    for _ in range(max_length):
+        nxt = []
+        for letters, mat in frontier:
+            for name, gen in problem.symmetric_generators:
+                m2 = gen @ mat
+                if m2 in seen:
+                    continue
+                seen.add(m2)
+                entry = (letters + ((name, 1),), m2)
+                nxt.append(entry)
+                out.append(entry)
+        frontier = nxt
+    return out
+
+
+def reference_find_eta(problem, seed=42, max_candidates=1000, stabilizer_word_length=4):
+    ball = [m for _, m in reference_word_ball(problem, stabilizer_word_length)]
+    rng = random.Random(seed)
+    base = problem.base_point
+    tried = 0
+    scale = 1
+    while tried < max_candidates:
+        tried += 1
+        pt = tuple(scale * x + rng.randint(-scale, scale) for x in base)
+        if tried % 50 == 0:
+            scale += 1
+        if not problem.is_interior(pt):
+            continue
+        eta = primitive_tuple(_apply_matrix(problem.pairing, pt))
+        if any(_apply_matrix(m.T, eta) == eta for m in ball):
+            continue
+        return eta
+    raise SearchExhausted(
+        f"no generic dual-interior covector within {max_candidates} candidates"
+    )
+
+
+def reference_best_first_reduce(problem, domain, start, eta, max_nodes):
+    gens = problem.symmetric_generators
+    seen = {start}
+    parent = {}
+    heap = [(_dot(eta, start), 0, start)]
+    counter = 1
+    popped = 0
+    while heap and popped < max_nodes:
+        _, _, cur = heapq.heappop(heap)
+        popped += 1
+        if domain.contains(cur):
+            letters = []
+            mat = Matrix.identity(problem.dim)
+            node = cur
+            chain = []
+            while node in parent:
+                prev, name, gmat = parent[node]
+                chain.append((name, gmat))
+                node = prev
+            for name, gmat in reversed(chain):
+                letters.append((name, 1))
+                mat = gmat @ mat
+            word = GroupWord(tuple(letters), mat)
+            if _apply_matrix(word.matrix, start) != cur:
+                raise InternalInvariantError("reduction path does not recompose")
+            return word
+        for name, gmat in gens:
+            nxt = _apply_matrix(gmat, cur)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            parent[nxt] = (cur, name, gmat)
+            heapq.heappush(heap, (_dot(eta, nxt), counter, nxt))
+            counter += 1
+    return None
+
+
+def reference_find_interior_overlap(problem, domain, seed=42, word_length=4, samples=200):
+    pts = [p for p in domain.interior_samples(samples, seed) if domain.contains(p, strict=True)]
+    for letters, mat in reference_word_ball(problem, word_length):
+        for pt in pts:
+            image = _apply_matrix(mat, pt)
+            if domain.contains(image, strict=True):
+                return OverlapWitness(GroupWord(letters, mat), pt, image)
+    return None
+
+
+# --- group closure ----------------------------------------------------------
+
+@st.composite
+def affine_generators(draw):
+    """Signed permutation matrices with translations in (1/N)Z^n, N <= 12."""
+    n = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        linear = Matrix([[signs[i] * int(perm[i] == j) for j in range(n)] for i in range(n)])
+        den = draw(st.integers(1, 12))
+        nums = draw(st.lists(st.integers(-den, 2 * den), min_size=n, max_size=n))
+        gens.append(AffineAuto(linear, tuple(Fraction(x, den) for x in nums)))
+    return gens
+
+
+def _closure_outcome(fn, gens, max_order):
+    try:
+        return fn(gens, max_order=max_order).elements
+    except ClosureError as exc:
+        return ("ClosureError", str(exc))
+
+
+class TestCloseGroup:
+    @settings(max_examples=150, deadline=None)
+    @given(affine_generators(), st.sampled_from((8, 24, 64)))
+    def test_matches_the_compose_closure(self, gens, max_order):
+        got = _closure_outcome(close_group, gens, max_order)
+        assert got == _closure_outcome(reference_close_group, gens, max_order)
+        if not isinstance(got[0], str):
+            assert all(isinstance(x, Fraction) for g in got for x in g.translation)
+
+    def test_translations_of_several_denominators(self):
+        swap = Matrix([[0, 1], [1, 0]])
+        gens = [
+            AffineAuto(swap, (Fraction(1, 3), Fraction(0))),
+            AffineAuto(Matrix.identity(2), (Fraction(1, 4), Fraction(1, 2))),
+        ]
+        got = close_group(gens, max_order=128)
+        assert got.elements == reference_close_group(gens, max_order=128).elements
+        assert got.order == 96
+
+    def test_shear_error_at_max_order(self):
+        shear = AffineAuto(Matrix([[1, 1], [0, 1]]))
+        with pytest.raises(ClosureError) as got:
+            close_group([shear], max_order=32)
+        with pytest.raises(ClosureError) as want:
+            reference_close_group([shear], max_order=32)
+        assert str(got.value) == str(want.value) == "group does not close within 32 elements"
+
+    def test_non_integral_linear_part_raises(self):
+        half = AffineAuto(Matrix([[Fraction(1, 2), 0], [0, 2]]))
+        with pytest.raises(ValueError):
+            close_group([half])
+
+
+# --- searches ---------------------------------------------------------------
+
+def _p2():
+    doc = load_corpus("p2_minkowski.json")
+    return build_problem(doc), PolyhedralCone.from_rays(doc.domain_rays)
+
+
+def _torus(name, seed):
+    ctx = prepare_torus(load_corpus(name + ".json"))
+    built = build_domain(ctx, seed)
+    return build_torus_problem(ctx, built), built.domain
+
+
+def _hyperbolic_problem():
+    action = Matrix([[3, 2], [4, 3]])
+    return ReductionProblem(
+        dim=2,
+        generators=(("A", action),),
+        pairing=Matrix([[2, 0], [0, 1]]),
+        base_point=(0, 1),
+        is_interior=lambda v: v[1] * v[1] > 2 * v[0] * v[0] and v[1] > 0,
+        is_closure=lambda v: v[1] * v[1] >= 2 * v[0] * v[0] and v[1] >= 0,
+    )
+
+
+PROBLEMS = ["p2_minkowski", "elliptic_gauss", "bielliptic_z4", "hyperbolic_z8"]
+
+
+def _problem(name, seed):
+    return _p2() if name == "p2_minkowski" else _torus(name, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", PROBLEMS)
+class TestSearchesMatchTheMatrixVersions:
+    def test_word_ball(self, name, seed):
+        problem, _ = _problem(name, seed)
+        for length in (1, 2, 4):
+            assert list(problem.word_ball(length)) == reference_word_ball(problem, length)
+
+    def test_find_eta(self, name, seed):
+        problem, _ = _problem(name, seed)
+        assert find_eta(problem, seed=seed) == reference_find_eta(problem, seed=seed)
+
+    def test_best_first_reduce(self, name, seed):
+        problem, domain = _problem(name, seed)
+        eta = reference_find_eta(problem, seed=seed)
+        for pt in _tiling_samples(problem, domain, 150, seed):
+            want = reference_best_first_reduce(problem, domain, pt, eta, 20_000)
+            assert _best_first_reduce(problem, domain, pt, eta, 20_000) == want
+            for budget in (1, 3):
+                assert _best_first_reduce(problem, domain, pt, eta, budget) == (
+                    reference_best_first_reduce(problem, domain, pt, eta, budget)
+                )
+
+    def test_find_interior_overlap(self, name, seed):
+        problem, domain = _problem(name, seed)
+        got = find_interior_overlap(problem, domain, seed=seed)
+        assert got == reference_find_interior_overlap(problem, domain, seed=seed)
+
+
+def _assert_same_witness(got, want):
+    assert want is not None
+    assert got.word.letters == want.word.letters
+    assert got.word.matrix == want.word.matrix
+    assert got.point == want.point
+    assert got.image == want.image
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_wide_sector_witness(seed):
+    problem = _hyperbolic_problem()
+    wide = PolyhedralCone.from_rays([(-2, 3), (2, 3)])
+    got = find_interior_overlap(problem, wide, seed=seed)
+    _assert_same_witness(got, reference_find_interior_overlap(problem, wide, seed=seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_enlarged_minkowski_witness(seed):
+    problem = binary_quadratic_problem()
+    enlarged = PolyhedralCone.from_rays([(0, 0, 1), (1, 1, 1), (1, -1, 1)])
+    got = find_interior_overlap(problem, enlarged, seed=seed)
+    _assert_same_witness(got, reference_find_interior_overlap(problem, enlarged, seed=seed))
+
+
+def test_overlap_without_interior_points_is_none():
+    problem = binary_quadratic_problem()
+    domain = minkowski_domain_p2()
+    assert find_interior_overlap(problem, domain, samples=0) is None
+    assert reference_find_interior_overlap(problem, domain, samples=0) is None
