@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 validation failure, 3 verification incomplete,
-4 parse failure. Reports are deterministic JSON on stdout (and --out);
-timing goes to stderr so repeated runs stay byte-identical.
+4 parse failure, 5 internal error (an identity the computation relies on
+failed, which is a bug; the report names the identity). Reports are
+deterministic JSON on stdout (and --out); timing goes to stderr so
+repeated runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .documents import load_document
 from .errors import (
     ClosureError,
     DeskScaleError,
+    InternalInvariantError,
     ParseError,
     SearchExhausted,
     ValidationError,
@@ -27,6 +30,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INCOMPLETE = 3
 EXIT_PARSE = 4
+EXIT_INTERNAL = 5
 
 
 @functools.cache
@@ -89,6 +93,9 @@ def main(argv=None) -> int:
     except SearchExhausted as exc:
         _emit({"error": {"type": "incomplete", "message": str(exc)}}, getattr(args, "out", None))
         return EXIT_INCOMPLETE
+    except InternalInvariantError as exc:
+        _emit({"error": {"type": "internal", "message": str(exc)}}, getattr(args, "out", None))
+        return EXIT_INTERNAL
     elapsed = (time.perf_counter() - started) * 1000.0
     _emit(report, args.out)
     print(f"# {args.command} {args.input}: {elapsed:.1f} ms", file=sys.stderr)

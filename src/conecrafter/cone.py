@@ -29,10 +29,8 @@ shape is reported as a flag:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import mul
+from operator import add
 from typing import Sequence
 
 from .endo import EndoAlgebra, InvariantSubalgebra, invariant_subalgebra
@@ -41,6 +39,7 @@ from .matrices import (
     Matrix,
     MatrixLattice,
     antisymmetry_rows,
+    clear_denominators,
     congruence_rows,
     definiteness_sign,
     integer_kernel_matrix,
@@ -109,27 +108,31 @@ class NSLattice(MatrixLattice):
         return trace_gram(halves, halves)
 
     @cached_property
-    def hermitian_forms(self) -> tuple[tuple[int, ...], ...]:
-        """Entries of S_i = D (b_i @ J), row-major, each entry as the tuple
-        of its values over the basis. D clears the denominators of J and
-        carries the sign of E @ J, so that the polarization is positive."""
+    def hermitian_forms(self) -> tuple[list[int], ...]:
+        """The entries of S_i = D (b_i @ J), row-major, one list per basis
+        form. D clears the denominators of J and carries the sign of
+        E @ J, so that the polarization is positive."""
         t = self.torus
         j, _ = t.j.to_integer()
         sign = definiteness_sign(t.e @ j)
         if sign == 0:
             raise ValueError("ampleness needs a definite polarization")
-        return tuple(zip(*((b @ j * sign).flat() for b in self.basis)))
+        return tuple((b @ j * sign).flat() for b in self.basis)
 
     def _hermitian_rows(self, coords: Sequence) -> list[list[int]]:
         """sum c_i S_i, scaled by the least positive integer clearing the
-        denominators of the coordinates."""
+        denominators of the coordinates: one pass over S_i per nonzero
+        c_i."""
         if len(coords) != self.rank:
             raise ValueError("coordinate length mismatch")
-        exact = [c if isinstance(c, int) else Fraction(c) for c in coords]
-        den = lcm(*(c.denominator for c in exact))
-        scaled = [c.numerator * (den // c.denominator) for c in exact]
         n = self.torus.rank
-        flat = [sum(map(mul, scaled, entry)) for entry in self.hermitian_forms]
+        flat = None
+        for c, form in zip(clear_denominators(coords)[0], self.hermitian_forms):
+            if c:
+                term = form if c == 1 else [c * x for x in form]
+                flat = term if flat is None else list(map(add, flat, term))
+        if flat is None:
+            return [[0] * n for _ in range(n)]
         return [flat[i * n:(i + 1) * n] for i in range(n)]
 
     def is_ample_coords(self, coords: Sequence) -> bool:

@@ -130,27 +130,34 @@ def invariant_subalgebra(t: PolarizedTorus, group: GroupAction) -> "InvariantSub
     basis = matrix_kernel_basis(rows, (t.rank, t.rank))
     if not basis:
         raise InternalInvariantError("invariant algebra lost its identity")
-    sub = EndoAlgebra(t, tuple(basis), tuple(constraints))
-    parent = compute_end(t)
-    embedding_cols = [parent.coordinates(b) for b in basis]
-    embedding = Matrix(
-        [[embedding_cols[j][i] for j in range(len(basis))] for i in range(parent.dim)]
-    )
-    return InvariantSubalgebra(sub, parent, embedding)
+    return InvariantSubalgebra(EndoAlgebra(t, tuple(basis), tuple(constraints)))
 
 
 @dataclass(frozen=True)
 class InvariantSubalgebra:
     """An invariant endomorphism algebra together with its inclusion into
-    the full one. embedding columns are parent coordinates of sub basis."""
+    the full one. embedding columns are parent coordinates of sub basis.
+
+    The full algebra and the embedding are built only when read (endo
+    reports the full dimension). Nothing else needs them: the constraint
+    rows of the subalgebra include those of J, so it lies in the full
+    algebra by construction, and building the embedding still raises
+    when a basis element is outside it."""
 
     algebra: EndoAlgebra
-    parent: EndoAlgebra
-    embedding: Matrix
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def parent(self) -> EndoAlgebra:
+        return compute_end(self.algebra.torus)
+
+    @cached_property
+    def embedding(self) -> Matrix:
+        cols = [self.parent.coordinates(b) for b in self.algebra.basis]
+        return Matrix(list(zip(*cols)))
 
 
 def center_basis(algebra: EndoAlgebra) -> list[Matrix]:

@@ -3,6 +3,8 @@
 that the rest of the package is built on.
 
 Entries are Python ints or fractions.Fraction; nothing here ever rounds.
+Products and eliminations compute on ints, each operand or row scaled by
+its common denominator, so Fractions appear only in their results.
 """
 
 from __future__ import annotations
@@ -10,13 +12,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from functools import cached_property
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from ._kernels import imat_mul
 from .errors import ValidationError
 
 Scalar = int | Fraction
+
+# isinstance(x, int) as a builtin that map() calls without a Python frame
+_is_int = int.__instancecheck__
 
 
 def _norm(x) -> Scalar:
@@ -27,10 +32,26 @@ def _norm(x) -> Scalar:
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
+def clear_denominators(values: Sequence) -> tuple[list[int], int]:
+    """(d * values, d) as ints, for the least d > 0 clearing the
+    denominators of the int or Fraction values; d = 1 for ints."""
+    if all(map(_is_int, values)):
+        return list(values), 1
+    d = lcm(*[x.denominator for x in values])
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _divided(values: Iterable[int], d: int) -> list[Scalar]:
+    """values / d as normalized entries: ints where d divides."""
+    if d == 1:
+        return list(values)
+    return [x // d if x % d == 0 else Fraction(x, d) for x in values]
+
+
 class Matrix:
     """Immutable exact matrix. Use @ for matrix product, * for scalars."""
 
-    __slots__ = ("_rows", "_nrows", "_ncols")
+    __slots__ = ("_rows", "_nrows", "_ncols", "_integral")
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = tuple(tuple(_norm(x) for x in row) for row in rows)
@@ -42,14 +63,41 @@ class Matrix:
         self._rows = rows
         self._nrows = len(rows)
         self._ncols = width
+        self._integral = None
+
+    @classmethod
+    def trusted(cls, rows: tuple, integral: bool | None = None) -> "Matrix":
+        """Internal constructor for results computed in this package: rows
+        is a non-empty tuple of equal-length non-empty tuples of normalized
+        entries (ints, and Fractions whose denominator is not 1), and
+        integral, when given, says whether every entry is an int. Nothing
+        is checked; documents and outside callers use Matrix(...)."""
+        m = object.__new__(cls)
+        m._rows = rows
+        m._nrows = len(rows)
+        m._ncols = len(rows[0])
+        m._integral = integral
+        return m
+
+    @classmethod
+    def _from_flat_entries(
+        cls, flat: list, ncols: int, integral: bool | None = None
+    ) -> "Matrix":
+        """trusted() on normalized row-major entries."""
+        return cls.trusted(
+            tuple([tuple(flat[i:i + ncols]) for i in range(0, len(flat), ncols)]),
+            integral,
+        )
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.trusted(
+            tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]), True
+        )
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
-        return cls([[0] * c for _ in range(r)])
+        return cls.trusted(((0,) * c,) * r, True)
 
     @classmethod
     def from_flat(cls, flat: Sequence, r: int, c: int) -> "Matrix":
@@ -99,28 +147,24 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self._rows]})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._rows, other._rows)
-            ]
-        )
+        rows = [list(map(op, r1, r2)) for r1, r2 in zip(self._rows, other._rows)]
+        if self.is_integral and other.is_integral:
+            return Matrix.trusted(tuple(map(tuple, rows)), True)
+        return Matrix(rows)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._rows, other._rows)
-            ]
-        )
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self._rows])
+        return Matrix.trusted(
+            tuple([tuple([-x for x in r]) for r in self._rows]), self._integral
+        )
 
     def __mul__(self, scalar) -> "Matrix":
         s = _norm(scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar))
@@ -131,17 +175,14 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self._ncols != other._nrows:
             raise ValueError("shape mismatch in product")
-        n, k, m = self._nrows, self._ncols, other._ncols
-        if self.is_integral and other.is_integral:
-            flat = imat_mul(self.flat(), other.flat(), n, k, m)
-            return Matrix.from_flat(flat, n, m)
-        bcols = [other.col(j) for j in range(m)]
-        return Matrix(
-            [[_dot(row, bc) for bc in bcols] for row in self._rows]
-        )
+        a, da = clear_denominators(self.flat())
+        b, db = clear_denominators(other.flat())
+        flat = imat_mul(a, b, self._nrows, self._ncols, other._ncols)
+        d = da * db
+        return Matrix._from_flat_entries(_divided(flat, d), other._ncols, d == 1 or None)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self._rows)))
+        return Matrix.trusted(tuple(zip(*self._rows)), self._integral)
 
     @property
     def T(self) -> "Matrix":
@@ -153,7 +194,9 @@ class Matrix:
 
     @property
     def is_integral(self) -> bool:
-        return all(isinstance(x, int) for row in self._rows for x in row)
+        if self._integral is None:
+            self._integral = all(all(map(_is_int, row)) for row in self._rows)
+        return self._integral
 
     @property
     def is_zero(self) -> bool:
@@ -171,70 +214,62 @@ class Matrix:
             and self == -self.T
         )
 
-    def denominator_lcm(self) -> int:
-        d = 1
-        for row in self._rows:
-            for x in row:
-                if isinstance(x, Fraction):
-                    d = d * x.denominator // gcd(d, x.denominator)
-        return d
-
     def to_integer(self) -> tuple["Matrix", int]:
         """Return (d*self, d) for the least d > 0 clearing denominators."""
-        d = self.denominator_lcm()
-        return (self * d if d != 1 else self), d
+        flat, d = clear_denominators(self.flat())
+        return (self if d == 1 else Matrix._from_flat_entries(flat, self._ncols, True)), d
 
     def det(self) -> Fraction:
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        _, pivots, values, swaps = _eliminate(self._rows, self._ncols, above=False)
+        m, pivots, up, down = _gauss_jordan(self._rows, self._ncols)
         if len(pivots) < self._nrows:
             return Fraction(0)
-        return Fraction((-1) ** swaps) * prod(values)
+        return Fraction(prod(m[k][k] for k in pivots) * prod(up), prod(down))
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise ValueError("inverse needs a square matrix")
         n = self._nrows
-        aug = [row + tuple(int(i == j) for j in range(n))
+        aug = [row + tuple([int(i == j) for j in range(n)])
                for i, row in enumerate(self._rows)]
-        m, pivots, _, _ = _eliminate(aug, n, above=True)
+        m, pivots, _, _ = _gauss_jordan(aug, n)
         if len(pivots) < n:
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in m])
+        return Matrix.trusted(
+            tuple([tuple(_divided(row[n:], row[k])) for k, row in enumerate(m)])
+        )
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form over Q, with pivot column indices."""
-        m, pivots, _, _ = _eliminate(self._rows, self._ncols, above=True)
-        return Matrix(m), tuple(pivots)
+        m, pivots, _, _ = _gauss_jordan(self._rows, self._ncols)
+        for k, col in enumerate(pivots):
+            m[k] = _divided(m[k], m[k][col])
+        return Matrix.trusted(tuple(map(tuple, m))), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_gauss_jordan(self._rows, self._ncols)[1])
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
         """Exact solution X of self @ X = rhs, or None if inconsistent.
         Free variables are set to zero."""
         if rhs.nrows != self._nrows:
             raise ValueError("shape mismatch")
-        aug = Matrix([list(r1) + list(r2) for r1, r2 in zip(self._rows, rhs._rows)])
-        red, pivots = aug.rref()
         n = self._ncols
-        if any(p >= n for p in pivots):
+        m, pivots, _, _ = _gauss_jordan(
+            [r1 + r2 for r1, r2 in zip(self._rows, rhs._rows)], n
+        )
+        if any(any(row[n:]) for row in m[len(pivots):]):
             return None
-        out = [[Fraction(0)] * rhs.ncols for _ in range(n)]
-        for r, p in enumerate(pivots):
-            for j in range(rhs.ncols):
-                out[p][j] = red[r, n + j]
-        return Matrix(out) if out else None
+        out = [(0,) * rhs.ncols] * n
+        for row, p in zip(m, pivots):
+            out[p] = tuple(_divided(row[n:], row[p]))
+        return Matrix.trusted(tuple(out))
 
     def trace(self) -> Scalar:
         if not self.is_square:
             raise ValueError("trace needs a square matrix")
         return _norm(sum(self._rows[i][i] for i in range(self._nrows)))
-
-
-def _dot(u: Sequence, v: Sequence):
-    return _norm(sum(a * b for a, b in zip(u, v)))
 
 
 def rows_product(a: tuple, b: tuple) -> tuple:
@@ -247,43 +282,63 @@ def rows_product(a: tuple, b: tuple) -> tuple:
 
 def trace_gram(left: Sequence[Matrix], right: Sequence[Matrix]) -> Matrix:
     """Matrix of Tr(a @ b) for a in left (rows) and b in right (columns).
-    Tr(a @ b) is the dot product of a's entries with b.T's, so no product
-    is formed."""
-    lflat = [a.flat() for a in left]
-    rflat = [b.T.flat() for b in right]
-    return Matrix([[_dot(a, b) for b in rflat] for a in lflat])
+    Tr(a @ b) is the dot product of a's entries with b.T's, so the Gram
+    matrix is one product of the stacked flattenings."""
+    lstack = Matrix.trusted(tuple(tuple(a.flat()) for a in left))
+    rstack = Matrix.trusted(tuple(zip(*(b.T.flat() for b in right))))
+    return lstack @ rstack
 
 
-def _eliminate(rows: Sequence[Sequence], width: int, above: bool) -> tuple:
-    """Gaussian elimination over Q on a copy of rows, pivoting on the first
-    ``width`` columns. Each pivot row is scaled to 1 and its column cleared
-    below it, and above it too when ``above`` (Gauss-Jordan).
+def _gauss_jordan(rows: Iterable[Sequence], width: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination on a copy of rows, pivoting
+    on the first ``width`` columns.
 
-    Returns the reduced rows, the pivot columns, each pivot's value before
-    scaling, and the number of row swaps."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots, values, swaps = [], [], 0
+    Each row is scaled to integers and divided by its content. Clearing a
+    pivot column from row i replaces it by p * row_i - f * row_r (p the
+    pivot, f the entry of row i), divided by its content, so every entry
+    stays an integer and every row primitive (Bareiss 1968 divides by the
+    previous pivot instead). Pivot row k holds pivot column pivots[k];
+    dividing it by that entry gives the reduced row echelon form.
+
+    Returns the integer rows, the pivot columns, and two factor lists
+    with det(rows) = det(result) * prod(up) / prod(down) for square
+    rows."""
+    m, up, down = [], [], []
+    for row in rows:
+        ints, d = clear_denominators(row)
+        g = gcd(*ints)
+        if g > 1:
+            ints = [x // g for x in ints]
+            up.append(g)
+        m.append(ints)
+        down.append(d)
+    pivots = []
     r = 0
     nrows = len(m)
     for col in range(width):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            swaps += 1
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(0 if above else r + 1, nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            up.append(-1)
+        prow = m[r]
+        p = prow[col]
+        for i in range(nrows):
+            f = m[i][col]
+            if f and i != r:
+                new = [p * a - f * b for a, b in zip(m[i], prow)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                    up.append(g)
+                down.append(p)
+                m[i] = new
         pivots.append(col)
-        values.append(pv)
         r += 1
-    return m, pivots, values, swaps
+    return m, pivots, up, down
 
 
 def semidefinite_rank(rows: Sequence[Sequence[int]]) -> int | None:
@@ -367,6 +422,10 @@ def vstack(*mats: Matrix) -> Matrix:
 
 # --- integer lattice algorithms -------------------------------------------
 
+def _integer_matrix(rows: Iterable[Sequence[int]]) -> Matrix:
+    return Matrix.trusted(tuple(map(tuple, rows)), True)
+
+
 def _require_integral(m: Matrix, what: str) -> None:
     if not m.is_integral:
         raise ValueError(f"{what} needs an integer matrix")
@@ -416,7 +475,7 @@ def hermite_normal_form(m: Matrix) -> tuple[Matrix, Matrix]:
             prow += 1
             if prow == r:
                 break
-    return Matrix(h), Matrix(u)
+    return _integer_matrix(h), _integer_matrix(u)
 
 
 def integer_kernel_matrix(c: Matrix) -> Matrix | None:
@@ -427,9 +486,8 @@ def integer_kernel_matrix(c: Matrix) -> Matrix | None:
     zero_rows = [i for i in range(h.nrows) if all(x == 0 for x in h.row(i))]
     if not zero_rows:
         return None
-    basis = Matrix([u.row(i) for i in zero_rows])
-    canon, _ = hermite_normal_form(basis)
-    return Matrix([canon.row(i) for i in range(len(zero_rows))])
+    canon, _ = hermite_normal_form(_integer_matrix(u.row(i) for i in zero_rows))
+    return _integer_matrix(canon.rows[:len(zero_rows)])
 
 
 def commutator_rows(c: Matrix) -> list[list]:
@@ -488,14 +546,13 @@ def matrix_kernel_basis(rows: Iterable[Sequence], shape: tuple[int, int]) -> lis
     for row in rows:
         if len(row) != p * q:
             raise ValueError("constraint row length does not match shape")
-        d = lcm(*(x.denominator for x in row))
-        scaled = tuple(row) if d == 1 else tuple(int(x * d) for x in row)
+        scaled = tuple(clear_denominators(row)[0])
         if any(scaled):
             distinct[scaled] = None
-    kernel = integer_kernel_matrix(Matrix(list(distinct) or [[0] * (p * q)]))
+    kernel = integer_kernel_matrix(_integer_matrix(distinct or [[0] * (p * q)]))
     if kernel is None:
         return []
-    return [Matrix.from_flat(kernel.row(i), p, q) for i in range(kernel.nrows)]
+    return [Matrix._from_flat_entries(row, q, True) for row in kernel.rows]
 
 
 class MatrixLattice:
@@ -513,9 +570,9 @@ class MatrixLattice:
     def _solver(self) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
         """Entry positions where the basis is independent, and the inverse
         of the basis restricted to them. Built once per lattice."""
-        flats = Matrix([b.flat() for b in self.basis])
+        flats = Matrix.trusted(tuple(tuple(b.flat()) for b in self.basis))
         _, pivots = flats.rref()
-        block = Matrix([[flats[r, p] for r in range(flats.nrows)] for p in pivots])
+        block = Matrix.trusted(tuple(flats.col(p) for p in pivots))
         return pivots, block.inverse().rows
 
     def coordinates(self, m: Matrix) -> tuple[Fraction, ...]:
@@ -584,5 +641,5 @@ def in_lattice_plus_integers(cols: Matrix, t: Sequence) -> bool:
     if left is None:
         return True  # span is everything
     w = left
-    y = [_dot(w.row(i), t) for i in range(w.nrows)]
+    y = [sum(map(mul, row, t)) for row in w.rows]
     return solve_integer(w, y) is not None

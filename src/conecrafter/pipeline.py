@@ -180,7 +180,9 @@ def run_endo(doc, seed: int = 42) -> dict:
     dec = decompose(sub.algebra, seed)
     return {
         **_header("endo", doc),
-        "end_dim": sub.parent.dim,
+        # one row per coordinate of the full algebra; building it checks
+        # that the invariant basis lies in End(T)
+        "end_dim": sub.embedding.nrows,
         "invariant_dim": sub.dim,
         "polarization_averaged": ctx.averaged,
         "trace_positive": trace_positivity_check(sub.algebra),

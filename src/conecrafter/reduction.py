@@ -526,7 +526,7 @@ def _path_word(
         mat = rows_product(rows, mat)
     if _apply(mat, start) != end:
         raise InternalInvariantError("reduction path does not recompose")
-    return GroupWord(tuple((name, 1) for name, _ in chain), Matrix(mat))
+    return GroupWord(tuple((name, 1) for name, _ in chain), Matrix.trusted(mat, True))
 
 
 def _tiling_samples(

@@ -11,8 +11,8 @@ normalized per real or complex place of its center:
     ComplexMatrix(m)    d = 2m^2     f = m^2
     QuaternionMatrix(t) d = 4t^2     f = 2t^2 - t
 
-The three families are disjoint (f/d is > 1/2, = 1/2, < 1/2 respectively);
-the table below is still collision-checked at import as a guard.
+The three families are disjoint (f/d is > 1/2, = 1/2, < 1/2 respectively),
+so lookup_kind reads the kind from these closed forms at any size.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 from .endo import EndoAlgebra
@@ -32,42 +33,25 @@ from .polynomials import (
     poly_xgcd,
 )
 
-MAX_TABLE_DIM = 64
-
-
-def _build_kind_table(max_dim: int) -> dict:
-    table = {}
-    entries = []
-    size = 1
-    while size * size <= max_dim:
-        entries.append(((size * size, size * (size + 1) // 2), ("RealMatrix", size)))
-        size += 1
-    size = 1
-    while 2 * size * size <= max_dim:
-        entries.append(((2 * size * size, size * size), ("ComplexMatrix", size)))
-        size += 1
-    size = 1
-    while 4 * size * size <= max_dim:
-        entries.append(((4 * size * size, 2 * size * size - size), ("QuaternionMatrix", size)))
-        size += 1
-    for key, val in entries:
-        if key in table:
-            raise InternalInvariantError(f"kind table collision at {key}")
-        table[key] = val
-    return table
-
-
-KIND_TABLE = _build_kind_table(MAX_TABLE_DIM)
+# (kind, s, fixed dimension f of size n) with d = s * n^2, per the table above
+KINDS = (
+    ("RealMatrix", 1, lambda n: n * (n + 1) // 2),
+    ("ComplexMatrix", 2, lambda n: n * n),
+    ("QuaternionMatrix", 4, lambda n: 2 * n * n - n),
+)
 
 
 def lookup_kind(d: int, f: int) -> tuple[str, int]:
-    """Kind and size for normalized (dimension, fixed dimension) per place."""
-    try:
-        return KIND_TABLE[(d, f)]
-    except KeyError:
-        raise ValidationError(
-            "classification", f"no involutive matrix kind has (d, f) = ({d}, {f})"
-        ) from None
+    """Kind and size for normalized (dimension, fixed dimension) per place.
+    d fixes the size of each kind and f tells the kinds apart, so there is
+    no size cap."""
+    for kind, scale, fixed in KINDS:
+        size = isqrt(d // scale)
+        if size and scale * size * size == d and fixed(size) == f:
+            return kind, size
+    raise ValidationError(
+        "classification", f"no involutive matrix kind has (d, f) = ({d}, {f})"
+    )
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
@@ -78,9 +62,8 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     flats = [power.flat()]
     for k in range(1, n + 2):
         power = power @ m
-        rhs = Matrix([[x] for x in power.flat()])
-        stacked = Matrix([[flats[j][i] for j in range(k)] for i in range(n * n)])
-        sol = stacked.solve(rhs)
+        rhs = Matrix.trusted(tuple((x,) for x in power.flat()))
+        sol = Matrix.trusted(tuple(zip(*flats))).solve(rhs)
         if sol is not None:
             coeffs = [-Fraction(sol[i, 0]) for i in range(k)] + [Fraction(1)]
             return Polynomial(coeffs)
@@ -91,7 +74,7 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
 def _flat_rank(mats: list[Matrix]) -> int:
     if not mats:
         return 0
-    return Matrix([m.flat() for m in mats]).rank()
+    return Matrix.trusted(tuple(tuple(m.flat()) for m in mats)).rank()
 
 
 def primitive_center_element(

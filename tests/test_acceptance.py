@@ -20,6 +20,7 @@ import pytest
 from conecrafter.cli import main as cli_main
 from conecrafter.cone import compute_ns, is_ample, ns_to_endo
 from conecrafter.endo import compute_end, invariant_subalgebra, rosati
+from conecrafter.errors import ValidationError
 from conecrafter.matrices import Matrix, hermite_normal_form
 from conecrafter.pipeline import (
     build_domain,
@@ -38,7 +39,7 @@ from conecrafter.reduction import (
     transform_form,
     verify_tiling,
 )
-from conecrafter.wedderburn import KIND_TABLE, central_idempotents, decompose
+from conecrafter.wedderburn import central_idempotents, decompose, lookup_kind
 
 from conftest import corpus_path, load_corpus
 
@@ -252,7 +253,13 @@ def test_criterion_04_wedderburn(contexts):
             key = (4 * q * q, 2 * q * q - q)
             assert key not in table
             table[key] = ("QuaternionMatrix", q)
-        assert table == KIND_TABLE
+        for key, kind in table.items():
+            assert lookup_kind(*key) == kind
+        for d in range(65):
+            for f in range(d + 1):
+                if (d, f) not in table:
+                    with pytest.raises(ValidationError):
+                        lookup_kind(d, f)
 
         product_alg = compute_end(contexts["product_gauss_squared"].torus)
         assert decompose(product_alg).labels() == ["ComplexMatrix(2)"]

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from conecrafter import cli
+from conecrafter import cli, cone
 from conecrafter.cli import main
 
 from conftest import corpus_path
@@ -159,6 +159,22 @@ class TestFailurePaths:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate", "x.json"])
+
+    @pytest.mark.parametrize("command", ["cone", "funddom", "verify"])
+    def test_internal_invariant_exit(self, capsys, monkeypatch, tmp_path, command):
+        """A failed internal identity ends in exit 5 with a JSON report,
+        not a traceback. Here cone_structure finds every factor piece
+        empty, which its rank check must catch."""
+        monkeypatch.setattr(cone, "integer_kernel_matrix", lambda c: None)
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, command, corpus_path("bielliptic_z4.json"), "--out", str(target)
+        )
+        assert code == cli.EXIT_INTERNAL == 5
+        assert json.loads(out) == {
+            "error": {"type": "internal", "message": "factor piece has the wrong rank"}
+        }
+        assert target.read_text() == out
 
 
 class TestParserBuiltOnce:

@@ -4,7 +4,8 @@ of a reduction problem, the coordinate solver of a lattice, the factor
 projections of a cone, the freeness of an action, the validation of a
 torus, the integer forms of a lattice, the word ball of a verification.
 Structures a command does not read are not built: the form lattices for
-endo, the full one for funddom, a Matrix per tiling sample for verify."""
+endo, the full one for funddom, a Matrix per tiling sample for verify,
+the full endomorphism algebra for every command but endo."""
 
 import pytest
 
@@ -262,3 +263,22 @@ def test_verify_builds_no_matrix_per_sample(monkeypatch):
         assert report["complete"] and report["verified"] == samples
         counts.append(built[0])
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("run,builds", [
+    (run_endo, 1), (run_cone, 0), (run_funddom, 0), (run_verify, 0),
+])
+@pytest.mark.parametrize("name", ["bielliptic_z4", "product_gauss_squared"])
+def test_full_algebra_only_for_endo(monkeypatch, run, builds, name):
+    """Only endo reads End(T) (for end_dim); the other commands work in the
+    invariant subalgebra, which lies in End(T) by construction."""
+    calls = []
+    original = endo.compute_end
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(endo, "compute_end", counted)
+    run(load_corpus(name + ".json"))
+    assert len(calls) == builds

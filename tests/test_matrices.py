@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conecrafter.matrices import (
     Matrix,
+    _gauss_jordan,
     antisymmetry_rows,
     block_diag,
     commutator_rows,
@@ -429,3 +430,214 @@ class TestConstraintRows:
 
         rows = commutator_rows(c) + congruence_rows(g)
         assert matrix_kernel_basis(rows, c.shape) == closure_kernel_basis(op, c.nrows)
+
+
+# --- the Fraction reference the integer layer is checked against -----------
+
+def reference_eliminate(rows, width, above):
+    """Gaussian elimination over Q, entry by entry in Fractions (the
+    elimination the integer layer replaced): each pivot row scaled to 1,
+    its column cleared below it, and above it too when ``above``. Returns
+    the reduced rows, the pivot columns, each pivot's value before scaling
+    and the number of row swaps."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots, values, swaps = [], [], 0
+    r = 0
+    for col in range(width):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        pv = m[r][col]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(0 if above else r + 1, len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        values.append(pv)
+        r += 1
+    return m, pivots, values, swaps
+
+
+def reference_rref(m):
+    red, pivots, _, _ = reference_eliminate(m.rows, m.ncols, above=True)
+    return Matrix(red), tuple(pivots)
+
+
+def reference_det(m):
+    _, pivots, values, swaps = reference_eliminate(m.rows, m.ncols, above=False)
+    if len(pivots) < m.nrows:
+        return Fraction(0)
+    out = Fraction((-1) ** swaps)
+    for v in values:
+        out *= v
+    return out
+
+
+def reference_inverse(m):
+    n = m.nrows
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.rows)]
+    red, pivots, _, _ = reference_eliminate(aug, n, above=True)
+    if len(pivots) < n:
+        return None
+    return Matrix([row[n:] for row in red])
+
+
+def reference_solve(a, b):
+    aug = Matrix([list(r1) + list(r2) for r1, r2 in zip(a.rows, b.rows)])
+    red, pivots = reference_rref(aug)
+    n = a.ncols
+    if any(p >= n for p in pivots):
+        return None
+    out = [[0] * b.ncols for _ in range(n)]
+    for r, p in enumerate(pivots):
+        for j in range(b.ncols):
+            out[p][j] = red[r, n + j]
+    return Matrix(out)
+
+
+def reference_product(a, b):
+    return Matrix([
+        [sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b.rows)]
+        for row in a.rows
+    ])
+
+
+def is_normalized(m):
+    """Every entry is an int exactly when its denominator is 1, and the
+    matrix's integrality flag agrees with its entries."""
+    entries = m.flat()
+    ok = all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in entries
+    )
+    return ok and m.is_integral == all(type(x) is int for x in entries)
+
+
+# zero-heavy entries reach skipped pivot columns; the last strategy has
+# denominators far past a machine word
+oracle_entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-30, max_value=30),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**30),
+)
+oracle_sizes = st.integers(min_value=1, max_value=5)
+
+
+@st.composite
+def oracle_matrices(draw, nrows=None, ncols=None):
+    """Square, wide and tall rational matrices, some with a zero row or a
+    row that is a multiple of another (singular)."""
+    n = nrows or draw(oracle_sizes)
+    m = ncols or draw(oracle_sizes)
+    rows = draw(st.lists(
+        st.lists(oracle_entries, min_size=m, max_size=m), min_size=n, max_size=n
+    ))
+    kind = draw(st.sampled_from(["plain", "zero_row", "dependent"]))
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    if kind == "zero_row":
+        rows[i] = [0] * m
+    elif kind == "dependent" and n > 1:
+        j = (i + 1) % n
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        rows[i] = [c * x for x in rows[j]]
+    return Matrix(rows)
+
+
+class TestIntegerLayerOracle:
+    """rref, rank, solve, inverse, det and @ compute on integers and
+    equal the Fraction reference, with every entry normalized."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_matrices())
+    @example(Matrix([[0, 0], [0, 0]]))
+    @example(Matrix([[0, 2, 4], [0, 1, 2]]))
+    @example(Matrix([[Fraction(1, 10**20), 1], [1, Fraction(10**20, 3)]]))
+    def test_rref_and_rank(self, m):
+        red, pivots = m.rref()
+        assert (red, pivots) == reference_rref(m)
+        assert m.rank() == len(pivots)
+        assert is_normalized(red)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_sizes.flatmap(lambda n: oracle_matrices(n, n)))
+    @example(Matrix([[0, 1], [1, 0]]))  # one row swap: det -1
+    @example(Matrix([[Fraction(2, 3), Fraction(-5, 7)], [Fraction(1, 9), 4]]))
+    def test_det_and_inverse(self, m):
+        det = m.det()
+        assert type(det) is Fraction
+        assert det == reference_det(m)
+        assert str(det) == str(reference_det(m))
+        want = reference_inverse(m)
+        if want is None:
+            assert det == 0
+            with pytest.raises(ValueError):
+                m.inverse()
+        else:
+            inv = m.inverse()
+            assert inv == want
+            assert is_normalized(inv)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(oracle_sizes, oracle_sizes, oracle_sizes).flatmap(
+        lambda s: st.tuples(oracle_matrices(s[0], s[1]), oracle_matrices(s[0], s[2]))
+    ))
+    def test_solve(self, ab):
+        a, b = ab
+        x = a.solve(b)
+        assert x == reference_solve(a, b)
+        if x is not None:
+            assert a @ x == b
+            assert is_normalized(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(oracle_sizes, oracle_sizes, oracle_sizes).flatmap(
+        lambda s: st.tuples(oracle_matrices(s[0], s[1]), oracle_matrices(s[1], s[2]))
+    ))
+    def test_product(self, ab):
+        a, b = ab
+        prod = a @ b
+        assert prod == reference_product(a, b)
+        for m in (prod, a.T, -a, a.to_integer()[0], a + a, a - a, a * 3):
+            assert is_normalized(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_matrices())
+    def test_integer_results_are_normalized(self, m):
+        h, u = hermite_normal_form(m)
+        results = [h, u, Matrix.identity(m.nrows), Matrix.zeros(m.nrows, m.ncols)]
+        kernel = integer_kernel_matrix(m)
+        if kernel is not None:
+            results.append(kernel)
+        results += matrix_kernel_basis(m.rows, (1, m.ncols))
+        results.append(trace_gram([m], [m.T]))
+        for r in results:
+            assert r.is_integral and is_normalized(r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_matrices())
+    def test_elimination_rows_are_primitive_integers(self, m):
+        """Each row of the fraction-free elimination is an integer row with
+        content 1 (or zero), so entries stay small, and dividing the pivot
+        rows by their pivots gives the reduced form."""
+        rows, pivots, _, _ = _gauss_jordan(m.rows, m.ncols)
+        for row in rows:
+            assert all(type(x) is int for x in row)
+            assert gcd(*row) in (0, 1)
+        reduced = [
+            [Fraction(x, row[p]) for x in row] for row, p in zip(rows, pivots)
+        ] + [list(row) for row in rows[len(pivots):]]
+        assert (Matrix(reduced), tuple(pivots)) == reference_rref(m)
+
+    def test_large_entries(self):
+        # Hilbert matrix of order 6 with a scaled last row: a large
+        # determinant denominator and an inverse with large entries
+        h = Matrix([[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)])
+        assert h.det() == reference_det(h) == Fraction(1, 186313420339200000)
+        assert h.inverse() == reference_inverse(h)
+        assert h @ h.inverse() == Matrix.identity(6)

@@ -3,11 +3,10 @@ import pytest
 from conecrafter.endo import compute_end, invariant_subalgebra, rosati
 from conecrafter.errors import ValidationError
 from conecrafter.matrices import Matrix, block_diag
-from conecrafter.pipeline import prepare_torus
+from conecrafter.documents import parse_document
+from conecrafter.pipeline import prepare_torus, run_endo
 from conecrafter.polynomials import Polynomial, count_real_roots
 from conecrafter.wedderburn import (
-    KIND_TABLE,
-    MAX_TABLE_DIM,
     central_idempotents,
     decompose,
     lookup_kind,
@@ -35,20 +34,28 @@ class TestKindTable:
         # RealMatrix(l): d = l^2, f = l(l+1)/2
         # ComplexMatrix(m): d = 2m^2, f = m^2
         # QuaternionMatrix(t): d = 4t^2, f = 2t^2 - t
+        # lookup_kind accepts exactly these (d, f), with no size cap.
+        max_dim = 400
         want = {}
         size = 1
-        while size**2 <= MAX_TABLE_DIM:
+        while size**2 <= max_dim:
             want[(size**2, size * (size + 1) // 2)] = ("RealMatrix", size)
             size += 1
         size = 1
-        while 2 * size**2 <= MAX_TABLE_DIM:
+        while 2 * size**2 <= max_dim:
             want[(2 * size**2, size**2)] = ("ComplexMatrix", size)
             size += 1
         size = 1
-        while 4 * size**2 <= MAX_TABLE_DIM:
+        while 4 * size**2 <= max_dim:
             want[(4 * size**2, 2 * size**2 - size)] = ("QuaternionMatrix", size)
             size += 1
-        assert KIND_TABLE == want
+        for d in range(max_dim + 1):
+            for f in range(d + 1):
+                if (d, f) in want:
+                    assert lookup_kind(d, f) == want[(d, f)]
+                else:
+                    with pytest.raises(ValidationError):
+                        lookup_kind(d, f)
 
     def test_signatures_are_disjoint(self):
         # the three families never share a (dimension, fixed dimension) pair
@@ -190,3 +197,27 @@ class TestDecompose:
         assert [f.idempotent for f in a.factors] == [
             f.idempotent for f in decompose(alg).factors
         ]
+
+
+def test_rank_12_torus_is_complex_matrix_6():
+    """E_i^6: End is M_6(Q(i)), with (d, f) = (72, 36) past any table of
+    kinds up to dimension 64."""
+    n = 6
+    rot = [[0, -1], [1, 0]]
+    blocks = [[[0] * (2 * n) for _ in range(2 * n)] for _ in range(2)]
+    for k in range(n):
+        for i in range(2):
+            for j in range(2):
+                blocks[0][2 * k + i][2 * k + j] = rot[i][j]
+                blocks[1][2 * k + i][2 * k + j] = -rot[i][j]
+    doc = parse_document({
+        "schema": "conecrafter/1",
+        "kind": "torus",
+        "name": "ei6",
+        "complex_structure": blocks[0],
+        "polarization": blocks[1],
+    })
+    report = run_endo(doc)
+    assert report["end_dim"] == report["invariant_dim"] == 72
+    assert [f["label"] for f in report["factors"]] == ["ComplexMatrix(6)"]
+    assert (report["factors"][0]["dim"], report["factors"][0]["fixed_dim"]) == (72, 36)
