@@ -44,6 +44,7 @@ from .matrices import (
     definiteness_sign,
     integer_kernel_matrix,
     matrix_kernel_basis,
+    positive_definite,
     semidefinite_rank,
     trace_gram,
 )
@@ -136,7 +137,7 @@ class NSLattice(MatrixLattice):
         return [flat[i * n:(i + 1) * n] for i in range(n)]
 
     def is_ample_coords(self, coords: Sequence) -> bool:
-        return semidefinite_rank(self._hermitian_rows(coords)) == self.torus.rank
+        return positive_definite(self._hermitian_rows(coords))
 
     def is_nef_coords(self, coords: Sequence) -> bool:
         return semidefinite_rank(self._hermitian_rows(coords)) is not None

@@ -458,6 +458,10 @@ def run_reduce(doc, seed: int = 42) -> dict:
 
 
 def run_verify(doc, seed: int = 42, samples: int = 1000, max_steps: int = 20_000) -> dict:
+    if samples < 0:
+        raise ValidationError("verify_budget", f"samples must be at least 0, got {samples}")
+    if max_steps < 1:
+        raise ValidationError("verify_budget", f"max_steps must be at least 1, got {max_steps}")
     if doc.kind == "reduction_problem":
         problem = build_problem(doc)
         domain = PolyhedralCone.from_rays(doc.domain_rays)

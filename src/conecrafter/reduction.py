@@ -6,6 +6,11 @@ facet normals, reductions return words in named generators whose product
 is rechecked against the claimed output, and tiling verification is a
 semi-decision procedure that reports every sample it could not reduce
 instead of guessing.
+
+Samples repeat (random words often land on the same point), so each
+distinct point is tested for interiority once, and each distinct sample
+is searched and rechecked once; a repeated sample shares the outcome of
+its first occurrence, and a failure is still listed per occurrence.
 """
 
 from __future__ import annotations
@@ -355,6 +360,25 @@ class ReductionProblem:
         return tuple(out)
 
     @cached_property
+    def search_moves(self) -> tuple[list, ...]:
+        """The letters an orbit search tries from a node, by the letter
+        that reached it. Entry k leaves out the inverse of symmetric
+        generator k (the list is closed under inversion), whose image is
+        the node's parent; the last entry, for the start, keeps every
+        letter. A letter is (name, rows, the entry for its image)."""
+        gens = [(name, m.rows) for name, m in self.symmetric_generators]
+        ident = Matrix.identity(self.dim).rows
+        inverse = [
+            next(j for j, (_, b) in enumerate(gens) if rows_product(b, a) == ident)
+            for _, a in gens
+        ]
+        moves = tuple([] for _ in range(len(gens) + 1))
+        for came, entry in enumerate(moves):
+            skip = inverse[came] if came < len(gens) else None
+            entry.extend((name, rows, moves[k]) for k, (name, rows) in enumerate(gens) if k != skip)
+        return moves
+
+    @cached_property
     def identity_word(self) -> GroupWord:
         return GroupWord.identity(self.dim)
 
@@ -478,29 +502,30 @@ def _best_first_reduce(
     uphill that boundary flips need, in one queue.
 
     Nodes are int tuples and generators row tuples; a Matrix is built only
-    for a nonempty word found."""
-    gens = [(name, m.rows) for name, m in problem.symmetric_generators]
+    for a nonempty word found. A node reached by a letter is not moved by
+    that letter's inverse, whose image is the node's parent and so already
+    seen: each queue entry carries the letters to try from it."""
     facets = domain.facets
     seen = {start}
     parent: dict[tuple, tuple] = {}
-    heap = [(_dot(eta, start), 0, start)]
+    heap = [(_dot(eta, start), 0, start, problem.search_moves[-1])]
     counter = 1
     popped = 0
     while heap and popped < max_nodes:
-        _, _, cur = heappop(heap)
+        _, _, cur, tries = heappop(heap)
         popped += 1
         for f in facets:
             if _dot(f, cur) < 0:
                 break
         else:
             return _path_word(problem, parent, start, cur)
-        for name, rows in gens:
+        for name, rows, after in tries:
             nxt = _apply(rows, cur)
             if nxt in seen:
                 continue
             seen.add(nxt)
             parent[nxt] = (cur, name, rows)
-            heappush(heap, (_dot(eta, nxt), counter, nxt))
+            heappush(heap, (_dot(eta, nxt), counter, nxt, after))
             counter += 1
     return None
 
@@ -536,7 +561,16 @@ def _tiling_samples(
     seed: int,
 ) -> list[tuple[int, ...]]:
     """Half scattered interior points, half adversarial images of domain
-    points under random words."""
+    points under random words. Each distinct candidate is tested for
+    interiority once."""
+    verdicts: dict[tuple, bool] = {}
+
+    def interior(pt: tuple) -> bool:
+        known = verdicts.get(pt)
+        if known is None:
+            known = verdicts[pt] = problem.is_interior(pt)
+        return known
+
     rng = random.Random(seed)
     samples = []
     attempts = 0
@@ -549,7 +583,7 @@ def _tiling_samples(
         )
         if attempts % 100 == 0:
             scale += 1
-        if problem.is_interior(pt):
+        if interior(pt):
             samples.append(pt)
     gens = problem.symmetric_generators
     inner = domain.interior_samples(count - len(samples), seed + 1)
@@ -559,7 +593,7 @@ def _tiling_samples(
             for _ in range(rng.randint(1, 8)):
                 name, gmat = gens[rng.randrange(len(gens))]
                 cur = _apply(gmat.rows, cur)
-        if problem.is_interior(cur):
+        if interior(cur):
             samples.append(cur)
         else:
             samples.append(pt)
@@ -576,25 +610,33 @@ def verify_tiling(
 ) -> TilingReport:
     """Semi-decision that the domain tiles the cone under the group: every
     sampled interior point must reduce into the domain with an exactly
-    rechecked word. Failures are reported, never silently dropped."""
+    rechecked word. Failures are reported, never silently dropped: one
+    entry per occurrence, though each distinct point is searched once."""
     if eta is None:
         eta = find_eta(problem, seed=seed)
     for r in domain.rays:
         if not problem.is_closure(r):
             raise ValidationError("domain_rays", "domain must sit inside the closed cone")
     pts = _tiling_samples(problem, domain, samples, seed)
+    outcomes: dict[tuple, TilingFailure | None] = {}
     verified = 0
     failures = []
     for pt in pts:
-        word = _best_first_reduce(problem, domain, pt, eta, max_steps)
-        if word is None:
-            failures.append(TilingFailure(pt, "search budget exhausted"))
-            continue
-        image = _apply(word.matrix.rows, pt)
-        if not domain.contains(image):
-            failures.append(TilingFailure(pt, "certificate recheck failed"))
-            continue
-        verified += 1
+        if pt in outcomes:
+            failure = outcomes[pt]
+        else:
+            word = _best_first_reduce(problem, domain, pt, eta, max_steps)
+            if word is None:
+                failure = TilingFailure(pt, "search budget exhausted")
+            elif not domain.contains(_apply(word.matrix.rows, pt)):
+                failure = TilingFailure(pt, "certificate recheck failed")
+            else:
+                failure = None
+            outcomes[pt] = failure
+        if failure is None:
+            verified += 1
+        else:
+            failures.append(failure)
     return TilingReport(
         samples=len(pts), verified=verified, eta=eta, failures=tuple(failures)
     )
@@ -621,8 +663,12 @@ def find_interior_overlap(
     M carries a point p into the open domain exactly when p is strictly
     inside every facet pulled back through M (f.M p > 0), so each element
     filters the points by its pulled-back facets, and the image is formed
-    and rechecked only for a witness."""
-    pts = [p for p in domain.interior_samples(samples, seed) if domain.contains(p, strict=True)]
+    and rechecked only for a witness. Each distinct sample point is
+    filtered once, in order of first occurrence."""
+    pts = [
+        p for p in dict.fromkeys(domain.interior_samples(samples, seed))
+        if domain.contains(p, strict=True)
+    ]
     for letters, mat in problem.word_ball(word_length):
         cols = tuple(zip(*mat.rows))
         inside = pts

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from conecrafter import cli, cone
+from conecrafter import cli, cone, pipeline
 from conecrafter.cli import main
 
 from conftest import corpus_path
@@ -155,6 +155,45 @@ class TestFailurePaths:
         report = json.loads(out)
         assert report["complete"] is False
         assert report["failures"]
+
+    @pytest.mark.parametrize("budget", [
+        ("--samples", "-3"), ("--samples", "-1"), ("--max-steps", "0"), ("--max-steps", "-5"),
+    ])
+    @pytest.mark.parametrize("document", [
+        "p2_minkowski", "bielliptic_z4", "product_gauss_squared",
+    ])
+    def test_verify_budget_rejected(self, capsys, monkeypatch, tmp_path, budget, document):
+        """A negative sample count would report a complete verification of
+        nothing, and a search budget below one fails every sample; both
+        exit 2 before any structure is built, on stdout and in --out."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the budget is checked before any work")
+
+        monkeypatch.setattr(pipeline, "prepare_torus", refuse)
+        monkeypatch.setattr(pipeline, "build_problem", refuse)
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "verify", corpus_path(f"{document}.json"), *budget, "--out", str(target)
+        )
+        assert code == cli.EXIT_VALIDATION == 2
+        flag, value = budget
+        name = flag[2:].replace("-", "_")
+        assert json.loads(out) == {"error": {
+            "type": "validation",
+            "message": f"verify_budget: {name} must be at least "
+            f"{0 if name == 'samples' else 1}, got {value}",
+            "invariant": "verify_budget",
+        }}
+        assert target.read_text() == out
+
+    @pytest.mark.parametrize("budget", [
+        ("--samples", "0"), ("--samples", "4", "--max-steps", "1"),
+    ])
+    def test_verify_budget_edges_accepted(self, capsys, budget):
+        code, out, _ = run_cli(capsys, "verify", corpus_path("elliptic_gauss.json"), *budget)
+        report = json.loads(out)
+        assert report["samples"] == int(budget[1])
+        assert code == (0 if report["complete"] else 3)
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):

@@ -5,7 +5,9 @@ projections of a cone, the freeness of an action, the validation of a
 torus, the integer forms of a lattice, the word ball of a verification.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
-the full endomorphism algebra for every command but endo."""
+the full endomorphism algebra for every command but endo. Sampled points
+repeat, and verify tests each distinct candidate for interiority once and
+searches each distinct sample once."""
 
 import pytest
 
@@ -13,6 +15,7 @@ import conecrafter.cone as cone
 import conecrafter.endo as endo
 import conecrafter.pipeline as pipeline
 import conecrafter.polynomials as polynomials
+import conecrafter.reduction as reduction
 import conecrafter.torus as torus
 from conecrafter.cone import compute_ns, is_ample, is_nef
 from conecrafter.endo import compute_end, invariant_subalgebra, rosati
@@ -282,3 +285,44 @@ def test_full_algebra_only_for_endo(monkeypatch, run, builds, name):
     monkeypatch.setattr(endo, "compute_end", counted)
     run(load_corpus(name + ".json"))
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("name", ["elliptic_gauss", "bielliptic_z4"])
+def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
+    """At seed 1003 the 1000 samples of elliptic_gauss hold 36 distinct
+    points, drawn from 54 distinct candidates; bielliptic_z4's hold 416,
+    from 919."""
+    sampling = [False]
+    tested = []
+    searched = []
+    sampled = []
+    original_test = cone.NSLattice.is_ample_coords
+    original_samples = reduction._tiling_samples
+    original_search = reduction._best_first_reduce
+
+    def counted_test(self, coords):
+        if sampling[0]:
+            tested.append(tuple(coords))
+        return original_test(self, coords)
+
+    def recorded_samples(*args):
+        sampling[0] = True
+        try:
+            pts = original_samples(*args)
+        finally:
+            sampling[0] = False
+        sampled.extend(pts)
+        return pts
+
+    def counted_search(problem, domain, start, *args):
+        searched.append(start)
+        return original_search(problem, domain, start, *args)
+
+    monkeypatch.setattr(cone.NSLattice, "is_ample_coords", counted_test)
+    monkeypatch.setattr(reduction, "_tiling_samples", recorded_samples)
+    monkeypatch.setattr(reduction, "_best_first_reduce", counted_search)
+    report = run_verify(load_corpus(name + ".json"), seed=1003)
+    assert report["complete"] and report["verified"] == len(sampled) == 1000
+    assert len(set(sampled)) < len(set(tested)) < 1000
+    assert len(tested) == len(set(tested))
+    assert sorted(searched) == sorted(set(sampled))

@@ -21,6 +21,7 @@ from conecrafter.matrices import (
     is_positive_definite,
     lattice_coordinates,
     matrix_kernel_basis,
+    positive_definite,
     semidefinite_rank,
     solve_integer,
     trace_gram,
@@ -328,9 +329,38 @@ def symmetric_int_matrices(draw):
     return gram if kind == "gram" else -gram
 
 
+@st.composite
+def upper_triangle_symmetric(draw):
+    """Symmetric matrices from an arbitrary upper triangle, up to 5x5:
+    mostly indefinite, with some large entries."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entries = st.one_of(st.integers(-6, 6), st.integers(-10**12, 10**12))
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    return Matrix([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+
+
 class TestElimination:
-    """det, definiteness_sign and semidefinite_rank are checked against
-    cofactor expansion."""
+    """det, definiteness_sign, semidefinite_rank and positive_definite are
+    checked against cofactor expansion."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(symmetric_int_matrices(), upper_triangle_symmetric()))
+    @example(Matrix([[2, 1], [1, 2]]))  # positive definite
+    @example(Matrix([[1, 2], [2, 4]]))  # singular, positive semidefinite
+    @example(Matrix([[2, 3], [3, 2]]))  # indefinite after a positive pivot
+    @example(Matrix([[0, 1], [1, 0]]))  # zero leading minor
+    @example(Matrix([[0, 0, 0], [0, 2, 1], [0, 1, 2]]))  # semidefinite_rank swaps pivots
+    @example(Matrix([[1, 1, 0], [1, 2, 1], [0, 1, 2]]))  # pivots 1, 1, 1
+    @example(Matrix([[4, 2, 2], [2, 5, 1], [2, 1, 6]]))  # pivots need exact division
+    def test_positive_definite_matches_sylvester(self, m):
+        want = minors_sign(m) == 1
+        assert positive_definite(m.rows) is want
+        assert (semidefinite_rank(m.rows) == m.nrows) is want
+
+    def test_positive_definite_leaves_its_input_alone(self):
+        rows = [[4, 2, 2], [2, 5, 1], [2, 1, 6]]
+        assert positive_definite(rows)
+        assert rows == [[4, 2, 2], [2, 5, 1], [2, 1, 6]]
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_int_matrices())

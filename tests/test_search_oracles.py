@@ -4,10 +4,12 @@ they replaced.
 The reference functions below are the earlier implementations, kept
 verbatim in behaviour: the group closure composes AffineAuto objects, the
 word ball and the tiling search compose Matrix objects, the eta search
-transposes each ball element per candidate, and the overlap search forms
-every image. The rewritten functions must give equal results: the same
-group elements in the same order, the same words, matrices, points and
-images, and the same errors.
+transposes each ball element per candidate, the overlap search forms
+every image of every sample point, the sampler tests every candidate for
+interiority, and the tiling loop searches every sample, repeated or not.
+The rewritten functions must give equal results: the same group elements
+in the same order, the same words, matrices, points and images, the same
+reports with one failure per occurrence, and the same errors.
 """
 
 import heapq
@@ -32,13 +34,17 @@ from conecrafter.reduction import (
     OverlapWitness,
     PolyhedralCone,
     ReductionProblem,
+    TilingFailure,
+    TilingReport,
     _best_first_reduce,
     _tiling_samples,
     binary_quadratic_problem,
     find_eta,
     find_interior_overlap,
+    hyperbolic_domain,
     minkowski_domain_p2,
     primitive_tuple,
+    verify_tiling,
 )
 from conecrafter.torus import AffineAuto, GroupAction, close_group
 
@@ -162,6 +168,46 @@ def reference_best_first_reduce(problem, domain, start, eta, max_nodes):
     return None
 
 
+def reference_tiling_samples(problem, domain, count, seed):
+    rng = random.Random(seed)
+    samples = []
+    attempts = 0
+    scale = 2
+    while len(samples) < count // 2 and attempts < 200 * count:
+        attempts += 1
+        pt = tuple(scale * x + rng.randint(-3 * scale, 3 * scale) for x in problem.base_point)
+        if attempts % 100 == 0:
+            scale += 1
+        if problem.is_interior(pt):
+            samples.append(pt)
+    gens = problem.symmetric_generators
+    for pt in domain.interior_samples(count - len(samples), seed + 1):
+        cur = pt
+        if gens:
+            for _ in range(rng.randint(1, 8)):
+                _, gmat = gens[rng.randrange(len(gens))]
+                cur = _apply_matrix(gmat, cur)
+        samples.append(cur if problem.is_interior(cur) else pt)
+    return samples
+
+
+def reference_verify_tiling(problem, domain, samples=1000, seed=42, max_steps=20_000):
+    eta = reference_find_eta(problem, seed=seed)
+    pts = reference_tiling_samples(problem, domain, samples, seed)
+    verified = 0
+    failures = []
+    for pt in pts:
+        word = reference_best_first_reduce(problem, domain, pt, eta, max_steps)
+        if word is None:
+            failures.append(TilingFailure(pt, "search budget exhausted"))
+            continue
+        if not domain.contains(_apply_matrix(word.matrix, pt)):
+            failures.append(TilingFailure(pt, "certificate recheck failed"))
+            continue
+        verified += 1
+    return TilingReport(len(pts), verified, eta, tuple(failures))
+
+
 def reference_find_interior_overlap(problem, domain, seed=42, word_length=4, samples=200):
     pts = [p for p in domain.interior_samples(samples, seed) if domain.contains(p, strict=True)]
     for letters, mat in reference_word_ball(problem, word_length):
@@ -258,7 +304,12 @@ PROBLEMS = ["p2_minkowski", "elliptic_gauss", "bielliptic_z4", "hyperbolic_z8"]
 
 
 def _problem(name, seed):
-    return _p2() if name == "p2_minkowski" else _torus(name, seed)
+    if name == "p2_minkowski":
+        return _p2()
+    if name == "hyperbolic_sector":
+        problem = _hyperbolic_problem()
+        return problem, hyperbolic_domain(problem.generators[0][1], problem.base_point)
+    return _torus(name, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -288,6 +339,32 @@ class TestSearchesMatchTheMatrixVersions:
         problem, domain = _problem(name, seed)
         got = find_interior_overlap(problem, domain, seed=seed)
         assert got == reference_find_interior_overlap(problem, domain, seed=seed)
+
+
+@pytest.mark.parametrize("max_steps", (1, 3, 20_000))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", PROBLEMS + ["hyperbolic_sector"])
+def test_verify_tiling_matches_the_per_sample_loop(name, seed, max_steps):
+    """Searching each distinct sample once changes no report: the same
+    samples, count, eta and failures, one failure per occurrence."""
+    problem, domain = _problem(name, seed)
+    pts = _tiling_samples(problem, domain, 1000, seed)
+    assert pts == reference_tiling_samples(problem, domain, 1000, seed)
+    got = verify_tiling(problem, domain, samples=1000, seed=seed, max_steps=max_steps)
+    assert got == reference_verify_tiling(problem, domain, 1000, seed, max_steps)
+    assert got.verified + len(got.failures) == got.samples == 1000
+    failed = {f.point for f in got.failures}
+    assert [f.point for f in got.failures] == [p for p in pts if p in failed]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ["hyperbolic_z8", "hyperbolic_sector"])
+def test_repeated_failures_are_listed_per_occurrence(name, seed):
+    problem, domain = _problem(name, seed)
+    got = verify_tiling(problem, domain, samples=1000, seed=seed, max_steps=1)
+    points = [f.point for f in got.failures]
+    assert len(points) > len(set(points)) > 0
+    assert got == reference_verify_tiling(problem, domain, 1000, seed, 1)
 
 
 def _assert_same_witness(got, want):
