@@ -1,7 +1,20 @@
 """Integer kernels: matrix products, division-free characteristic polynomials,
-and sign evaluations used by the exact linear algebra layer.
+sign evaluations, and compiled linear maps used by the exact linear algebra
+layer.
 
 All functions work on Python big integers, so results are exact at any size.
+
+A loop that applies one fixed small integer matrix thousands of times pays
+more for the interpreter's generic row-by-row products than for the
+arithmetic. ``linear_map``, ``linear_form`` and ``nonnegative_test`` turn
+such a matrix into a straight-line Python function, built once with
+``exec``: zero terms are dropped, +-1 coefficients become plain ``x`` and
+``-x``, and every other coefficient is bound as a name (``k0``, ``k1``, ...)
+in the function's closure. The source text holds only those names and the
+variable indices, never a coefficient's digits, so no value reaches the
+source and Python's limit on int-to-str conversion cannot trip. Callers
+build each function once per problem, cone or lattice, and recheck what
+they certify with generic code that shares nothing with these functions.
 """
 
 BACKEND = "pure"
@@ -85,3 +98,51 @@ def sign_variations(signs):
                 count += 1
             prev = s
     return count
+
+
+def linear_map(rows):
+    """v -> rows @ v as a tuple, for a fixed integer matrix given by rows."""
+    return _straight_line(rows, lambda exprs: f"({''.join(e + ', ' for e in exprs)})")
+
+
+def linear_form(row):
+    """v -> row . v, for a fixed integer covector."""
+    return _straight_line((row,), lambda exprs: exprs[0])
+
+
+def nonnegative_test(rows):
+    """v -> whether row . v >= 0 for every row, stopping at the first that
+    is negative."""
+    return _straight_line(rows, lambda exprs: " and ".join(e + " >= 0" for e in exprs) or "True")
+
+
+def _straight_line(rows, join):
+    """Compile v -> the expression join makes of the row expressions."""
+    width = len(rows[0]) if rows else 0
+    values = []
+    exprs = []
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("rows must have equal length")
+        expr = ""
+        for j, c in enumerate(row):
+            if not c:
+                continue
+            if c == 1 or c == -1:
+                term = f"x{j}"
+            else:
+                term = f"k{len(values)}*x{j}"
+                values.append(c)
+            if c == -1:
+                expr += f" - {term}" if expr else f"-{term}"
+            else:
+                expr += f" + {term}" if expr else term
+        exprs.append(expr or "0")
+    params = ", ".join(f"k{i}" for i in range(len(values)))
+    lines = [f"def build({params}):", "    def linear(v):"]
+    if width:
+        lines.append(f"        {', '.join(f'x{j}' for j in range(width))}, = v")
+    lines += [f"        return {join(exprs)}", "    return linear"]
+    scope = {}
+    exec("\n".join(lines), scope)
+    return scope["build"](*values)

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
+from ._kernels import linear_map
 from .endo import EndoAlgebra, InvariantSubalgebra, invariant_subalgebra
 from .errors import InternalInvariantError, ValidationError
 from .matrices import (
@@ -84,8 +84,9 @@ class NSLattice(MatrixLattice):
     Classes given by coordinates are tested for ampleness (nefness) by
     whether sum c_i S_i is positive definite (semidefinite), where
     S_i = D (b_i @ J) are integer symmetric matrices built once per
-    lattice; see the module docstring for why this agrees with the
-    bare-form is_ample / is_nef, which stay as the reference."""
+    lattice, and the sum is one compiled linear map, also built once;
+    see the module docstring for why this agrees with the bare-form
+    is_ample / is_nef, which stay as the reference."""
 
     torus: PolarizedTorus
     basis: tuple[Matrix, ...]
@@ -120,20 +121,19 @@ class NSLattice(MatrixLattice):
             raise ValueError("ampleness needs a definite polarization")
         return tuple((b @ j * sign).flat() for b in self.basis)
 
-    def _hermitian_rows(self, coords: Sequence) -> list[list[int]]:
+    @cached_property
+    def _form_map(self) -> Callable[[Sequence], tuple]:
+        """Coordinates -> the entries of sum c_i S_i, row-major, compiled
+        once per lattice (``_kernels.linear_map``)."""
+        return linear_map(tuple(zip(*self.hermitian_forms)))
+
+    def _hermitian_rows(self, coords: Sequence) -> list[tuple[int, ...]]:
         """sum c_i S_i, scaled by the least positive integer clearing the
-        denominators of the coordinates: one pass over S_i per nonzero
-        c_i."""
+        denominators of the coordinates."""
         if len(coords) != self.rank:
             raise ValueError("coordinate length mismatch")
         n = self.torus.rank
-        flat = None
-        for c, form in zip(clear_denominators(coords)[0], self.hermitian_forms):
-            if c:
-                term = form if c == 1 else [c * x for x in form]
-                flat = term if flat is None else list(map(add, flat, term))
-        if flat is None:
-            return [[0] * n for _ in range(n)]
+        flat = self._form_map(clear_denominators(coords)[0])
         return [flat[i * n:(i + 1) * n] for i in range(n)]
 
     def is_ample_coords(self, coords: Sequence) -> bool:

@@ -11,6 +11,15 @@ Samples repeat (random words often land on the same point), so each
 distinct point is tested for interiority once, and each distinct sample
 is searched and rechecked once; a repeated sample shares the outcome of
 its first occurrence, and a failure is still listed per occurrence.
+
+The fixed small matrices that verification applies thousands of times are
+compiled once into straight-line functions (``_kernels.linear_map`` and
+its one-row and sign-test forms): each symmetric generator's step, the
+eta priority of a search, a domain's closed-membership test and its ray
+combination. The matrices a search composes from those steps are
+rechecked on the generic ``_apply`` and ``_dot``, which share no code
+with the compiled functions: the recomposition of a search path, the
+certificate of each reduced sample, and the image of an overlap witness.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Sequence
 
+from ._kernels import linear_form, linear_map, nonnegative_test
 from .errors import (
     DeskScaleError,
     InternalInvariantError,
@@ -118,19 +128,22 @@ class PolyhedralCone:
             return all(_dot(f, v) > 0 for f in self.facets)
         return all(_dot(f, v) >= 0 for f in self.facets)
 
+    @cached_property
+    def closed_test(self) -> Callable[[Sequence], bool]:
+        """contains(v) for the closed cone, compiled once per cone."""
+        return nonnegative_test(self.facets)
+
+    @cached_property
+    def _combine(self) -> Callable[[Sequence], tuple]:
+        """Coefficients -> the combination of the rays, compiled once."""
+        return linear_map(tuple(zip(*self.rays)))
+
     def interior_samples(self, count: int, seed: int) -> list[tuple[int, ...]]:
         """Deterministic strictly interior lattice points: positive random
         combinations of the rays."""
         rng = random.Random(seed)
-        out = []
-        for _ in range(count):
-            coeffs = [rng.randint(1, 9) for _ in self.rays]
-            pt = tuple(
-                sum(c * r[i] for c, r in zip(coeffs, self.rays))
-                for i in range(self.dim)
-            )
-            out.append(pt)
-        return out
+        combine = self._combine
+        return [combine([rng.randint(1, 9) for _ in self.rays]) for _ in range(count)]
 
 
 def _subsets(items: list, k: int):
@@ -360,23 +373,42 @@ class ReductionProblem:
         return tuple(out)
 
     @cached_property
+    def steps(self) -> tuple[Callable[[Sequence], tuple], ...]:
+        """v -> g @ v for each symmetric generator g, in the same order,
+        compiled once per problem."""
+        return tuple(linear_map(m.rows) for _, m in self.symmetric_generators)
+
+    @cached_property
     def search_moves(self) -> tuple[list, ...]:
         """The letters an orbit search tries from a node, by the letter
         that reached it. Entry k leaves out the inverse of symmetric
         generator k (the list is closed under inversion), whose image is
         the node's parent; the last entry, for the start, keeps every
-        letter. A letter is (name, rows, the entry for its image)."""
+        letter. A letter is (name, step, the entry for its image)."""
         gens = [(name, m.rows) for name, m in self.symmetric_generators]
         ident = Matrix.identity(self.dim).rows
         inverse = [
             next(j for j, (_, b) in enumerate(gens) if rows_product(b, a) == ident)
             for _, a in gens
         ]
+        letters = [(name, step) for (name, _), step in zip(gens, self.steps)]
         moves = tuple([] for _ in range(len(gens) + 1))
         for came, entry in enumerate(moves):
             skip = inverse[came] if came < len(gens) else None
-            entry.extend((name, rows, moves[k]) for k, (name, rows) in enumerate(gens) if k != skip)
+            entry.extend((name, step, moves[k]) for k, (name, step) in enumerate(letters) if k != skip)
         return moves
+
+    @cached_property
+    def _priorities(self) -> dict:
+        return {}
+
+    def priority(self, eta: tuple[int, ...]) -> Callable[[Sequence], int]:
+        """v -> eta . v, the order of an orbit search, compiled once per
+        covector."""
+        form = self._priorities.get(eta)
+        if form is None:
+            form = self._priorities[eta] = linear_form(eta)
+        return form
 
     @cached_property
     def identity_word(self) -> GroupWord:
@@ -487,7 +519,9 @@ class TilingReport:
 
     @property
     def complete(self) -> bool:
-        return self.verified == self.samples and not self.failures
+        """Every sample verified, and at least one sample checked: a run
+        of zero samples certifies nothing."""
+        return self.samples > 0 and self.verified == self.samples and not self.failures
 
 
 def _best_first_reduce(
@@ -501,31 +535,31 @@ def _best_first_reduce(
     frontier in order of the eta value. Greedy descent plus the bounded
     uphill that boundary flips need, in one queue.
 
-    Nodes are int tuples and generators row tuples; a Matrix is built only
-    for a nonempty word found. A node reached by a letter is not moved by
-    that letter's inverse, whose image is the node's parent and so already
-    seen: each queue entry carries the letters to try from it."""
-    facets = domain.facets
+    Nodes are int tuples, moved by the problem's compiled steps, ordered by
+    its compiled priority and tested by the domain's compiled closed_test;
+    a Matrix is built only for a nonempty word found. A node reached by a
+    letter is not moved by that letter's inverse, whose image is the
+    node's parent and so already seen: each queue entry carries the
+    letters to try from it."""
+    inside = domain.closed_test
+    priority = problem.priority(eta)
     seen = {start}
     parent: dict[tuple, tuple] = {}
-    heap = [(_dot(eta, start), 0, start, problem.search_moves[-1])]
+    heap = [(priority(start), 0, start, problem.search_moves[-1])]
     counter = 1
     popped = 0
     while heap and popped < max_nodes:
         _, _, cur, tries = heappop(heap)
         popped += 1
-        for f in facets:
-            if _dot(f, cur) < 0:
-                break
-        else:
+        if inside(cur):
             return _path_word(problem, parent, start, cur)
-        for name, rows, after in tries:
-            nxt = _apply(rows, cur)
+        for name, step, after in tries:
+            nxt = step(cur)
             if nxt in seen:
                 continue
             seen.add(nxt)
-            parent[nxt] = (cur, name, rows)
-            heappush(heap, (_dot(eta, nxt), counter, nxt, after))
+            parent[nxt] = (cur, name, step)
+            heappush(heap, (priority(nxt), counter, nxt, after))
             counter += 1
     return None
 
@@ -537,18 +571,20 @@ def _path_word(
     end: tuple[int, ...],
 ) -> GroupWord:
     """The word of the search path from start to end, its matrix composed
-    on row tuples and rechecked against end."""
+    by applying the path's steps to the columns of the identity, and
+    rechecked against end on the generic _apply."""
     chain = []
     node = end
     while node in parent:
-        node, name, rows = parent[node]
-        chain.append((name, rows))
+        node, name, step = parent[node]
+        chain.append((name, step))
     if not chain:
         return problem.identity_word
     chain.reverse()
-    mat = chain[0][1]
-    for _, rows in chain[1:]:
-        mat = rows_product(rows, mat)
+    cols = problem.identity_word.matrix.rows
+    for _, step in chain:
+        cols = [step(c) for c in cols]
+    mat = tuple(zip(*cols))
     if _apply(mat, start) != end:
         raise InternalInvariantError("reduction path does not recompose")
     return GroupWord(tuple((name, 1) for name, _ in chain), Matrix.trusted(mat, True))
@@ -585,14 +621,13 @@ def _tiling_samples(
             scale += 1
         if interior(pt):
             samples.append(pt)
-    gens = problem.symmetric_generators
+    steps = problem.steps
     inner = domain.interior_samples(count - len(samples), seed + 1)
     for pt in inner:
         cur = pt
-        if gens:
+        if steps:
             for _ in range(rng.randint(1, 8)):
-                name, gmat = gens[rng.randrange(len(gens))]
-                cur = _apply(gmat.rows, cur)
+                cur = steps[rng.randrange(len(steps))](cur)
         if interior(cur):
             samples.append(cur)
         else:
@@ -664,17 +699,24 @@ def find_interior_overlap(
     inside every facet pulled back through M (f.M p > 0), so each element
     filters the points by its pulled-back facets, and the image is formed
     and rechecked only for a witness. Each distinct sample point is
-    filtered once, in order of first occurrence."""
+    filtered once, in order of first occurrence.
+
+    The sample points are strictly positive combinations of the domain's
+    rays, so an element with a pulled-back facet that is <= 0 on every
+    ray carries none of them inside; it is skipped without filtering."""
     pts = [
         p for p in dict.fromkeys(domain.interior_samples(samples, seed))
         if domain.contains(p, strict=True)
     ]
+    on_rays = linear_map(domain.rays)
     for letters, mat in problem.word_ball(word_length):
         cols = tuple(zip(*mat.rows))
+        pulled = [_apply(cols, f) for f in domain.facets]
+        if any(max(on_rays(p)) <= 0 for p in pulled):
+            continue
         inside = pts
-        for f in domain.facets:
-            pulled = _apply(cols, f)
-            inside = [p for p in inside if _dot(pulled, p) > 0]
+        for p in pulled:
+            inside = [q for q in inside if _dot(p, q) > 0]
             if not inside:
                 break
         else:

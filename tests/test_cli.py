@@ -195,6 +195,23 @@ class TestFailurePaths:
         assert report["samples"] == int(budget[1])
         assert code == (0 if report["complete"] else 3)
 
+    @pytest.mark.parametrize("document", ["hyperbolic_z8", "p2_minkowski"])
+    def test_verify_zero_samples_is_incomplete(self, capsys, tmp_path, document):
+        """A run that checks no tiling sample certifies nothing: it
+        reports complete false and exits 3, on stdout and in --out."""
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "verify", corpus_path(f"{document}.json"),
+            "--samples", "0", "--out", str(target),
+        )
+        assert code == cli.EXIT_INCOMPLETE == 3
+        report = json.loads(out)
+        assert report["samples"] == report["verified"] == 0
+        assert report["failures"] == []
+        assert report["overlap"] is None
+        assert report["complete"] is False
+        assert target.read_text() == out
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate", "x.json"])

@@ -2,7 +2,8 @@
 of an algebra, the inverse of the polarization, the symmetric generators
 of a reduction problem, the coordinate solver of a lattice, the factor
 projections of a cone, the freeness of an action, the validation of a
-torus, the integer forms of a lattice, the word ball of a verification.
+torus, the integer forms of a lattice, the word ball of a verification,
+the compiled linear maps of a problem, a domain and a lattice.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
 the full endomorphism algebra for every command but endo. Sampled points
@@ -11,6 +12,7 @@ searches each distinct sample once."""
 
 import pytest
 
+import conecrafter._kernels as kernels
 import conecrafter.cone as cone
 import conecrafter.endo as endo
 import conecrafter.pipeline as pipeline
@@ -326,3 +328,26 @@ def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
     assert len(set(sampled)) < len(set(tested)) < 1000
     assert len(tested) == len(set(tested))
     assert sorted(searched) == sorted(set(sampled))
+
+
+@pytest.mark.parametrize("name", ["p2_minkowski", "hyperbolic_z8"])
+def test_verify_compiles_per_problem_not_per_sample(monkeypatch, name):
+    """Generator steps, the eta priority, the domain's membership test and
+    ray combination, and the lattice's form map are compiled once per
+    object: doubling the samples compiles nothing more. linear_map,
+    linear_form and nonnegative_test all compile through _straight_line."""
+    compiled = [0]
+    original = kernels._straight_line
+
+    def counted(rows, join):
+        compiled[0] += 1
+        return original(rows, join)
+
+    monkeypatch.setattr(kernels, "_straight_line", counted)
+    counts = []
+    for samples in (100, 200):
+        compiled[0] = 0
+        report = run_verify(load_corpus(name + ".json"), samples=samples)
+        assert report["complete"] and report["verified"] == samples
+        counts.append(compiled[0])
+    assert counts[0] == counts[1] > 0

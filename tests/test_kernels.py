@@ -1,11 +1,22 @@
 """The integer kernels against independent oracles: naive products,
-cofactor expansion and Fraction arithmetic.
+cofactor expansion, Fraction arithmetic, and generic row-by-row products
+for the compiled linear maps.
 """
 
 import random
 from fractions import Fraction
+from operator import mul
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conecrafter import _kernels
+from conecrafter.matrices import Matrix
+from conecrafter.pipeline import build_domain, prepare_torus
+from conecrafter.reduction import PolyhedralCone, hyperbolic_domain
+
+from conftest import load_corpus
 
 
 def test_backend_reports_something():
@@ -114,3 +125,88 @@ def test_sign_variations_known():
     assert _kernels.sign_variations([1, 0, -1]) == 1
     assert _kernels.sign_variations([0, 0, 1, 0, 0, -1, 0]) == 1
     assert _kernels.sign_variations([-1, 0, 0, -1]) == 0
+
+
+# --- compiled linear maps ---------------------------------------------------
+
+HUGE = 10**5000  # past the 4300-digit int-to-str limit
+
+coefficients = st.one_of(
+    st.sampled_from((0, 1, -1)),
+    st.integers(-10**6, 10**6),
+    st.builds(lambda sign, low: sign * (HUGE + low), st.sampled_from((1, -1)), st.integers(0, 9)),
+)
+
+
+def generic_map(rows, v):
+    return tuple(sum(map(mul, row, v)) for row in rows)
+
+
+@st.composite
+def matrices_and_vectors(draw, max_rows=4, max_cols=4):
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    rows = [draw(st.lists(coefficients, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    v = tuple(draw(st.lists(coefficients, min_size=ncols, max_size=ncols)))
+    return rows, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_and_vectors())
+@example(([[0, 0], [1, -1]], (HUGE, -HUGE)))
+@example(([[HUGE, -1, 0, 1]], (1, 1, 1, 1)))
+def test_linear_map_matches_the_generic_product(case):
+    rows, v = case
+    want = generic_map(rows, v)
+    assert _kernels.linear_map(rows)(v) == want
+    for row, value in zip(rows, want):
+        assert _kernels.linear_form(row)(v) == value
+    assert _kernels.nonnegative_test(rows)(v) == all(x >= 0 for x in want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.lists(st.lists(coefficients, min_size=r, max_size=r), min_size=16, max_size=16),
+    st.lists(coefficients, min_size=r, max_size=r).map(tuple),
+)))
+def test_form_maps_match_the_generic_product(case):
+    """16 x r maps, the shape of a rank-4 torus's Hermitian form map."""
+    rows, v = case
+    assert _kernels.linear_map(rows)(v) == generic_map(rows, v)
+
+
+def test_linear_map_checks_its_input_width():
+    with pytest.raises(ValueError):
+        _kernels.linear_map([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        _kernels.linear_map([[1, 2]])((1, 2, 3))
+
+
+def test_no_coefficient_reaches_the_source():
+    compiled = _kernels.linear_map([[HUGE, 7], [-1, 0]])
+    names = compiled.__code__.co_freevars
+    assert set(names) == {"k0", "k1"}
+    assert all(not isinstance(c, int) or abs(c) <= 1 for c in compiled.__code__.co_consts)
+
+
+def _domain(name):
+    if name == "p2_minkowski":
+        return PolyhedralCone.from_rays(load_corpus("p2_minkowski.json").domain_rays)
+    if name == "hyperbolic_sector":
+        return hyperbolic_domain(Matrix([[3, 2], [4, 3]]), (0, 1))
+    return build_domain(prepare_torus(load_corpus(name + ".json"))).domain
+
+
+@pytest.mark.parametrize("name", [
+    "p2_minkowski", "elliptic_gauss", "bielliptic_z4", "hyperbolic_z8", "hyperbolic_sector",
+])
+def test_closed_test_matches_contains(name):
+    domain = _domain(name)
+    rng = random.Random(name)
+    points = [tuple(rng.randint(-9, 9) for _ in range(domain.dim)) for _ in range(400)]
+    points += list(domain.rays) + [tuple(0 for _ in range(domain.dim))]
+    verdicts = [domain.contains(p) for p in points]
+    assert [domain.closed_test(p) for p in points] == verdicts
+    assert True in verdicts and False in verdicts

@@ -7,6 +7,8 @@ word ball and the tiling search compose Matrix objects, the eta search
 transposes each ball element per candidate, the overlap search forms
 every image of every sample point, the sampler tests every candidate for
 interiority, and the tiling loop searches every sample, repeated or not.
+The domain's interior samples and a lattice's Hermitian form are formed
+by the generic sums the compiled linear maps replaced.
 The rewritten functions must give equal results: the same group elements
 in the same order, the same words, matrices, points and images, the same
 reports with one failure per occurrence, and the same errors.
@@ -15,12 +17,14 @@ reports with one failure per occurrence, and the same errors.
 import heapq
 import random
 from fractions import Fraction
-from operator import mul
+from math import lcm
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecrafter.cone import compute_ns, invariant_ns
 from conecrafter.errors import ClosureError, InternalInvariantError, SearchExhausted
 from conecrafter.matrices import Matrix
 from conecrafter.pipeline import (
@@ -87,6 +91,32 @@ def _apply_matrix(m, v):
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def reference_interior_samples(domain, count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        coeffs = [rng.randint(1, 9) for _ in domain.rays]
+        out.append(tuple(
+            sum(c * r[i] for c, r in zip(coeffs, domain.rays))
+            for i in range(domain.dim)
+        ))
+    return out
+
+
+def reference_hermitian_rows(lattice, coords):
+    fracs = [Fraction(c) for c in coords]
+    d = lcm(*(f.denominator for f in fracs))
+    n = lattice.torus.rank
+    flat = None
+    for c, form in zip([int(f * d) for f in fracs], lattice.hermitian_forms):
+        if c:
+            term = form if c == 1 else [c * x for x in form]
+            flat = term if flat is None else list(map(add, flat, term))
+    if flat is None:
+        return [[0] * n for _ in range(n)]
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 def reference_word_ball(problem, max_length):
@@ -181,7 +211,7 @@ def reference_tiling_samples(problem, domain, count, seed):
         if problem.is_interior(pt):
             samples.append(pt)
     gens = problem.symmetric_generators
-    for pt in domain.interior_samples(count - len(samples), seed + 1):
+    for pt in reference_interior_samples(domain, count - len(samples), seed + 1):
         cur = pt
         if gens:
             for _ in range(rng.randint(1, 8)):
@@ -209,7 +239,10 @@ def reference_verify_tiling(problem, domain, samples=1000, seed=42, max_steps=20
 
 
 def reference_find_interior_overlap(problem, domain, seed=42, word_length=4, samples=200):
-    pts = [p for p in domain.interior_samples(samples, seed) if domain.contains(p, strict=True)]
+    pts = [
+        p for p in reference_interior_samples(domain, samples, seed)
+        if domain.contains(p, strict=True)
+    ]
     for letters, mat in reference_word_ball(problem, word_length):
         for pt in pts:
             image = _apply_matrix(mat, pt)
@@ -396,3 +429,37 @@ def test_overlap_without_interior_points_is_none():
     domain = minkowski_domain_p2()
     assert find_interior_overlap(problem, domain, samples=0) is None
     assert reference_find_interior_overlap(problem, domain, samples=0) is None
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", PROBLEMS + ["hyperbolic_sector"])
+def test_interior_samples_match_the_generic_sums(name, seed):
+    _, domain = _problem(name, seed)
+    for count in (0, 1, 200, 1000):
+        got = domain.interior_samples(count, seed)
+        assert got == reference_interior_samples(domain, count, seed)
+        assert all(type(x) is int for p in got for x in p)
+
+
+@pytest.mark.parametrize("name", ["elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"])
+def test_hermitian_rows_match_the_per_form_loop(name):
+    ctx = prepare_torus(load_corpus(name + ".json"))
+    t = ctx.invariant_torus
+    rng = random.Random(name)
+    for lattice in (invariant_ns(t, ctx.group), compute_ns(t)):
+        classes = [
+            [0] * lattice.rank,
+            [1] + [0] * (lattice.rank - 1),
+            list(lattice.coordinates(t.e)),
+        ]
+        classes += [[rng.randint(-9, 9) for _ in range(lattice.rank)] for _ in range(60)]
+        classes += [
+            [rng.choice((0, 1, -1, 10**40)) for _ in range(lattice.rank)] for _ in range(20)
+        ]
+        classes += [
+            [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(lattice.rank)]
+            for _ in range(60)
+        ]
+        for coords in classes:
+            got = lattice._hermitian_rows(coords)
+            assert [list(row) for row in got] == reference_hermitian_rows(lattice, coords)
