@@ -11,7 +11,6 @@ from .cone import (
     invariant_ns,
     is_ample,
     is_nef,
-    trace_dual_pairing,
 )
 from .endo import (
     EndoAlgebra,
@@ -40,7 +39,6 @@ from .reduction import (
     find_interior_overlap,
     gauss_reduce,
     hyperbolic_domain,
-    minkowski_domain_p2,
     pell_fundamental_unit,
     pell_positive_unit,
     pushdown_domain,
@@ -96,13 +94,11 @@ __all__ = [
     "is_ample",
     "is_nef",
     "lookup_kind",
-    "minkowski_domain_p2",
     "normalize_polarization",
     "pell_fundamental_unit",
     "pell_positive_unit",
     "pushdown_domain",
     "rosati",
-    "trace_dual_pairing",
     "trace_positivity_check",
     "validate_torus",
     "verify_tiling",

@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from ._kernels import linear_map
-from .endo import EndoAlgebra, InvariantSubalgebra, invariant_subalgebra
+from .endo import InvariantSubalgebra, invariant_subalgebra
 from .errors import InternalInvariantError, ValidationError
 from .matrices import (
     Matrix,
@@ -57,10 +57,6 @@ def ns_to_endo(t: PolarizedTorus, f: Matrix) -> Matrix:
     return t.e_inv @ f
 
 
-def endo_to_ns(t: PolarizedTorus, phi: Matrix) -> Matrix:
-    return t.e @ phi
-
-
 def is_ample(t: PolarizedTorus, f: Matrix) -> bool:
     """Exact ampleness relative to the polarization: all roots of the
     relative characteristic polynomial are strictly positive."""
@@ -69,11 +65,6 @@ def is_ample(t: PolarizedTorus, f: Matrix) -> bool:
 
 def is_nef(t: PolarizedTorus, f: Matrix) -> bool:
     return all_roots_nonnegative(char_poly(ns_to_endo(t, f)))
-
-
-def trace_dual_pairing(t: PolarizedTorus, f1: Matrix, f2: Matrix):
-    """Tr(E^-1 f1 E^-1 f2); positive whenever both forms are ample."""
-    return trace_gram([ns_to_endo(t, f1)], [ns_to_endo(t, f2)])[0, 0]
 
 
 @dataclass(frozen=True)
@@ -143,30 +134,30 @@ class NSLattice(MatrixLattice):
         return semidefinite_rank(self._hermitian_rows(coords)) is not None
 
 
-def compute_ns(t: PolarizedTorus) -> NSLattice:
-    """Canonical basis of {F integral : F alternating, J.T F J = F}."""
-    rows = antisymmetry_rows(t.rank) + congruence_rows(t.j)
-    basis = matrix_kernel_basis(rows, (t.rank, t.rank))
-    if not basis:
-        raise InternalInvariantError("polarization lost from the form lattice")
-    return NSLattice(t, tuple(basis))
-
-
-def invariant_ns(t: PolarizedTorus, group: GroupAction) -> NSLattice:
-    """Canonical basis of the forms fixed by every pullback of the action."""
-    gens = []
-    seen = set()
-    for g in group.elements:
-        if g.linear not in seen and g.linear != Matrix.identity(t.rank):
-            seen.add(g.linear)
-            gens.append(g.linear)
-    rows = antisymmetry_rows(t.rank) + congruence_rows(t.j)
-    for g in gens:
+def _form_lattice(t: PolarizedTorus, maps: Sequence[Matrix], lost: str) -> NSLattice:
+    """Canonical basis of {F integral : F alternating, g.T F g = F for g
+    in maps}; maps start with J. The polarization lies in it, so an empty
+    basis raises with the message lost."""
+    rows = antisymmetry_rows(t.rank)
+    for g in maps:
         rows.extend(congruence_rows(g))
     basis = matrix_kernel_basis(rows, (t.rank, t.rank))
     if not basis:
-        raise InternalInvariantError("invariant polarization lost from the lattice")
+        raise InternalInvariantError(lost)
     return NSLattice(t, tuple(basis))
+
+
+def compute_ns(t: PolarizedTorus) -> NSLattice:
+    """Canonical basis of {F integral : F alternating, J.T F J = F}."""
+    return _form_lattice(t, (t.j,), "polarization lost from the form lattice")
+
+
+def invariant_ns(t: PolarizedTorus, group: GroupAction) -> NSLattice:
+    """Canonical basis of the forms fixed by every pullback of the action,
+    which are the pullbacks by the group's linear generators."""
+    return _form_lattice(
+        t, (t.j, *group.linear_generators), "invariant polarization lost from the lattice"
+    )
 
 
 @dataclass(frozen=True)
@@ -204,12 +195,6 @@ class ConeStructure:
         """The full form lattice, built only for the commands that read it.
         It holds the invariant lattice, so it is never empty."""
         return compute_ns(self.torus)
-
-    def flags(self) -> list[str]:
-        return [f.flag for f in self.factors]
-
-    def labels(self) -> list[str]:
-        return [f.factor.label for f in self.factors]
 
 
 def _cone_flag(ns_dim: int) -> str:

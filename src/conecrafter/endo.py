@@ -10,7 +10,6 @@ byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -19,21 +18,11 @@ from .matrices import (
     Matrix,
     MatrixLattice,
     commutator_rows,
-    is_positive_definite,
+    definiteness_sign,
     matrix_kernel_basis,
     trace_gram,
 )
 from .torus import GroupAction, PolarizedTorus
-
-
-def _dedup(mats: Sequence[Matrix]) -> list[Matrix]:
-    seen = set()
-    out = []
-    for m in mats:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return out
 
 
 @dataclass(frozen=True)
@@ -68,34 +57,7 @@ class EndoAlgebra(MatrixLattice):
 
     @cached_property
     def center(self) -> tuple[Matrix, ...]:
-        return tuple(center_basis(self))
-
-    @cached_property
-    def unit(self) -> tuple[Fraction, ...]:
-        return self.coordinates(Matrix.identity(self.rank))
-
-    @cached_property
-    def structure_constants(self) -> tuple:
-        """c[i][j] = coordinates of basis[i] @ basis[j]."""
-        return tuple(
-            tuple(self.coordinates(bi @ bj) for bj in self.basis) for bi in self.basis
-        )
-
-    def multiply_coords(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        sc = self.structure_constants
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                row = sc[i][j]
-                f = Fraction(xi) * Fraction(yj)
-                for k in range(self.dim):
-                    if row[k] != 0:
-                        out[k] += f * row[k]
-        return tuple(out)
+        return center_basis(self)
 
     def rosati(self, phi: Matrix) -> Matrix:
         return rosati(self.torus, phi)
@@ -111,26 +73,33 @@ def rosati(t: PolarizedTorus, phi: Matrix) -> Matrix:
     return t.e_inv @ phi.T @ t.e
 
 
+def _commutant(
+    t: PolarizedTorus, constraints: Sequence[Matrix], what: str
+) -> tuple[Matrix, ...]:
+    """Canonical integral basis of the rank x rank matrices commuting with
+    every constraint. It holds the identity, so an empty basis raises,
+    naming what was computed."""
+    rows = [row for c in constraints for row in commutator_rows(c)]
+    basis = matrix_kernel_basis(rows, (t.rank, t.rank))
+    if not basis:
+        raise InternalInvariantError(f"{what} lost its identity")
+    return tuple(basis)
+
+
 def compute_end(t: PolarizedTorus) -> EndoAlgebra:
     """Basis of the rational endomorphism algebra {M : M J = J M}."""
-    basis = matrix_kernel_basis(commutator_rows(t.j), (t.rank, t.rank))
-    if not basis:
-        raise InternalInvariantError("endomorphism algebra lost its identity")
-    return EndoAlgebra(t, tuple(basis), (t.j,))
+    return EndoAlgebra(t, _commutant(t, (t.j,), "endomorphism algebra"), (t.j,))
 
 
 def invariant_subalgebra(t: PolarizedTorus, group: GroupAction) -> "InvariantSubalgebra":
     """Subalgebra of endomorphisms commuting with J and the whole action.
 
-    Translations act trivially by conjugation, so only linear parts enter.
+    Translations act trivially by conjugation, so only the group's linear
+    generators enter.
     """
-    gens = _dedup(g.linear for g in group.elements)
-    constraints = [t.j] + [g for g in gens if g != Matrix.identity(t.rank)]
-    rows = [row for c in constraints for row in commutator_rows(c)]
-    basis = matrix_kernel_basis(rows, (t.rank, t.rank))
-    if not basis:
-        raise InternalInvariantError("invariant algebra lost its identity")
-    return InvariantSubalgebra(EndoAlgebra(t, tuple(basis), tuple(constraints)))
+    constraints = (t.j, *group.linear_generators)
+    basis = _commutant(t, constraints, "invariant algebra")
+    return InvariantSubalgebra(EndoAlgebra(t, basis, constraints))
 
 
 @dataclass(frozen=True)
@@ -160,20 +129,10 @@ class InvariantSubalgebra:
         return Matrix(list(zip(*cols)))
 
 
-def center_basis(algebra: EndoAlgebra) -> list[Matrix]:
+def center_basis(algebra: EndoAlgebra) -> tuple[Matrix, ...]:
     """Integral basis of the center, canonical in the same sense as the
     algebra basis."""
-    constraints = list(algebra.commutants) + list(algebra.basis)
-    rows = [row for c in constraints for row in commutator_rows(c)]
-    basis = matrix_kernel_basis(rows, (algebra.rank, algebra.rank))
-    if not basis:
-        raise InternalInvariantError("center lost its identity")
-    return basis
-
-
-def rosati_is_adjoint(t: PolarizedTorus, phi: Matrix) -> bool:
-    """Defining property: rosati(phi).T @ E == E @ phi."""
-    return (rosati(t, phi).T @ t.e) == (t.e @ phi)
+    return _commutant(algebra.torus, algebra.commutants + algebra.basis, "center")
 
 
 def rosati_fixes_algebra(algebra: EndoAlgebra) -> bool:
@@ -187,4 +146,4 @@ def trace_positivity_check(algebra: EndoAlgebra) -> bool:
     gram = algebra.rosati_gram
     if gram != gram.T:
         raise InternalInvariantError("rosati trace pairing must be symmetric")
-    return is_positive_definite(gram)
+    return definiteness_sign(gram) == 1

@@ -41,6 +41,17 @@ def clear_denominators(values: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
+def primitive_tuple(v: Sequence) -> tuple[int, ...]:
+    """The primitive integer vector on the ray of a nonzero int or
+    Fraction vector: v times the positive rational that clears its
+    denominators and divides out its content."""
+    ints, _ = clear_denominators(v)
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple([x // g for x in ints])
+
+
 def _divided(values: Iterable[int], d: int) -> list[Scalar]:
     """values / d as normalized entries: ints where d divides."""
     if d == 1:
@@ -98,12 +109,6 @@ class Matrix:
     @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
         return cls.trusted(((0,) * c,) * r, True)
-
-    @classmethod
-    def from_flat(cls, flat: Sequence, r: int, c: int) -> "Matrix":
-        if len(flat) != r * c:
-            raise ValueError("flat length does not match shape")
-        return cls([flat[i * c:(i + 1) * c] for i in range(r)])
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
@@ -403,11 +408,6 @@ def positive_definite(rows: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def is_positive_definite(m: Matrix) -> bool:
-    """Exact test on a symmetric matrix."""
-    return definiteness_sign(m) == 1
-
-
 def definiteness_sign(m: Matrix) -> int:
     """+1 / -1 when the symmetric matrix is positive / negative definite,
     0 otherwise, read from positive_definite of m and of -m scaled
@@ -420,27 +420,6 @@ def definiteness_sign(m: Matrix) -> int:
     if positive_definite((-scaled).rows):
         return -1
     return 0
-
-
-def block_diag(*mats: Matrix) -> Matrix:
-    rows = sum(m.nrows for m in mats)
-    cols = sum(m.ncols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                out[r0 + i][c0 + j] = m[i, j]
-        r0 += m.nrows
-        c0 += m.ncols
-    return Matrix(out)
-
-
-def vstack(*mats: Matrix) -> Matrix:
-    width = mats[0].ncols
-    if any(m.ncols != width for m in mats):
-        raise ValueError("width mismatch")
-    return Matrix([row for m in mats for row in m.rows])
 
 
 # --- integer lattice algorithms -------------------------------------------
@@ -650,11 +629,6 @@ def solve_integer(a: Matrix, b: Sequence) -> list[int] | None:
         return None
     ut = u.T
     return [int(sum(ut[i, k] * z[k] for k in range(c))) for i in range(c)]
-
-
-def lattice_coordinates(basis_rows: Matrix, v: Sequence) -> list[int] | None:
-    """Integer coordinates of v in the row lattice, or None."""
-    return solve_integer(basis_rows.T, v)
 
 
 def in_lattice_plus_integers(cols: Matrix, t: Sequence) -> bool:

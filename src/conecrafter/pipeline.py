@@ -7,7 +7,7 @@ byte-identical. Anything that varies, like wall clock timing, stays out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -16,15 +16,15 @@ from .cone import ConeStructure, cone_structure
 from .documents import SCHEMA, ProblemDocument, TorusDocument
 from .endo import invariant_subalgebra, rosati_fixes_algebra, trace_positivity_check
 from .errors import InternalInvariantError, ValidationError
-from .matrices import Matrix
+from .matrices import Matrix, primitive_tuple
 from .reduction import (
     PolyhedralCone,
     ReductionProblem,
+    binary_quadratic_problem,
     find_interior_overlap,
     gauss_reduce,
     hyperbolic_domain,
     is_gauss_reduced,
-    primitive_tuple,
     pushdown_domain,
     transform_form,
     verify_tiling,
@@ -147,12 +147,19 @@ def run_check(doc, seed: int = 42) -> dict:
     }
 
 
-def _check_problem(doc: ProblemDocument) -> dict:
+def _problem_domain(doc: ProblemDocument) -> tuple[ReductionProblem, PolyhedralCone]:
+    """The document's reduction problem, with its generators validated,
+    and its domain, whose rays must lie in the closed cone. check, funddom
+    and verify all read a problem document through here."""
     problem = build_problem(doc)
     domain = PolyhedralCone.from_rays(doc.domain_rays)
-    for r in domain.rays:
-        if not problem.is_closure(r):
-            raise ValidationError("domain_rays", "rays must lie in the closed cone")
+    if not all(problem.is_closure(r) for r in domain.rays):
+        raise ValidationError("domain_rays", "rays must lie in the closed cone")
+    return problem, domain
+
+
+def _check_problem(doc: ProblemDocument) -> dict:
+    problem, domain = _problem_domain(doc)
     return {
         **_header("check", doc),
         "kind": doc.kind,
@@ -353,10 +360,10 @@ def _validate_normalizer(ctx: TorusContext, gamma: Matrix) -> None:
     if (gamma @ t.j) != (t.j @ gamma):
         raise ValidationError("normalizer_holomorphic", "normalizer must commute with J")
     inv = gamma.inverse()
-    linears = set(ctx.group.linear_parts())
-    for g in ctx.group.elements:
-        conj = inv @ g.linear @ gamma
-        if conj not in linears:
+    # conjugation fixes the identity, so the generators must map onto each other
+    linears = set(ctx.group.linear_generators)
+    for g in ctx.group.linear_generators:
+        if inv @ g @ gamma not in linears:
             raise ValidationError(
                 "normalizer_group", "normalizer must normalize the group action"
             )
@@ -364,7 +371,7 @@ def _validate_normalizer(ctx: TorusContext, gamma: Matrix) -> None:
 
 def run_funddom(doc, seed: int = 42) -> dict:
     if doc.kind == "reduction_problem":
-        domain = PolyhedralCone.from_rays(doc.domain_rays)
+        _, domain = _problem_domain(doc)
         return {
             **_header("funddom", doc),
             "supported": True,
@@ -401,19 +408,12 @@ def _downgrade_message(built: DomainConstruction) -> str:
 
 
 def build_problem(doc: ProblemDocument) -> ReductionProblem:
-    from .reduction import binary_quadratic_problem
-
+    """The binary quadratic form problem, with the document's generators
+    when it names any; ReductionProblem validates them."""
     base = binary_quadratic_problem()
     if not doc.generators:
         return base
-    return ReductionProblem(
-        dim=3,
-        generators=doc.generators,
-        pairing=base.pairing,
-        base_point=base.base_point,
-        is_interior=base.is_interior,
-        is_closure=base.is_closure,
-    )
+    return replace(base, generators=doc.generators)
 
 
 def build_torus_problem(ctx: TorusContext, built: DomainConstruction) -> ReductionProblem:
@@ -463,8 +463,7 @@ def run_verify(doc, seed: int = 42, samples: int = 1000, max_steps: int = 20_000
     if max_steps < 1:
         raise ValidationError("verify_budget", f"max_steps must be at least 1, got {max_steps}")
     if doc.kind == "reduction_problem":
-        problem = build_problem(doc)
-        domain = PolyhedralCone.from_rays(doc.domain_rays)
+        problem, domain = _problem_domain(doc)
         pushdown = None
     else:
         ctx = prepare_torus(doc)

@@ -1,6 +1,10 @@
 """Exact univariate polynomials over Q: characteristic polynomials,
 Sturm-sequence root counting, and factorization for the small degrees
 (<= 8) this toolkit needs.
+
+sturm_chain is the one place that takes the squarefree part: the root
+tests read its degree, and whether 0 is a root, from the chain's first
+member. Factoring takes Yun's squarefree decomposition instead.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Sequence
 
 from ._kernels import berkowitz_charpoly, poly_sign_at, sign_variations
 from .errors import DeskScaleError
-from .matrices import Matrix
+from .matrices import Matrix, primitive_tuple
 
 FACTOR_DEGREE_CAP = 8
 _KRONECKER_TUPLE_CAP = 300_000
@@ -137,20 +141,6 @@ class Polynomial:
             return a
         return a.monic()
 
-    def primitive_integer(self) -> list[int]:
-        """Positive scaling to a primitive integer coefficient list; signs kept."""
-        if self.is_zero:
-            return []
-        d = 1
-        for c in self._coeffs:
-            if isinstance(c, Fraction):
-                d = d * c.denominator // gcd(d, c.denominator)
-        ints = [int(c * d) for c in self._coeffs]
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c))
-        return [c // g for c in ints]
-
     def squarefree_part(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("zero polynomial")
@@ -218,7 +208,7 @@ def sturm_chain(p: Polynomial) -> list[list[int]]:
     while not chain[-1].is_zero:
         chain.append(-(chain[-2] % chain[-1]))
     chain.pop()
-    return [c.primitive_integer() for c in chain if not c.is_zero]
+    return [list(primitive_tuple(c.coeffs)) for c in chain if not c.is_zero]
 
 
 def _variations_at(chain: list[list[int]], point) -> int:
@@ -263,24 +253,23 @@ def count_real_roots(p: Polynomial) -> int:
     return count_roots_in_interval(p, None, None)
 
 
+def _positive_root_count(chain: list[list[int]]) -> int:
+    """Distinct roots of chain[0] in (0, infinity): V(0+) - V(infinity)."""
+    return _variations_at(chain, 0) - _variations_at_infinity(chain, positive=True)
+
+
 def all_roots_positive(p: Polynomial) -> bool:
     """True when every complex root of p is a real number > 0."""
-    q = p.squarefree_part()
-    if q.degree == 0:
-        return True
-    return count_roots_in_interval(q, 0, None) == q.degree
+    chain = sturm_chain(p)
+    return _positive_root_count(chain) == len(chain[0]) - 1
 
 
 def all_roots_nonnegative(p: Polynomial) -> bool:
-    """True when every complex root of p is a real number >= 0."""
-    q = p.squarefree_part()
-    if q.degree == 0:
-        return True
-    if q.coeffs[0] == 0:
-        q = Polynomial(q.coeffs[1:])  # squarefree: at most one root at zero
-        if q.degree == 0:
-            return True
-    return count_roots_in_interval(q, 0, None) == q.degree
+    """True when every complex root of p is a real number >= 0; the
+    squarefree part has at most a simple root at 0."""
+    chain = sturm_chain(p)
+    q = chain[0]
+    return _positive_root_count(chain) == len(q) - 1 - (q[0] == 0)
 
 
 # --- factorization over Q, degree <= 8 -------------------------------------
@@ -416,14 +405,14 @@ def _factor_squarefree_monic(q: Polynomial) -> list[Polynomial]:
     """Monic irreducible factors of a monic squarefree polynomial."""
     if q.degree == 0:
         return []
-    work = q.primitive_integer()
+    work = list(primitive_tuple(q.coeffs))
     factors = []
     for root in _rational_roots(work):
         factors.append(Polynomial([-root, 1]))
     rem = q
     for f in factors:
         rem = rem // f
-    queue = [rem.primitive_integer()] if rem.degree > 0 else []
+    queue = [list(primitive_tuple(rem.coeffs))] if rem.degree > 0 else []
     while queue:
         coeffs = queue.pop()
         if len(coeffs) - 1 <= 3:

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from math import gcd, isqrt
+from math import isqrt
 from operator import mul
 from typing import Callable, Sequence
 
@@ -40,24 +39,9 @@ from .errors import (
     SearchExhausted,
     ValidationError,
 )
-from .matrices import Matrix, rows_product
+from .matrices import Matrix, primitive_tuple, rows_product
 
 MAX_CONE_DIM = 4
-
-
-def primitive_tuple(v: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to primitive integer form, keeping direction."""
-    fracs = [Fraction(x) for x in v]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -184,17 +168,12 @@ class GroupWord:
     def is_identity(self) -> bool:
         return self.matrix == Matrix.identity(self.matrix.nrows)
 
-    @property
-    def length(self) -> int:
-        return sum(abs(p) for _, p in self.letters)
-
 
 # --- binary quadratic forms -------------------------------------------------
 
 GAUSS_S = Matrix([[0, -1], [1, 0]])
 GAUSS_T = Matrix([[1, 1], [0, 1]])
 GAUSS_N = Matrix([[1, 0], [0, -1]])
-GAUSS_GENERATORS = {"S": GAUSS_S, "T": GAUSS_T, "N": GAUSS_N}
 
 
 def transform_form(form: Sequence[int], g: Matrix) -> tuple[int, int, int]:
@@ -255,11 +234,6 @@ def gauss_reduce(form: Sequence[int]) -> tuple[tuple[int, int, int], GroupWord]:
 P2_ACTION_S = Matrix([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
 P2_ACTION_T = Matrix([[1, 0, 0], [2, 1, 0], [1, 1, 1]])
 P2_ACTION_N = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
-
-
-def minkowski_domain_p2() -> PolyhedralCone:
-    """Reduced positive binary forms 0 <= b <= a <= c in (a, b, c) space."""
-    return PolyhedralCone.from_rays([(0, 0, 1), (1, 0, 1), (1, 1, 1)])
 
 
 # --- real quadratic units ---------------------------------------------------

@@ -5,6 +5,13 @@ A torus is the lattice Z^(2n) together with a rational matrix J (J @ J = -I)
 and an integral alternating polarization E compatible with J whose symmetric
 companion E @ J is definite. Affine automorphisms are pairs (linear part,
 translation mod 1); the linear part must be unimodular and commute with J.
+
+Translations do not enter invariance: conjugating an endomorphism phi by
+x -> A x + t, or pulling a form back along it, acts through A alone (the
+conjugate is A phi A^-1 plus a constant, and a translation acts on the
+lattice as the identity). So invariant algebras and form lattices are
+cut out by GroupAction.linear_generators; translations matter for
+freeness.
 """
 
 from __future__ import annotations
@@ -47,10 +54,6 @@ class PolarizedTorus:
     @property
     def rank(self) -> int:
         return self.j.nrows
-
-    @property
-    def n(self) -> int:
-        return self.j.nrows // 2
 
     @cached_property
     def e_inv(self) -> Matrix:
@@ -213,8 +216,12 @@ class GroupAction:
     def order(self) -> int:
         return len(self.elements)
 
-    def linear_parts(self) -> list[Matrix]:
-        return [g.linear for g in self.elements]
+    @cached_property
+    def linear_generators(self) -> tuple[Matrix, ...]:
+        """The distinct non-identity linear parts, in element order: what
+        invariance under the action is tested against."""
+        ident = Matrix.identity(self.elements[0].linear.nrows)
+        return tuple(dict.fromkeys(g.linear for g in self.elements if g.linear != ident))
 
     def non_identity(self) -> list[AffineAuto]:
         return [g for g in self.elements if not g.is_identity]
@@ -311,9 +318,7 @@ def action_is_free(t: PolarizedTorus, group: GroupAction) -> bool:
 
 
 def is_polarization_invariant(t: PolarizedTorus, group: GroupAction) -> bool:
-    return all(
-        (g.linear.T @ t.e @ g.linear) == t.e for g in group.elements
-    )
+    return all((g.T @ t.e @ g) == t.e for g in group.linear_generators)
 
 
 def invariant_polarization(t: PolarizedTorus, group: GroupAction) -> Matrix:

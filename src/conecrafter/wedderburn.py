@@ -77,6 +77,25 @@ def _flat_rank(mats: list[Matrix]) -> int:
     return Matrix.trusted(tuple(tuple(m.flat()) for m in mats)).rank()
 
 
+def _center_coefficients(k: int, seed: int):
+    """Coefficient vectors to try: 32 seeded ones with entries in [-3, 3],
+    then for each height 1, ..., 15 every nonzero vector with entries in
+    [-height, height], in a fixed order."""
+    rng = random.Random(seed)
+    for _ in range(32):
+        yield [rng.randint(-3, 3) for _ in range(k)]
+    for height in range(1, 16):
+        stack = [[]]
+        while stack:
+            prefix = stack.pop()
+            if len(prefix) == k:
+                if any(prefix):
+                    yield prefix
+                continue
+            for c in range(-height, height + 1):
+                stack.append(prefix + [c])
+
+
 def primitive_center_element(
     algebra: EndoAlgebra, center: Sequence[Matrix], seed: int = 42
 ) -> tuple[Matrix, Polynomial]:
@@ -91,11 +110,7 @@ def primitive_center_element(
     if k == 1:
         z = center[0]
         return z, minimal_polynomial(z)
-    rng = random.Random(seed)
-    tried = 0
-    while tried < 32:
-        coeffs = [rng.randint(-3, 3) for _ in range(k)]
-        tried += 1
+    for coeffs in _center_coefficients(k, seed):
         z = Matrix.zeros(algebra.rank, algebra.rank)
         for c, b in zip(coeffs, center):
             if c:
@@ -103,23 +118,6 @@ def primitive_center_element(
         mu = minimal_polynomial(z)
         if mu.degree == k:
             return z, mu
-    for height in range(1, 16):
-        stack = [[]]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == k:
-                if all(c == 0 for c in prefix):
-                    continue
-                z = Matrix.zeros(algebra.rank, algebra.rank)
-                for c, b in zip(prefix, center):
-                    if c:
-                        z = z + b * c
-                mu = minimal_polynomial(z)
-                if mu.degree == k:
-                    return z, mu
-                continue
-            for c in range(-height, height + 1):
-                stack.append(prefix + [c])
     raise InternalInvariantError("center admits no primitive element")
 
 
@@ -132,10 +130,10 @@ def central_idempotents(
     Ordering follows the sorted factor list of the primitive element's
     minimal polynomial, so output is deterministic for a fixed seed."""
     z, mu = primitive_center_element(algebra, algebra.center, seed)
-    if mu.squarefree_part().monic() != mu.monic():
-        raise InternalInvariantError("center minimal polynomial must be squarefree")
     factors = factor_squarefree_small(mu)
-    irreducibles = [p for p, mult in factors for _ in range(mult)]
+    if any(mult > 1 for _, mult in factors):
+        raise InternalInvariantError("center minimal polynomial must be squarefree")
+    irreducibles = [p for p, _ in factors]
     if sum(p.degree for p in irreducibles) != mu.degree:
         raise InternalInvariantError("center factorization lost degree")
     out = []
@@ -190,13 +188,6 @@ class SimpleFactor:
 class WedderburnDecomposition:
     algebra: EndoAlgebra
     factors: tuple[SimpleFactor, ...]
-
-    @property
-    def center_dim(self) -> int:
-        return sum(f.center_degree for f in self.factors)
-
-    def labels(self) -> list[str]:
-        return [f.label for f in self.factors]
 
 
 def _classify_factor(

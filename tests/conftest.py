@@ -4,6 +4,8 @@ import os
 import pytest
 
 from conecrafter.documents import load_document
+from conecrafter.matrices import Matrix
+from conecrafter.reduction import PolyhedralCone
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -44,3 +46,31 @@ def hyperbolic_doc():
 @pytest.fixture(scope="session")
 def p2_doc():
     return load_corpus("p2_minkowski.json")
+
+
+# --- test-only builders -------------------------------------------------------
+
+def block_diag(*mats: Matrix) -> Matrix:
+    rows = sum(m.nrows for m in mats)
+    cols = sum(m.ncols for m in mats)
+    out = [[0] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for m in mats:
+        for i in range(m.nrows):
+            for j in range(m.ncols):
+                out[r0 + i][c0 + j] = m[i, j]
+        r0 += m.nrows
+        c0 += m.ncols
+    return Matrix(out)
+
+
+def vstack(*mats: Matrix) -> Matrix:
+    width = mats[0].ncols
+    if any(m.ncols != width for m in mats):
+        raise ValueError("width mismatch")
+    return Matrix([row for m in mats for row in m.rows])
+
+
+def minkowski_domain_p2() -> PolyhedralCone:
+    """Reduced positive binary forms 0 <= b <= a <= c in (a, b, c) space."""
+    return PolyhedralCone.from_rays([(0, 0, 1), (1, 0, 1), (1, 1, 1)])

@@ -212,6 +212,33 @@ class TestFailurePaths:
         assert report["complete"] is False
         assert target.read_text() == out
 
+    @pytest.mark.parametrize("change,invariant,message", [
+        # a ray of a reduced-form domain pushed past the cone b^2 <= 4ac
+        ({"domain_rays": [[0, 0, 1], [1, 0, 1], [1, 5, 1]]},
+         "domain_rays", "rays must lie in the closed cone"),
+        ({"generators": {"S": [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
+                         "T": [[2, 0, 0], [2, 1, 0], [1, 1, 1]]}},
+         "generator_unimodular", "generator T must be unimodular"),
+    ])
+    def test_problem_commands_share_the_document_checks(
+        self, capsys, tmp_path, change, invariant, message
+    ):
+        """check, funddom and verify read a reduction problem through the
+        same checks: a domain outside the closed cone and a generator that
+        is not unimodular end each of them in exit 2 with one report."""
+        with open(corpus_path("p2_minkowski.json")) as fh:
+            data = json.load(fh)
+        data.update(change)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        want = {"error": {
+            "type": "validation", "message": f"{invariant}: {message}", "invariant": invariant,
+        }}
+        for command in ("check", "funddom", "verify"):
+            code, out, _ = run_cli(capsys, command, str(path))
+            assert (command, code) == (command, cli.EXIT_VALIDATION)
+            assert json.loads(out) == want
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate", "x.json"])

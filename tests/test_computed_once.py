@@ -3,7 +3,8 @@ of an algebra, the inverse of the polarization, the symmetric generators
 of a reduction problem, the coordinate solver of a lattice, the factor
 projections of a cone, the freeness of an action, the validation of a
 torus, the integer forms of a lattice, the word ball of a verification,
-the compiled linear maps of a problem, a domain and a lattice.
+the compiled linear maps of a problem, a domain and a lattice, the
+squarefree part of a polynomial whose roots are tested.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
 the full endomorphism algebra for every command but endo. Sampled points
@@ -19,6 +20,7 @@ import conecrafter.pipeline as pipeline
 import conecrafter.polynomials as polynomials
 import conecrafter.reduction as reduction
 import conecrafter.torus as torus
+import conecrafter.wedderburn as wedderburn
 from conecrafter.cone import compute_ns, is_ample, is_nef
 from conecrafter.endo import compute_end, invariant_subalgebra, rosati
 from conecrafter.errors import ValidationError
@@ -351,3 +353,50 @@ def test_verify_compiles_per_problem_not_per_sample(monkeypatch, name):
         assert report["complete"] and report["verified"] == samples
         counts.append(compiled[0])
     assert counts[0] == counts[1] > 0
+
+
+def _count_squarefree_parts(monkeypatch):
+    taken = []
+    original = polynomials.Polynomial.squarefree_part
+
+    def counted(self):
+        taken.append(self)
+        return original(self)
+
+    monkeypatch.setattr(polynomials.Polynomial, "squarefree_part", counted)
+    return taken
+
+
+@pytest.mark.parametrize("test", [is_ample, is_nef])
+def test_an_ampleness_test_takes_one_squarefree_part(monkeypatch, test):
+    """The root tests read the squarefree degree, and a root at 0, from
+    the Sturm chain, which is the one place that takes the squarefree
+    part."""
+    taken = _count_squarefree_parts(monkeypatch)
+    doc = load_corpus("product_gauss_squared.json")
+    t = PolarizedTorus(doc.torus.j, doc.torus.e)
+    assert test(t, t.e)
+    assert len(taken) == 1
+
+
+def test_decompose_takes_no_squarefree_part_of_the_center_polynomial(monkeypatch):
+    """The center's minimal polynomial is factored once, and the factor
+    multiplicities show whether it is squarefree; the only squarefree
+    parts taken are those of each factor's Sturm root count."""
+    taken = _count_squarefree_parts(monkeypatch)
+    found = []
+    original = wedderburn.primitive_center_element
+
+    def recorded(*args):
+        z, mu = original(*args)
+        found.append(mu)
+        return z, mu
+
+    monkeypatch.setattr(wedderburn, "primitive_center_element", recorded)
+    ctx = prepare_torus(load_corpus("bielliptic_z4.json"))
+    sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+    taken.clear()
+    dec = decompose(sub.algebra)
+    assert [mu.degree for mu in found] == [4]
+    assert found[0] not in taken
+    assert len(taken) == len(dec.factors) == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conecrafter.errors import DeskScaleError
-from conecrafter.matrices import Matrix
+from conecrafter.matrices import Matrix, primitive_tuple
 from conecrafter.polynomials import (
     Polynomial,
     _kronecker_split,
@@ -52,8 +52,8 @@ class TestPolynomialBasics:
     def test_monic_and_primitive(self):
         p = Polynomial([2, 4])
         assert p.monic().coeffs == (Fraction(1, 2), 1)
-        assert Polynomial([2, 4, 6]).primitive_integer() == [1, 2, 3]
-        assert Polynomial([Fraction(1, 2), Fraction(1, 3)]).primitive_integer() == [3, 2]
+        assert primitive_tuple(Polynomial([2, 4, 6]).coeffs) == (1, 2, 3)
+        assert primitive_tuple(Polynomial([Fraction(1, 2), Fraction(1, 3)]).coeffs) == (3, 2)
 
     def test_gcd(self):
         p = Polynomial([-1, 0, 1])   # (x-1)(x+1)
@@ -276,8 +276,8 @@ def _reference_kronecker_split(coeffs):
                     continue
                 quo, rem = divmod(poly, cand)
                 if rem.is_zero:
-                    ci = cand.primitive_integer()
-                    qi = quo.primitive_integer()
+                    ci = list(primitive_tuple(cand.coeffs))
+                    qi = list(primitive_tuple(quo.coeffs))
                     if len(ci) - 1 == d and len(qi) - 1 == deg - d:
                         return ci, qi
                 continue

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conecrafter.errors import DeskScaleError, SearchExhausted, ValidationError
-from conecrafter.matrices import Matrix
+from conecrafter.matrices import Matrix, primitive_tuple
 from conecrafter.reduction import (
     GAUSS_N,
     GAUSS_S,
@@ -21,13 +21,13 @@ from conecrafter.reduction import (
     gauss_reduce,
     hyperbolic_domain,
     is_gauss_reduced,
-    minkowski_domain_p2,
     pell_fundamental_unit,
     pell_positive_unit,
-    primitive_tuple,
     transform_form,
     verify_tiling,
 )
+
+from conftest import minkowski_domain_p2
 
 
 def positive_definite_forms(bound):

@@ -8,7 +8,10 @@ transposes each ball element per candidate, the overlap search forms
 every image of every sample point, the sampler tests every candidate for
 interiority, and the tiling loop searches every sample, repeated or not.
 The domain's interior samples and a lattice's Hermitian form are formed
-by the generic sums the compiled linear maps replaced.
+by the generic sums the compiled linear maps replaced. The primitive
+vector of a ray and of a polynomial were two loops, and the root tests
+took the squarefree part before the Sturm chain took it again; the
+group's linear generators were deduplicated by each caller.
 The rewritten functions must give equal results: the same group elements
 in the same order, the same words, matrices, points and images, the same
 reports with one failure per occurrence, and the same errors.
@@ -17,7 +20,7 @@ reports with one failure per occurrence, and the same errors.
 import heapq
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 
 import pytest
@@ -26,7 +29,13 @@ from hypothesis import strategies as st
 
 from conecrafter.cone import compute_ns, invariant_ns
 from conecrafter.errors import ClosureError, InternalInvariantError, SearchExhausted
-from conecrafter.matrices import Matrix
+from conecrafter.matrices import Matrix, primitive_tuple
+from conecrafter.polynomials import (
+    Polynomial,
+    all_roots_nonnegative,
+    all_roots_positive,
+    count_roots_in_interval,
+)
 from conecrafter.pipeline import (
     build_domain,
     build_problem,
@@ -46,13 +55,11 @@ from conecrafter.reduction import (
     find_eta,
     find_interior_overlap,
     hyperbolic_domain,
-    minkowski_domain_p2,
-    primitive_tuple,
     verify_tiling,
 )
 from conecrafter.torus import AffineAuto, GroupAction, close_group
 
-from conftest import load_corpus
+from conftest import load_corpus, minkowski_domain_p2
 
 SEEDS = (42, 7, 1003)
 
@@ -117,6 +124,63 @@ def reference_hermitian_rows(lattice, coords):
     if flat is None:
         return [[0] * n for _ in range(n)]
     return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def reference_primitive_tuple(v):
+    fracs = [Fraction(x) for x in v]
+    den = 1
+    for f in fracs:
+        den = den * f.denominator // gcd(den, f.denominator)
+    ints = [int(f * den) for f in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(x // g for x in ints)
+
+
+def reference_primitive_integer(p):
+    """The former Polynomial.primitive_integer."""
+    if p.is_zero:
+        return []
+    d = 1
+    for c in p.coeffs:
+        if isinstance(c, Fraction):
+            d = d * c.denominator // gcd(d, c.denominator)
+    ints = [int(c * d) for c in p.coeffs]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    return [c // g for c in ints]
+
+
+def reference_all_roots_positive(p):
+    q = p.squarefree_part()
+    if q.degree == 0:
+        return True
+    return count_roots_in_interval(q, 0, None) == q.degree
+
+
+def reference_all_roots_nonnegative(p):
+    q = p.squarefree_part()
+    if q.degree == 0:
+        return True
+    if q.coeffs[0] == 0:
+        q = Polynomial(q.coeffs[1:])
+        if q.degree == 0:
+            return True
+    return count_roots_in_interval(q, 0, None) == q.degree
+
+
+def reference_linear_generators(group):
+    """The loop invariant_ns ran over the elements."""
+    ident = Matrix.identity(group.elements[0].linear.nrows)
+    gens = []
+    for g in group.elements:
+        if g.linear != ident and g.linear not in gens:
+            gens.append(g.linear)
+    return tuple(gens)
 
 
 def reference_word_ball(problem, max_length):
@@ -463,3 +527,99 @@ def test_hermitian_rows_match_the_per_form_loop(name):
         for coords in classes:
             got = lattice._hermitian_rows(coords)
             assert [list(row) for row in got] == reference_hermitian_rows(lattice, coords)
+
+
+# --- primitive vectors, root tests and linear generators --------------------
+
+HUGE = 10**5000  # past the 4300-digit int-to-str limit
+
+big_ints = st.one_of(
+    st.integers(-50, 50),
+    st.builds(lambda sign, k: sign * HUGE + k, st.sampled_from((1, -1)), st.integers(-10**6, 10**6)),
+)
+rationals = st.one_of(
+    big_ints,
+    st.builds(Fraction, big_ints, st.one_of(
+        st.integers(1, 60), st.builds(lambda low: HUGE + low, st.integers(1, 9)),
+    )),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(big_ints, rationals, st.just(0)), min_size=0, max_size=6))
+def test_primitive_tuple_matches_the_fraction_loop(v):
+    got = _outcome(primitive_tuple, v)
+    assert got == _outcome(reference_primitive_tuple, v)
+    if not isinstance(got[0], str):
+        assert all(type(x) is int for x in got)
+        assert gcd(*got) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=6).filter(any))
+def test_primitive_tuple_of_coefficients_matches_primitive_integer(coeffs):
+    p = Polynomial(coeffs)
+    assert list(primitive_tuple(p.coeffs)) == reference_primitive_integer(p)
+
+
+@st.composite
+def root_test_polynomials(draw):
+    """Products of (q x - r)^m over small rational roots, 0 among them, with
+    an optional x^2 + b x + c, times a nonzero scale; or random integer
+    coefficients."""
+    if draw(st.booleans()):
+        return Polynomial(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=7).filter(any)))
+    p = Polynomial([draw(st.sampled_from((1, -1, 2, Fraction(-3, 7))))])
+    for _ in range(draw(st.integers(0, 4))):
+        r, q = draw(st.integers(-4, 4)), draw(st.sampled_from((1, 1, 2, 3)))
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * Polynomial([-r, q])
+    if draw(st.booleans()):
+        p = p * Polynomial([draw(st.integers(-4, 9)), draw(st.integers(-4, 4)), 1])
+    return p
+
+
+@settings(max_examples=400, deadline=None)
+@given(root_test_polynomials())
+def test_root_tests_match_the_two_pass_versions(p):
+    assert all_roots_positive(p) == reference_all_roots_positive(p)
+    assert all_roots_nonnegative(p) == reference_all_roots_nonnegative(p)
+
+
+@pytest.mark.parametrize("p,positive,nonnegative", [
+    (Polynomial([0, 0, 1]), False, True),                 # x^2
+    (Polynomial([0, -3, 1]), False, True),                # x (x - 3)
+    (Polynomial([0, 0, -3, 1]) * Polynomial([-3, 1]), False, True),
+    (Polynomial([1, -2, 1]), True, True),                 # (x - 1)^2
+    (Polynomial([0, 1, 1]), False, False),                # x (x + 1)
+    (Polynomial([0, 1, 0, 1]), False, False),             # x (x^2 + 1)
+    (Polynomial([5]), True, True),
+])
+def test_root_tests_on_repeated_and_zero_roots(p, positive, nonnegative):
+    assert all_roots_positive(p) == reference_all_roots_positive(p) == positive
+    assert all_roots_nonnegative(p) == reference_all_roots_nonnegative(p) == nonnegative
+
+
+@pytest.mark.parametrize("name", ["elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"])
+def test_linear_generators_of_the_corpus_groups(name):
+    group = prepare_torus(load_corpus(name + ".json")).group
+    assert group.linear_generators == reference_linear_generators(group)
+
+
+def test_linear_generators_of_a_group_that_repeats_linear_parts():
+    """A rotation and a pure translation: each linear part appears once per
+    translation, and the identity's with the nonzero translations too."""
+    rotation = AffineAuto(Matrix([[0, -1], [1, 0]]))
+    shift = AffineAuto(Matrix.identity(2), (Fraction(1, 2), Fraction(1, 2)))
+    group = close_group([rotation, shift])
+    assert group.order == 8
+    want = reference_linear_generators(group)
+    assert group.linear_generators == want
+    assert want == (Matrix([[-1, 0], [0, -1]]), Matrix([[0, -1], [1, 0]]), Matrix([[0, 1], [-1, 0]]))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conecrafter.errors import ClosureError, ValidationError
-from conecrafter.matrices import Matrix, block_diag
+from conecrafter.matrices import Matrix
 from conecrafter.torus import (
     AffineAuto,
     GroupAction,
@@ -20,6 +20,8 @@ from conecrafter.torus import (
     validate_automorphism,
     validate_torus,
 )
+
+from conftest import block_diag
 
 R = Matrix([[0, -1], [1, 0]])
 E1 = Matrix([[0, 1], [-1, 0]])
