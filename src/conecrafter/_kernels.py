@@ -1,6 +1,6 @@
 """Integer kernels: matrix products, division-free characteristic polynomials,
-sign evaluations, and compiled linear maps used by the exact linear algebra
-layer.
+sign evaluations, and compiled linear maps and definiteness tests used by
+the exact linear algebra layer.
 
 All functions work on Python big integers, so results are exact at any size.
 
@@ -15,6 +15,15 @@ variable indices, never a coefficient's digits, so no value reaches the
 source and Python's limit on int-to-str conversion cannot trip. Callers
 build each function once per problem, cone or lattice, and recheck what
 they certify with generic code that shares nothing with these functions.
+
+``positive_definite_test(n)`` compiles Sylvester's criterion for n x n
+integer symmetric matrices the same way: the fraction-free symmetric
+elimination of ``matrices.positive_definite`` (Bareiss 1968), unrolled
+over the n(n+1)/2 entries of the upper triangle, one assignment per entry
+update, returning False at the first leading principal minor that is not
+positive. It reads only its argument, so its source holds no coefficient
+either. A lattice builds it once, next to the compiled map that forms the
+upper triangle of a class's Hermitian form.
 """
 
 BACKEND = "pure"
@@ -116,6 +125,32 @@ def nonnegative_test(rows):
     return _straight_line(rows, lambda exprs: " and ".join(e + " >= 0" for e in exprs) or "True")
 
 
+def positive_definite_test(n):
+    """u -> whether the n x n integer symmetric matrix whose upper
+    triangle, row by row, is u is positive definite.
+
+    Step k replaces each entry a_ij (k < i <= j) by
+    (a_kk a_ij - a_ki a_kj) / a_(k-1)(k-1), an exact division, so the k-th
+    pivot a_kk is the k-th leading principal minor."""
+
+    def a(i, j):
+        return f"a{i}_{j}"
+
+    entries = [a(i, j) for i in range(n) for j in range(i, n)]
+    body = [f"{', '.join(entries)}, = v"] if n else []
+    for k in range(n):
+        pivot = a(k, k)
+        body += [f"if {pivot} <= 0:", "    return False"]
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                update = f"{pivot} * {a(i, j)} - {a(k, i)} * {a(k, j)}"
+                if k:
+                    update = f"({update}) // {a(k - 1, k - 1)}"
+                body.append(f"{a(i, j)} = {update}")
+    body.append("return True")
+    return _compile(body, ())
+
+
 def _straight_line(rows, join):
     """Compile v -> the expression join makes of the row expressions."""
     width = len(rows[0]) if rows else 0
@@ -138,11 +173,18 @@ def _straight_line(rows, join):
             else:
                 expr += f" + {term}" if expr else term
         exprs.append(expr or "0")
+    body = [f"{', '.join(f'x{j}' for j in range(width))}, = v"] if width else []
+    body.append(f"return {join(exprs)}")
+    return _compile(body, values)
+
+
+def _compile(body, values):
+    """The function v -> body (lines of Python), with the closure names
+    k0, k1, ... bound to values."""
     params = ", ".join(f"k{i}" for i in range(len(values)))
-    lines = [f"def build({params}):", "    def linear(v):"]
-    if width:
-        lines.append(f"        {', '.join(f'x{j}' for j in range(width))}, = v")
-    lines += [f"        return {join(exprs)}", "    return linear"]
+    lines = [f"def build({params}):", "    def compiled(v):"]
+    lines += ["        " + line for line in body]
+    lines.append("    return compiled")
     scope = {}
     exec("\n".join(lines), scope)
     return scope["build"](*values)

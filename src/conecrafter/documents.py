@@ -203,6 +203,11 @@ def load_document(path: str) -> TorusDocument | ProblemDocument:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # json.JSONDecodeError is a ValueError, and so is an integer
+        # literal past Python's int-conversion digit limit; arrays or
+        # objects nested past the recursion limit raise RecursionError.
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return parse_document(data)

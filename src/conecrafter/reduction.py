@@ -20,6 +20,14 @@ combination. The matrices a search composes from those steps are
 rechecked on the generic ``_apply`` and ``_dot``, which share no code
 with the compiled functions: the recomposition of a search path, the
 certificate of each reduced sample, and the image of an overlap witness.
+
+The samplers (``_tiling_samples`` and ``PolyhedralCone.interior_samples``)
+draw each integer range through one bound draw (``_uniform``) on
+``rng.getrandbits``. It applies the rejection rule of CPython's
+``randrange``: k = bit_length(width) bits per try, values >= width
+rejected. So it reads the same bits from the stream and returns the same
+values as ``rng.randint`` would, every sample list is the one ``randint``
+gives, and no report depends on which of the two drew it.
 """
 
 from __future__ import annotations
@@ -42,6 +50,24 @@ from .errors import (
 from .matrices import Matrix, primitive_tuple, rows_product
 
 MAX_CONE_DIM = 4
+
+
+def _uniform(rng: random.Random, low: int, high: int) -> Callable[[], int]:
+    """() -> the next rng.randint(low, high), from the same bits of rng's
+    stream: CPython's randrange draws k = bit_length(width) bits per try
+    and rejects values >= width, and so does this draw, without the
+    argument checks and the three calls randint makes per value."""
+    getrandbits = rng.getrandbits
+    width = high - low + 1
+    k = width.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        return low + r
+
+    return draw
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -125,9 +151,9 @@ class PolyhedralCone:
     def interior_samples(self, count: int, seed: int) -> list[tuple[int, ...]]:
         """Deterministic strictly interior lattice points: positive random
         combinations of the rays."""
-        rng = random.Random(seed)
+        coefficient = _uniform(random.Random(seed), 1, 9)
         combine = self._combine
-        return [combine([rng.randint(1, 9) for _ in self.rays]) for _ in range(count)]
+        return [combine([coefficient() for _ in self.rays]) for _ in range(count)]
 
 
 def _subsets(items: list, k: int):
@@ -582,26 +608,29 @@ def _tiling_samples(
         return known
 
     rng = random.Random(seed)
+    base = problem.base_point
     samples = []
     attempts = 0
     scale = 2
+    shift = _uniform(rng, -3 * scale, 3 * scale)
     while len(samples) < count // 2 and attempts < 200 * count:
         attempts += 1
-        pt = tuple(
-            scale * x + rng.randint(-3 * scale, 3 * scale)
-            for x in problem.base_point
-        )
+        pt = tuple([scale * x + shift() for x in base])
         if attempts % 100 == 0:
             scale += 1
+            shift = _uniform(rng, -3 * scale, 3 * scale)
         if interior(pt):
             samples.append(pt)
     steps = problem.steps
     inner = domain.interior_samples(count - len(samples), seed + 1)
+    if steps:
+        length = _uniform(rng, 1, 8)
+        letter = _uniform(rng, 0, len(steps) - 1)
     for pt in inner:
         cur = pt
         if steps:
-            for _ in range(rng.randint(1, 8)):
-                cur = steps[rng.randrange(len(steps))](cur)
+            for _ in range(length()):
+                cur = steps[letter()](cur)
         if interior(cur):
             samples.append(cur)
         else:

@@ -27,6 +27,12 @@ MUTANT_CODES = {
     "m14_domain_rays_not_list": 4,
 }
 
+HOSTILE_FILES = {
+    "not_utf8": b'{"schema": "conecrafter/1", "name": "\xff\xfe"}',
+    "huge_integer": b'{"schema": "conecrafter/1", "rank": ' + b"9" * 5000 + b"}",
+    "deeply_nested": b"[" * 100_000 + b"]" * 100_000,
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -122,6 +128,19 @@ class TestFailurePaths:
         code, out, _ = run_cli(capsys, "check", "no_such_file.json")
         assert code == 4
         assert json.loads(out)["error"]["type"] == "parse"
+
+    @pytest.mark.parametrize("stem", sorted(HOSTILE_FILES))
+    def test_unreadable_oversized_and_over_nested_files(self, capsys, tmp_path, stem):
+        """Bytes that are not UTF-8, an integer past Python's 4300-digit
+        int-conversion limit, and arrays nested past the recursion limit
+        are parse failures, not tracebacks."""
+        path = tmp_path / f"{stem}.json"
+        path.write_bytes(HOSTILE_FILES[stem])
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 4
+        error = json.loads(out)["error"]
+        assert error["type"] == "parse"
+        assert str(path) in error["message"]
 
     def test_funddom_higher_rank_downgrade(self, capsys):
         code, out, _ = run_cli(

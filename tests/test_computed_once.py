@@ -335,24 +335,35 @@ def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
 @pytest.mark.parametrize("name", ["p2_minkowski", "hyperbolic_z8"])
 def test_verify_compiles_per_problem_not_per_sample(monkeypatch, name):
     """Generator steps, the eta priority, the domain's membership test and
-    ray combination, and the lattice's form map are compiled once per
-    object: doubling the samples compiles nothing more. linear_map,
-    linear_form and nonnegative_test all compile through _straight_line."""
+    ray combination, and the lattice's form map and Sylvester test are
+    compiled once per object: doubling the samples compiles nothing more.
+    linear_map, linear_form, nonnegative_test and positive_definite_test
+    all compile through _compile. The stored problem tests ampleness
+    without a lattice, so only the torus compiles a Sylvester test."""
+    lattices = {"p2_minkowski": 0, "hyperbolic_z8": 1}[name]
     compiled = [0]
-    original = kernels._straight_line
+    eliminations = [0]
+    original = kernels._compile
+    original_test = cone.positive_definite_test
 
-    def counted(rows, join):
+    def counted(body, values):
         compiled[0] += 1
-        return original(rows, join)
+        return original(body, values)
 
-    monkeypatch.setattr(kernels, "_straight_line", counted)
+    def counted_test(n):
+        eliminations[0] += 1
+        return original_test(n)
+
+    monkeypatch.setattr(kernels, "_compile", counted)
+    monkeypatch.setattr(cone, "positive_definite_test", counted_test)
     counts = []
     for samples in (100, 200):
-        compiled[0] = 0
+        compiled[0] = eliminations[0] = 0
         report = run_verify(load_corpus(name + ".json"), samples=samples)
         assert report["complete"] and report["verified"] == samples
-        counts.append(compiled[0])
-    assert counts[0] == counts[1] > 0
+        counts.append((compiled[0], eliminations[0]))
+    assert counts[0] == counts[1]
+    assert counts[0][0] > counts[0][1] == lattices
 
 
 def _count_squarefree_parts(monkeypatch):

@@ -239,6 +239,17 @@ class TestCoordinateAmpleness:
         assert ns.is_ample_coords(coords) == is_ample(ns.torus, f)
         assert ns.is_nef_coords(coords) == is_nef(ns.torus, f)
 
+    def test_every_boundary_class_matches(self):
+        """Every boundary class of every lattice, as ints and divided by 3
+        and by 7 as Fractions (a positive scaling keeps both verdicts)."""
+        for ns in coordinate_lattices():
+            for coords in boundary_classes(ns):
+                f = ns.from_coordinates(coords)
+                want = (is_ample(ns.torus, f), is_nef(ns.torus, f))
+                for d in (1, 3, 7):
+                    scaled = [Fraction(c, d) for c in coords] if d > 1 else coords
+                    assert (ns.is_ample_coords(scaled), ns.is_nef_coords(scaled)) == want
+
     def test_boundary_draws_reach_every_verdict(self):
         verdicts = set()
         for ns in coordinate_lattices():

@@ -1,6 +1,7 @@
 """The integer kernels against independent oracles: naive products,
-cofactor expansion, Fraction arithmetic, and generic row-by-row products
-for the compiled linear maps.
+cofactor expansion, Fraction arithmetic, generic row-by-row products for
+the compiled linear maps, and the elimination loop of
+matrices.positive_definite for the compiled Sylvester test.
 """
 
 import random
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecrafter import _kernels
-from conecrafter.matrices import Matrix
+from conecrafter.matrices import Matrix, positive_definite
 from conecrafter.pipeline import build_domain, prepare_torus
 from conecrafter.reduction import PolyhedralCone, hyperbolic_domain
 
@@ -189,6 +190,75 @@ def test_no_coefficient_reaches_the_source():
     names = compiled.__code__.co_freevars
     assert set(names) == {"k0", "k1"}
     assert all(not isinstance(c, int) or abs(c) <= 1 for c in compiled.__code__.co_consts)
+    for n in (0, 1, 4, 8):
+        test = _kernels.positive_definite_test(n)
+        assert test.__code__.co_freevars == ()
+        assert all(not isinstance(c, int) or abs(c) <= 1 for c in test.__code__.co_consts)
+
+
+def upper_triangle(m):
+    n = len(m)
+    return tuple(m[i][j] for i in range(n) for j in range(i, n))
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=8):
+    """Symmetric integer matrices up to max_n x max_n: Gram matrices of
+    up to n + 1 vectors (semidefinite, definite when the vectors span)
+    shifted by 0, +-1 or +-HUGE on the diagonal, arbitrary symmetric ones
+    (mostly indefinite), and zero ones. Entries past HUGE go into the
+    arbitrary ones only up to 4 x 4: the elimination's exact divisions of
+    their minors grow quadratically with the digits."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(("gram", "symmetric", "zero")))
+    if kind == "zero":
+        return [[0] * n for _ in range(n)]
+    if kind == "symmetric":
+        entries = coefficients if n <= 4 else st.integers(-10**6, 10**6)
+        upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+        return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    vectors = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=n + 1
+    ))
+    shift = draw(st.sampled_from((0, 1, -1, HUGE, -HUGE)))
+    return [
+        [sum(v[i] * v[j] for v in vectors) + shift * (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+@example([])
+@example([[0]])
+@example([[-1]])
+@example([[1, 1], [1, 1]])  # semidefinite, second minor 0
+@example([[0, 0], [0, 1]])  # first minor 0, rest positive
+@example([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+@example([[HUGE, 1], [1, HUGE]])
+@example([[HUGE, HUGE], [HUGE, HUGE + 1]])
+# leading minors 1000, 39, 74, 20: dividing the last step by any pivot but
+# the previous one (39) truncates 20 * 39 to 0
+@example([[1000, 31, 2, 2], [31, 1, 0, 1], [2, 0, 2, 0], [2, 1, 0, 24]])
+def test_positive_definite_test_matches_the_elimination_loop(m):
+    assert _kernels.positive_definite_test(len(m))(upper_triangle(m)) is positive_definite(m)
+
+
+def test_positive_definite_test_reaches_both_verdicts_at_every_size():
+    for n in range(9):
+        test = _kernels.positive_definite_test(n)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert test(upper_triangle(identity))
+        if n:
+            assert not test(upper_triangle([[-x for x in row] for row in identity]))
+            last = [row[:] for row in identity]
+            last[-1][-1] = 0
+            assert not test(upper_triangle(last))
+
+
+def test_positive_definite_test_checks_its_input_width():
+    with pytest.raises(ValueError):
+        _kernels.positive_definite_test(2)((1, 0))
 
 
 def _domain(name):

@@ -8,10 +8,12 @@ transposes each ball element per candidate, the overlap search forms
 every image of every sample point, the sampler tests every candidate for
 interiority, and the tiling loop searches every sample, repeated or not.
 The domain's interior samples and a lattice's Hermitian form are formed
-by the generic sums the compiled linear maps replaced. The primitive
-vector of a ray and of a polynomial were two loops, and the root tests
-took the squarefree part before the Sturm chain took it again; the
-group's linear generators were deduplicated by each caller.
+by the generic sums the compiled linear maps replaced, and the samplers
+draw with rng.randint and rng.randrange, which the bound draw on
+rng.getrandbits replaced; a change to CPython's randint would show here.
+The primitive vector of a ray and of a polynomial were two loops, and the
+root tests took the squarefree part before the Sturm chain took it again;
+the group's linear generators were deduplicated by each caller.
 The rewritten functions must give equal results: the same group elements
 in the same order, the same words, matrices, points and images, the same
 reports with one failure per occurrence, and the same errors.
@@ -51,6 +53,7 @@ from conecrafter.reduction import (
     TilingReport,
     _best_first_reduce,
     _tiling_samples,
+    _uniform,
     binary_quadratic_problem,
     find_eta,
     find_interior_overlap,
@@ -503,6 +506,33 @@ def test_interior_samples_match_the_generic_sums(name, seed):
         got = domain.interior_samples(count, seed)
         assert got == reference_interior_samples(domain, count, seed)
         assert all(type(x) is int for p in got for x in p)
+
+
+@pytest.mark.parametrize("seed", SEEDS + (1000,))
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_samples_match_the_randint_draws(name, seed):
+    problem, domain = _problem(name, seed)
+    for count in (0, 1, 7, 1000):
+        got = _tiling_samples(problem, domain, count, seed)
+        assert got == reference_tiling_samples(problem, domain, count, seed)
+        assert domain.interior_samples(count, seed) == (
+            reference_interior_samples(domain, count, seed)
+        )
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9, 16, 17, 2**40, 2**40 + 1])
+@pytest.mark.parametrize("low", [0, -7, 10**30])
+def test_uniform_draw_matches_randint(width, low):
+    """Ranges of size 1, 2^k and 2^k + 1: the same values, and the same
+    bits taken from the stream, as randint."""
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        reference = random.Random(seed)
+        draw = _uniform(rng, low, low + width - 1)
+        assert [draw() for _ in range(300)] == [
+            reference.randint(low, low + width - 1) for _ in range(300)
+        ]
+        assert rng.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("name", ["elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"])
