@@ -10,6 +10,7 @@ repeated runs stay byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -64,16 +65,30 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, out_path: str | None) -> None:
+def _emit(report: dict, out) -> None:
     text = json.dumps(report, indent=2) + "\n"
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if out is not None:
+        out.truncate(0)
+        out.write(text)
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    try:
+        # Opened before any work, so that a path that cannot be written
+        # fails at once; append mode leaves an existing file (even the
+        # input document) untouched until the report replaces it.
+        out = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        message = f"out_path: cannot write {args.out}: {exc.strerror or exc}"
+        _emit({"error": {"type": "validation", "message": message, "invariant": "out_path"}}, None)
+        return EXIT_VALIDATION
+    with out as fh:
+        return _run(args, fh)
+
+
+def _run(args, out) -> int:
     started = time.perf_counter()
     try:
         doc = load_document(args.input)
@@ -84,20 +99,20 @@ def main(argv=None) -> int:
         else:
             report = COMMANDS[args.command](doc, seed=args.seed)
     except ParseError as exc:
-        _emit({"error": {"type": "parse", "message": str(exc)}}, getattr(args, "out", None))
+        _emit({"error": {"type": "parse", "message": str(exc)}}, out)
         return EXIT_PARSE
     except (ValidationError, ClosureError, DeskScaleError) as exc:
         detail = {"type": "validation", "message": str(exc), "invariant": exc.invariant}
-        _emit({"error": detail}, getattr(args, "out", None))
+        _emit({"error": detail}, out)
         return EXIT_VALIDATION
     except SearchExhausted as exc:
-        _emit({"error": {"type": "incomplete", "message": str(exc)}}, getattr(args, "out", None))
+        _emit({"error": {"type": "incomplete", "message": str(exc)}}, out)
         return EXIT_INCOMPLETE
     except InternalInvariantError as exc:
-        _emit({"error": {"type": "internal", "message": str(exc)}}, getattr(args, "out", None))
+        _emit({"error": {"type": "internal", "message": str(exc)}}, out)
         return EXIT_INTERNAL
     elapsed = (time.perf_counter() - started) * 1000.0
-    _emit(report, args.out)
+    _emit(report, out)
     print(f"# {args.command} {args.input}: {elapsed:.1f} ms", file=sys.stderr)
     if args.command == "verify" and not report.get("complete", False):
         return EXIT_INCOMPLETE

@@ -1,6 +1,6 @@
 """Exact matrices over the rationals, with the integer lattice algorithms
-(Hermite normal form, integer kernels, integer linear solves)
-that the rest of the package is built on.
+(Hermite normal form, integer kernels, lattice membership) that the rest
+of the package is built on.
 
 Entries are Python ints or fractions.Fraction; nothing here ever rounds.
 Products and eliminations compute on ints, each operand or row scaled by
@@ -599,44 +599,14 @@ class MatrixLattice:
         return acc
 
 
-def solve_integer(a: Matrix, b: Sequence) -> list[int] | None:
-    """Integer solution x of a @ x = b, or None. b may be rational."""
-    _require_integral(a, "solve_integer")
-    r, c = a.shape
-    if len(b) != r:
-        raise ValueError("shape mismatch")
-    h, u = hermite_normal_form(a.T)  # a @ u.T = h.T, columns of h.T echelon
-    pivots = []
-    for i in range(h.nrows):
-        row = h.row(i)
-        j = next((k for k in range(len(row)) if row[k] != 0), None)
-        if j is None:
-            break
-        pivots.append((i, j))
-    resid = [Fraction(x) for x in b]
-    z = [0] * c
-    for i, j in pivots:
-        pv = h[i, j]
-        val = resid[j] / pv
-        if val.denominator != 1:
-            return None
-        zi = int(val)
-        z[i] = zi
-        if zi:
-            col = h.row(i)  # column i of h.T is row i of h
-            resid = [x - zi * y for x, y in zip(resid, col)]
-    if any(x != 0 for x in resid):
-        return None
-    ut = u.T
-    return [int(sum(ut[i, k] * z[k] for k in range(c))) for i in range(c)]
-
-
 def in_lattice_plus_integers(cols: Matrix, t: Sequence) -> bool:
-    """Whether rational t lies in (column span of cols over Q) + Z^n."""
+    """Whether rational t lies in (column span of cols over Q) + Z^n.
+
+    The rows of W, a saturated basis of the left kernel of cols, cut out
+    span_Q(cols) and map Z^n onto Z^k; so t - z lies in the span for some
+    integral z exactly when W @ t is integral."""
     _require_integral(cols, "in_lattice_plus_integers")
-    left = integer_kernel_matrix(cols.T)  # rows w with w @ cols = 0
-    if left is None:
+    w = integer_kernel_matrix(cols.T)  # rows w with w @ cols = 0
+    if w is None:
         return True  # span is everything
-    w = left
-    y = [sum(map(mul, row, t)) for row in w.rows]
-    return solve_integer(w, y) is not None
+    return all(sum(map(mul, row, t)).denominator == 1 for row in w.rows)

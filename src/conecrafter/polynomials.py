@@ -4,7 +4,9 @@ Sturm-sequence root counting, and factorization for the small degrees
 
 sturm_chain is the one place that takes the squarefree part: the root
 tests read its degree, and whether 0 is a root, from the chain's first
-member. Factoring takes Yun's squarefree decomposition instead.
+member. Factoring takes squarefree input only (its one caller factors a
+minimal polynomial of a commutative semisimple center), checks
+gcd(p, p') = 1 once and rejects anything else.
 """
 
 from __future__ import annotations
@@ -150,32 +152,6 @@ class Polynomial:
         if g.degree == 0:
             return self.monic()
         return (self // g).monic()
-
-    def squarefree_decomposition(self) -> list[tuple["Polynomial", int]]:
-        """Yun's algorithm: returns [(factor, multiplicity)], factors monic,
-        squarefree, pairwise coprime; product of factor**mult is monic self."""
-        if self.is_zero:
-            raise ValueError("zero polynomial")
-        p = self.monic()
-        if p.degree == 0:
-            return []
-        out = []
-        g = p.gcd(p.derivative())
-        if g.degree == 0:
-            return [(p, 1)]
-        w = p // g
-        y = p.derivative() // g
-        k = 1
-        while w.degree > 0:
-            z = y - w.derivative()
-            f = w.gcd(z) if not z.is_zero else w.monic()
-            if f.degree > 0:
-                out.append((f.monic(), k))
-            w2 = w // f
-            y = z // f
-            w = w2
-            k += 1
-        return out
 
     def evaluate_matrix(self, m: Matrix) -> Matrix:
         n = m.nrows
@@ -427,12 +403,12 @@ def _factor_squarefree_monic(q: Polynomial) -> list[Polynomial]:
     return sorted(factors, key=lambda f: (f.degree, f.coeffs))
 
 
-def factor_squarefree_small(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Factor p over Q into monic irreducibles with multiplicities.
+def factor_squarefree_small(p: Polynomial) -> list[Polynomial]:
+    """Factor a squarefree p over Q into its sorted monic irreducibles.
 
-    Only degrees up to 8 are supported; larger inputs raise DeskScaleError.
-    The (leading coefficient of p) times the product of factor**mult
-    reproduces p exactly.
+    Only degrees up to 8 are supported; larger inputs raise DeskScaleError,
+    and a p with a repeated factor raises ValueError. The leading
+    coefficient of p times the product of the factors reproduces p exactly.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -440,11 +416,9 @@ def factor_squarefree_small(p: Polynomial) -> list[tuple[Polynomial, int]]:
         raise DeskScaleError(
             f"factorization supported up to degree {FACTOR_DEGREE_CAP}, got {p.degree}"
         )
-    out = []
-    for sq, mult in p.squarefree_decomposition():
-        for f in _factor_squarefree_monic(sq):
-            out.append((f, mult))
-    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs, fm[1]))
+    if p.gcd(p.derivative()).degree > 0:
+        raise ValueError("factoring needs a squarefree polynomial")
+    return _factor_squarefree_monic(p.monic())
 
 
 def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:

@@ -2,10 +2,11 @@
 positive cones, with exact certificates.
 
 Everything here is integer or rational arithmetic: cones carry explicit
-facet normals, reductions return words in named generators whose product
-is rechecked against the claimed output, and tiling verification is a
-semi-decision procedure that reports every sample it could not reduce
-instead of guessing.
+facet normals, form reductions return words in named generators whose
+product is rechecked against the claimed output, and tiling verification
+is a semi-decision procedure that replays each sample's search path on the
+generators' matrices and reports every sample it could not reduce instead
+of guessing.
 
 Samples repeat (random words often land on the same point), so each
 distinct point is tested for interiority once, and each distinct sample
@@ -16,10 +17,13 @@ The fixed small matrices that verification applies thousands of times are
 compiled once into straight-line functions (``_kernels.linear_map`` and
 its one-row and sign-test forms): each symmetric generator's step, the
 eta priority of a search, a domain's closed-membership test and its ray
-combination. The matrices a search composes from those steps are
-rechecked on the generic ``_apply`` and ``_dot``, which share no code
-with the compiled functions: the recomposition of a search path, the
-certificate of each reduced sample, and the image of an overlap witness.
+combination. A tiling sample is certified apart from them: the search
+returns its path as indices into the symmetric generators, and
+``verify_tiling`` replays that path on the generators' rows through the
+generic ``_apply``, which shares no code with the compiled steps, and
+tests the end point with ``PolyhedralCone.contains``. A compiled step that
+disagrees with its matrix therefore shows as a failed recheck. The image
+of an overlap witness is rechecked the same way.
 
 The samplers (``_tiling_samples`` and ``PolyhedralCone.interior_samples``)
 draw each integer range through one bound draw (``_uniform``) on
@@ -36,6 +40,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import combinations
 from math import isqrt
 from operator import mul
 from typing import Callable, Sequence
@@ -47,7 +52,7 @@ from .errors import (
     SearchExhausted,
     ValidationError,
 )
-from .matrices import Matrix, primitive_tuple, rows_product
+from .matrices import Matrix, integer_kernel_matrix, primitive_tuple, rows_product
 
 MAX_CONE_DIM = 4
 
@@ -113,12 +118,11 @@ class PolyhedralCone:
             sign = 1 if prim[0][0] > 0 else -1
             return cls(tuple(prim), ((sign,),))
         normals = []
-        idx = list(range(len(prim)))
-        for subset in _subsets(idx, dim - 1):
-            sub = Matrix([list(prim[i]) for i in subset])
+        for subset in combinations(prim, dim - 1):
+            sub = Matrix([list(r) for r in subset])
             if sub.rank() != dim - 1:
                 continue
-            for n in _integer_orthogonal(sub):
+            for n in integer_kernel_matrix(sub).rows:
                 side = [_dot(n, r) for r in prim]
                 if all(s >= 0 for s in side):
                     cand = primitive_tuple(n)
@@ -156,26 +160,6 @@ class PolyhedralCone:
         return [combine([coefficient() for _ in self.rays]) for _ in range(count)]
 
 
-def _subsets(items: list, k: int):
-    if k == 0:
-        yield []
-        return
-    for i in range(len(items) - k + 1):
-        for rest in _subsets(items[i + 1 :], k - 1):
-            yield [items[i]] + rest
-
-
-def _integer_orthogonal(sub: Matrix) -> list[tuple]:
-    """Primitive integer spanning vectors of the orthogonal complement of
-    the row space (rank assumed dim - 1, so a single line)."""
-    from .matrices import integer_kernel_matrix
-
-    ker = integer_kernel_matrix(Matrix([[int(x) for x in row] for row in sub.rows]))
-    if ker is None:
-        return []
-    return [tuple(ker.row(i)) for i in range(ker.nrows)]
-
-
 @dataclass(frozen=True)
 class GroupWord:
     """Word in named generators with the composed group element.
@@ -185,14 +169,6 @@ class GroupWord:
 
     letters: tuple[tuple[str, int], ...]
     matrix: Matrix
-
-    @classmethod
-    def identity(cls, dim: int) -> "GroupWord":
-        return cls((), Matrix.identity(dim))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix == Matrix.identity(self.matrix.nrows)
 
 
 # --- binary quadratic forms -------------------------------------------------
@@ -384,18 +360,18 @@ class ReductionProblem:
         that reached it. Entry k leaves out the inverse of symmetric
         generator k (the list is closed under inversion), whose image is
         the node's parent; the last entry, for the start, keeps every
-        letter. A letter is (name, step, the entry for its image)."""
-        gens = [(name, m.rows) for name, m in self.symmetric_generators]
+        letter. A letter is (index into symmetric_generators, step, the
+        entry for its image)."""
+        gens = [m.rows for _, m in self.symmetric_generators]
         ident = Matrix.identity(self.dim).rows
         inverse = [
-            next(j for j, (_, b) in enumerate(gens) if rows_product(b, a) == ident)
-            for _, a in gens
+            next(j for j, b in enumerate(gens) if rows_product(b, a) == ident)
+            for a in gens
         ]
-        letters = [(name, step) for (name, _), step in zip(gens, self.steps)]
         moves = tuple([] for _ in range(len(gens) + 1))
         for came, entry in enumerate(moves):
             skip = inverse[came] if came < len(gens) else None
-            entry.extend((name, step, moves[k]) for k, (name, step) in enumerate(letters) if k != skip)
+            entry.extend((k, step, moves[k]) for k, step in enumerate(self.steps) if k != skip)
         return moves
 
     @cached_property
@@ -409,10 +385,6 @@ class ReductionProblem:
         if form is None:
             form = self._priorities[eta] = linear_form(eta)
         return form
-
-    @cached_property
-    def identity_word(self) -> GroupWord:
-        return GroupWord.identity(self.dim)
 
     @cached_property
     def _word_balls(self) -> dict:
@@ -530,17 +502,18 @@ def _best_first_reduce(
     start: tuple[int, ...],
     eta: tuple[int, ...],
     max_nodes: int,
-) -> GroupWord | None:
+) -> tuple[int, ...] | None:
     """Search the orbit of start for a point of the domain, expanding the
     frontier in order of the eta value. Greedy descent plus the bounded
-    uphill that boundary flips need, in one queue.
+    uphill that boundary flips need, in one queue. Returns the path from
+    start, in application order, as indices into the problem's
+    symmetric_generators, or None when the budget runs out.
 
     Nodes are int tuples, moved by the problem's compiled steps, ordered by
-    its compiled priority and tested by the domain's compiled closed_test;
-    a Matrix is built only for a nonempty word found. A node reached by a
-    letter is not moved by that letter's inverse, whose image is the
-    node's parent and so already seen: each queue entry carries the
-    letters to try from it."""
+    its compiled priority and tested by the domain's compiled closed_test.
+    A node reached by a letter is not moved by that letter's inverse, whose
+    image is the node's parent and so already seen: each queue entry
+    carries the letters to try from it."""
     inside = domain.closed_test
     priority = problem.priority(eta)
     seen = {start}
@@ -552,42 +525,20 @@ def _best_first_reduce(
         _, _, cur, tries = heappop(heap)
         popped += 1
         if inside(cur):
-            return _path_word(problem, parent, start, cur)
-        for name, step, after in tries:
+            path = []
+            while cur in parent:
+                cur, k = parent[cur]
+                path.append(k)
+            return tuple(reversed(path))
+        for k, step, after in tries:
             nxt = step(cur)
             if nxt in seen:
                 continue
             seen.add(nxt)
-            parent[nxt] = (cur, name, step)
+            parent[nxt] = (cur, k)
             heappush(heap, (priority(nxt), counter, nxt, after))
             counter += 1
     return None
-
-
-def _path_word(
-    problem: ReductionProblem,
-    parent: dict[tuple, tuple],
-    start: tuple[int, ...],
-    end: tuple[int, ...],
-) -> GroupWord:
-    """The word of the search path from start to end, its matrix composed
-    by applying the path's steps to the columns of the identity, and
-    rechecked against end on the generic _apply."""
-    chain = []
-    node = end
-    while node in parent:
-        node, name, step = parent[node]
-        chain.append((name, step))
-    if not chain:
-        return problem.identity_word
-    chain.reverse()
-    cols = problem.identity_word.matrix.rows
-    for _, step in chain:
-        cols = [step(c) for c in cols]
-    mat = tuple(zip(*cols))
-    if _apply(mat, start) != end:
-        raise InternalInvariantError("reduction path does not recompose")
-    return GroupWord(tuple((name, 1) for name, _ in chain), Matrix.trusted(mat, True))
 
 
 def _tiling_samples(
@@ -647,15 +598,17 @@ def verify_tiling(
     eta: tuple[int, ...] | None = None,
 ) -> TilingReport:
     """Semi-decision that the domain tiles the cone under the group: every
-    sampled interior point must reduce into the domain with an exactly
-    rechecked word. Failures are reported, never silently dropped: one
-    entry per occurrence, though each distinct point is searched once."""
+    sampled interior point must reduce into the domain along a path that,
+    replayed on the generators' matrices, ends in the domain. Failures are
+    reported, never silently dropped: one entry per occurrence, though each
+    distinct point is searched once."""
     if eta is None:
         eta = find_eta(problem, seed=seed)
     for r in domain.rays:
         if not problem.is_closure(r):
             raise ValidationError("domain_rays", "domain must sit inside the closed cone")
     pts = _tiling_samples(problem, domain, samples, seed)
+    gens = [m.rows for _, m in problem.symmetric_generators]
     outcomes: dict[tuple, TilingFailure | None] = {}
     verified = 0
     failures = []
@@ -663,13 +616,17 @@ def verify_tiling(
         if pt in outcomes:
             failure = outcomes[pt]
         else:
-            word = _best_first_reduce(problem, domain, pt, eta, max_steps)
-            if word is None:
+            path = _best_first_reduce(problem, domain, pt, eta, max_steps)
+            if path is None:
                 failure = TilingFailure(pt, "search budget exhausted")
-            elif not domain.contains(_apply(word.matrix.rows, pt)):
-                failure = TilingFailure(pt, "certificate recheck failed")
             else:
-                failure = None
+                end = pt
+                for k in path:
+                    end = _apply(gens[k], end)
+                if domain.contains(end):
+                    failure = None
+                else:
+                    failure = TilingFailure(pt, "certificate recheck failed")
             outcomes[pt] = failure
         if failure is None:
             verified += 1

@@ -174,24 +174,6 @@ class AffineAuto:
             raise ValidationError("shape", "translation length must match rank")
         object.__setattr__(self, "translation", _canonical_translation(tr))
 
-    def compose(self, other: "AffineAuto") -> "AffineAuto":
-        """self after other: x -> A(Bx + s) + t."""
-        lin = self.linear @ other.linear
-        tr = [
-            sum(self.linear[i, j] * other.translation[j] for j in range(lin.nrows))
-            + self.translation[i]
-            for i in range(lin.nrows)
-        ]
-        return AffineAuto(lin, tuple(Fraction(x) for x in tr))
-
-    def inverse(self) -> "AffineAuto":
-        inv = self.linear.inverse()
-        tr = [
-            -sum(inv[i, j] * self.translation[j] for j in range(inv.nrows))
-            for i in range(inv.nrows)
-        ]
-        return AffineAuto(inv, tuple(Fraction(x) for x in tr))
-
     @property
     def is_identity(self) -> bool:
         return (
@@ -300,7 +282,7 @@ def is_free(t: PolarizedTorus, g: AffineAuto) -> bool:
 
     A fixed point exists iff the translation lies in the column space of
     (linear - I) over Q plus the integer lattice; that membership is decided
-    exactly via Hermite form.
+    exactly by the saturated integer left kernel of (linear - I).
     """
     if g.is_identity:
         raise ValueError("freeness is asked of non-identity elements")

@@ -130,10 +130,10 @@ def central_idempotents(
     Ordering follows the sorted factor list of the primitive element's
     minimal polynomial, so output is deterministic for a fixed seed."""
     z, mu = primitive_center_element(algebra, algebra.center, seed)
-    factors = factor_squarefree_small(mu)
-    if any(mult > 1 for _, mult in factors):
-        raise InternalInvariantError("center minimal polynomial must be squarefree")
-    irreducibles = [p for p, _ in factors]
+    try:
+        irreducibles = factor_squarefree_small(mu)
+    except ValueError:
+        raise InternalInvariantError("center minimal polynomial must be squarefree") from None
     if sum(p.degree for p in irreducibles) != mu.degree:
         raise InternalInvariantError("center factorization lost degree")
     out = []

@@ -1,11 +1,14 @@
 import json
 import os
+from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from conecrafter.documents import load_document
 from conecrafter.matrices import Matrix
 from conecrafter.reduction import PolyhedralCone
+from conecrafter.torus import AffineAuto
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -69,6 +72,13 @@ def vstack(*mats: Matrix) -> Matrix:
     if any(m.ncols != width for m in mats):
         raise ValueError("width mismatch")
     return Matrix([row for m in mats for row in m.rows])
+
+
+def affine_compose(a: AffineAuto, b: AffineAuto) -> AffineAuto:
+    """a after b: x -> A(Bx + s) + t. The group law that close_group runs
+    on int tuples, written on AffineAuto objects for the tests' oracles."""
+    tr = [sum(map(mul, row, b.translation)) + t for row, t in zip(a.linear.rows, a.translation)]
+    return AffineAuto(a.linear @ b.linear, tuple(Fraction(x) for x in tr))
 
 
 def minkowski_domain_p2() -> PolyhedralCone:

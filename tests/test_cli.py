@@ -88,6 +88,38 @@ class TestHappyPaths:
         assert code == 0
         assert target.read_text() == out
 
+    def test_out_file_replaces_what_was_there(self, capsys, tmp_path):
+        """--out is opened before the work starts, without truncating; the
+        report then replaces the old bytes, even when the path is the
+        input document itself."""
+        target = tmp_path / "report.json"
+        target.write_text("x" * 10_000)
+        code, out, _ = run_cli(
+            capsys, "check", corpus_path("elliptic_gauss.json"), "--out", str(target)
+        )
+        assert code == 0
+        assert target.read_text() == out
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(open(corpus_path("elliptic_gauss.json"), "rb").read())
+        code, out, _ = run_cli(capsys, "check", str(doc), "--out", str(doc))
+        assert code == 0
+        assert json.loads(out)["document"] == "elliptic_gauss"
+        assert doc.read_text() == out
+
+    def test_generator_names_do_not_matter(self, capsys, tmp_path):
+        """Generators named S and S~ (the name the inverse of S would get)
+        verify exactly as p2_minkowski's S, T and N: the tiling search and
+        its replay refer to generators by position, not by name."""
+        with open(corpus_path("p2_minkowski.json")) as fh:
+            data = json.load(fh)
+        data["generators"] = dict(zip(("S", "S~", "N"), data["generators"].values()))
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        with open(os.path.join(GOLDEN, "p2_minkowski.verify.json"), encoding="utf-8") as fh:
+            assert out == fh.read()
+
     def test_verify_deterministic_bytes(self, capsys, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -257,6 +289,25 @@ class TestFailurePaths:
             code, out, _ = run_cli(capsys, command, str(path))
             assert (command, code) == (command, cli.EXIT_VALIDATION)
             assert json.loads(out) == want
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_out_path_unwritable(self, capsys, monkeypatch, tmp_path, where):
+        """An --out path that cannot be opened for writing exits 2 with a
+        JSON report on stdout before any work, not a traceback after it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the --out path is opened before any work")
+
+        monkeypatch.setattr(cli, "load_document", refuse)
+        target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+        code, out, _ = run_cli(
+            capsys, "check", corpus_path("elliptic_gauss.json"), "--out", str(target)
+        )
+        assert code == cli.EXIT_VALIDATION == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "validation"
+        assert error["invariant"] == "out_path"
+        assert error["message"].startswith(f"out_path: cannot write {target}: ")
+        assert not (tmp_path / "missing").exists()
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):

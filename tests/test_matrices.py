@@ -20,7 +20,6 @@ from conecrafter.matrices import (
     matrix_kernel_basis,
     positive_definite,
     semidefinite_rank,
-    solve_integer,
     trace_gram,
 )
 
@@ -155,8 +154,8 @@ class TestIntegerKernels:
         for row in k.rows:
             assert row[0] * 1 + row[1] * 2 + row[2] * 3 == 0
         # (1, 1, -1) must be expressible with integer coefficients
-        assert solve_integer(k.T, [1, 1, -1]) is not None
-        assert solve_integer(k.T, [0, 3, -2]) is not None
+        assert reference_solve_integer(k.T, [1, 1, -1]) is not None
+        assert reference_solve_integer(k.T, [0, 3, -2]) is not None
 
     def test_full_rank_kernel_is_none(self):
         assert integer_kernel_matrix(Matrix([[1, 0], [0, 1]])) is None
@@ -194,9 +193,9 @@ class TestIntegerKernels:
 
     def test_solve_integer(self):
         a = Matrix([[2, 0], [0, 3]])
-        assert solve_integer(a, [4, 9]) == [2, 3]
-        assert solve_integer(a, [3, 9]) is None
-        assert solve_integer(Matrix([[1, 1], [2, 2]]), [1, 3]) is None
+        assert reference_solve_integer(a, [4, 9]) == [2, 3]
+        assert reference_solve_integer(a, [3, 9]) is None
+        assert reference_solve_integer(Matrix([[1, 1], [2, 2]]), [1, 3]) is None
 
     @settings(max_examples=40, deadline=None)
     @given(int_matrices(max_dim=3), st.lists(small_entries, min_size=3, max_size=3))
@@ -205,22 +204,97 @@ class TestIntegerKernels:
         if len(x) < a.ncols:
             x = x + [0] * (a.ncols - len(x))
         b = a @ Matrix([[xi] for xi in x])
-        sol = solve_integer(a, [b[i, 0] for i in range(a.nrows)])
+        sol = reference_solve_integer(a, [b[i, 0] for i in range(a.nrows)])
         assert sol is not None
         back = a @ Matrix([[s] for s in sol])
         assert back == b
 
 
+# --- lattice membership -------------------------------------------------------
+#
+# The reference decides t in span_Q(cols) + Z^n by solving W @ x = W @ t in
+# integers through a second Hermite form, W being the saturated left kernel
+# of cols; the package reads the same verdict off the integrality of W @ t.
+
+def reference_solve_integer(a: Matrix, b) -> list[int] | None:
+    """Integer solution x of a @ x = b, or None. b may be rational."""
+    r, c = a.shape
+    if len(b) != r:
+        raise ValueError("shape mismatch")
+    h, u = hermite_normal_form(a.T)  # a @ u.T = h.T, columns of h.T echelon
+    pivots = []
+    for i in range(h.nrows):
+        row = h.row(i)
+        j = next((k for k in range(len(row)) if row[k] != 0), None)
+        if j is None:
+            break
+        pivots.append((i, j))
+    resid = [Fraction(x) for x in b]
+    z = [0] * c
+    for i, j in pivots:
+        val = resid[j] / h[i, j]
+        if val.denominator != 1:
+            return None
+        zi = int(val)
+        z[i] = zi
+        if zi:
+            resid = [x - zi * y for x, y in zip(resid, h.row(i))]
+    if any(x != 0 for x in resid):
+        return None
+    ut = u.T
+    return [int(sum(ut[i, k] * z[k] for k in range(c))) for i in range(c)]
+
+
+def reference_in_lattice_plus_integers(cols: Matrix, t) -> bool:
+    w = integer_kernel_matrix(cols.T)
+    if w is None:
+        return True
+    y = [sum(x * ti for x, ti in zip(row, t)) for row in w.rows]
+    return reference_solve_integer(w, y) is not None
+
+
 def test_in_lattice_plus_integers():
-    # column span of (1, 2) over Q, plus integer vectors
-    cols = Matrix([[1], [2]])
-    assert in_lattice_plus_integers(cols, [Fraction(1, 2), Fraction(1)])
-    assert in_lattice_plus_integers(cols, [Fraction(1, 2), Fraction(0)])
-    assert not in_lattice_plus_integers(cols, [Fraction(1, 4), Fraction(0)])
-    # zero map: only integer vectors remain
-    zero = Matrix([[0, 0], [0, 0]])
-    assert in_lattice_plus_integers(zero, [Fraction(2), Fraction(-1)])
-    assert not in_lattice_plus_integers(zero, [Fraction(1, 2), Fraction(0)])
+    for member in (in_lattice_plus_integers, reference_in_lattice_plus_integers):
+        # column span of (1, 2) over Q, plus integer vectors
+        cols = Matrix([[1], [2]])
+        assert member(cols, [Fraction(1, 2), Fraction(1)])
+        assert member(cols, [Fraction(1, 2), Fraction(0)])
+        assert not member(cols, [Fraction(1, 4), Fraction(0)])
+        # zero map: only integer vectors remain
+        zero = Matrix([[0, 0], [0, 0]])
+        assert member(zero, [Fraction(2), Fraction(-1)])
+        assert not member(zero, [Fraction(1, 2), Fraction(0)])
+
+
+@st.composite
+def membership_inputs(draw):
+    """An integer n x m matrix (n <= 4) and a rational n-vector: either a
+    rational combination of the columns plus an integer vector, possibly
+    pushed off by 1/d in one coordinate, or an arbitrary rational vector."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    entries = st.integers(-6, 6)
+    cols = Matrix([draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)])
+    fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+    if draw(st.booleans()):
+        q = draw(st.lists(fractions, min_size=m, max_size=m))
+        t = [sum(x * qj for x, qj in zip(row, q)) + draw(entries) for row in cols.rows]
+        if draw(st.booleans()):
+            t[draw(st.integers(0, n - 1))] += Fraction(1, draw(st.integers(2, 6)))
+    else:
+        t = draw(st.lists(fractions, min_size=n, max_size=n))
+    return cols, [Fraction(x) for x in t]
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_inputs())
+@example((Matrix([[2], [4]]), [Fraction(1, 2), Fraction(0)]))
+@example((Matrix([[2, 0], [0, 3]]), [Fraction(1, 3), Fraction(1, 2)]))
+@example((Matrix([[0], [0]]), [Fraction(1, 2), Fraction(1)]))
+def test_membership_matches_the_integer_solve(case):
+    """Reading integrality off W @ t agrees with solving W @ x = W @ t."""
+    cols, t = case
+    assert in_lattice_plus_integers(cols, t) == reference_in_lattice_plus_integers(cols, t)
 
 
 class TestDefiniteness:

@@ -211,7 +211,7 @@ class TestFactoring:
         # x^4 - 1 = (x-1)(x+1)(x^2+1)
         p = Polynomial([-1, 0, 0, 0, 1])
         factors = factor_squarefree_small(p)
-        coeff_sets = sorted(tuple(f.coeffs) for f, _ in factors)
+        coeff_sets = sorted(tuple(f.coeffs) for f in factors)
         assert coeff_sets == [(-1, 1), (1, 0, 1), (1, 1)]
 
     def test_reassembly(self):
@@ -223,16 +223,22 @@ class TestFactoring:
             sf = p.squarefree_part()
             factors = factor_squarefree_small(sf)
             prod = Polynomial([1])
-            for f, mult in factors:
-                for _ in range(mult):
-                    prod = prod * f
+            for f in factors:
+                prod = prod * f
             assert prod.monic().coeffs == sf.monic().coeffs
 
     def test_irreducible_stays_whole(self):
         p = Polynomial([1, 1, 1, 1, 1])  # 5th cyclotomic
         factors = factor_squarefree_small(p)
         assert len(factors) == 1
-        assert factors[0][0].monic().coeffs == p.monic().coeffs
+        assert factors[0].monic().coeffs == p.monic().coeffs
+
+    def test_repeated_factor_rejected(self):
+        # (x - 1)^2 (x + 1) = x^3 - x^2 - x + 1
+        p = Polynomial([-1, 1]) * Polynomial([-1, 1]) * Polynomial([1, 1])
+        assert p.coeffs == (1, -1, -1, 1)
+        with pytest.raises(ValueError):
+            factor_squarefree_small(p)
 
 
 def _reference_kronecker_split(coeffs):

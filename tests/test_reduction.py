@@ -77,7 +77,7 @@ class TestGaussReduce:
                 continue
             again, word = gauss_reduce(form)
             assert again == form
-            assert word.is_identity
+            assert word.matrix == Matrix.identity(2)
 
     def test_frozen_words(self):
         cases = {
@@ -389,6 +389,18 @@ class TestVerifyTiling:
         assert report.failures
         assert all(f.reason == "search budget exhausted" for f in report.failures)
 
+    def test_replay_catches_a_mismatched_step(self, monkeypatch):
+        """A compiled step that disagrees with its generator's matrix sends
+        the search to points the replay on the matrices does not reach."""
+        prob = binary_quadratic_problem()
+        names = [name for name, _ in prob.symmetric_generators]
+        steps = list(prob.steps)
+        steps[names.index("T")] = steps[names.index("N")]
+        monkeypatch.setitem(prob.__dict__, "steps", tuple(steps))
+        report = verify_tiling(prob, minkowski_domain_p2(), samples=200, seed=4)
+        assert not report.complete
+        assert any(f.reason == "certificate recheck failed" for f in report.failures)
+
     def test_domain_outside_cone_rejected(self):
         prob = binary_quadratic_problem()
         bad = PolyhedralCone.from_rays([(0, 0, 1), (1, 0, 1), (0, 1, 0)])
@@ -450,4 +462,4 @@ class TestInteriorOverlap:
         assert enlarged.contains(witness.image, strict=True)
         moved = witness.word.matrix @ Matrix([[x] for x in witness.point])
         assert tuple(moved[i, 0] for i in range(3)) == witness.image
-        assert not witness.word.is_identity
+        assert witness.word.matrix != Matrix.identity(3)

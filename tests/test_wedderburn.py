@@ -1,7 +1,8 @@
 import pytest
 
+from conecrafter import wedderburn
 from conecrafter.endo import compute_end, invariant_subalgebra, rosati
-from conecrafter.errors import ValidationError
+from conecrafter.errors import InternalInvariantError, ValidationError
 from conecrafter.matrices import Matrix
 from conecrafter.documents import parse_document
 from conecrafter.pipeline import prepare_torus, run_endo
@@ -130,6 +131,18 @@ class TestCentralIdempotents:
         for e, _ in central_idempotents(alg):
             for b in alg.basis:
                 assert e @ b == b @ e
+
+    def test_repeated_factor_is_an_internal_error(self, monkeypatch):
+        """The factoring's ValueError on a repeated factor surfaces as the
+        broken identity it is, a center that is not semisimple."""
+        alg = compute_end(ctx_for("elliptic_gauss").invariant_torus)
+        repeated = Polynomial([1, -1, -1, 1])  # (x - 1)^2 (x + 1)
+        monkeypatch.setattr(
+            wedderburn, "primitive_center_element",
+            lambda algebra, center, seed: (Matrix.identity(algebra.rank), repeated),
+        )
+        with pytest.raises(InternalInvariantError, match="must be squarefree"):
+            central_idempotents(alg)
 
 
 class TestDecompose:
