@@ -56,7 +56,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="path to a document JSON file")
         p.add_argument("--out", help="also write the report to this path")
-        p.add_argument("--seed", type=int, default=42, help="deterministic seed")
+        p.add_argument("--seed", type=int, default=42, help="seeds verify's sampling; others ignore it")
         if name == "verify":
             p.add_argument("--samples", type=int, default=1000, help="tiling sample count")
             p.add_argument(
@@ -97,7 +97,7 @@ def _run(args, out) -> int:
                 doc, seed=args.seed, samples=args.samples, max_steps=args.max_steps
             )
         else:
-            report = COMMANDS[args.command](doc, seed=args.seed)
+            report = COMMANDS[args.command](doc)
     except ParseError as exc:
         _emit({"error": {"type": "parse", "message": str(exc)}}, out)
         return EXIT_PARSE

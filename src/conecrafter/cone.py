@@ -231,9 +231,7 @@ def _cone_flag(ns_dim: int) -> str:
     return "higher_rank"
 
 
-def cone_structure(
-    t: PolarizedTorus, group: GroupAction, seed: int = 42
-) -> ConeStructure:
+def cone_structure(t: PolarizedTorus, group: GroupAction) -> ConeStructure:
     """Full invariant cone analysis for a polarization-preserving action.
 
     The polarization must already be invariant (average it first if not);
@@ -244,7 +242,7 @@ def cone_structure(
             "polarization_invariant", "cone analysis needs an invariant polarization"
         )
     sub = invariant_subalgebra(t, group)
-    dec = decompose(sub.algebra, seed)
+    dec = decompose(sub.algebra)
     inv = invariant_ns(t, group)
     ident = Matrix.identity(inv.rank)
     factors = []

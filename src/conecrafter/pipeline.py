@@ -122,7 +122,7 @@ def prepare_torus(doc: TorusDocument) -> TorusContext:
     return ctx
 
 
-def run_check(doc, seed: int = 42) -> dict:
+def run_check(doc) -> dict:
     if doc.kind == "reduction_problem":
         return _check_problem(doc)
     ctx = prepare_torus(doc)
@@ -180,11 +180,11 @@ def _require_problem(doc):
         raise ValidationError("document_kind", "this command needs a reduction problem")
 
 
-def run_endo(doc, seed: int = 42) -> dict:
+def run_endo(doc) -> dict:
     _require_torus(doc)
     ctx = prepare_torus(doc)
     sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
-    dec = decompose(sub.algebra, seed)
+    dec = decompose(sub.algebra)
     return {
         **_header("endo", doc),
         # one row per coordinate of the full algebra; building it checks
@@ -210,10 +210,10 @@ def run_endo(doc, seed: int = 42) -> dict:
     }
 
 
-def run_cone(doc, seed: int = 42) -> dict:
+def run_cone(doc) -> dict:
     _require_torus(doc)
     ctx = prepare_torus(doc)
-    structure = cone_structure(ctx.invariant_torus, ctx.group, seed)
+    structure = cone_structure(ctx.invariant_torus, ctx.group)
     classes = []
     for coords in doc.test_classes:
         if len(coords) != structure.invariant.rank:
@@ -261,7 +261,7 @@ class DomainConstruction:
     downgrades: tuple[str, ...] = ()
 
 
-def build_domain(ctx: TorusContext, seed: int = 42) -> DomainConstruction:
+def build_domain(ctx: TorusContext) -> DomainConstruction:
     """Fundamental domain of the induced automorphism action on the
     invariant ample cone, assembled factor by factor.
 
@@ -272,7 +272,7 @@ def build_domain(ctx: TorusContext, seed: int = 42) -> DomainConstruction:
     status, leaving ``domain`` unset, and stay checkable through a
     reduction problem document with user-supplied generators.
     """
-    structure = cone_structure(ctx.invariant_torus, ctx.group, seed)
+    structure = cone_structure(ctx.invariant_torus, ctx.group)
     t = ctx.invariant_torus
     norm_action = None
     normalizer = ctx.document.normalizer
@@ -369,7 +369,7 @@ def _validate_normalizer(ctx: TorusContext, gamma: Matrix) -> None:
             )
 
 
-def run_funddom(doc, seed: int = 42) -> dict:
+def run_funddom(doc) -> dict:
     if doc.kind == "reduction_problem":
         _, domain = _problem_domain(doc)
         return {
@@ -381,7 +381,7 @@ def run_funddom(doc, seed: int = 42) -> dict:
             "factors": [{"label": doc.cone, "flag": "higher_rank"}],
         }
     ctx = prepare_torus(doc)
-    built = build_domain(ctx, seed)
+    built = build_domain(ctx)
     if built.domain is None:
         return {
             **_header("funddom", doc),
@@ -436,7 +436,7 @@ def build_torus_problem(ctx: TorusContext, built: DomainConstruction) -> Reducti
     )
 
 
-def run_reduce(doc, seed: int = 42) -> dict:
+def run_reduce(doc) -> dict:
     _require_problem(doc)
     results = []
     for form in doc.test_forms:
@@ -467,7 +467,7 @@ def run_verify(doc, seed: int = 42, samples: int = 1000, max_steps: int = 20_000
         pushdown = None
     else:
         ctx = prepare_torus(doc)
-        built = build_domain(ctx, seed)
+        built = build_domain(ctx)
         if built.domain is None:
             return {
                 **_header("verify", doc),

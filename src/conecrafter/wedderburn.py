@@ -77,11 +77,16 @@ def _flat_rank(mats: list[Matrix]) -> int:
     return Matrix.trusted(tuple(tuple(m.flat()) for m in mats)).rank()
 
 
-def _center_coefficients(k: int, seed: int):
-    """Coefficient vectors to try: 32 seeded ones with entries in [-3, 3],
-    then for each height 1, ..., 15 every nonzero vector with entries in
-    [-height, height], in a fixed order."""
-    rng = random.Random(seed)
+# Fixed, so center_poly and the factor order depend on the algebra alone; kept
+# because the height sweep alone picks other elements in four corpus reports.
+_CANDIDATE_SEED = 42
+
+
+def _center_coefficients(k: int):
+    """Coefficient vectors to try: 32 drawn from _CANDIDATE_SEED with entries
+    in [-3, 3], then for each height 1, ..., 15 every nonzero vector with
+    entries in [-height, height], in a fixed order."""
+    rng = random.Random(_CANDIDATE_SEED)
     for _ in range(32):
         yield [rng.randint(-3, 3) for _ in range(k)]
     for height in range(1, 16):
@@ -96,21 +101,19 @@ def _center_coefficients(k: int, seed: int):
                 stack.append(prefix + [c])
 
 
-def primitive_center_element(
-    algebra: EndoAlgebra, center: Sequence[Matrix], seed: int = 42
-) -> tuple[Matrix, Polynomial]:
+def primitive_center_element(algebra: EndoAlgebra, center: Sequence[Matrix]) -> tuple[Matrix, Polynomial]:
     """An element generating the center as a Q-algebra, with its minimal
     polynomial (degree equals the center dimension).
 
-    Random low-height combinations almost always work; a deterministic
-    growing-height sweep backs them up so the search cannot fail on a
-    genuine product of number fields.
+    Low-height combinations from a fixed candidate list almost always work;
+    a growing-height sweep backs them up, so the search cannot fail on a
+    genuine product of number fields and depends on its input alone.
     """
     k = len(center)
     if k == 1:
         z = center[0]
         return z, minimal_polynomial(z)
-    for coeffs in _center_coefficients(k, seed):
+    for coeffs in _center_coefficients(k):
         z = Matrix.zeros(algebra.rank, algebra.rank)
         for c, b in zip(coeffs, center):
             if c:
@@ -121,15 +124,13 @@ def primitive_center_element(
     raise InternalInvariantError("center admits no primitive element")
 
 
-def central_idempotents(
-    algebra: EndoAlgebra, seed: int = 42
-) -> list[tuple[Matrix, Polynomial]]:
+def central_idempotents(algebra: EndoAlgebra) -> list[tuple[Matrix, Polynomial]]:
     """Primitive central idempotents of the algebra, paired with the
     irreducible polynomial cutting out the matching center field.
 
     Ordering follows the sorted factor list of the primitive element's
-    minimal polynomial, so output is deterministic for a fixed seed."""
-    z, mu = primitive_center_element(algebra, algebra.center, seed)
+    minimal polynomial, so output depends only on the algebra."""
+    z, mu = primitive_center_element(algebra, algebra.center)
     try:
         irreducibles = factor_squarefree_small(mu)
     except ValueError:
@@ -237,11 +238,11 @@ def _classify_factor(
     )
 
 
-def decompose(algebra: EndoAlgebra, seed: int = 42) -> WedderburnDecomposition:
+def decompose(algebra: EndoAlgebra) -> WedderburnDecomposition:
     """Split the algebra along its primitive central idempotents and
     classify every simple factor."""
     factors = []
-    for e, m_poly in central_idempotents(algebra, seed):
+    for e, m_poly in central_idempotents(algebra):
         factors.append(_classify_factor(algebra, algebra.center, e, m_poly))
     if sum(f.dim for f in factors) != algebra.dim:
         raise InternalInvariantError("factor dimensions must add up to the algebra")

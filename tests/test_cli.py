@@ -34,6 +34,19 @@ HOSTILE_FILES = {
 }
 
 
+DOCUMENTS = [
+    "bielliptic_z4", "elliptic_gauss", "hyperbolic_z8", "p2_minkowski", "product_gauss_squared"
+] + [f"mutants/{stem}" for stem in MUTANT_CODES]
+
+with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as fh:
+    GOLDEN_EXIT_CODES = json.load(fh)
+
+
+def golden(stem, command):
+    with open(os.path.join(GOLDEN, f"{stem}.{command}.json"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -117,8 +130,7 @@ class TestHappyPaths:
         path.write_text(json.dumps(data))
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 0
-        with open(os.path.join(GOLDEN, "p2_minkowski.verify.json"), encoding="utf-8") as fh:
-            assert out == fh.read()
+        assert out == golden("p2_minkowski", "verify")
 
     def test_verify_deterministic_bytes(self, capsys, tmp_path):
         a = tmp_path / "a.json"
@@ -136,7 +148,21 @@ class TestHappyPaths:
             capsys, "endo", corpus_path("hyperbolic_z8.json"), "--seed", "7"
         )
         assert code == 0
-        assert json.loads(out)["factors"][0]["label"] == "ComplexMatrix(1)"
+        assert out == golden("hyperbolic_z8", "endo")
+
+
+class TestSeedFreeReports:
+    """--seed seeds verify's sampling alone: at any seed, every other
+    command prints its golden report and exits with its golden code."""
+
+    @pytest.mark.parametrize("seed", ["1", "7", "1000"])
+    @pytest.mark.parametrize("document", DOCUMENTS)
+    @pytest.mark.parametrize("command", ["check", "endo", "cone", "funddom", "reduce"])
+    def test_report_ignores_the_seed(self, capsys, command, document, seed):
+        code, out, _ = run_cli(capsys, command, corpus_path(document + ".json"), "--seed", seed)
+        stem = os.path.basename(document)
+        assert out == golden(stem, command)
+        assert code == GOLDEN_EXIT_CODES[f"{stem}.{command}"]
 
 
 class TestFailurePaths:
@@ -365,5 +391,4 @@ class TestParserBuiltOnce:
             assert code == 0
             if argv[-1] == "42":  # the default seed: the golden report
                 stem = os.path.splitext(os.path.basename(argv[1]))[0]
-                with open(os.path.join(GOLDEN, f"{stem}.{argv[0]}.json"), encoding="utf-8") as fh:
-                    assert out == fh.read()
+                assert out == golden(stem, argv[0])

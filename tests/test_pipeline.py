@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conecrafter.cli import main
 from conecrafter.documents import parse_document
 from conecrafter.errors import ValidationError
 from conecrafter.matrices import Matrix
@@ -210,6 +211,16 @@ class TestRunCone:
         assert exc.value.invariant == "test_class_shape"
 
 
+# One hyperbolic_z8 normalizer per check, each passing every earlier check.
+NORMALIZER_VIOLATIONS = {
+    "normalizer_integral": [["1/2", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "normalizer_unimodular": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+    "normalizer_holomorphic": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+    # U + U with U = [[1, 1], [0, 1]] commutes with J but not with the group
+    "normalizer_group": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+}
+
+
 class TestRunFunddom:
     def test_hyperbolic_domain(self):
         rep = run_funddom(doc_for("hyperbolic_z8"))
@@ -254,17 +265,16 @@ class TestRunFunddom:
             run_funddom(parse_document(data))
         assert exc.value.invariant == "funddom_normalizer"
 
-    def test_normalizer_must_normalize(self):
+    def test_normalizer_must_normalize(self, capsys, tmp_path):
         data = read_corpus_json("hyperbolic_z8.json")
-        data["normalizer"] = [
-            [1, 1, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-        ]
-        with pytest.raises(ValidationError) as exc:
-            run_funddom(parse_document(data))
-        assert exc.value.invariant.startswith("normalizer")
+        path = tmp_path / "normalizer.json"
+        for invariant, normalizer in NORMALIZER_VIOLATIONS.items():
+            data["normalizer"] = normalizer
+            path.write_text(json.dumps(data))
+            for command in ("funddom", "verify"):
+                code = main([command, str(path)])
+                report = json.loads(capsys.readouterr().out)
+                assert (code, report["error"]["invariant"]) == (2, invariant), command
 
     def test_problem_document_funddom(self):
         rep = run_funddom(doc_for("p2_minkowski"))

@@ -384,9 +384,9 @@ def _p2():
     return build_problem(doc), PolyhedralCone.from_rays(doc.domain_rays)
 
 
-def _torus(name, seed):
+def _torus(name):
     ctx = prepare_torus(load_corpus(name + ".json"))
-    built = build_domain(ctx, seed)
+    built = build_domain(ctx)
     return build_torus_problem(ctx, built), built.domain
 
 
@@ -405,31 +405,31 @@ def _hyperbolic_problem():
 PROBLEMS = ["p2_minkowski", "elliptic_gauss", "bielliptic_z4", "hyperbolic_z8"]
 
 
-def _problem(name, seed):
+def _problem(name):
     if name == "p2_minkowski":
         return _p2()
     if name == "hyperbolic_sector":
         problem = _hyperbolic_problem()
         return problem, hyperbolic_domain(problem.generators[0][1], problem.base_point)
-    return _torus(name, seed)
+    return _torus(name)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", PROBLEMS)
 class TestSearchesMatchTheMatrixVersions:
     def test_word_ball(self, name, seed):
-        problem, _ = _problem(name, seed)
+        problem, _ = _problem(name)
         for length in (1, 2, 4):
             assert list(problem.word_ball(length)) == reference_word_ball(problem, length)
 
     def test_find_eta(self, name, seed):
-        problem, _ = _problem(name, seed)
+        problem, _ = _problem(name)
         assert find_eta(problem, seed=seed) == reference_find_eta(problem, seed=seed)
 
     def test_best_first_reduce(self, name, seed):
         """The search returns indices into symmetric_generators; named,
         they spell the reference's word."""
-        problem, domain = _problem(name, seed)
+        problem, domain = _problem(name)
         eta = reference_find_eta(problem, seed=seed)
         names = [gen_name for gen_name, _ in problem.symmetric_generators]
 
@@ -446,7 +446,7 @@ class TestSearchesMatchTheMatrixVersions:
                 assert letters(got) == reference_letters(want)
 
     def test_find_interior_overlap(self, name, seed):
-        problem, domain = _problem(name, seed)
+        problem, domain = _problem(name)
         got = find_interior_overlap(problem, domain, seed=seed)
         assert got == reference_find_interior_overlap(problem, domain, seed=seed)
 
@@ -457,7 +457,7 @@ class TestSearchesMatchTheMatrixVersions:
 def test_verify_tiling_matches_the_per_sample_loop(name, seed, max_steps):
     """Searching each distinct sample once changes no report: the same
     samples, count, eta and failures, one failure per occurrence."""
-    problem, domain = _problem(name, seed)
+    problem, domain = _problem(name)
     pts = _tiling_samples(problem, domain, 1000, seed)
     assert pts == reference_tiling_samples(problem, domain, 1000, seed)
     got = verify_tiling(problem, domain, samples=1000, seed=seed, max_steps=max_steps)
@@ -470,7 +470,7 @@ def test_verify_tiling_matches_the_per_sample_loop(name, seed, max_steps):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", ["hyperbolic_z8", "hyperbolic_sector"])
 def test_repeated_failures_are_listed_per_occurrence(name, seed):
-    problem, domain = _problem(name, seed)
+    problem, domain = _problem(name)
     got = verify_tiling(problem, domain, samples=1000, seed=seed, max_steps=1)
     points = [f.point for f in got.failures]
     assert len(points) > len(set(points)) > 0
@@ -511,7 +511,7 @@ def test_overlap_without_interior_points_is_none():
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", PROBLEMS + ["hyperbolic_sector"])
 def test_interior_samples_match_the_generic_sums(name, seed):
-    _, domain = _problem(name, seed)
+    _, domain = _problem(name)
     for count in (0, 1, 200, 1000):
         got = domain.interior_samples(count, seed)
         assert got == reference_interior_samples(domain, count, seed)
@@ -521,7 +521,7 @@ def test_interior_samples_match_the_generic_sums(name, seed):
 @pytest.mark.parametrize("seed", SEEDS + (1000,))
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_samples_match_the_randint_draws(name, seed):
-    problem, domain = _problem(name, seed)
+    problem, domain = _problem(name)
     for count in (0, 1, 7, 1000):
         got = _tiling_samples(problem, domain, count, seed)
         assert got == reference_tiling_samples(problem, domain, count, seed)

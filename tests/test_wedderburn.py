@@ -139,7 +139,7 @@ class TestCentralIdempotents:
         repeated = Polynomial([1, -1, -1, 1])  # (x - 1)^2 (x + 1)
         monkeypatch.setattr(
             wedderburn, "primitive_center_element",
-            lambda algebra, center, seed: (Matrix.identity(algebra.rank), repeated),
+            lambda algebra, center: (Matrix.identity(algebra.rank), repeated),
         )
         with pytest.raises(InternalInvariantError, match="must be squarefree"):
             central_idempotents(alg)
@@ -201,15 +201,6 @@ class TestDecompose:
         b = decompose(alg)
         assert [f.idempotent for f in a.factors] == [f.idempotent for f in b.factors]
         assert [f.center_poly for f in a.factors] == [f.center_poly for f in b.factors]
-
-    def test_seed_changes_sample_not_structure(self):
-        ctx = ctx_for("hyperbolic_z8")
-        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group).algebra
-        a = decompose(alg, seed=7)
-        assert [f.label for f in a.factors] == ["ComplexMatrix(1)"]
-        assert [f.idempotent for f in a.factors] == [
-            f.idempotent for f in decompose(alg).factors
-        ]
 
 
 def test_rank_12_torus_is_complex_matrix_6():
