@@ -4,6 +4,10 @@ reduction problems.
 Schema "conecrafter/1". Every number is an integer or a "p/q" string;
 floats are rejected so nothing inexact can enter. Parsing stops at shape
 and type errors; mathematical invariants are the validation stage's job.
+
+Parsed numbers stay ints: a JSON int is kept as it is, and a "p/q" string
+becomes an int or a reduced Fraction. Each matrix entry is normalized once,
+here, and the rows go to Matrix.trusted without a second pass.
 """
 
 from __future__ import annotations
@@ -21,24 +25,34 @@ DOCUMENT_KINDS = ("torus", "reduction_problem")
 CONE_TYPES = ("binary_quadratic_forms",)
 
 
-def _rational(x, where: str) -> Fraction:
+def _at(where: str, index: int | None) -> str:
+    return where if index is None else f"{where}[{index}]"
+
+
+def _rational(x, where: str, index: int | None = None) -> int | Fraction:
+    """x as an int, or a Fraction when it is not integral. The location of
+    an error is where, or where[index], formatted only when x is bad."""
     if isinstance(x, bool):
-        raise ParseError(f"{where}: boolean is not a number")
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        raise ParseError(f"{_at(where, index)}: boolean is not a number")
+    if isinstance(x, int):
+        return int(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            x = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational {x!r}") from exc
-    raise ParseError(f"{where}: expected integer or 'p/q' string, got {type(x).__name__}")
+            raise ParseError(f"{_at(where, index)}: bad rational {x!r}") from exc
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise ParseError(
+        f"{_at(where, index)}: expected integer or 'p/q' string, got {type(x).__name__}"
+    )
 
 
-def _integer(x, where: str) -> int:
-    f = _rational(x, where)
-    if f.denominator != 1:
-        raise ParseError(f"{where}: expected an integer, got {x!r}")
-    return int(f)
+def _integer(x, where: str, index: int | None = None) -> int:
+    v = _rational(x, where, index)
+    if not isinstance(v, int):
+        raise ParseError(f"{_at(where, index)}: expected an integer, got {x!r}")
+    return v
 
 
 def _matrix(obj, where: str, square: bool = False) -> Matrix:
@@ -51,10 +65,10 @@ def _matrix(obj, where: str, square: bool = False) -> Matrix:
     for i, r in enumerate(obj):
         if len(r) != width:
             raise ParseError(f"{where}: row {i} has length {len(r)}, expected {width}")
-        rows.append([_rational(x, f"{where}[{i}]") for x in r])
+        rows.append(tuple([_rational(x, where, i) for x in r]))
     if square and len(rows) != width:
         raise ParseError(f"{where}: expected a square matrix")
-    return Matrix(rows)
+    return Matrix.trusted(tuple(rows))
 
 
 def _list(obj, where: str) -> list:
@@ -117,9 +131,7 @@ def _parse_torus(data: dict, name: str) -> TorusDocument:
             raise ParseError(f"group.generators[{i}]: size disagrees with the torus")
         tr = g.get("translation")
         translation = (
-            _vector(tr, f"group.generators[{i}].translation", rank)
-            if tr is not None
-            else tuple([Fraction(0)] * rank)
+            _vector(tr, f"group.generators[{i}].translation", rank) if tr is not None else ()
         )
         gens.append(AffineAuto(lin, translation))
     normalizer = None
@@ -134,7 +146,7 @@ def _parse_torus(data: dict, name: str) -> TorusDocument:
     for i, c in enumerate(_list(data.get("test_classes", []), "test_classes")):
         if not isinstance(c, list):
             raise ParseError(f"test_classes[{i}]: expected a list")
-        classes.append(tuple(_integer(x, f"test_classes[{i}]") for x in c))
+        classes.append(tuple(_integer(x, "test_classes", i) for x in c))
     return TorusDocument(
         name=name,
         torus=PolarizedTorus(j, e),
@@ -153,7 +165,7 @@ def _parse_problem(data: dict, name: str) -> ProblemDocument:
         raise ParseError("reduction problem needs domain_rays")
     rays = []
     for i, r in enumerate(_list(data["domain_rays"], "domain_rays")):
-        ray = tuple(_integer(x, f"domain_rays[{i}]") for x in _vector(r, f"domain_rays[{i}]", 3))
+        ray = tuple(_integer(x, "domain_rays", i) for x in _vector(r, f"domain_rays[{i}]", 3))
         if not any(ray):
             raise ParseError(f"domain_rays[{i}]: a ray must be nonzero")
         rays.append(ray)
@@ -169,7 +181,7 @@ def _parse_problem(data: dict, name: str) -> ProblemDocument:
             raise ParseError(f"generators.{gname}: expected integer entries")
         gens.append((str(gname), mat))
     forms = tuple(
-        tuple(_integer(x, f"test_forms[{i}]") for x in _vector(f, f"test_forms[{i}]", 3))
+        tuple(_integer(x, "test_forms", i) for x in _vector(f, f"test_forms[{i}]", 3))
         for i, f in enumerate(_list(data.get("test_forms", []), "test_forms"))
     )
     return ProblemDocument(

@@ -82,7 +82,8 @@ class Matrix:
         is a non-empty tuple of equal-length non-empty tuples of normalized
         entries (ints, and Fractions whose denominator is not 1), and
         integral, when given, says whether every entry is an int. Nothing
-        is checked; documents and outside callers use Matrix(...)."""
+        is checked. The document parser normalizes each entry once and
+        builds its matrices here; outside callers use Matrix(...)."""
         m = object.__new__(cls)
         m._rows = rows
         m._nrows = len(rows)

@@ -139,7 +139,7 @@ def run_check(doc) -> dict:
             "order": ctx.group.order,
             "is_free": ctx.is_free,
             "has_translations": has_translations(ctx.group),
-            "preserves_polarization": is_polarization_invariant(ctx.torus, ctx.group),
+            "preserves_polarization": not ctx.averaged,
         },
         "is_ghv": ctx.is_ghv,
         "expect_ghv": doc.expect_ghv,

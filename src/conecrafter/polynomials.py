@@ -4,9 +4,11 @@ Sturm-sequence root counting, and factorization for the small degrees
 
 sturm_chain is the one place that takes the squarefree part: the root
 tests read its degree, and whether 0 is a root, from the chain's first
-member. Factoring takes squarefree input only (its one caller factors a
-minimal polynomial of a commutative semisimple center), checks
-gcd(p, p') = 1 once and rejects anything else.
+member. A caller whose polynomial is squarefree already (an irreducible
+factor) says so, and the chain starts from the polynomial itself.
+Factoring takes squarefree input only (its one caller factors a minimal
+polynomial of a commutative semisimple center), checks gcd(p, p') = 1
+once and rejects anything else.
 """
 
 from __future__ import annotations
@@ -153,13 +155,6 @@ class Polynomial:
             return self.monic()
         return (self // g).monic()
 
-    def evaluate_matrix(self, m: Matrix) -> Matrix:
-        n = m.nrows
-        acc = Matrix.zeros(n, n)
-        for c in reversed(self._coeffs):
-            acc = acc @ m + Matrix.identity(n) * c
-        return acc
-
 
 def char_poly(m: Matrix) -> Polynomial:
     """Exact characteristic polynomial det(x*I - m) of a rational matrix."""
@@ -174,12 +169,14 @@ def char_poly(m: Matrix) -> Polynomial:
     return Polynomial([Fraction(c * d ** i, dn) for i, c in enumerate(ints)])
 
 
-def sturm_chain(p: Polynomial) -> list[list[int]]:
+def sturm_chain(p: Polynomial, squarefree: bool = False) -> list[list[int]]:
     """Canonical Sturm chain of the squarefree part, each member scaled to a
-    primitive integer list (positive scale, so all sign data is preserved)."""
+    primitive integer list (positive scale, so all sign data is preserved).
+    squarefree=True promises that p is its own squarefree part up to a
+    constant, and skips the gcd with p'."""
     if p.is_zero:
         raise ValueError("zero polynomial has no Sturm chain")
-    q = p.squarefree_part()
+    q = p if squarefree else p.squarefree_part()
     chain = [q, q.derivative()]
     while not chain[-1].is_zero:
         chain.append(-(chain[-2] % chain[-1]))
@@ -208,10 +205,11 @@ def _variations_at_infinity(chain: list[list[int]], positive: bool) -> int:
     return sign_variations(signs)
 
 
-def count_roots_in_interval(p: Polynomial, a, b) -> int:
+def count_roots_in_interval(p: Polynomial, a, b, squarefree: bool = False) -> int:
     """Exact number of distinct real roots of p in (a, b].
 
     a and b are rationals; None means -infinity / +infinity respectively.
+    squarefree is passed on to sturm_chain.
     """
     if p.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
@@ -219,14 +217,14 @@ def count_roots_in_interval(p: Polynomial, a, b) -> int:
         return 0
     if a is not None and b is not None and Fraction(a) >= Fraction(b):
         raise ValueError("interval needs a < b")
-    chain = sturm_chain(p)
+    chain = sturm_chain(p, squarefree)
     va = _variations_at_infinity(chain, positive=False) if a is None else _variations_at(chain, a)
     vb = _variations_at_infinity(chain, positive=True) if b is None else _variations_at(chain, b)
     return va - vb
 
 
-def count_real_roots(p: Polynomial) -> int:
-    return count_roots_in_interval(p, None, None)
+def count_real_roots(p: Polynomial, squarefree: bool = False) -> int:
+    return count_roots_in_interval(p, None, None, squarefree)
 
 
 def _positive_root_count(chain: list[list[int]]) -> int:

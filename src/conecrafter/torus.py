@@ -34,10 +34,6 @@ from .matrices import (
 DEFAULT_MAX_ORDER = 64
 
 
-def _sym(m: Matrix) -> Matrix:
-    return (m + m.T) * Fraction(1, 2)
-
-
 @dataclass(frozen=True)
 class PolarizedTorus:
     j: Matrix
@@ -84,7 +80,9 @@ def validate_torus(t: PolarizedTorus) -> TorusReport:
     """Check each torus invariant exactly and report per-invariant verdicts.
 
     The definiteness check reports sign -1 when E @ J is negative definite;
-    callers normalize by flipping E and re-validating.
+    callers normalize by flipping E and re-validating. It reads the sign of
+    the form x -> x.E.J.x from S = E @ J + (E @ J).T, twice its symmetric
+    part: S has the same sign and stays integral when E and J are.
     """
     checks = []
     n2 = t.rank
@@ -117,7 +115,8 @@ def validate_torus(t: PolarizedTorus) -> TorusReport:
             "J must preserve E",
         )
     )
-    sign = definiteness_sign(_sym(t.e @ t.j))
+    ej = t.e @ t.j
+    sign = definiteness_sign(ej + ej.T)
     checks.append(
         TorusCheck(
             "polarization_definite",
@@ -268,7 +267,7 @@ def close_group(
         frontier = nxt
     seen.remove(ident)
     return GroupAction(tuple(
-        AffineAuto(Matrix(lin), tuple(Fraction(x, den) for x in tr))
+        AffineAuto(Matrix.trusted(lin, True), tuple(Fraction(x, den) for x in tr))
         for lin, tr in [ident] + sorted(seen)
     ))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
@@ -55,20 +54,18 @@ def lookup_kind(d: int, f: int) -> tuple[str, int]:
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
-    """Monic minimal polynomial of a square matrix, by first linear
-    dependence among its powers."""
+    """Monic minimal polynomial of a square matrix: the first power m^k
+    that depends on I, m, ..., m^(k-1). One elimination over the columns
+    vec(I), vec(m), ..., vec(m^n) finds it, since k <= n (Cayley-Hamilton):
+    the pivot columns are 0, ..., k-1, and reduced column k holds the
+    coordinates of m^k in the lower powers."""
     n = m.nrows
-    power = Matrix.identity(n)
-    flats = [power.flat()]
-    for k in range(1, n + 2):
-        power = power @ m
-        rhs = Matrix.trusted(tuple((x,) for x in power.flat()))
-        sol = Matrix.trusted(tuple(zip(*flats))).solve(rhs)
-        if sol is not None:
-            coeffs = [-Fraction(sol[i, 0]) for i in range(k)] + [Fraction(1)]
-            return Polynomial(coeffs)
-        flats.append(power.flat())
-    raise InternalInvariantError("matrix powers never became dependent")
+    powers = [Matrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] @ m)
+    reduced, pivots = Matrix.trusted(tuple(zip(*(p.flat() for p in powers)))).rref()
+    k = len(pivots)
+    return Polynomial([-reduced[i, k] for i in range(k)] + [1])
 
 
 def _flat_rank(mats: list[Matrix]) -> int:
@@ -137,16 +134,28 @@ def central_idempotents(algebra: EndoAlgebra) -> list[tuple[Matrix, Polynomial]]
         raise InternalInvariantError("center minimal polynomial must be squarefree") from None
     if sum(p.degree for p in irreducibles) != mu.degree:
         raise InternalInvariantError("center factorization lost degree")
-    out = []
+    # e_i = L_i(z) for the Lagrange polynomial L_i of degree < k: one
+    # product of the coefficient rows with the stacked powers of z, whose
+    # denominators it clears once
+    n, k = algebra.rank, mu.degree
+    powers = [Matrix.identity(n)]
+    for _ in range(k - 1):
+        powers.append(powers[-1] @ z)
+    lagranges = []
     for m_i in irreducibles:
         q_i = mu // m_i
         g, u, _ = poly_xgcd(q_i, m_i)
         if g.degree != 0:
             raise InternalInvariantError("center factors must be pairwise coprime")
-        lagrange = (u * q_i) % mu
-        e_i = lagrange.evaluate_matrix(z)
-        out.append((e_i, m_i))
-    total = Matrix.zeros(algebra.rank, algebra.rank)
+        coeffs = ((u * q_i) % mu).coeffs
+        lagranges.append(coeffs + (0,) * (k - len(coeffs)))
+    stacked = Matrix.trusted(tuple(tuple(p.flat()) for p in powers))
+    flats = Matrix.trusted(tuple(lagranges)) @ stacked
+    out = [
+        (Matrix.trusted(tuple(row[i:i + n] for i in range(0, n * n, n))), m_i)
+        for row, m_i in zip(flats.rows, irreducibles)
+    ]
+    total = Matrix.zeros(n, n)
     for e_i, _ in out:
         if (e_i @ e_i) != e_i:
             raise InternalInvariantError("central idempotent is not idempotent")
@@ -157,9 +166,9 @@ def central_idempotents(algebra: EndoAlgebra) -> list[tuple[Matrix, Polynomial]]
         total = total + e_i
     for a, (ea, _) in enumerate(out):
         for eb, _ in out[a + 1 :]:
-            if (ea @ eb) != Matrix.zeros(algebra.rank, algebra.rank):
+            if not (ea @ eb).is_zero:
                 raise InternalInvariantError("central idempotents must be orthogonal")
-    if total != Matrix.identity(algebra.rank):
+    if total != Matrix.identity(n):
         raise InternalInvariantError("central idempotents must sum to the identity")
     return out
 
@@ -202,7 +211,7 @@ def _classify_factor(
     k = _flat_rank(center_cut)
     center_fixed = [c + algebra.rosati(c) for c in center_cut]
     f_z = _flat_rank(center_fixed)
-    real_roots = count_real_roots(m_poly)
+    real_roots = count_real_roots(m_poly, squarefree=True)  # m_poly is irreducible
     if f_z == k:
         if real_roots != k:
             raise ValidationError(

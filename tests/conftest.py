@@ -7,6 +7,7 @@ import pytest
 
 from conecrafter.documents import load_document
 from conecrafter.matrices import Matrix
+from conecrafter.polynomials import Polynomial
 from conecrafter.reduction import PolyhedralCone
 from conecrafter.torus import AffineAuto
 
@@ -72,6 +73,17 @@ def vstack(*mats: Matrix) -> Matrix:
     if any(m.ncols != width for m in mats):
         raise ValueError("width mismatch")
     return Matrix([row for m in mats for row in m.rows])
+
+
+def evaluate_matrix(p: Polynomial, m: Matrix) -> Matrix:
+    """p(m) by Horner's rule on Matrix arithmetic: the tests' reference for
+    polynomials in a matrix, independent of how the package combines
+    powers."""
+    n = m.nrows
+    acc = Matrix.zeros(n, n)
+    for c in reversed(p.coeffs):
+        acc = acc @ m + Matrix.identity(n) * c
+    return acc
 
 
 def affine_compose(a: AffineAuto, b: AffineAuto) -> AffineAuto:

@@ -3,14 +3,18 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conecrafter.documents import (
     ProblemDocument,
     TorusDocument,
+    _matrix,
     load_document,
     parse_document,
 )
 from conecrafter.errors import ParseError
+from conecrafter.matrices import Matrix
 
 from conftest import corpus_path, read_corpus_json
 
@@ -257,3 +261,89 @@ class TestLoadDocument:
                     load_document(path)
             else:
                 load_document(path)
+
+
+# --- the int parse against the Fraction parse it replaced ----------------------
+
+def _fraction_rational(x, where):
+    """The entry parse that wrapped every number in a Fraction, kept as the
+    reference for the int parse."""
+    if isinstance(x, bool):
+        raise ParseError(f"{where}: boolean is not a number")
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{where}: bad rational {x!r}") from exc
+    raise ParseError(f"{where}: expected integer or 'p/q' string, got {type(x).__name__}")
+
+
+def _fraction_matrix(obj, where):
+    """Rows of Fractions handed to Matrix(...), which normalizes each entry."""
+    return Matrix([[_fraction_rational(x, f"{where}[{i}]") for x in r] for i, r in enumerate(obj)])
+
+
+def _outcome(build, obj):
+    """(rows, entry types, is_integral), or the ParseError message."""
+    try:
+        m = build(obj, "m")
+    except ParseError as exc:
+        return str(exc)
+    return m.rows, [[type(x) for x in r] for r in m.rows], m.is_integral
+
+
+_json_ints = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**64) - 1]),
+)
+_fraction_strings = st.builds(
+    lambda p, q, sign: f"{sign}{p}/{q}",
+    st.integers(0, 2**66),
+    st.integers(1, 12),
+    st.sampled_from(["", "-"]),
+)
+_entries = st.one_of(
+    _json_ints,
+    _fraction_strings,
+    _json_ints.map(str),
+    st.sampled_from(["4/2", "-0/7", "6/4", " 3/9 ", "1/0", "0/0", "x", "1.5", ""]),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6)),
+    st.none(),
+)
+
+
+@st.composite
+def _json_matrices(draw, entries=_entries):
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+class TestIntParseMatchesTheFractionParse:
+    @settings(max_examples=400, deadline=None)
+    @given(_json_matrices())
+    @example([["4/2", "-0/7"], [2**64, "1/2"]])
+    @example([[True]])
+    @example([[1.0]])
+    @example([["1/0"]])
+    @example([[Fraction(6, 3), Fraction(1, 3)]])
+    def test_entries_types_and_integrality(self, obj):
+        assert _outcome(_matrix, obj) == _outcome(_fraction_matrix, obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_json_matrices(st.one_of(_json_ints, _fraction_strings)))
+    def test_valid_entries_parse(self, obj):
+        rows, types, integral = _outcome(_matrix, obj)
+        assert all(t in (int, Fraction) for r in types for t in r)
+        assert integral == all(t is int for r in types for t in r)
+        assert all(x.denominator != 1 for r in rows for x in r if isinstance(x, Fraction))
+
+    def test_the_rational_corpus_torus_parses_fractions(self):
+        j = load_document(corpus_path("elliptic_rational_j.json")).torus.j
+        assert j.rows == ((Fraction(1, 2), Fraction(-5, 4)), (1, Fraction(-1, 2)))
+        assert not j.is_integral

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecrafter.errors import ClosureError, ValidationError
 from conecrafter.matrices import Matrix
@@ -245,3 +247,81 @@ class TestInvariantPolarization:
         assert is_polarization_invariant(fixed, group)
         assert validate_torus(fixed).sign == 1
         assert avg == block_diag(3 * E1, 3 * E1)
+
+
+# --- the definiteness sign against the halved symmetric part --------------------
+
+def _sym(m: Matrix) -> Matrix:
+    """The halved symmetric part (m + m.T) / 2 that the definiteness check
+    once read, kept as the reference."""
+    return (m + m.T) * Fraction(1, 2)
+
+
+def _fraction_det(rows) -> Fraction:
+    a = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        p = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def _sylvester_sign(m: Matrix) -> int:
+    """+1 / -1 / 0 for a positive / negative / not definite symmetric m,
+    by Sylvester's criterion on Fraction leading principal minors."""
+    minors = [_fraction_det([r[:k] for r in m.rows[:k]]) for k in range(1, m.nrows + 1)]
+    if all(d > 0 for d in minors):
+        return 1
+    if all((-1) ** k * d > 0 for k, d in enumerate(minors, 1)):
+        return -1
+    return 0
+
+
+_scalars = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)),
+)
+
+
+@st.composite
+def _square(draw, n, entries=_scalars):
+    return Matrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def _random_pairs(draw):
+    n = draw(st.sampled_from([2, 4]))
+    return draw(_square(n)), draw(_square(n))
+
+
+@st.composite
+def _definite_pairs(draw):
+    """E = s (M.T M + I) + (K - K.T) and J = c I: E @ J is definite with
+    the sign of s * c, and not symmetric unless K is."""
+    n = draw(st.sampled_from([2, 4]))
+    m, k = draw(_square(n)), draw(_square(n))
+    s = draw(st.sampled_from([1, -1, Fraction(1, 3), Fraction(-5, 2)]))
+    c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]))
+    e = (m.T @ m + Matrix.identity(n)) * s + (k - k.T)
+    return e, Matrix.identity(n) * c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_random_pairs(), _definite_pairs()))
+def test_definiteness_sign_matches_the_halved_symmetric_part(pair):
+    e, j = pair
+    assert validate_torus(PolarizedTorus(j, e)).sign == _sylvester_sign(_sym(e @ j))
+
+
+def test_definite_pairs_reach_both_signs():
+    e = Matrix([[2, 1], [-1, 1]])
+    assert validate_torus(PolarizedTorus(Matrix.identity(2), e)).sign == 1
+    assert validate_torus(PolarizedTorus(Matrix.identity(2) * Fraction(-1, 2), e)).sign == -1
