@@ -35,7 +35,12 @@ HOSTILE_FILES = {
 
 
 DOCUMENTS = [
-    "bielliptic_z4", "elliptic_gauss", "hyperbolic_z8", "p2_minkowski", "product_gauss_squared"
+    "bielliptic_z4",
+    "elliptic_gauss",
+    "elliptic_rational_j",
+    "hyperbolic_z8",
+    "p2_minkowski",
+    "product_gauss_squared",
 ] + [f"mutants/{stem}" for stem in MUTANT_CODES]
 
 with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as fh:

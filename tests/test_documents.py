@@ -305,10 +305,9 @@ _fraction_strings = st.builds(
     st.integers(1, 12),
     st.sampled_from(["", "-"]),
 )
+_valid_entries = st.one_of(_json_ints, _fraction_strings, _json_ints.map(str))
 _entries = st.one_of(
-    _json_ints,
-    _fraction_strings,
-    _json_ints.map(str),
+    _valid_entries,
     st.sampled_from(["4/2", "-0/7", "6/4", " 3/9 ", "1/0", "0/0", "x", "1.5", ""]),
     st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -325,8 +324,8 @@ def _json_matrices(draw, entries=_entries):
 
 
 class TestIntParseMatchesTheFractionParse:
-    @settings(max_examples=400, deadline=None)
-    @given(_json_matrices())
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_json_matrices(), _json_matrices(_valid_entries)))
     @example([["4/2", "-0/7"], [2**64, "1/2"]])
     @example([[True]])
     @example([[1.0]])
@@ -334,14 +333,6 @@ class TestIntParseMatchesTheFractionParse:
     @example([[Fraction(6, 3), Fraction(1, 3)]])
     def test_entries_types_and_integrality(self, obj):
         assert _outcome(_matrix, obj) == _outcome(_fraction_matrix, obj)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_json_matrices(st.one_of(_json_ints, _fraction_strings)))
-    def test_valid_entries_parse(self, obj):
-        rows, types, integral = _outcome(_matrix, obj)
-        assert all(t in (int, Fraction) for r in types for t in r)
-        assert integral == all(t is int for r in types for t in r)
-        assert all(x.denominator != 1 for r in rows for x in r if isinstance(x, Fraction))
 
     def test_the_rational_corpus_torus_parses_fractions(self):
         j = load_document(corpus_path("elliptic_rational_j.json")).torus.j
