@@ -4,8 +4,8 @@ Sturm-sequence root counting, and factorization for the small degrees
 
 sturm_chain is the one place that takes the squarefree part: the root
 tests read its degree, and whether 0 is a root, from the chain's first
-member. A caller whose polynomial is squarefree already (an irreducible
-factor) says so, and the chain starts from the polynomial itself.
+member. count_real_roots reads only the signs at +-infinity, and starts
+the chain from the polynomial itself.
 Factoring takes squarefree input only (its one caller factors a minimal
 polynomial of a commutative semisimple center), checks gcd(p, p') = 1
 once and rejects anything else.
@@ -169,14 +169,14 @@ def char_poly(m: Matrix) -> Polynomial:
     return Polynomial([Fraction(c * d ** i, dn) for i, c in enumerate(ints)])
 
 
-def sturm_chain(p: Polynomial, squarefree: bool = False) -> list[list[int]]:
+def sturm_chain(p: Polynomial, squarefree_part: bool = True) -> list[list[int]]:
     """Canonical Sturm chain of the squarefree part, each member scaled to a
     primitive integer list (positive scale, so all sign data is preserved).
-    squarefree=True promises that p is its own squarefree part up to a
-    constant, and skips the gcd with p'."""
+    squarefree_part=False starts the chain from p itself, which then ends
+    at gcd(p, p') instead of a constant."""
     if p.is_zero:
         raise ValueError("zero polynomial has no Sturm chain")
-    q = p if squarefree else p.squarefree_part()
+    q = p.squarefree_part() if squarefree_part else p
     chain = [q, q.derivative()]
     while not chain[-1].is_zero:
         chain.append(-(chain[-2] % chain[-1]))
@@ -205,11 +205,10 @@ def _variations_at_infinity(chain: list[list[int]], positive: bool) -> int:
     return sign_variations(signs)
 
 
-def count_roots_in_interval(p: Polynomial, a, b, squarefree: bool = False) -> int:
+def count_roots_in_interval(p: Polynomial, a, b) -> int:
     """Exact number of distinct real roots of p in (a, b].
 
     a and b are rationals; None means -infinity / +infinity respectively.
-    squarefree is passed on to sturm_chain.
     """
     if p.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
@@ -217,14 +216,28 @@ def count_roots_in_interval(p: Polynomial, a, b, squarefree: bool = False) -> in
         return 0
     if a is not None and b is not None and Fraction(a) >= Fraction(b):
         raise ValueError("interval needs a < b")
-    chain = sturm_chain(p, squarefree)
+    chain = sturm_chain(p)
     va = _variations_at_infinity(chain, positive=False) if a is None else _variations_at(chain, a)
     vb = _variations_at_infinity(chain, positive=True) if b is None else _variations_at(chain, b)
     return va - vb
 
 
-def count_real_roots(p: Polynomial, squarefree: bool = False) -> int:
-    return count_roots_in_interval(p, None, None, squarefree)
+def count_real_roots(p: Polynomial) -> int:
+    """Exact number of distinct real roots of p.
+
+    The chain starts from p itself, squarefree or not. By the generalized
+    Sturm theorem the remainder chain of p and p' ends at g = gcd(p, p'),
+    and dividing every member by g leaves the sign variations unchanged
+    wherever g is nonzero. So at +-infinity the variations are those of the
+    squarefree part's chain, and their difference counts the distinct real
+    roots.
+    """
+    if p.is_zero:
+        raise ValueError("root counting needs a nonzero polynomial")
+    chain = sturm_chain(p, squarefree_part=False)
+    return _variations_at_infinity(chain, positive=False) - _variations_at_infinity(
+        chain, positive=True
+    )
 
 
 def _positive_root_count(chain: list[list[int]]) -> int:

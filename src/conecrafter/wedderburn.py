@@ -211,7 +211,7 @@ def _classify_factor(
     k = _flat_rank(center_cut)
     center_fixed = [c + algebra.rosati(c) for c in center_cut]
     f_z = _flat_rank(center_fixed)
-    real_roots = count_real_roots(m_poly, squarefree=True)  # m_poly is irreducible
+    real_roots = count_real_roots(m_poly)
     if f_z == k:
         if real_roots != k:
             raise ValidationError(

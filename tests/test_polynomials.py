@@ -202,6 +202,26 @@ class TestSturm:
         assert all_roots_nonnegative(q)
         assert not all_roots_positive(q)
 
+    def test_count_real_roots_of_repeated_factors(self):
+        # p = lead * prod (x - r)^m * prod (x^2 + c), c > 0, built from its
+        # roots: the distinct real roots are the distinct r, whatever the
+        # multiplicities and the sign of the leading coefficient
+        rng = random.Random(11)
+        for _ in range(300):
+            roots = [Fraction(rng.randrange(-8, 9), rng.randrange(1, 4))
+                     for _ in range(rng.randrange(0, 4))]
+            p = Polynomial([rng.choice([-3, -1, 1, 2])])
+            factors = [(Polynomial([-r, 1]), rng.randrange(1, 4)) for r in roots]
+            factors += [(Polynomial([rng.randrange(1, 6), 0, 1]), rng.randrange(1, 3))
+                        for _ in range(rng.randrange(0, 3))]
+            for f, m in factors:
+                for _ in range(m):
+                    p = p * f
+            assert count_real_roots(p) == len(set(roots)), p.coeffs
+            assert count_real_roots(p) == count_roots_in_interval(p, None, None)
+        with pytest.raises(ValueError):
+            count_real_roots(Polynomial([0]))
+
     def test_sturm_chain_shape(self):
         chain = sturm_chain(Polynomial([-2, 0, 1]))
         assert len(chain) >= 2
