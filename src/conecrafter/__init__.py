@@ -14,7 +14,6 @@ from .cone import (
 )
 from .endo import (
     EndoAlgebra,
-    InvariantSubalgebra,
     compute_end,
     invariant_subalgebra,
     rosati,
@@ -68,7 +67,6 @@ __all__ = [
     "GroupAction",
     "GroupWord",
     "InternalInvariantError",
-    "InvariantSubalgebra",
     "Matrix",
     "NSLattice",
     "ParseError",

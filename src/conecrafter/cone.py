@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from ._kernels import linear_map, positive_definite_test
-from .endo import InvariantSubalgebra, invariant_subalgebra
+from .endo import invariant_subalgebra
 from .errors import InternalInvariantError, ValidationError
 from .matrices import (
     Matrix,
@@ -98,10 +98,9 @@ class NSLattice(MatrixLattice):
         return len(self.basis)
 
     def pullback_matrix(self, g: Matrix) -> Matrix:
-        """Matrix of F -> g.T @ F @ g on coordinates (columns are images of
-        basis vectors). Raises when g does not preserve the span."""
-        cols = [self.coordinates(g.T @ b @ g) for b in self.basis]
-        return Matrix([[cols[j][i] for j in range(self.rank)] for i in range(self.rank)])
+        """Matrix of F -> g.T @ F @ g on coordinates. Raises when g does
+        not preserve the span."""
+        return self.matrix_of([g.T @ b @ g for b in self.basis])
 
     @cached_property
     def pairing_matrix(self) -> Matrix:
@@ -211,7 +210,6 @@ class FactorCone:
 class ConeStructure:
     torus: PolarizedTorus
     group: GroupAction
-    subalgebra: InvariantSubalgebra
     decomposition: WedderburnDecomposition
     invariant: NSLattice
     factors: tuple[FactorCone, ...]
@@ -241,16 +239,14 @@ def cone_structure(t: PolarizedTorus, group: GroupAction) -> ConeStructure:
         raise ValidationError(
             "polarization_invariant", "cone analysis needs an invariant polarization"
         )
-    sub = invariant_subalgebra(t, group)
-    dec = decompose(sub.algebra)
+    dec = decompose(invariant_subalgebra(t, group))
     inv = invariant_ns(t, group)
     ident = Matrix.identity(inv.rank)
     factors = []
     total = Matrix.zeros(inv.rank, inv.rank)
     for sf in dec.factors:
         e = sf.idempotent
-        cols = [inv.coordinates(t.e @ (e @ ns_to_endo(t, b) @ e)) for b in inv.basis]
-        projection = Matrix(list(zip(*cols)))
+        projection = inv.matrix_of([t.e @ (e @ ns_to_endo(t, b) @ e) for b in inv.basis])
         if projection.rank() != sf.fixed_dim:
             raise InternalInvariantError(
                 "factor cone dimension disagrees with its fixed part"
@@ -267,4 +263,4 @@ def cone_structure(t: PolarizedTorus, group: GroupAction) -> ConeStructure:
         raise InternalInvariantError("factor cones do not fill the invariant lattice")
     if total != ident:
         raise InternalInvariantError("factor projections must sum to the identity")
-    return ConeStructure(t, group, sub, dec, inv, tuple(factors))
+    return ConeStructure(t, group, dec, inv, tuple(factors))

@@ -91,42 +91,15 @@ def compute_end(t: PolarizedTorus) -> EndoAlgebra:
     return EndoAlgebra(t, _commutant(t, (t.j,), "endomorphism algebra"), (t.j,))
 
 
-def invariant_subalgebra(t: PolarizedTorus, group: GroupAction) -> "InvariantSubalgebra":
+def invariant_subalgebra(t: PolarizedTorus, group: GroupAction) -> EndoAlgebra:
     """Subalgebra of endomorphisms commuting with J and the whole action.
+    Its constraints include J, so it lies in End(T) by construction.
 
     Translations act trivially by conjugation, so only the group's linear
     generators enter.
     """
     constraints = (t.j, *group.linear_generators)
-    basis = _commutant(t, constraints, "invariant algebra")
-    return InvariantSubalgebra(EndoAlgebra(t, basis, constraints))
-
-
-@dataclass(frozen=True)
-class InvariantSubalgebra:
-    """An invariant endomorphism algebra together with its inclusion into
-    the full one. embedding columns are parent coordinates of sub basis.
-
-    The full algebra and the embedding are built only when read (endo
-    reports the full dimension). Nothing else needs them: the constraint
-    rows of the subalgebra include those of J, so it lies in the full
-    algebra by construction, and building the embedding still raises
-    when a basis element is outside it."""
-
-    algebra: EndoAlgebra
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    @cached_property
-    def parent(self) -> EndoAlgebra:
-        return compute_end(self.algebra.torus)
-
-    @cached_property
-    def embedding(self) -> Matrix:
-        cols = [self.parent.coordinates(b) for b in self.algebra.basis]
-        return Matrix(list(zip(*cols)))
+    return EndoAlgebra(t, _commutant(t, constraints, "invariant algebra"), constraints)
 
 
 def center_basis(algebra: EndoAlgebra) -> tuple[Matrix, ...]:

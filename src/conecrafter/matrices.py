@@ -590,6 +590,11 @@ class MatrixLattice:
             raise ValidationError(*self.membership)
         return coords
 
+    def matrix_of(self, images: Sequence[Matrix]) -> Matrix:
+        """The matrix whose column j holds the coordinates of images[j]:
+        a map written in this basis. Raises as coordinates does."""
+        return Matrix(list(zip(*map(self.coordinates, images))))
+
     def from_coordinates(self, coords: Sequence) -> Matrix:
         if len(coords) != len(self.basis):
             raise ValueError("coordinate length mismatch")

@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .cone import ConeStructure, cone_structure
 from .documents import SCHEMA, ProblemDocument, TorusDocument
-from .endo import invariant_subalgebra, rosati_fixes_algebra, trace_positivity_check
+from .endo import compute_end, invariant_subalgebra, rosati_fixes_algebra, trace_positivity_check
 from .errors import InternalInvariantError, ValidationError
 from .matrices import Matrix, primitive_tuple
 from .reduction import (
@@ -184,16 +183,14 @@ def run_endo(doc) -> dict:
     _require_torus(doc)
     ctx = prepare_torus(doc)
     sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
-    dec = decompose(sub.algebra)
+    dec = decompose(sub)
     return {
         **_header("endo", doc),
-        # one row per coordinate of the full algebra; building it checks
-        # that the invariant basis lies in End(T)
-        "end_dim": sub.embedding.nrows,
+        "end_dim": compute_end(ctx.invariant_torus).dim,
         "invariant_dim": sub.dim,
         "polarization_averaged": ctx.averaged,
-        "trace_positive": trace_positivity_check(sub.algebra),
-        "rosati_closed": rosati_fixes_algebra(sub.algebra),
+        "trace_positive": trace_positivity_check(sub),
+        "rosati_closed": rosati_fixes_algebra(sub),
         "factors": [
             {
                 "label": f.label,
@@ -240,16 +237,6 @@ def run_cone(doc) -> dict:
         ],
         "test_classes": classes,
     }
-
-
-def _piece_coordinates(piece: Sequence[tuple[int, ...]], vec: Sequence) -> tuple:
-    """Coordinates of vec in the piece basis; error if outside."""
-    mat = Matrix(piece).T
-    rhs = Matrix.column(vec)
-    sol = mat.solve(rhs)
-    if sol is None or mat @ sol != rhs:
-        raise InternalInvariantError("vector left its factor piece")
-    return sol.col(0)
 
 
 @dataclass(frozen=True)
@@ -304,11 +291,19 @@ def build_domain(ctx: TorusContext) -> DomainConstruction:
                     "a hyperbolic factor needs a normalizer element to cut a "
                     "rational polyhedral domain",
                 )
-            local_action = _restrict_to_piece(norm_action, piece)
-            base_local = _piece_coordinates(piece, (fc.projection @ e_coords).col(0))
-            base_prim = primitive_tuple(base_local)
-            local = hyperbolic_domain(local_action, base_prim)
-            rays = [_unproject(piece, r) for r in local.rays]
+            # basis holds the piece's vectors as columns, so the solution X
+            # of basis @ X = Y holds Y's columns in piece coordinates
+            basis = Matrix(piece).T
+            local_action = basis.solve(norm_action @ basis)
+            base_local = basis.solve(fc.projection @ e_coords)
+            if local_action is None or base_local is None:
+                raise InternalInvariantError("vector left its factor piece")
+            if not local_action.is_integral:
+                raise ValidationError(
+                    "normalizer_factors", "normalizer must preserve each factor piece lattice"
+                )
+            local = hyperbolic_domain(local_action, primitive_tuple(base_local.col(0)))
+            rays = [(basis @ Matrix.column(r)).col(0) for r in local.rays]
             global_rays.extend(rays)
             summaries.append(
                 {
@@ -331,24 +326,6 @@ def build_domain(ctx: TorusContext) -> DomainConstruction:
         return DomainConstruction(structure, None, tuple(summaries), norm_action, tuple(downgrades))
     domain = PolyhedralCone.from_rays(global_rays)
     return DomainConstruction(structure, domain, tuple(summaries), norm_action)
-
-
-def _unproject(piece: Sequence[tuple[int, ...]], local: Sequence) -> tuple[int, ...]:
-    dim = len(piece[0])
-    return tuple(
-        int(sum(Fraction(c) * piece[k][i] for k, c in enumerate(local)))
-        for i in range(dim)
-    )
-
-
-def _restrict_to_piece(action: Matrix, piece: Sequence[tuple[int, ...]]) -> Matrix:
-    cols = [_piece_coordinates(piece, (action @ Matrix.column(b)).col(0)) for b in piece]
-    local = Matrix([[cols[j][i] for j in range(len(piece))] for i in range(len(piece))])
-    if not local.is_integral:
-        raise ValidationError(
-            "normalizer_factors", "normalizer must preserve each factor piece lattice"
-        )
-    return local
 
 
 def _validate_normalizer(ctx: TorusContext, gamma: Matrix) -> None:
@@ -407,13 +384,26 @@ def _downgrade_message(built: DomainConstruction) -> str:
     )
 
 
+# v.T @ _DISCRIMINANT @ v = b^2 - 4ac for the form v = (a, b, c)
+_DISCRIMINANT = Matrix([[0, 0, -2], [0, 1, 0], [-2, 0, 0]])
+
+
 def build_problem(doc: ProblemDocument) -> ReductionProblem:
     """The binary quadratic form problem, with the document's generators
-    when it names any; ReductionProblem validates them."""
+    when it names any. After ReductionProblem's checks, each generator
+    must map the cone, the half a > 0 of b^2 - 4ac < 0, onto itself: it
+    preserves the discriminant and keeps the base point interior."""
     base = binary_quadratic_problem()
     if not doc.generators:
         return base
-    return replace(base, generators=doc.generators)
+    problem = replace(base, generators=doc.generators)
+    point = Matrix.column(problem.base_point)
+    for name, g in problem.generators:
+        if g.T @ _DISCRIMINANT @ g != _DISCRIMINANT or not problem.is_interior((g @ point).col(0)):
+            raise ValidationError(
+                "generator_cone", f"generator {name} must map the cone of positive forms onto itself"
+            )
+    return problem
 
 
 def build_torus_problem(ctx: TorusContext, built: DomainConstruction) -> ReductionProblem:
@@ -481,7 +471,7 @@ def run_verify(doc, seed: int = 42, samples: int = 1000, max_steps: int = 20_000
             }
         problem = build_torus_problem(ctx, built)
         domain = built.domain
-        pushdown = pushdown_domain(built.structure, domain)
+        pushdown = pushdown_domain(built.structure)
     tiling = verify_tiling(problem, domain, samples=samples, seed=seed, max_steps=max_steps)
     overlap = find_interior_overlap(problem, domain, seed=seed)
     report = {

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heappop, heappush
 from itertools import combinations
 from math import isqrt
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 from ._kernels import linear_form, linear_map, nonnegative_test
@@ -701,20 +701,19 @@ class PushdownReport:
     pushforward: Matrix
     group_order: int
     verified: bool
-    domain: PolyhedralCone
 
 
-def pushdown_domain(structure, domain: PolyhedralCone) -> PushdownReport:
+def pushdown_domain(structure) -> PushdownReport:
     """Certify that invariant coordinates compute the quotient form space:
-    the transfer identities make the domain a domain downstairs."""
+    the transfer identities make a domain in invariant coordinates a
+    domain downstairs."""
     full = structure.ns
     inv = structure.invariant
-    cols = [full.coordinates(b) for b in inv.basis]
-    pullback = Matrix([[cols[j][i] for j in range(len(cols))] for i in range(full.rank)])
-    transfer = None
-    for g in structure.group.elements:
-        p = full.pullback_matrix(g.linear)
-        transfer = p if transfer is None else transfer + p
+    pullback = full.matrix_of(inv.basis)
+    linears = [g.linear for g in structure.group.elements]
+    transfer = full.matrix_of(
+        [reduce(add, [g.T @ b @ g for g in linears]) for b in full.basis]
+    )
     pushforward = pullback.solve(transfer)
     if pushforward is None:
         raise InternalInvariantError("group transfer left the invariant span")
@@ -726,5 +725,4 @@ def pushdown_domain(structure, domain: PolyhedralCone) -> PushdownReport:
         pushforward=pushforward,
         group_order=order,
         verified=verified,
-        domain=domain,
     )

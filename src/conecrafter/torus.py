@@ -21,11 +21,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ClosureError, ValidationError
 from .matrices import (
     Matrix,
+    Scalar,
     definiteness_sign,
     in_lattice_plus_integers,
     rows_product,
@@ -148,30 +149,23 @@ def normalize_polarization(
     return t, False
 
 
-def _canonical_translation(tr: Sequence) -> tuple[Fraction, ...]:
-    out = []
-    for x in tr:
-        f = Fraction(x)
-        out.append(f - (f.numerator // f.denominator))  # into [0, 1)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class AffineAuto:
     """Affine automorphism x -> linear @ x + translation of the torus.
 
-    The translation is stored mod 1 with entries in [0, 1)."""
+    The translation is stored mod 1, each entry an int or a Fraction in
+    [0, 1)."""
 
     linear: Matrix
-    translation: tuple[Fraction, ...] = field(default=())
+    translation: tuple[Scalar, ...] = field(default=())
 
     def __post_init__(self):
         if not self.linear.is_square:
             raise ValidationError("shape", "linear part must be square")
-        tr = self.translation or tuple([Fraction(0)] * self.linear.nrows)
+        tr = self.translation or (0,) * self.linear.nrows
         if len(tr) != self.linear.nrows:
             raise ValidationError("shape", "translation length must match rank")
-        object.__setattr__(self, "translation", _canonical_translation(tr))
+        object.__setattr__(self, "translation", tuple([x % 1 for x in tr]))
 
     @property
     def is_identity(self) -> bool:
@@ -267,7 +261,7 @@ def close_group(
         frontier = nxt
     seen.remove(ident)
     return GroupAction(tuple(
-        AffineAuto(Matrix.trusted(lin, True), tuple(Fraction(x, den) for x in tr))
+        AffineAuto(Matrix.trusted(lin, True), tuple([Fraction(x, den) if x else 0 for x in tr]))
         for lin, tr in [ident] + sorted(seen)
     ))
 

@@ -25,6 +25,7 @@ MUTANT_CODES = {
     "m12_generators_not_object": 4,
     "m13_test_classes_not_list": 4,
     "m14_domain_rays_not_list": 4,
+    "m15_generator_leaves_cone": 2,
 }
 
 HOSTILE_FILES = {
@@ -301,13 +302,21 @@ class TestFailurePaths:
         ({"generators": {"S": [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
                          "T": [[2, 0, 0], [2, 1, 0], [1, 1, 1]]}},
          "generator_unimodular", "generator T must be unimodular"),
+        # unimodular, but b^2 - 4ac is not preserved
+        ({"generators": {"T": [[1, 0, 0], [2, 1, 0], [1, 100, 1]]}},
+         "generator_cone", "generator T must map the cone of positive forms onto itself"),
+        # -I preserves b^2 - 4ac but swaps the positive and negative forms
+        ({"generators": {"S": [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
+                         "M": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}},
+         "generator_cone", "generator M must map the cone of positive forms onto itself"),
     ])
     def test_problem_commands_share_the_document_checks(
         self, capsys, tmp_path, change, invariant, message
     ):
         """check, funddom and verify read a reduction problem through the
-        same checks: a domain outside the closed cone and a generator that
-        is not unimodular end each of them in exit 2 with one report."""
+        same checks: a domain outside the closed cone, a generator that is
+        not unimodular and one that moves the cone end each of them in exit
+        2 with one report."""
         with open(corpus_path("p2_minkowski.json")) as fh:
             data = json.load(fh)
         data.update(change)

@@ -13,10 +13,11 @@ from conecrafter.endo import (
     trace_positivity_check,
 )
 from conecrafter.errors import ValidationError
+from conecrafter.documents import parse_document
 from conecrafter.matrices import Matrix
-from conecrafter.pipeline import prepare_torus
+from conecrafter.pipeline import prepare_torus, run_cone, run_endo
 
-from conftest import load_corpus
+from conftest import load_corpus, read_corpus_json
 
 CORPUS_NAMES = [
     "elliptic_gauss",
@@ -202,26 +203,14 @@ class TestInvariantSubalgebra:
     def test_dimensions(self, name, dim):
         ctx = CTX[name]
         inv = invariant_subalgebra(ctx.invariant_torus, ctx.group)
-        assert inv.algebra.dim == dim
+        assert inv.dim == dim
 
     def test_elements_commute_with_group(self):
         ctx = CTX["hyperbolic_z8"]
         inv = invariant_subalgebra(ctx.invariant_torus, ctx.group)
-        for b in inv.algebra.basis:
+        for b in inv.basis:
             for g in ctx.group.elements:
                 assert b @ g.linear == g.linear @ b
-
-    def test_embedding_respects_coordinates(self):
-        rng = random.Random(41)
-        ctx = CTX["bielliptic_z4"]
-        inv = invariant_subalgebra(ctx.invariant_torus, ctx.group)
-        for _ in range(10):
-            coords = [rng.randrange(-3, 4) for _ in range(inv.algebra.dim)]
-            m = inv.algebra.from_coordinates(coords)
-            lifted = inv.embedding @ Matrix([[c] for c in coords])
-            assert inv.parent.from_coordinates(
-                [lifted[i, 0] for i in range(inv.parent.dim)]
-            ) == m
 
     @pytest.mark.parametrize("name,dim", [
         ("elliptic_gauss", 2),
@@ -238,11 +227,133 @@ class TestInvariantSubalgebra:
         inv = invariant_subalgebra(t, ctx.group)
         constraints = [t.j] + [g.linear for g in ctx.group.elements[1:]]
         assert commutant_nullity(*constraints) == dim
-        flat = Matrix([list(b.flat()) for b in inv.algebra.basis])
+        flat = Matrix([list(b.flat()) for b in inv.basis])
         assert flat.rank() == dim
-        for b in inv.algebra.basis:
+        for b in inv.basis:
             for c in constraints:
                 assert b @ c == c @ b
+
+
+# --- tori with a rational J ---------------------------------------------------
+# A rational J with J^2 = -I makes Q^r a Q(i)-space of dimension r/2, so
+# End^0 = M_{r/2}(Q(i)) has dimension r^2/2 over Q, and the forms fixed by
+# J are the Hermitian forms on Q(i)^{r/2}, of rank (r/2)^2. These closed
+# forms, and the transports below, share no code with the package.
+
+TORUS_CORPUS = [*CORPUS_NAMES, "elliptic_rational_j"]
+
+
+def _json_entry(x: Fraction):
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _ei_power(n: int) -> dict:
+    """E_i^n: n copies of J = [[0, -1], [1, 0]], E = [[0, 1], [-1, 0]]."""
+    r = 2 * n
+    j, e = [[0] * r for _ in range(r)], [[0] * r for _ in range(r)]
+    for k in range(n):
+        j[2 * k][2 * k + 1], j[2 * k + 1][2 * k] = -1, 1
+        e[2 * k][2 * k + 1], e[2 * k + 1][2 * k] = 1, -1
+    return {
+        "schema": "conecrafter/1", "kind": "torus", "name": f"ei{n}", "rank": r,
+        "complex_structure": j, "polarization": e,
+    }
+
+
+def _transported(data: dict, seed: int) -> dict:
+    """data moved by a seeded P in GL(r, Z), a product of r transvections
+    with multipliers +-1: J -> P^-1 J P, E -> P^T E P, and each generator
+    x -> g x + t becomes x -> P^-1 g P x + P^-1 t. The normalizer and the
+    test classes are dropped; expect_ghv is kept, since freeness and
+    translations survive the change of basis."""
+    rng = random.Random(seed)
+    r = data["rank"]
+    p = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    p_inv = [row[:] for row in p]
+    for _ in range(r):
+        i, j = rng.sample(range(r), 2)
+        c = rng.choice((-1, 1))
+        for row in p:  # p @ (I + c e_ij)
+            row[j] += c * row[i]
+        p_inv[i] = [x - c * y for x, y in zip(p_inv[i], p_inv[j])]  # (I - c e_ij) @ p_inv
+
+    def read(m):
+        return [[Fraction(x) for x in row] for row in m]
+
+    def written(m):
+        return [[_json_entry(x) for x in row] for row in m]
+
+    def conjugate(m):
+        return written(_product(_product(p_inv, read(m)), p))
+
+    out = {k: v for k, v in data.items() if k not in ("normalizer", "test_classes")}
+    out["name"] = f"{data['name']}_transported{seed}"
+    out["complex_structure"] = conjugate(data["complex_structure"])
+    pt = [list(col) for col in zip(*p)]
+    out["polarization"] = written(_product(_product(pt, read(data["polarization"])), p))
+    if "group" in data:
+        gens = []
+        for g in data["group"]["generators"]:
+            moved = {"linear": conjugate(g["linear"])}
+            if "translation" in g:
+                t = _product(p_inv, [[Fraction(x)] for x in g["translation"]])
+                moved["translation"] = [_json_entry(row[0]) for row in t]
+            gens.append(moved)
+        out["group"] = {"generators": gens}
+    return out
+
+
+def _rational_j_tori() -> list[dict]:
+    tori = [read_corpus_json(n + ".json") for n in TORUS_CORPUS]
+    tori += [_ei_power(n) for n in (1, 2, 3, 4)]
+    return tori + [_transported(d, seed) for d in tori for seed in (1, 2)]
+
+
+RATIONAL_J_TORI = _rational_j_tori()
+
+
+@pytest.mark.parametrize("data", RATIONAL_J_TORI, ids=[d["name"] for d in RATIONAL_J_TORI])
+def test_rational_j_gives_a_q_i_space(data):
+    doc = parse_document(data)
+    r = data["rank"]
+    assert run_endo(doc)["end_dim"] == r * r // 2
+    assert run_cone(doc)["ns_rank"] == (r // 2) ** 2
+    ctx = prepare_torus(doc)
+    full = compute_end(ctx.invariant_torus)
+    assert all(full.contains(b) for b in invariant_subalgebra(ctx.invariant_torus, ctx.group).basis)
+
+
+def test_transport_moves_every_entry_it_should():
+    """The transport is a real change of basis: J, E and the generators
+    change, and P^-1 t is read back as a translation."""
+    data = read_corpus_json("bielliptic_z4.json")
+    moved = _transported(data, 1)
+    assert moved["complex_structure"] != data["complex_structure"]
+    assert moved["polarization"] != data["polarization"]
+    assert moved["group"]["generators"][0]["linear"] != data["group"]["generators"][0]["linear"]
+    assert parse_document(moved).generators[0].translation != (0, 0, Fraction(1, 4), 0)
+
+
+class TestMatrixOf:
+    def test_columns_are_coordinates_and_outside_raises(self):
+        rng = random.Random(43)
+        alg = compute_end(CTX["bielliptic_z4"].invariant_torus)
+        images = [
+            alg.from_coordinates([rng.randrange(-3, 4) for _ in range(alg.dim)])
+            for _ in range(5)
+        ]
+        m = alg.matrix_of(images)
+        assert m.shape == (alg.dim, 5)
+        for j, image in enumerate(images):
+            assert alg.from_coordinates(m.col(j)) == image
+        outside = Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        with pytest.raises(ValidationError) as exc:
+            alg.matrix_of([*images, outside])
+        assert exc.value.invariant == "algebra_membership"
 
 
 class TestCenter:

@@ -351,7 +351,9 @@ class TestCloseGroup:
         got = _closure_outcome(close_group, gens, max_order)
         assert got == _closure_outcome(reference_close_group, gens, max_order)
         if not isinstance(got[0], str):
-            assert all(isinstance(x, Fraction) for g in got for x in g.translation)
+            assert all(
+                isinstance(x, (int, Fraction)) and 0 <= x < 1 for g in got for x in g.translation
+            )
 
     def test_translations_of_several_denominators(self):
         swap = Matrix([[0, 1], [1, 0]])

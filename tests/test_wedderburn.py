@@ -112,7 +112,7 @@ class TestCentralIdempotents:
     def test_partition_of_unity(self, name, count):
         ctx = ctx_for(name)
         t = ctx.invariant_torus
-        alg = invariant_subalgebra(t, ctx.group).algebra
+        alg = invariant_subalgebra(t, ctx.group)
         idems = central_idempotents(alg)
         assert len(idems) == count
         total = Matrix.zeros(t.rank, t.rank)
@@ -127,7 +127,7 @@ class TestCentralIdempotents:
 
     def test_idempotents_are_central(self):
         ctx = ctx_for("bielliptic_z4")
-        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group).algebra
+        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group)
         for e, _ in central_idempotents(alg):
             for b in alg.basis:
                 assert e @ b == b @ e
@@ -164,7 +164,7 @@ class TestDecompose:
 
     def test_bielliptic_invariant_splits(self):
         ctx = ctx_for("bielliptic_z4")
-        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group).algebra
+        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group)
         decomp = decompose(alg)
         assert [f.label for f in decomp.factors] == ["ComplexMatrix(1)", "ComplexMatrix(1)"]
         assert sum(f.center_degree for f in decomp.factors) == 4
@@ -173,7 +173,7 @@ class TestDecompose:
 
     def test_hyperbolic_invariant_cm_quartic(self):
         ctx = ctx_for("hyperbolic_z8")
-        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group).algebra
+        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group)
         decomp = decompose(alg)
         assert [f.label for f in decomp.factors] == ["ComplexMatrix(1)"]
         f = decomp.factors[0]
@@ -184,19 +184,19 @@ class TestDecompose:
 
     def test_default_seed_center_polys(self):
         ctx = ctx_for("hyperbolic_z8")
-        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group).algebra
+        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group)
         assert list(decompose(alg).factors[0].center_poly) == [578, -68, 18, -8, 1]
 
     def test_factor_dims_sum_to_algebra_dim(self):
         for name in ("elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"):
             ctx = ctx_for(name)
-            alg = invariant_subalgebra(ctx.invariant_torus, ctx.group).algebra
+            alg = invariant_subalgebra(ctx.invariant_torus, ctx.group)
             decomp = decompose(alg)
             assert sum(f.dim for f in decomp.factors) == alg.dim
 
     def test_deterministic(self):
         ctx = ctx_for("bielliptic_z4")
-        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group).algebra
+        alg = invariant_subalgebra(ctx.invariant_torus, ctx.group)
         a = decompose(alg)
         b = decompose(alg)
         assert [f.idempotent for f in a.factors] == [f.idempotent for f in b.factors]
