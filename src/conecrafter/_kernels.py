@@ -18,12 +18,14 @@ they certify with generic code that shares nothing with these functions.
 
 ``positive_definite_test(n)`` compiles Sylvester's criterion for n x n
 integer symmetric matrices the same way: the fraction-free symmetric
-elimination of ``matrices.positive_definite`` (Bareiss 1968), unrolled
-over the n(n+1)/2 entries of the upper triangle, one assignment per entry
-update, returning False at the first leading principal minor that is not
-positive. It reads only its argument, so its source holds no coefficient
-either. A lattice builds it once, next to the compiled map that forms the
-upper triangle of a class's Hermitian form.
+elimination in the given order (Bareiss 1968), unrolled over the n(n+1)/2
+entries of the upper triangle, one assignment per entry update, returning
+False at the first leading principal minor that is not positive. It
+reads only its argument, so its source holds no coefficient either. A
+lattice builds it once, next to the compiled map that forms the upper
+triangle of a class's Hermitian form. Its reference is the same
+elimination written as a loop, ``positive_definite`` in the tests'
+``conftest.py``; no command calls that loop.
 """
 
 BACKEND = "pure"

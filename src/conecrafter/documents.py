@@ -55,7 +55,7 @@ def _integer(x, where: str, index: int | None = None) -> int:
     return v
 
 
-def _matrix(obj, where: str, square: bool = False) -> Matrix:
+def _matrix(obj, where: str) -> Matrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ParseError(f"{where}: expected a list of rows")
     width = len(obj[0])
@@ -66,7 +66,7 @@ def _matrix(obj, where: str, square: bool = False) -> Matrix:
         if len(r) != width:
             raise ParseError(f"{where}: row {i} has length {len(r)}, expected {width}")
         rows.append(tuple([_rational(x, where, i) for x in r]))
-    if square and len(rows) != width:
+    if len(rows) != width:
         raise ParseError(f"{where}: expected a square matrix")
     return Matrix.trusted(tuple(rows))
 
@@ -112,8 +112,8 @@ def _parse_torus(data: dict, name: str) -> TorusDocument:
         raise ParseError("torus document needs a complex_structure matrix")
     if "polarization" not in data:
         raise ParseError("torus document needs a polarization matrix")
-    j = _matrix(data["complex_structure"], "complex_structure", square=True)
-    e = _matrix(data["polarization"], "polarization", square=True)
+    j = _matrix(data["complex_structure"], "complex_structure")
+    e = _matrix(data["polarization"], "polarization")
     if j.shape != e.shape:
         raise ParseError("complex_structure and polarization sizes differ")
     rank = j.nrows
@@ -126,7 +126,7 @@ def _parse_torus(data: dict, name: str) -> TorusDocument:
     for i, g in enumerate(_list(group.get("generators", []), "group.generators")):
         if not isinstance(g, dict) or "linear" not in g:
             raise ParseError(f"group.generators[{i}]: expected an object with linear")
-        lin = _matrix(g["linear"], f"group.generators[{i}].linear", square=True)
+        lin = _matrix(g["linear"], f"group.generators[{i}].linear")
         if lin.nrows != rank:
             raise ParseError(f"group.generators[{i}]: size disagrees with the torus")
         tr = g.get("translation")
@@ -136,7 +136,7 @@ def _parse_torus(data: dict, name: str) -> TorusDocument:
         gens.append(AffineAuto(lin, translation))
     normalizer = None
     if "normalizer" in data:
-        normalizer = _matrix(data["normalizer"], "normalizer", square=True)
+        normalizer = _matrix(data["normalizer"], "normalizer")
         if normalizer.nrows != rank:
             raise ParseError("normalizer size disagrees with the torus")
     expect = data.get("expect_ghv")
@@ -174,7 +174,7 @@ def _parse_problem(data: dict, name: str) -> ProblemDocument:
         raise ParseError("generators: expected an object of named matrices")
     gens = []
     for gname, m in generators.items():
-        mat = _matrix(m, f"generators.{gname}", square=True)
+        mat = _matrix(m, f"generators.{gname}")
         if mat.nrows != 3:
             raise ParseError(f"generators.{gname}: expected 3x3")
         if not mat.is_integral:

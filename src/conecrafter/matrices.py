@@ -385,40 +385,16 @@ def semidefinite_rank(rows: Sequence[Sequence[int]]) -> int | None:
     return rank
 
 
-def positive_definite(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether an integer symmetric matrix is positive definite.
-
-    Sylvester's criterion by fraction-free symmetric elimination (Bareiss
-    1968) in the given order: the k-th pivot is the k-th leading principal
-    minor, so the elimination stops at the first one that is not positive.
-    Only the upper triangle of the remaining block is updated."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        row_k = a[k]
-        p = row_k[k]
-        if p <= 0:
-            return False
-        for i in range(k + 1, n):
-            row_i = a[i]
-            f = row_k[i]
-            for j in range(i, n):
-                row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
-        prev = p
-    return True
-
-
 def definiteness_sign(m: Matrix) -> int:
     """+1 / -1 when the symmetric matrix is positive / negative definite,
-    0 otherwise, read from positive_definite of m and of -m scaled
-    integral."""
+    0 otherwise. Definite means semidefinite of full rank, read from
+    semidefinite_rank of m and of -m scaled integral."""
     if not m.is_symmetric:
         raise ValueError("definiteness test needs a symmetric matrix")
     scaled, _ = m.to_integer()
-    if positive_definite(scaled.rows):
+    if semidefinite_rank(scaled.rows) == m.nrows:
         return 1
-    if positive_definite((-scaled).rows):
+    if semidefinite_rank((-scaled).rows) == m.nrows:
         return -1
     return 0
 

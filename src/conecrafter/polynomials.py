@@ -70,12 +70,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({list(self._coeffs)})"
 
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
@@ -203,23 +197,6 @@ def _variations_at_infinity(chain: list[list[int]], positive: bool) -> int:
             lead = -lead
         signs.append(lead)
     return sign_variations(signs)
-
-
-def count_roots_in_interval(p: Polynomial, a, b) -> int:
-    """Exact number of distinct real roots of p in (a, b].
-
-    a and b are rationals; None means -infinity / +infinity respectively.
-    """
-    if p.is_zero:
-        raise ValueError("root counting needs a nonzero polynomial")
-    if p.degree == 0:
-        return 0
-    if a is not None and b is not None and Fraction(a) >= Fraction(b):
-        raise ValueError("interval needs a < b")
-    chain = sturm_chain(p)
-    va = _variations_at_infinity(chain, positive=False) if a is None else _variations_at(chain, a)
-    vb = _variations_at_infinity(chain, positive=True) if b is None else _variations_at(chain, b)
-    return va - vb
 
 
 def count_real_roots(p: Polynomial) -> int:

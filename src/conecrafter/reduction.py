@@ -8,6 +8,15 @@ is a semi-decision procedure that replays each sample's search path on the
 generators' matrices and reports every sample it could not reduce instead
 of guessing.
 
+A ``ReductionProblem`` holds one generator table, ``symmetric_generators``:
+each generator and its inverse, deduplicated, with the index of each
+entry's inverse. The compiled steps, the search moves and the one word
+ball (``WORD_LENGTH`` letters, read by both ``find_eta`` and
+``find_interior_overlap``) are built from it once per problem.
+``binary_quadratic_problem`` defines the form cone in one place: its
+interior and closure tests, and the check that each generator maps the
+cone onto itself.
+
 Samples repeat (random words often land on the same point), so each
 distinct point is tested for interiority once, and each distinct sample
 is searched and rechecked once; a repeated sample shares the outcome of
@@ -16,7 +25,7 @@ its first occurrence, and a failure is still listed per occurrence.
 The fixed small matrices that verification applies thousands of times are
 compiled once into straight-line functions (``_kernels.linear_map`` and
 its one-row and sign-test forms): each symmetric generator's step, the
-eta priority of a search, a domain's closed-membership test and its ray
+eta order of a search, a domain's closed-membership test and its ray
 combination. A tiling sample is certified apart from them: the search
 returns its path as indices into the symmetric generators, and
 ``verify_tiling`` replays that path on the generators' rows through the
@@ -55,6 +64,8 @@ from .errors import (
 from .matrices import Matrix, integer_kernel_matrix, primitive_tuple, rows_product
 
 MAX_CONE_DIM = 4
+# the length of the word ball that find_eta and find_interior_overlap search
+WORD_LENGTH = 4
 
 
 def _uniform(rng: random.Random, low: int, high: int) -> Callable[[], int]:
@@ -336,73 +347,51 @@ class ReductionProblem:
             raise ValidationError("base_point", "base point must be interior")
 
     @cached_property
-    def symmetric_generators(self) -> tuple[tuple[str, Matrix], ...]:
-        """Generators and their inverses, deduplicated by matrix."""
-        out = []
-        seen = set()
+    def symmetric_generators(self) -> tuple[tuple[str, Matrix, int], ...]:
+        """Generators and their inverses, deduplicated by matrix: the
+        problem's one generator table. Entry k is (name, matrix, index of
+        the matrix's inverse), so the table is closed under inversion."""
+        entries = {}  # matrix -> (name, its inverse), in first-seen order
         for name, m in self.generators:
-            for nm, mat in ((name, m), (name + "~", m.inverse())):
-                mat = Matrix([[int(x) for x in row] for row in mat.rows])
-                if mat not in seen:
-                    seen.add(mat)
-                    out.append((nm, mat))
-        return tuple(out)
+            m = Matrix([[int(x) for x in row] for row in m.rows])
+            inv = Matrix([[int(x) for x in row] for row in m.inverse().rows])
+            entries.setdefault(m, (name, inv))
+            entries.setdefault(inv, (name + "~", m))
+        index = {m: k for k, m in enumerate(entries)}
+        return tuple((name, m, index[inv]) for m, (name, inv) in entries.items())
 
     @cached_property
     def steps(self) -> tuple[Callable[[Sequence], tuple], ...]:
         """v -> g @ v for each symmetric generator g, in the same order,
         compiled once per problem."""
-        return tuple(linear_map(m.rows) for _, m in self.symmetric_generators)
+        return tuple(linear_map(m.rows) for _, m, _ in self.symmetric_generators)
 
     @cached_property
     def search_moves(self) -> tuple[list, ...]:
         """The letters an orbit search tries from a node, by the letter
         that reached it. Entry k leaves out the inverse of symmetric
-        generator k (the list is closed under inversion), whose image is
-        the node's parent; the last entry, for the start, keeps every
-        letter. A letter is (index into symmetric_generators, step, the
-        entry for its image)."""
-        gens = [m.rows for _, m in self.symmetric_generators]
-        ident = Matrix.identity(self.dim).rows
-        inverse = [
-            next(j for j, b in enumerate(gens) if rows_product(b, a) == ident)
-            for a in gens
-        ]
+        generator k, whose image is the node's parent; the last entry, for
+        the start, keeps every letter. A letter is (index into
+        symmetric_generators, step, the entry for its image)."""
+        gens = self.symmetric_generators
         moves = tuple([] for _ in range(len(gens) + 1))
         for came, entry in enumerate(moves):
-            skip = inverse[came] if came < len(gens) else None
+            skip = gens[came][2] if came < len(gens) else None
             entry.extend((k, step, moves[k]) for k, step in enumerate(self.steps) if k != skip)
         return moves
 
     @cached_property
-    def _priorities(self) -> dict:
-        return {}
-
-    def priority(self, eta: tuple[int, ...]) -> Callable[[Sequence], int]:
-        """v -> eta . v, the order of an orbit search, compiled once per
-        covector."""
-        form = self._priorities.get(eta)
-        if form is None:
-            form = self._priorities[eta] = linear_form(eta)
-        return form
-
-    @cached_property
-    def _word_balls(self) -> dict:
-        return {}
-
-    def word_ball(self, max_length: int) -> tuple[tuple[tuple[tuple[str, int], ...], Matrix], ...]:
-        """All nontrivial group elements reachable by words up to the given
-        length, one shortest word each, identity excluded. Each length is
-        built once per problem, on row tuples."""
-        ball = self._word_balls.get(max_length)
-        if ball is not None:
-            return ball
-        gens = [(name, m.rows) for name, m in self.symmetric_generators]
+    def word_ball(self) -> tuple[tuple[tuple[tuple[str, int], ...], tuple], ...]:
+        """All nontrivial group elements reachable by words of length up to
+        WORD_LENGTH, one shortest word each, identity excluded, as
+        (letters, row tuples) pairs: the ball find_eta and
+        find_interior_overlap both search."""
+        gens = [(name, m.rows) for name, m, _ in self.symmetric_generators]
         ident = Matrix.identity(self.dim).rows
         frontier = [((), ident)]
         seen = {ident}
         found = []
-        for _ in range(max_length):
+        for _ in range(WORD_LENGTH):
             nxt = []
             for letters, rows in frontier:
                 for name, gen in gens:
@@ -413,14 +402,17 @@ class ReductionProblem:
                     nxt.append((letters + ((name, 1),), image))
             found.extend(nxt)
             frontier = nxt
-        ball = tuple((letters, Matrix(rows)) for letters, rows in found)
-        self._word_balls[max_length] = ball
-        return ball
+        return tuple(found)
 
 
-def binary_quadratic_problem() -> ReductionProblem:
+def binary_quadratic_problem(generators: Sequence[tuple[str, Matrix]] = ()) -> ReductionProblem:
     """Unimodular changes of variable acting on positive definite binary
-    forms in (a, b, c) coordinates."""
+    forms in (a, b, c) coordinates, by the named generators, or by S, T and
+    N when none are given.
+
+    After ReductionProblem's shape and unimodularity checks, each generator
+    must map the cone, the half a > 0 of b^2 - 4ac < 0, onto itself: it
+    preserves the discriminant and keeps the base point interior."""
 
     def interior(v: Sequence) -> bool:
         a, b, c = v
@@ -430,21 +422,28 @@ def binary_quadratic_problem() -> ReductionProblem:
         a, b, c = v
         return a >= 0 and c >= 0 and 4 * a * c - b * b >= 0
 
-    return ReductionProblem(
+    problem = ReductionProblem(
         dim=3,
-        generators=(("S", P2_ACTION_S), ("T", P2_ACTION_T), ("N", P2_ACTION_N)),
+        generators=tuple(generators) or (("S", P2_ACTION_S), ("T", P2_ACTION_T), ("N", P2_ACTION_N)),
         pairing=Matrix([[2, 0, 0], [0, 1, 0], [0, 0, 2]]),
         base_point=(1, 0, 1),
         is_interior=interior,
         is_closure=closure,
     )
+    # v.T @ disc @ v = b^2 - 4ac for the form v = (a, b, c)
+    disc = Matrix([[0, 0, -2], [0, 1, 0], [-2, 0, 0]])
+    for name, g in problem.generators:
+        if g.T @ disc @ g != disc or not interior(_apply(g.rows, problem.base_point)):
+            raise ValidationError(
+                "generator_cone", f"generator {name} must map the cone of positive forms onto itself"
+            )
+    return problem
 
 
 def find_eta(
     problem: ReductionProblem,
     seed: int = 42,
     max_candidates: int = 1000,
-    stabilizer_word_length: int = 4,
 ) -> tuple[int, ...]:
     """A covector positive on the closed cone minus zero and not fixed by
     any short nontrivial word.
@@ -452,7 +451,7 @@ def find_eta(
     Candidates are pairings against interior lattice points, which makes
     cone positivity exact; genericity is enforced against the word ball.
     """
-    transposes = [tuple(zip(*m.rows)) for _, m in problem.word_ball(stabilizer_word_length)]
+    transposes = [tuple(zip(*rows)) for _, rows in problem.word_ball]
     pairing = problem.pairing.rows
     rng = random.Random(seed)
     base = problem.base_point
@@ -500,25 +499,24 @@ def _best_first_reduce(
     problem: ReductionProblem,
     domain: PolyhedralCone,
     start: tuple[int, ...],
-    eta: tuple[int, ...],
+    eta_form: Callable[[Sequence], int],
     max_nodes: int,
 ) -> tuple[int, ...] | None:
     """Search the orbit of start for a point of the domain, expanding the
-    frontier in order of the eta value. Greedy descent plus the bounded
-    uphill that boundary flips need, in one queue. Returns the path from
-    start, in application order, as indices into the problem's
-    symmetric_generators, or None when the budget runs out.
+    frontier in order of eta_form, the compiled v -> eta . v. Greedy
+    descent plus the bounded uphill that boundary flips need, in one queue.
+    Returns the path from start, in application order, as indices into the
+    problem's symmetric_generators, or None when the budget runs out.
 
-    Nodes are int tuples, moved by the problem's compiled steps, ordered by
-    its compiled priority and tested by the domain's compiled closed_test.
-    A node reached by a letter is not moved by that letter's inverse, whose
+    Nodes are int tuples, moved by the problem's compiled steps and tested
+    by the domain's compiled closed_test. A node reached by a letter is not
+    moved by that letter's inverse, whose
     image is the node's parent and so already seen: each queue entry
     carries the letters to try from it."""
     inside = domain.closed_test
-    priority = problem.priority(eta)
     seen = {start}
     parent: dict[tuple, tuple] = {}
-    heap = [(priority(start), 0, start, problem.search_moves[-1])]
+    heap = [(eta_form(start), 0, start, problem.search_moves[-1])]
     counter = 1
     popped = 0
     while heap and popped < max_nodes:
@@ -536,7 +534,7 @@ def _best_first_reduce(
                 continue
             seen.add(nxt)
             parent[nxt] = (cur, k)
-            heappush(heap, (priority(nxt), counter, nxt, after))
+            heappush(heap, (eta_form(nxt), counter, nxt, after))
             counter += 1
     return None
 
@@ -608,7 +606,8 @@ def verify_tiling(
         if not problem.is_closure(r):
             raise ValidationError("domain_rays", "domain must sit inside the closed cone")
     pts = _tiling_samples(problem, domain, samples, seed)
-    gens = [m.rows for _, m in problem.symmetric_generators]
+    eta_form = linear_form(eta)
+    gens = [m.rows for _, m, _ in problem.symmetric_generators]
     outcomes: dict[tuple, TilingFailure | None] = {}
     verified = 0
     failures = []
@@ -616,7 +615,7 @@ def verify_tiling(
         if pt in outcomes:
             failure = outcomes[pt]
         else:
-            path = _best_first_reduce(problem, domain, pt, eta, max_steps)
+            path = _best_first_reduce(problem, domain, pt, eta_form, max_steps)
             if path is None:
                 failure = TilingFailure(pt, "search budget exhausted")
             else:
@@ -648,12 +647,12 @@ def find_interior_overlap(
     problem: ReductionProblem,
     domain: PolyhedralCone,
     seed: int = 42,
-    word_length: int = 4,
     samples: int = 200,
 ) -> OverlapWitness | None:
     """Search for a nontrivial group element carrying an interior domain
-    point to another interior domain point. None means no witness was
-    found at this search size, not a proof of disjointness.
+    point to another interior domain point, over the problem's word ball.
+    None means no witness was found at this search size, not a proof of
+    disjointness.
 
     M carries a point p into the open domain exactly when p is strictly
     inside every facet pulled back through M (f.M p > 0), so each element
@@ -669,8 +668,8 @@ def find_interior_overlap(
         if domain.contains(p, strict=True)
     ]
     on_rays = linear_map(domain.rays)
-    for letters, mat in problem.word_ball(word_length):
-        cols = tuple(zip(*mat.rows))
+    for letters, rows in problem.word_ball:
+        cols = tuple(zip(*rows))
         pulled = [_apply(cols, f) for f in domain.facets]
         if any(max(on_rays(p)) <= 0 for p in pulled):
             continue
@@ -680,10 +679,10 @@ def find_interior_overlap(
             if not inside:
                 break
         else:
-            image = _apply(mat.rows, inside[0])
+            image = _apply(rows, inside[0])
             if not domain.contains(image, strict=True):
                 raise InternalInvariantError("pulled-back facets disagree with the image")
-            return OverlapWitness(GroupWord(letters, mat), inside[0], image)
+            return OverlapWitness(GroupWord(letters, Matrix(rows)), inside[0], image)
     return None
 
 

@@ -53,19 +53,22 @@ def lookup_kind(d: int, f: int) -> tuple[str, int]:
     )
 
 
-def minimal_polynomial(m: Matrix) -> Polynomial:
-    """Monic minimal polynomial of a square matrix: the first power m^k
-    that depends on I, m, ..., m^(k-1). One elimination over the columns
-    vec(I), vec(m), ..., vec(m^n) finds it, since k <= n (Cayley-Hamilton):
-    the pivot columns are 0, ..., k-1, and reduced column k holds the
-    coordinates of m^k in the lower powers."""
-    n = m.nrows
-    powers = [Matrix.identity(n)]
-    for _ in range(n):
+def minimal_polynomial(m: Matrix, k: int) -> Polynomial:
+    """Monic minimal polynomial of a square matrix whose degree is at most
+    k: the first power m^d that depends on I, m, ..., m^(d-1). One
+    elimination over the columns vec(I), vec(m), ..., vec(m^k) finds it:
+    the pivot columns are 0, ..., d-1, and reduced column d holds the
+    coordinates of m^d in the lower powers. k = m.nrows always bounds the
+    degree (Cayley-Hamilton); an element of a k-dimensional commutative
+    algebra has degree at most k."""
+    powers = [Matrix.identity(m.nrows)]
+    for _ in range(k):
         powers.append(powers[-1] @ m)
     reduced, pivots = Matrix.trusted(tuple(zip(*(p.flat() for p in powers)))).rref()
-    k = len(pivots)
-    return Polynomial([-reduced[i, k] for i in range(k)] + [1])
+    d = len(pivots)
+    if d > k:
+        raise InternalInvariantError(f"minimal polynomial has degree above {k}")
+    return Polynomial([-reduced[i, d] for i in range(d)] + [1])
 
 
 def _flat_rank(mats: list[Matrix]) -> int:
@@ -109,13 +112,13 @@ def primitive_center_element(algebra: EndoAlgebra, center: Sequence[Matrix]) -> 
     k = len(center)
     if k == 1:
         z = center[0]
-        return z, minimal_polynomial(z)
+        return z, minimal_polynomial(z, 1)
     for coeffs in _center_coefficients(k):
         z = Matrix.zeros(algebra.rank, algebra.rank)
         for c, b in zip(coeffs, center):
             if c:
                 z = z + b * c
-        mu = minimal_polynomial(z)
+        mu = minimal_polynomial(z, k)
         if mu.degree == k:
             return z, mu
     raise InternalInvariantError("center admits no primitive element")

@@ -7,7 +7,12 @@ import pytest
 
 from conecrafter.documents import load_document
 from conecrafter.matrices import Matrix
-from conecrafter.polynomials import Polynomial
+from conecrafter.polynomials import (
+    Polynomial,
+    _variations_at,
+    _variations_at_infinity,
+    sturm_chain,
+)
 from conecrafter.reduction import PolyhedralCone
 from conecrafter.torus import AffineAuto
 
@@ -75,6 +80,14 @@ def vstack(*mats: Matrix) -> Matrix:
     return Matrix([row for m in mats for row in m.rows])
 
 
+def evaluate(p: Polynomial, x):
+    """p(x) by Horner's rule on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def evaluate_matrix(p: Polynomial, m: Matrix) -> Matrix:
     """p(m) by Horner's rule on Matrix arithmetic: the tests' reference for
     polynomials in a matrix, independent of how the package combines
@@ -93,6 +106,68 @@ def affine_compose(a: AffineAuto, b: AffineAuto) -> AffineAuto:
     return AffineAuto(a.linear @ b.linear, tuple(Fraction(x) for x in tr))
 
 
+# p2_minkowski with one change each, and the check that rejects the changed
+# document: (change, invariant, message)
+PROBLEM_DOCUMENT_CHANGES = [
+    # a ray of a reduced-form domain pushed past the cone b^2 <= 4ac
+    ({"domain_rays": [[0, 0, 1], [1, 0, 1], [1, 5, 1]]},
+     "domain_rays", "rays must lie in the closed cone"),
+    ({"generators": {"S": [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
+                     "T": [[2, 0, 0], [2, 1, 0], [1, 1, 1]]}},
+     "generator_unimodular", "generator T must be unimodular"),
+    # unimodular, but b^2 - 4ac is not preserved
+    ({"generators": {"T": [[1, 0, 0], [2, 1, 0], [1, 100, 1]]}},
+     "generator_cone", "generator T must map the cone of positive forms onto itself"),
+    # -I preserves b^2 - 4ac but swaps the positive and negative forms
+    ({"generators": {"S": [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
+                     "M": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}},
+     "generator_cone", "generator M must map the cone of positive forms onto itself"),
+]
+
+
 def minkowski_domain_p2() -> PolyhedralCone:
     """Reduced positive binary forms 0 <= b <= a <= c in (a, b, c) space."""
     return PolyhedralCone.from_rays([(0, 0, 1), (1, 0, 1), (1, 1, 1)])
+
+
+# --- references that the package no longer carries ----------------------------
+
+def positive_definite(rows) -> bool:
+    """Whether an integer symmetric matrix is positive definite.
+
+    Sylvester's criterion by fraction-free symmetric elimination (Bareiss
+    1968) in the given order: the k-th pivot is the k-th leading principal
+    minor, so the elimination stops at the first one that is not positive.
+    Only the upper triangle of the remaining block is updated. This loop is
+    the reference for the compiled ``_kernels.positive_definite_test``."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        row_k = a[k]
+        p = row_k[k]
+        if p <= 0:
+            return False
+        for i in range(k + 1, n):
+            row_i = a[i]
+            f = row_k[i]
+            for j in range(i, n):
+                row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
+        prev = p
+    return True
+
+
+def count_roots_in_interval(p: Polynomial, a, b) -> int:
+    """Exact number of distinct real roots of p in (a, b], from the Sturm
+    chain of p's squarefree part; a and b are rationals, None means -infinity
+    / +infinity. The reference for the root tests ``all_roots_*``."""
+    if p.is_zero:
+        raise ValueError("root counting needs a nonzero polynomial")
+    if p.degree == 0:
+        return 0
+    if a is not None and b is not None and Fraction(a) >= Fraction(b):
+        raise ValueError("interval needs a < b")
+    chain = sturm_chain(p)
+    va = _variations_at_infinity(chain, positive=False) if a is None else _variations_at(chain, a)
+    vb = _variations_at_infinity(chain, positive=True) if b is None else _variations_at(chain, b)
+    return va - vb

@@ -24,12 +24,12 @@ from conecrafter.errors import ValidationError
 from conecrafter.matrices import Matrix, hermite_normal_form
 from conecrafter.pipeline import (
     build_domain,
-    build_problem,
     build_torus_problem,
     prepare_torus,
 )
 from conecrafter.reduction import (
     PolyhedralCone,
+    binary_quadratic_problem,
     find_interior_overlap,
     gauss_reduce,
     is_gauss_reduced,
@@ -358,7 +358,7 @@ def test_criterion_08_tiling(contexts):
         assert not tiling.failures
 
         p2_doc = load_corpus("p2_minkowski.json")
-        p2_problem = build_problem(p2_doc)
+        p2_problem = binary_quadratic_problem(p2_doc.generators)
         p2_domain = PolyhedralCone.from_rays(p2_doc.domain_rays)
         p2_tiling = verify_tiling(p2_problem, p2_domain, samples=1000, seed=42, max_steps=20_000)
         assert p2_tiling.complete

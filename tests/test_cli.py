@@ -6,7 +6,7 @@ import pytest
 from conecrafter import cli, cone, pipeline
 from conecrafter.cli import main
 
-from conftest import corpus_path
+from conftest import PROBLEM_DOCUMENT_CHANGES, corpus_path
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -253,7 +253,7 @@ class TestFailurePaths:
             raise AssertionError("the budget is checked before any work")
 
         monkeypatch.setattr(pipeline, "prepare_torus", refuse)
-        monkeypatch.setattr(pipeline, "build_problem", refuse)
+        monkeypatch.setattr(pipeline, "_problem_domain", refuse)
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
             capsys, "verify", corpus_path(f"{document}.json"), *budget, "--out", str(target)
@@ -295,28 +295,14 @@ class TestFailurePaths:
         assert report["complete"] is False
         assert target.read_text() == out
 
-    @pytest.mark.parametrize("change,invariant,message", [
-        # a ray of a reduced-form domain pushed past the cone b^2 <= 4ac
-        ({"domain_rays": [[0, 0, 1], [1, 0, 1], [1, 5, 1]]},
-         "domain_rays", "rays must lie in the closed cone"),
-        ({"generators": {"S": [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
-                         "T": [[2, 0, 0], [2, 1, 0], [1, 1, 1]]}},
-         "generator_unimodular", "generator T must be unimodular"),
-        # unimodular, but b^2 - 4ac is not preserved
-        ({"generators": {"T": [[1, 0, 0], [2, 1, 0], [1, 100, 1]]}},
-         "generator_cone", "generator T must map the cone of positive forms onto itself"),
-        # -I preserves b^2 - 4ac but swaps the positive and negative forms
-        ({"generators": {"S": [[0, 0, 1], [0, -1, 0], [1, 0, 0]],
-                         "M": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}},
-         "generator_cone", "generator M must map the cone of positive forms onto itself"),
-    ])
+    @pytest.mark.parametrize("change,invariant,message", PROBLEM_DOCUMENT_CHANGES)
     def test_problem_commands_share_the_document_checks(
         self, capsys, tmp_path, change, invariant, message
     ):
-        """check, funddom and verify read a reduction problem through the
-        same checks: a domain outside the closed cone, a generator that is
-        not unimodular and one that moves the cone end each of them in exit
-        2 with one report."""
+        """check, funddom, reduce and verify read a reduction problem
+        through the same checks: a domain outside the closed cone, a
+        generator that is not unimodular and one that moves the cone end
+        each of them in exit 2 with one report."""
         with open(corpus_path("p2_minkowski.json")) as fh:
             data = json.load(fh)
         data.update(change)
@@ -325,7 +311,7 @@ class TestFailurePaths:
         want = {"error": {
             "type": "validation", "message": f"{invariant}: {message}", "invariant": invariant,
         }}
-        for command in ("check", "funddom", "verify"):
+        for command in ("check", "funddom", "reduce", "verify"):
             code, out, _ = run_cli(capsys, command, str(path))
             assert (command, code) == (command, cli.EXIT_VALIDATION)
             assert json.loads(out) == want

@@ -12,6 +12,7 @@ repeat, and verify tests each distinct candidate for interiority once and
 searches each distinct sample once."""
 
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_symmetric_generators_are_built_once():
     prob = binary_quadratic_problem()
     first = prob.symmetric_generators
     assert prob.symmetric_generators is first
-    prob.word_ball(2)
+    prob.word_ball
     assert prob.symmetric_generators is first
 
 
@@ -239,19 +240,19 @@ def test_coordinate_ampleness_builds_its_forms_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["p2_minkowski", "hyperbolic_z8"])
 def test_verify_builds_one_word_ball(monkeypatch, name):
-    """find_eta and find_interior_overlap read the same ball."""
-    balls = []
-    original = ReductionProblem.word_ball
+    """find_eta and find_interior_overlap read the same ball, built once."""
+    builds = []
+    original = ReductionProblem.__dict__["word_ball"].func
 
-    def recorded(self, max_length):
-        ball = original(self, max_length)
-        balls.append(ball)
-        return ball
+    def counted(self):
+        builds.append(self)
+        return original(self)
 
-    monkeypatch.setattr(ReductionProblem, "word_ball", recorded)
+    ball = cached_property(counted)
+    ball.__set_name__(ReductionProblem, "word_ball")
+    monkeypatch.setattr(ReductionProblem, "word_ball", ball)
     assert run_verify(load_corpus(name + ".json"), samples=20)["complete"]
-    assert len(balls) == 2
-    assert balls[1] is balls[0]
+    assert len(builds) == 1
 
 
 def test_verify_builds_no_matrix_per_sample(monkeypatch):

@@ -281,8 +281,12 @@ def _fraction_rational(x, where):
 
 
 def _fraction_matrix(obj, where):
-    """Rows of Fractions handed to Matrix(...), which normalizes each entry."""
-    return Matrix([[_fraction_rational(x, f"{where}[{i}]") for x in r] for i, r in enumerate(obj)])
+    """Rows of Fractions handed to Matrix(...), which normalizes each entry;
+    every matrix a document holds is square."""
+    m = Matrix([[_fraction_rational(x, f"{where}[{i}]") for x in r] for i, r in enumerate(obj)])
+    if m.nrows != m.ncols:
+        raise ParseError(f"{where}: expected a square matrix")
+    return m
 
 
 def _outcome(build, obj):

@@ -1,7 +1,7 @@
 """The integer kernels against independent oracles: naive products,
 cofactor expansion, Fraction arithmetic, generic row-by-row products for
-the compiled linear maps, and the elimination loop of
-matrices.positive_definite for the compiled Sylvester test.
+the compiled linear maps, and the elimination loop positive_definite
+(in conftest) for the compiled Sylvester test.
 """
 
 import random
@@ -13,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conecrafter import _kernels
-from conecrafter.matrices import Matrix, positive_definite
+from conecrafter.matrices import Matrix
 from conecrafter.pipeline import build_domain, prepare_torus
 from conecrafter.reduction import PolyhedralCone, hyperbolic_domain
 
-from conftest import load_corpus
+from conftest import load_corpus, positive_definite
 
 
 def test_backend_reports_something():

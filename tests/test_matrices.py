@@ -18,12 +18,11 @@ from conecrafter.matrices import (
     in_lattice_plus_integers,
     integer_kernel_matrix,
     matrix_kernel_basis,
-    positive_definite,
     semidefinite_rank,
     trace_gram,
 )
 
-from conftest import block_diag, vstack
+from conftest import block_diag, positive_definite, vstack
 
 
 def rand_int_matrix(rng, n, m, lo=-9, hi=9):

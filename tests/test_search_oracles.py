@@ -16,6 +16,9 @@ rng.getrandbits replaced; a change to CPython's randint would show here.
 The primitive vector of a ray and of a polynomial were two loops, and the
 root tests took the squarefree part before the Sturm chain took it again;
 the group's linear generators were deduplicated by each caller.
+A problem document's cone check lived in pipeline.build_problem, the
+orbit search found each symmetric generator's inverse by a pairwise
+product search, and the word ball was built per length as Matrix objects.
 The rewritten functions must give equal results: the same group elements
 in the same order, the same words, matrices, points and images, the same
 reports with one failure per occurrence, and the same errors.
@@ -23,6 +26,7 @@ reports with one failure per occurrence, and the same errors.
 
 import heapq
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -31,22 +35,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecrafter._kernels import linear_form
 from conecrafter.cone import compute_ns, invariant_ns
-from conecrafter.errors import ClosureError, InternalInvariantError, SearchExhausted
+from conecrafter.documents import parse_document
+from conecrafter.errors import (
+    ClosureError,
+    InternalInvariantError,
+    SearchExhausted,
+    ValidationError,
+)
 from conecrafter.matrices import Matrix, primitive_tuple
 from conecrafter.polynomials import (
     Polynomial,
     all_roots_nonnegative,
     all_roots_positive,
-    count_roots_in_interval,
 )
 from conecrafter.pipeline import (
     build_domain,
-    build_problem,
     build_torus_problem,
     prepare_torus,
 )
 from conecrafter.reduction import (
+    WORD_LENGTH,
     GroupWord,
     OverlapWitness,
     PolyhedralCone,
@@ -64,7 +74,14 @@ from conecrafter.reduction import (
 )
 from conecrafter.torus import AffineAuto, GroupAction, close_group
 
-from conftest import affine_compose, load_corpus, minkowski_domain_p2
+from conftest import (
+    PROBLEM_DOCUMENT_CHANGES,
+    affine_compose,
+    count_roots_in_interval,
+    load_corpus,
+    minkowski_domain_p2,
+    read_corpus_json,
+)
 
 SEEDS = (42, 7, 1003)
 
@@ -196,7 +213,7 @@ def reference_word_ball(problem, max_length):
     for _ in range(max_length):
         nxt = []
         for letters, mat in frontier:
-            for name, gen in problem.symmetric_generators:
+            for name, gen, _ in problem.symmetric_generators:
                 m2 = gen @ mat
                 if m2 in seen:
                     continue
@@ -206,6 +223,33 @@ def reference_word_ball(problem, max_length):
                 out.append(entry)
         frontier = nxt
     return out
+
+
+_DISCRIMINANT = Matrix([[0, 0, -2], [0, 1, 0], [-2, 0, 0]])
+
+
+def reference_build_problem(doc):
+    """The binary quadratic form problem with the document's generators,
+    each checked to preserve b^2 - 4ac and keep the base point interior."""
+    base = binary_quadratic_problem()
+    if not doc.generators:
+        return base
+    problem = replace(base, generators=doc.generators)
+    point = Matrix.column(problem.base_point)
+    for name, g in problem.generators:
+        if g.T @ _DISCRIMINANT @ g != _DISCRIMINANT or not problem.is_interior((g @ point).col(0)):
+            raise ValidationError(
+                "generator_cone", f"generator {name} must map the cone of positive forms onto itself"
+            )
+    return problem
+
+
+def reference_inverse_indices(problem):
+    """For each symmetric generator, the index of the first one whose
+    product with it is the identity."""
+    gens = [m for _, m, _ in problem.symmetric_generators]
+    ident = Matrix.identity(problem.dim)
+    return [next(j for j, b in enumerate(gens) if b @ a == ident) for a in gens]
 
 
 def reference_find_eta(problem, seed=42, max_candidates=1000, stabilizer_word_length=4):
@@ -231,7 +275,7 @@ def reference_find_eta(problem, seed=42, max_candidates=1000, stabilizer_word_le
 
 
 def reference_best_first_reduce(problem, domain, start, eta, max_nodes):
-    gens = problem.symmetric_generators
+    gens = [(name, m) for name, m, _ in problem.symmetric_generators]
     seen = {start}
     parent = {}
     heap = [(_dot(eta, start), 0, start)]
@@ -284,7 +328,7 @@ def reference_tiling_samples(problem, domain, count, seed):
         cur = pt
         if gens:
             for _ in range(rng.randint(1, 8)):
-                _, gmat = gens[rng.randrange(len(gens))]
+                _, gmat, _ = gens[rng.randrange(len(gens))]
                 cur = _apply_matrix(gmat, cur)
         samples.append(cur if problem.is_interior(cur) else pt)
     return samples
@@ -383,7 +427,7 @@ class TestCloseGroup:
 
 def _p2():
     doc = load_corpus("p2_minkowski.json")
-    return build_problem(doc), PolyhedralCone.from_rays(doc.domain_rays)
+    return binary_quadratic_problem(doc.generators), PolyhedralCone.from_rays(doc.domain_rays)
 
 
 def _torus(name):
@@ -416,12 +460,59 @@ def _problem(name):
     return _torus(name)
 
 
-@pytest.mark.parametrize("name", PROBLEMS)
-def test_word_ball(name):
-    """The word ball reads no seed, so it runs once per problem."""
-    problem, _ = _problem(name)
-    for length in (1, 2, 4):
-        assert list(problem.word_ball(length)) == reference_word_ball(problem, length)
+def _problem_documents():
+    """p2_minkowski, m15_generator_leaves_cone and the four changed copies
+    of p2_minkowski, as parsed documents."""
+    docs = [load_corpus("p2_minkowski.json"), load_corpus("mutants/m15_generator_leaves_cone.json")]
+    for change, _, _ in PROBLEM_DOCUMENT_CHANGES:
+        data = read_corpus_json("p2_minkowski.json")
+        data.update(change)
+        docs.append(parse_document(data))
+    return docs
+
+
+def _build_outcome(fn, doc):
+    try:
+        return fn(doc).generators
+    except ValidationError as exc:
+        return ("ValidationError", exc.invariant, str(exc))
+
+
+@pytest.mark.parametrize("doc", _problem_documents(), ids=lambda doc: doc.name)
+def test_problem_document_checks_match_build_problem(doc):
+    """The same generators, or the same first error, as the checks of
+    pipeline.build_problem."""
+    got = _build_outcome(lambda d: binary_quadratic_problem(d.generators), doc)
+    assert got == _build_outcome(reference_build_problem, doc)
+
+
+def _assert_table_and_ball(problem):
+    """The inverse indices recorded as the table dedupes are those of the
+    pairwise product search, and the one word ball is the per-length
+    Matrix ball at WORD_LENGTH, as row tuples."""
+    assert [k for _, _, k in problem.symmetric_generators] == reference_inverse_indices(problem)
+    assert problem.word_ball == tuple(
+        (letters, m.rows) for letters, m in reference_word_ball(problem, WORD_LENGTH)
+    )
+
+
+@pytest.mark.parametrize("name", PROBLEMS + ["hyperbolic_sector"])
+def test_generator_table_and_word_ball(name):
+    """The ball reads no seed, so it runs once per problem."""
+    _assert_table_and_ball(_problem(name)[0])
+
+
+@pytest.mark.parametrize("doc", _problem_documents(), ids=lambda doc: doc.name)
+def test_document_generator_table_and_word_ball(doc):
+    """On each document's generators, with the form cone check left out:
+    m15's and two of the changed copies move the cone. The copy with a
+    generator that is not unimodular has no problem."""
+    try:
+        problem = replace(binary_quadratic_problem(), generators=doc.generators)
+    except ValidationError as exc:
+        assert exc.invariant == "generator_unimodular"
+        return
+    _assert_table_and_ball(problem)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -436,7 +527,8 @@ class TestSearchesMatchTheMatrixVersions:
         they spell the reference's word."""
         problem, domain = _problem(name)
         eta = reference_find_eta(problem, seed=seed)
-        names = [gen_name for gen_name, _ in problem.symmetric_generators]
+        eta_form = linear_form(eta)
+        names = [gen_name for gen_name, _, _ in problem.symmetric_generators]
 
         def letters(path):
             return None if path is None else tuple((names[k], 1) for k in path)
@@ -446,7 +538,7 @@ class TestSearchesMatchTheMatrixVersions:
 
         for pt in _tiling_samples(problem, domain, 150, seed):
             for budget in (20_000, 1, 3):
-                got = _best_first_reduce(problem, domain, pt, eta, budget)
+                got = _best_first_reduce(problem, domain, pt, eta_form, budget)
                 want = reference_best_first_reduce(problem, domain, pt, eta, budget)
                 assert letters(got) == reference_letters(want)
 

@@ -79,27 +79,40 @@ class TestKindTable:
 
 class TestMinimalPolynomial:
     def test_rotation(self):
-        p = minimal_polynomial(Matrix([[0, -1], [1, 0]]))
+        m = Matrix([[0, -1], [1, 0]])
+        p = minimal_polynomial(m, m.nrows)
         assert p.coeffs == (1, 0, 1)
 
     def test_identity(self):
-        p = minimal_polynomial(Matrix.identity(3))
+        m = Matrix.identity(3)
+        p = minimal_polynomial(m, m.nrows)
         assert p.coeffs == (-1, 1)
 
     def test_distinct_diagonal(self):
-        p = minimal_polynomial(Matrix([[2, 0], [0, 5]]))
+        m = Matrix([[2, 0], [0, 5]])
+        p = minimal_polynomial(m, m.nrows)
         # (x-2)(x-5)
         assert p.coeffs == (10, -7, 1)
 
     def test_repeated_eigenvalue_drops_degree(self):
-        p = minimal_polynomial(block_diag(Matrix([[3]]), Matrix([[3]])))
+        m = block_diag(Matrix([[3]]), Matrix([[3]]))
+        p = minimal_polynomial(m, m.nrows)
         assert p.coeffs == (-3, 1)
 
     def test_annihilates(self):
         m = Matrix([[1, 2, 0], [0, 1, 0], [3, 0, 2]])
-        p = minimal_polynomial(m)
+        p = minimal_polynomial(m, m.nrows)
         assert evaluate_matrix(p, m).is_zero
         assert p.leading == 1
+
+    def test_degree_bound(self):
+        """A bound at or above the degree gives the same polynomial; a
+        bound below it is an internal error, not a wrong answer."""
+        m = block_diag(Matrix([[0, -1], [1, 0]]), Matrix([[0, -1], [1, 0]]))
+        for k in (2, 3, 4):
+            assert minimal_polynomial(m, k).coeffs == (1, 0, 1)
+        with pytest.raises(InternalInvariantError):
+            minimal_polynomial(m, 1)
 
 
 class TestCentralIdempotents:
