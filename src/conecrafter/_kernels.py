@@ -16,16 +16,14 @@ source and Python's limit on int-to-str conversion cannot trip. Callers
 build each function once per problem, cone or lattice, and recheck what
 they certify with generic code that shares nothing with these functions.
 
-``positive_definite_test(n)`` compiles Sylvester's criterion for n x n
-integer symmetric matrices the same way: the fraction-free symmetric
-elimination in the given order (Bareiss 1968), unrolled over the n(n+1)/2
-entries of the upper triangle, one assignment per entry update, returning
-False at the first leading principal minor that is not positive. It
-reads only its argument, so its source holds no coefficient either. A
-lattice builds it once, next to the compiled map that forms the upper
-triangle of a class's Hermitian form. Its reference is the same
-elimination written as a loop, ``positive_definite`` in the tests'
-``conftest.py``; no command calls that loop.
+``positive_definite_form(rows, n)`` puts Sylvester's criterion behind
+such a map: it forms the upper triangle of an n x n integer symmetric
+matrix as rows @ v, then runs the fraction-free symmetric elimination
+(Bareiss 1968) unrolled, one assignment per entry update, returning False
+at the first leading principal minor that is not positive. The tiling
+search of a torus problem builds one. ``positive_definite_test(n)`` is it
+on the identity map. Its reference is the same elimination written as a
+loop, ``positive_definite`` in the tests' ``conftest.py``.
 """
 
 BACKEND = "pure"
@@ -129,7 +127,14 @@ def nonnegative_test(rows):
 
 def positive_definite_test(n):
     """u -> whether the n x n integer symmetric matrix whose upper
-    triangle, row by row, is u is positive definite.
+    triangle, row by row, is u is positive definite."""
+    size = n * (n + 1) // 2
+    return positive_definite_form([[int(i == j) for j in range(size)] for i in range(size)], n)
+
+
+def positive_definite_form(rows, n):
+    """v -> whether the n x n integer symmetric matrix whose upper
+    triangle, row by row, is rows @ v is positive definite.
 
     Step k replaces each entry a_ij (k < i <= j) by
     (a_kk a_ij - a_ki a_kj) / a_(k-1)(k-1), an exact division, so the k-th
@@ -139,7 +144,8 @@ def positive_definite_test(n):
         return f"a{i}_{j}"
 
     entries = [a(i, j) for i in range(n) for j in range(i, n)]
-    body = [f"{', '.join(entries)}, = v"] if n else []
+    body, exprs, values = _expressions(rows)
+    body += [f"{e} = {x}" for e, x in zip(entries, exprs)]
     for k in range(n):
         pivot = a(k, k)
         body += [f"if {pivot} <= 0:", "    return False"]
@@ -150,11 +156,13 @@ def positive_definite_test(n):
                     update = f"({update}) // {a(k - 1, k - 1)}"
                 body.append(f"{a(i, j)} = {update}")
     body.append("return True")
-    return _compile(body, ())
+    return _compile(body, values)
 
 
-def _straight_line(rows, join):
-    """Compile v -> the expression join makes of the row expressions."""
+def _expressions(rows):
+    """The line unpacking v into x0, x1, ..., the expression of row . v
+    over those names for each row, and the closure values k0, k1, ...
+    the expressions use."""
     width = len(rows[0]) if rows else 0
     values = []
     exprs = []
@@ -175,9 +183,14 @@ def _straight_line(rows, join):
             else:
                 expr += f" + {term}" if expr else term
         exprs.append(expr or "0")
-    body = [f"{', '.join(f'x{j}' for j in range(width))}, = v"] if width else []
-    body.append(f"return {join(exprs)}")
-    return _compile(body, values)
+    unpack = [f"{', '.join(f'x{j}' for j in range(width))}, = v"] if width else []
+    return unpack, exprs, values
+
+
+def _straight_line(rows, join):
+    """Compile v -> the expression join makes of the row expressions."""
+    body, exprs, values = _expressions(rows)
+    return _compile(body + [f"return {join(exprs)}"], values)
 
 
 def _compile(body, values):

@@ -17,12 +17,14 @@ the inertia of F J. Every command tests classes in lattice coordinates;
 the bare-form criterion stays as the reference the coordinate one is
 tested against, and needs no lattice.
 
-A class given in coordinates is tested in two compiled steps, both built
-once per lattice on first use: one integer linear map takes the
-coordinates (denominators cleared) to the upper triangle of the
-symmetric form, and Sylvester's criterion, unrolled as fraction-free
-elimination over that triangle, decides ampleness. Nefness mirrors the
-same triangle into rows for matrices.semidefinite_rank.
+A class given in coordinates is tested by matrices.semidefinite_rank on
+its symmetric form, summed from the lattice's integer forms (denominators
+cleared): full rank means ample, any rank means nef. cone and funddom test
+a few classes per lattice, fewer than a compile pays back, so nothing is
+compiled for them. verify's tiling search tests thousands of points, so
+pipeline.build_torus_problem compiles the map to the form's upper triangle
+and Sylvester's criterion into one function once per problem
+(_kernels.positive_definite_form).
 
 The invariant cone then splits along the simple factors of the invariant
 algebra, each piece a cone of positive definite Hermitian elements whose
@@ -37,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from operator import mul
+from typing import Sequence
 
-from ._kernels import linear_map, positive_definite_test
 from .endo import invariant_subalgebra
 from .errors import InternalInvariantError, ValidationError
 from .matrices import (
@@ -81,12 +83,8 @@ class NSLattice(MatrixLattice):
     Classes given by coordinates are tested for ampleness (nefness) by
     whether sum c_i S_i is positive definite (semidefinite), where
     S_i = D (b_i @ J) are integer symmetric matrices built once per
-    lattice. The upper triangle of the sum is one compiled linear map;
-    ampleness runs the compiled Sylvester test on it, and nefness runs
-    semidefinite_rank on the rows mirrored from it. Both compiled
-    functions are built once per lattice, on first use. See the module
-    docstring for why this agrees with the bare-form is_ample / is_nef,
-    which stay as the reference."""
+    lattice. See the module docstring for why this agrees with the
+    bare-form is_ample / is_nef, which stay as the reference."""
 
     torus: PolarizedTorus
     basis: tuple[Matrix, ...]
@@ -121,39 +119,25 @@ class NSLattice(MatrixLattice):
         return tuple((b @ j * sign).flat() for b in self.basis)
 
     @cached_property
-    def _upper_map(self) -> Callable[[Sequence], tuple]:
-        """Coordinates -> the upper triangle of sum c_i S_i, row by row,
-        compiled once per lattice (``_kernels.linear_map``)."""
+    def upper_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix taking coordinates to the upper triangle of
+        sum c_i S_i, row by row."""
         n = self.torus.rank
         entries = [i * n + j for i in range(n) for j in range(i, n)]
-        return linear_map(tuple(tuple(s[k] for s in self.hermitian_forms) for k in entries))
-
-    @cached_property
-    def _ample_test(self) -> Callable[[Sequence], bool]:
-        """Sylvester's criterion on the upper triangle, compiled once per
-        lattice (``_kernels.positive_definite_test``)."""
-        return positive_definite_test(self.torus.rank)
-
-    def _upper(self, coords: Sequence) -> tuple[int, ...]:
-        """The upper triangle of sum c_i S_i, scaled by the least positive
-        integer clearing the denominators of the coordinates."""
-        if len(coords) != self.rank:
-            raise ValueError("coordinate length mismatch")
-        return self._upper_map(clear_denominators(coords)[0])
+        return tuple(tuple(s[k] for s in self.hermitian_forms) for k in entries)
 
     def _hermitian_rows(self, coords: Sequence) -> list[list[int]]:
-        """The rows of the scaled sum c_i S_i, mirrored from its upper
-        triangle: every S_i is symmetric."""
+        """The rows of sum c_i S_i, scaled by the least positive integer
+        clearing the denominators of the coordinates."""
+        if len(coords) != self.rank:
+            raise ValueError("coordinate length mismatch")
+        ints = clear_denominators(coords)[0]
+        flat = [sum(map(mul, entry, ints)) for entry in zip(*self.hermitian_forms)]
         n = self.torus.rank
-        rows = [[0] * n for _ in range(n)]
-        entries = iter(self._upper(coords))
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = next(entries)
-        return rows
+        return [flat[i * n:(i + 1) * n] for i in range(n)]
 
     def is_ample_coords(self, coords: Sequence) -> bool:
-        return self._ample_test(self._upper(coords))
+        return semidefinite_rank(self._hermitian_rows(coords)) == self.torus.rank
 
     def is_nef_coords(self, coords: Sequence) -> bool:
         return semidefinite_rank(self._hermitian_rows(coords)) is not None

@@ -2,7 +2,8 @@
 
 The rational endomorphism algebra is the space of rational matrices
 commuting with the complex structure J; group-invariant subalgebras add
-commutation with every linear part of the action. Bases are integral and
+commutation with the linear parts of the group's generators, which holds
+exactly when it holds for every element. Bases are integral and
 canonical (Hermite-reduced vectorizations), so all downstream reports are
 byte-stable.
 """
@@ -63,9 +64,14 @@ class EndoAlgebra(MatrixLattice):
         return rosati(self.torus, phi)
 
     @cached_property
+    def rosati_images(self) -> tuple[Matrix, ...]:
+        """The Rosati adjoint of each basis element, in basis order."""
+        return tuple(self.rosati(b) for b in self.basis)
+
+    @cached_property
     def rosati_gram(self) -> Matrix:
         """Gram matrix of the pairing (x, y) -> Tr(x @ rosati(y))."""
-        return trace_gram(self.basis, [self.rosati(b) for b in self.basis])
+        return trace_gram(self.basis, self.rosati_images)
 
 
 def rosati(t: PolarizedTorus, phi: Matrix) -> Matrix:
@@ -95,8 +101,9 @@ def invariant_subalgebra(t: PolarizedTorus, group: GroupAction) -> EndoAlgebra:
     """Subalgebra of endomorphisms commuting with J and the whole action.
     Its constraints include J, so it lies in End(T) by construction.
 
-    Translations act trivially by conjugation, so only the group's linear
-    generators enter.
+    Translations act trivially by conjugation, and a matrix commuting with
+    the generators' linear parts commutes with every element's, so only
+    the group's linear generators enter.
     """
     constraints = (t.j, *group.linear_generators)
     return EndoAlgebra(t, _commutant(t, constraints, "invariant algebra"), constraints)
@@ -109,7 +116,7 @@ def center_basis(algebra: EndoAlgebra) -> tuple[Matrix, ...]:
 
 
 def rosati_fixes_algebra(algebra: EndoAlgebra) -> bool:
-    return all(algebra.contains(algebra.rosati(b)) for b in algebra.basis)
+    return all(algebra.contains(r) for r in algebra.rosati_images)
 
 
 def trace_positivity_check(algebra: EndoAlgebra) -> bool:

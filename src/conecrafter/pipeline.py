@@ -17,12 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._kernels import positive_definite_form
 from .cone import ConeStructure, cone_structure
 from .documents import SCHEMA, ProblemDocument, TorusDocument
 from .endo import compute_end, invariant_subalgebra, rosati_fixes_algebra, trace_positivity_check
 from .errors import InternalInvariantError, ValidationError
 from .matrices import Matrix, primitive_tuple
 from .reduction import (
+    P2_GENERATORS,
     PolyhedralCone,
     ReductionProblem,
     binary_quadratic_problem,
@@ -340,13 +342,10 @@ def _validate_normalizer(ctx: TorusContext, gamma: Matrix) -> None:
     if (gamma @ t.j) != (t.j @ gamma):
         raise ValidationError("normalizer_holomorphic", "normalizer must commute with J")
     inv = gamma.inverse()
-    # conjugation fixes the identity, so the generators must map onto each other
-    linears = set(ctx.group.linear_generators)
-    for g in ctx.group.linear_generators:
-        if inv @ g @ gamma not in linears:
-            raise ValidationError(
-                "normalizer_group", "normalizer must normalize the group action"
-            )
+    # conjugation fixes the identity, so the others must map onto each other
+    linears = set(ctx.group.linear_parts)
+    if any(inv @ g @ gamma not in linears for g in linears):
+        raise ValidationError("normalizer_group", "normalizer must normalize the group action")
 
 
 def run_funddom(doc) -> dict:
@@ -388,6 +387,8 @@ def _downgrade_message(built: DomainConstruction) -> str:
 
 
 def build_torus_problem(ctx: TorusContext, built: DomainConstruction) -> ReductionProblem:
+    """The tiling problem on the invariant lattice. Its interior test runs
+    thousands of times on integer coordinates, so it is compiled."""
     inv = built.structure.invariant
     gens = []
     if built.normalizer_action is not None:
@@ -402,7 +403,7 @@ def build_torus_problem(ctx: TorusContext, built: DomainConstruction) -> Reducti
         generators=tuple(gens),
         pairing=pairing,
         base_point=base_int,
-        is_interior=inv.is_ample_coords,
+        is_interior=positive_definite_form(inv.upper_rows, ctx.invariant_torus.rank),
         is_closure=inv.is_nef_coords,
     )
 
@@ -410,6 +411,8 @@ def build_torus_problem(ctx: TorusContext, built: DomainConstruction) -> Reducti
 def run_reduce(doc) -> dict:
     _require_problem(doc)
     _problem_domain(doc)
+    if doc.generators and not set(P2_GENERATORS) <= set(doc.generators):
+        raise ValidationError("reduce_generators", "reduce's words need S, T and N with their actions")
     results = []
     for form in doc.test_forms:
         reduced, word = gauss_reduce(form)

@@ -335,6 +335,11 @@ def _kronecker_split(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
     A candidate factor is given by its values at the first d + 1 points;
     its primitive part g divides the polynomial over Q exactly when it
     divides it in Z[x] (Gauss's lemma), so every test is in integers.
+
+    g's top coefficient, top / content, must divide lead, so top must
+    divide lead * content. The running gcd of the scaled coefficients,
+    formed from the top down, is a multiple of the content: a top that
+    fails to divide lead times it rejects the tuple early.
     """
     deg = len(coeffs) - 1
     lead = coeffs[-1]
@@ -350,18 +355,22 @@ def _kronecker_split(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
             raise DeskScaleError("factor search budget exceeded")
         # fix the sign ambiguity g vs -g by pinning the first value positive
         value_divs[0] = [v for v in value_divs[0] if v > 0]
-        columns = _scaled_lagrange(d)
+        top_column, *columns = reversed(_scaled_lagrange(d))
         for values in product(*value_divs):
-            scaled = [sum(map(mul, values, col)) for col in columns]
-            if scaled[-1] == 0:
+            top = sum(map(mul, values, top_column))
+            if top == 0:
                 continue
-            content = gcd(*scaled)
-            g = [c // content for c in scaled]
-            if lead % g[-1]:
-                continue
-            quo = _exact_quotient(coeffs, g)
-            if quo is not None:
-                return g, quo
+            scaled, content = [top], top
+            for col in columns:
+                scaled.append(sum(map(mul, values, col)))
+                content = gcd(content, scaled[-1])
+                if lead * content % top:
+                    break
+            else:
+                g = [c // content for c in reversed(scaled)]
+                quo = _exact_quotient(coeffs, g)
+                if quo is not None:
+                    return g, quo
     return None
 
 

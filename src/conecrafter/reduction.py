@@ -247,6 +247,8 @@ def gauss_reduce(form: Sequence[int]) -> tuple[tuple[int, int, int], GroupWord]:
 P2_ACTION_S = Matrix([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
 P2_ACTION_T = Matrix([[1, 0, 0], [2, 1, 0], [1, 1, 1]])
 P2_ACTION_N = Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+# the actions on (a, b, c) of the letters gauss_reduce writes its words in
+P2_GENERATORS = (("S", P2_ACTION_S), ("T", P2_ACTION_T), ("N", P2_ACTION_N))
 
 
 # --- real quadratic units ---------------------------------------------------
@@ -424,7 +426,7 @@ def binary_quadratic_problem(generators: Sequence[tuple[str, Matrix]] = ()) -> R
 
     problem = ReductionProblem(
         dim=3,
-        generators=tuple(generators) or (("S", P2_ACTION_S), ("T", P2_ACTION_T), ("N", P2_ACTION_N)),
+        generators=tuple(generators) or P2_GENERATORS,
         pairing=Matrix([[2, 0, 0], [0, 1, 0], [0, 0, 2]]),
         base_point=(1, 0, 1),
         is_interior=interior,

@@ -9,9 +9,9 @@ translation mod 1); the linear part must be unimodular and commute with J.
 Translations do not enter invariance: conjugating an endomorphism phi by
 x -> A x + t, or pulling a form back along it, acts through A alone (the
 conjugate is A phi A^-1 plus a constant, and a translation acts on the
-lattice as the identity). So invariant algebras and form lattices are
-cut out by GroupAction.linear_generators; translations matter for
-freeness.
+lattice as the identity). What the generators' linear parts fix, every
+element's fixes, so invariant algebras and form lattices are cut out by
+GroupAction.linear_generators; translations matter for freeness.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ClosureError, ValidationError
 from .matrices import (
@@ -183,23 +183,29 @@ class AffineAuto:
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A finite group of affine automorphisms; identity listed first."""
+    """A finite group of affine automorphisms; identity listed first.
+    linear_generators are the distinct non-identity linear parts of the
+    generators it was closed from: what invariance is tested against."""
 
     elements: tuple[AffineAuto, ...]
+    linear_generators: tuple[Matrix, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     @cached_property
-    def linear_generators(self) -> tuple[Matrix, ...]:
-        """The distinct non-identity linear parts, in element order: what
-        invariance under the action is tested against."""
-        ident = Matrix.identity(self.elements[0].linear.nrows)
-        return tuple(dict.fromkeys(g.linear for g in self.elements if g.linear != ident))
+    def linear_parts(self) -> tuple[Matrix, ...]:
+        """The distinct non-identity linear parts of all elements."""
+        return _non_identity_linears(self.elements)
 
     def non_identity(self) -> list[AffineAuto]:
         return [g for g in self.elements if not g.is_identity]
+
+
+def _non_identity_linears(autos: Sequence[AffineAuto]) -> tuple[Matrix, ...]:
+    ident = Matrix.identity(autos[0].linear.nrows)
+    return tuple(dict.fromkeys(g.linear for g in autos if g.linear != ident))
 
 
 def validate_automorphism(t: PolarizedTorus, g: AffineAuto) -> list[TorusCheck]:
@@ -263,11 +269,11 @@ def close_group(
     return GroupAction(tuple(
         AffineAuto(Matrix.trusted(lin, True), tuple([Fraction(x, den) if x else 0 for x in tr]))
         for lin, tr in [ident] + sorted(seen)
-    ))
+    ), _non_identity_linears(gens))
 
 
 def trivial_group(rank: int) -> GroupAction:
-    return GroupAction((AffineAuto(Matrix.identity(rank)),))
+    return GroupAction((AffineAuto(Matrix.identity(rank)),), ())
 
 
 def is_free(t: PolarizedTorus, g: AffineAuto) -> bool:
@@ -302,7 +308,6 @@ def invariant_polarization(t: PolarizedTorus, group: GroupAction) -> Matrix:
     acc = Matrix.zeros(t.rank, t.rank)
     for g in group.elements:
         acc = acc + (g.linear.T @ t.e @ g.linear)
-    for g in group.elements:
-        if (g.linear.T @ acc @ g.linear) != acc:
-            raise ValidationError("polarization_invariant", "averaging failed to produce an invariant form")
+    if not is_polarization_invariant(PolarizedTorus(t.j, acc), group):
+        raise ValidationError("polarization_invariant", "averaging failed to produce an invariant form")
     return acc

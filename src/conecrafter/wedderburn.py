@@ -204,15 +204,20 @@ class WedderburnDecomposition:
 
 
 def _classify_factor(
-    algebra: EndoAlgebra, center: Sequence[Matrix], e: Matrix, m_poly: Polynomial
+    algebra: EndoAlgebra, center: Sequence[Matrix], center_images: Sequence[Matrix],
+    e: Matrix, m_poly: Polynomial,
 ) -> SimpleFactor:
-    cut = [e @ b @ e for b in algebra.basis]
+    """The factor e @ b (e is central, so e @ b @ e = e @ b) has the fixed
+    part e @ b + rosati(b) @ e, as rosati(x @ y) = rosati(y) @ rosati(x)
+    and central_idempotents checks rosati(e) = e. So every factor reads
+    the Rosati images of the basis and of the center, each built once."""
+    cut = [e @ b for b in algebra.basis]
     dim = _flat_rank(cut)
-    fixed = [c + algebra.rosati(c) for c in cut]
+    fixed = [c + r @ e for c, r in zip(cut, algebra.rosati_images)]
     fixed_dim = _flat_rank(fixed)
     center_cut = [e @ zb for zb in center]
     k = _flat_rank(center_cut)
-    center_fixed = [c + algebra.rosati(c) for c in center_cut]
+    center_fixed = [c + r @ e for c, r in zip(center_cut, center_images)]
     f_z = _flat_rank(center_fixed)
     real_roots = count_real_roots(m_poly)
     if f_z == k:
@@ -253,9 +258,11 @@ def _classify_factor(
 def decompose(algebra: EndoAlgebra) -> WedderburnDecomposition:
     """Split the algebra along its primitive central idempotents and
     classify every simple factor."""
+    center = algebra.center
+    center_images = [algebra.rosati(z) for z in center]
     factors = []
     for e, m_poly in central_idempotents(algebra):
-        factors.append(_classify_factor(algebra, algebra.center, e, m_poly))
+        factors.append(_classify_factor(algebra, center, center_images, e, m_poly))
     if sum(f.dim for f in factors) != algebra.dim:
         raise InternalInvariantError("factor dimensions must add up to the algebra")
     return WedderburnDecomposition(algebra, tuple(factors))

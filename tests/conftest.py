@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -171,3 +172,73 @@ def count_roots_in_interval(p: Polynomial, a, b) -> int:
     va = _variations_at_infinity(chain, positive=False) if a is None else _variations_at(chain, a)
     vb = _variations_at_infinity(chain, positive=True) if b is None else _variations_at(chain, b)
     return va - vb
+
+
+def _json_entry(x: Fraction):
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def ei_power_data(n: int, cyclic: bool = False) -> dict:
+    """E_i^n: n copies of J = [[0, -1], [1, 0]], E = [[0, 1], [-1, 0]],
+    with the cyclic factor permutation as its group when cyclic."""
+    r = 2 * n
+    j, e = [[0] * r for _ in range(r)], [[0] * r for _ in range(r)]
+    for k in range(n):
+        j[2 * k][2 * k + 1], j[2 * k + 1][2 * k] = -1, 1
+        e[2 * k][2 * k + 1], e[2 * k + 1][2 * k] = 1, -1
+    data = {
+        "schema": "conecrafter/1", "kind": "torus", "name": f"ei{n}", "rank": r,
+        "complex_structure": j, "polarization": e,
+    }
+    if cyclic:
+        shift = [[int(i // 2 == (k // 2 + 1) % n and i % 2 == k % 2) for k in range(r)] for i in range(r)]
+        data["name"] += "_cyclic"
+        data["group"] = {"generators": [{"linear": shift}]}
+    return data
+
+
+def transported_data(data: dict, seed: int) -> dict:
+    """data moved by a seeded P in GL(r, Z), a product of r transvections
+    with multipliers +-1: J -> P^-1 J P, E -> P^T E P, and each generator
+    x -> g x + t becomes x -> P^-1 g P x + P^-1 t. The normalizer and the
+    test classes are dropped; expect_ghv is kept, since freeness and
+    translations survive the change of basis."""
+    rng = random.Random(seed)
+    r = data["rank"]
+    p = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    p_inv = [row[:] for row in p]
+    for _ in range(r):
+        i, j = rng.sample(range(r), 2)
+        c = rng.choice((-1, 1))
+        for row in p:  # p @ (I + c e_ij)
+            row[j] += c * row[i]
+        p_inv[i] = [x - c * y for x, y in zip(p_inv[i], p_inv[j])]  # (I - c e_ij) @ p_inv
+
+    def read(m):
+        return [[Fraction(x) for x in row] for row in m]
+
+    def written(m):
+        return [[_json_entry(x) for x in row] for row in m]
+
+    def conjugate(m):
+        return written(_product(_product(p_inv, read(m)), p))
+
+    out = {k: v for k, v in data.items() if k not in ("normalizer", "test_classes")}
+    out["name"] = f"{data['name']}_transported{seed}"
+    out["complex_structure"] = conjugate(data["complex_structure"])
+    pt = [list(col) for col in zip(*p)]
+    out["polarization"] = written(_product(_product(pt, read(data["polarization"])), p))
+    if "group" in data:
+        gens = []
+        for g in data["group"]["generators"]:
+            moved = {"linear": conjugate(g["linear"])}
+            if "translation" in g:
+                t = _product(p_inv, [[Fraction(x)] for x in g["translation"]])
+                moved["translation"] = [_json_entry(row[0]) for row in t]
+            gens.append(moved)
+        out["group"] = {"generators": gens}
+    return out

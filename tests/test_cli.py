@@ -316,6 +316,35 @@ class TestFailurePaths:
             assert (command, code) == (command, cli.EXIT_VALIDATION)
             assert json.loads(out) == want
 
+    @pytest.mark.parametrize("generators,code", [
+        # S and T only: reduce's words would still use N
+        ({"S": [[0, 0, 1], [0, -1, 0], [1, 0, 0]], "T": [[1, 0, 0], [2, 1, 0], [1, 1, 1]]}, 2),
+        # N's action under another name
+        ({"S": [[0, 0, 1], [0, -1, 0], [1, 0, 0]], "T": [[1, 0, 0], [2, 1, 0], [1, 1, 1]],
+          "R": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}, 2),
+        # S, T and N, and T's square besides
+        ({"S": [[0, 0, 1], [0, -1, 0], [1, 0, 0]], "T": [[1, 0, 0], [2, 1, 0], [1, 1, 1]],
+          "N": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "U": [[1, 0, 0], [4, 1, 0], [4, 2, 1]]}, 0),
+    ])
+    def test_reduce_needs_the_built_in_generators(self, capsys, tmp_path, generators, code):
+        """reduce writes its words in the built-in S, T and N, so it exits
+        2 with reduce_generators when the document's generators leave one
+        of them out; check and funddom read the same document and pass."""
+        with open(corpus_path("p2_minkowski.json")) as fh:
+            data = json.load(fh)
+        data["generators"] = generators
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        got, out, _ = run_cli(capsys, "reduce", str(path))
+        assert got == code
+        if code:
+            assert json.loads(out)["error"]["invariant"] == "reduce_generators"
+        else:
+            _, want, _ = run_cli(capsys, "reduce", corpus_path("p2_minkowski.json"))
+            assert json.loads(out)["results"] == json.loads(want)["results"]
+        for command in ("check", "funddom"):
+            assert run_cli(capsys, command, str(path))[0] == cli.EXIT_OK
+
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
     def test_out_path_unwritable(self, capsys, monkeypatch, tmp_path, where):
         """An --out path that cannot be opened for writing exits 2 with a

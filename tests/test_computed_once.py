@@ -3,11 +3,14 @@ of an algebra, the inverse of the polarization, the symmetric generators
 of a reduction problem, the coordinate solver of a lattice, the factor
 projections of a cone, the freeness of an action, the validation of a
 torus, the integer forms of a lattice, the word ball of a verification,
-the compiled linear maps of a problem, a domain and a lattice, the
-squarefree part of a polynomial whose roots are tested.
+the compiled linear maps of a problem and a domain, the compiled interior
+test of a torus problem, the squarefree part of a polynomial whose roots
+are tested, the Rosati images of an algebra.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
-the full endomorphism algebra for every command but endo. Sampled points
+the full endomorphism algebra for every command but endo, any compiled
+function for cone and funddom. Invariance is tested against the group's
+generators, not all of its elements. Sampled points
 repeat, and verify tests each distinct candidate for interiority once and
 searches each distinct sample once."""
 
@@ -25,7 +28,13 @@ import conecrafter.reduction as reduction
 import conecrafter.torus as torus
 import conecrafter.wedderburn as wedderburn
 from conecrafter.cone import compute_ns, is_ample, is_nef
-from conecrafter.endo import compute_end, invariant_subalgebra, rosati
+from conecrafter.endo import (
+    compute_end,
+    invariant_subalgebra,
+    rosati,
+    rosati_fixes_algebra,
+    trace_positivity_check,
+)
 from conecrafter.errors import ValidationError
 from conecrafter.matrices import Matrix
 from conecrafter.pipeline import (
@@ -42,6 +51,8 @@ from conecrafter.torus import PolarizedTorus
 from conecrafter.wedderburn import decompose
 
 from conftest import load_corpus
+
+TORI = ["elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"]
 
 
 def test_decompose_computes_the_center_once(monkeypatch):
@@ -60,6 +71,55 @@ def test_decompose_computes_the_center_once(monkeypatch):
     assert calls == [sub]
     decompose(sub)
     assert len(calls) == 1
+
+
+def test_invariance_is_tested_against_the_generators(monkeypatch):
+    """hyperbolic_z8's group has order 8 and one generator, so its
+    invariant algebra and form lattice are cut out by J and that
+    generator: 2 constraints, not J and the 7 other elements."""
+    constraints = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def recorded(m):
+            constraints.append((name, m))
+            return original(m)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    recording(endo, "commutator_rows")
+    recording(cone, "congruence_rows")
+    ctx = prepare_torus(load_corpus("hyperbolic_z8.json"))
+    t, group = ctx.invariant_torus, ctx.group
+    assert group.order == 8 and len(group.linear_parts) == 7
+    (generator,) = group.linear_generators
+    sub = invariant_subalgebra(t, group)
+    assert sub.commutants == (t.j, generator)
+    assert constraints == [("commutator_rows", t.j), ("commutator_rows", generator)]
+    constraints.clear()
+    cone.invariant_ns(t, group)
+    assert constraints == [("congruence_rows", t.j), ("congruence_rows", generator)]
+
+
+@pytest.mark.parametrize("name", TORI)
+def test_rosati_images_once_per_algebra(monkeypatch, name):
+    """endo's trace pairing, closure check and decomposition share the
+    Rosati images of the basis; the center's are taken once per
+    decomposition, and each central idempotent's once for its check."""
+    taken = []
+    original = endo.rosati
+
+    def counted(t, phi):
+        taken.append(phi)
+        return original(t, phi)
+
+    monkeypatch.setattr(endo, "rosati", counted)
+    ctx = prepare_torus(load_corpus(name + ".json"))
+    sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+    dec = decompose(sub)
+    assert trace_positivity_check(sub) and rosati_fixes_algebra(sub)
+    assert len(taken) == sub.dim + len(sub.center) + len(dec.factors)
 
 
 def test_ampleness_inverts_the_polarization_once(monkeypatch):
@@ -116,9 +176,6 @@ def test_each_lattice_is_solved_once(monkeypatch):
             lattice.coordinates(outside)
         assert exc.value.invariant == lattice.membership[0]
         assert len(reduced) - before <= 1
-
-
-TORI = ["elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"]
 
 
 @pytest.mark.parametrize("name", TORI)
@@ -301,19 +358,25 @@ def test_full_algebra_only_for_endo(monkeypatch, run, builds, name):
 def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
     """At seed 1003 the 1000 samples of elliptic_gauss hold 36 distinct
     points, drawn from 54 distinct candidates; bielliptic_z4's hold 416,
-    from 919."""
+    from 919. The interior tests are counted through the compiled test
+    build_torus_problem binds as the problem's is_interior."""
     sampling = [False]
     tested = []
     searched = []
     sampled = []
-    original_test = cone.NSLattice.is_ample_coords
+    original_build = pipeline.positive_definite_form
     original_samples = reduction._tiling_samples
     original_search = reduction._best_first_reduce
 
-    def counted_test(self, coords):
-        if sampling[0]:
-            tested.append(tuple(coords))
-        return original_test(self, coords)
+    def counted_build(rows, n):
+        test = original_build(rows, n)
+
+        def counted_test(coords):
+            if sampling[0]:
+                tested.append(tuple(coords))
+            return test(coords)
+
+        return counted_test
 
     def recorded_samples(*args):
         sampling[0] = True
@@ -328,7 +391,7 @@ def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
         searched.append(start)
         return original_search(problem, domain, start, *args)
 
-    monkeypatch.setattr(cone.NSLattice, "is_ample_coords", counted_test)
+    monkeypatch.setattr(pipeline, "positive_definite_form", counted_build)
     monkeypatch.setattr(reduction, "_tiling_samples", recorded_samples)
     monkeypatch.setattr(reduction, "_best_first_reduce", counted_search)
     report = run_verify(load_corpus(name + ".json"), seed=1003)
@@ -338,38 +401,59 @@ def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
     assert sorted(searched) == sorted(set(sampled))
 
 
+def _count_compiles(monkeypatch):
+    compiled = []
+    original = kernels._compile
+
+    def counted(body, values):
+        compiled.append(body)
+        return original(body, values)
+
+    monkeypatch.setattr(kernels, "_compile", counted)
+    return compiled
+
+
 @pytest.mark.parametrize("name", ["p2_minkowski", "hyperbolic_z8"])
 def test_verify_compiles_per_problem_not_per_sample(monkeypatch, name):
     """Generator steps, the eta priority, the domain's membership test and
-    ray combination, and the lattice's form map and Sylvester test are
-    compiled once per object: doubling the samples compiles nothing more.
-    linear_map, linear_form, nonnegative_test and positive_definite_test
+    ray combination, and the torus problem's interior test are compiled
+    once per object: doubling the samples compiles nothing more.
+    linear_map, linear_form, nonnegative_test and positive_definite_form
     all compile through _compile. The stored problem tests ampleness
-    without a lattice, so only the torus compiles a Sylvester test."""
+    without a lattice, so only the torus compiles a Sylvester test, and
+    it compiles one: the form map and the elimination in one function."""
     lattices = {"p2_minkowski": 0, "hyperbolic_z8": 1}[name]
-    compiled = [0]
+    compiled = _count_compiles(monkeypatch)
     eliminations = [0]
-    original = kernels._compile
-    original_test = cone.positive_definite_test
+    original_test = pipeline.positive_definite_form
 
-    def counted(body, values):
-        compiled[0] += 1
-        return original(body, values)
-
-    def counted_test(n):
+    def counted_test(rows, n):
         eliminations[0] += 1
-        return original_test(n)
+        return original_test(rows, n)
 
-    monkeypatch.setattr(kernels, "_compile", counted)
-    monkeypatch.setattr(cone, "positive_definite_test", counted_test)
+    monkeypatch.setattr(pipeline, "positive_definite_form", counted_test)
     counts = []
     for samples in (100, 200):
-        compiled[0] = eliminations[0] = 0
+        compiled.clear()
+        eliminations[0] = 0
         report = run_verify(load_corpus(name + ".json"), samples=samples)
         assert report["complete"] and report["verified"] == samples
-        counts.append((compiled[0], eliminations[0]))
+        counts.append((len(compiled), eliminations[0]))
     assert counts[0] == counts[1]
     assert counts[0][0] > counts[0][1] == lattices
+    assert sum("return False" in "\n".join(body) for body in compiled) == lattices
+
+
+@pytest.mark.parametrize("run,name", [
+    *[(run_cone, name) for name in TORI],
+    *[(run_funddom, name) for name in [*TORI, "p2_minkowski"]],
+])
+def test_cone_and_funddom_compile_nothing(monkeypatch, run, name):
+    """Each tests a handful of classes per lattice, fewer than a compile
+    pays back, so their ampleness and nefness tests run uncompiled."""
+    compiled = _count_compiles(monkeypatch)
+    run(load_corpus(name + ".json"))
+    assert compiled == []
 
 
 def _count_squarefree_parts(monkeypatch):

@@ -17,7 +17,7 @@ from conecrafter.documents import parse_document
 from conecrafter.matrices import Matrix
 from conecrafter.pipeline import prepare_torus, run_cone, run_endo
 
-from conftest import load_corpus, read_corpus_json
+from conftest import ei_power_data, load_corpus, read_corpus_json, transported_data
 
 CORPUS_NAMES = [
     "elliptic_gauss",
@@ -243,74 +243,10 @@ class TestInvariantSubalgebra:
 TORUS_CORPUS = [*CORPUS_NAMES, "elliptic_rational_j"]
 
 
-def _json_entry(x: Fraction):
-    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _product(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def _ei_power(n: int) -> dict:
-    """E_i^n: n copies of J = [[0, -1], [1, 0]], E = [[0, 1], [-1, 0]]."""
-    r = 2 * n
-    j, e = [[0] * r for _ in range(r)], [[0] * r for _ in range(r)]
-    for k in range(n):
-        j[2 * k][2 * k + 1], j[2 * k + 1][2 * k] = -1, 1
-        e[2 * k][2 * k + 1], e[2 * k + 1][2 * k] = 1, -1
-    return {
-        "schema": "conecrafter/1", "kind": "torus", "name": f"ei{n}", "rank": r,
-        "complex_structure": j, "polarization": e,
-    }
-
-
-def _transported(data: dict, seed: int) -> dict:
-    """data moved by a seeded P in GL(r, Z), a product of r transvections
-    with multipliers +-1: J -> P^-1 J P, E -> P^T E P, and each generator
-    x -> g x + t becomes x -> P^-1 g P x + P^-1 t. The normalizer and the
-    test classes are dropped; expect_ghv is kept, since freeness and
-    translations survive the change of basis."""
-    rng = random.Random(seed)
-    r = data["rank"]
-    p = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-    p_inv = [row[:] for row in p]
-    for _ in range(r):
-        i, j = rng.sample(range(r), 2)
-        c = rng.choice((-1, 1))
-        for row in p:  # p @ (I + c e_ij)
-            row[j] += c * row[i]
-        p_inv[i] = [x - c * y for x, y in zip(p_inv[i], p_inv[j])]  # (I - c e_ij) @ p_inv
-
-    def read(m):
-        return [[Fraction(x) for x in row] for row in m]
-
-    def written(m):
-        return [[_json_entry(x) for x in row] for row in m]
-
-    def conjugate(m):
-        return written(_product(_product(p_inv, read(m)), p))
-
-    out = {k: v for k, v in data.items() if k not in ("normalizer", "test_classes")}
-    out["name"] = f"{data['name']}_transported{seed}"
-    out["complex_structure"] = conjugate(data["complex_structure"])
-    pt = [list(col) for col in zip(*p)]
-    out["polarization"] = written(_product(_product(pt, read(data["polarization"])), p))
-    if "group" in data:
-        gens = []
-        for g in data["group"]["generators"]:
-            moved = {"linear": conjugate(g["linear"])}
-            if "translation" in g:
-                t = _product(p_inv, [[Fraction(x)] for x in g["translation"]])
-                moved["translation"] = [_json_entry(row[0]) for row in t]
-            gens.append(moved)
-        out["group"] = {"generators": gens}
-    return out
-
-
 def _rational_j_tori() -> list[dict]:
     tori = [read_corpus_json(n + ".json") for n in TORUS_CORPUS]
-    tori += [_ei_power(n) for n in (1, 2, 3, 4)]
-    return tori + [_transported(d, seed) for d in tori for seed in (1, 2)]
+    tori += [ei_power_data(n) for n in (1, 2, 3, 4)]
+    return tori + [transported_data(d, seed) for d in tori for seed in (1, 2)]
 
 
 RATIONAL_J_TORI = _rational_j_tori()
@@ -331,7 +267,7 @@ def test_transport_moves_every_entry_it_should():
     """The transport is a real change of basis: J, E and the generators
     change, and P^-1 t is read back as a translation."""
     data = read_corpus_json("bielliptic_z4.json")
-    moved = _transported(data, 1)
+    moved = transported_data(data, 1)
     assert moved["complex_structure"] != data["complex_structure"]
     assert moved["polarization"] != data["polarization"]
     assert moved["group"]["generators"][0]["linear"] != data["group"]["generators"][0]["linear"]

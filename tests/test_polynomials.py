@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from itertools import product
+from math import gcd, isqrt
+from operator import mul
 
 import numpy as np
 import pytest
 
+import conecrafter.polynomials as polynomials
 from conecrafter.errors import DeskScaleError
 from conecrafter.matrices import Matrix, primitive_tuple
 from conecrafter.polynomials import (
@@ -335,6 +338,55 @@ def _random_squarefree_products(seed, count):
     return out
 
 
+def _parent_kronecker_split(coeffs):
+    """The integer search before its early exit: every coefficient of a
+    candidate is formed, then g's top coefficient must divide lead. It
+    reads the module's helpers, so a patch of them applies to both."""
+    deg = len(coeffs) - 1
+    lead = coeffs[-1]
+    for d in range(2, deg // 2 + 1):
+        value_divs = []
+        budget = 1
+        for x in polynomials._KRONECKER_POINTS[: d + 1]:
+            divs = polynomials._divisors(polynomials._int_poly_eval(coeffs, x))
+            cands = [w for dd in divs for w in (dd, -dd)]
+            value_divs.append(cands)
+            budget *= len(cands)
+        if budget > polynomials._KRONECKER_TUPLE_CAP:
+            raise DeskScaleError("factor search budget exceeded")
+        value_divs[0] = [v for v in value_divs[0] if v > 0]
+        columns = polynomials._scaled_lagrange(d)
+        for values in product(*value_divs):
+            scaled = [sum(map(mul, values, col)) for col in columns]
+            if scaled[-1] == 0:
+                continue
+            content = gcd(*scaled)
+            g = [c // content for c in scaled]
+            if lead % g[-1]:
+                continue
+            quo = polynomials._exact_quotient(coeffs, g)
+            if quo is not None:
+                return g, quo
+    return None
+
+
+def _product_coeffs(*factors):
+    out = Polynomial([1])
+    for f in factors:
+        out = out * Polynomial(f)
+    return list(out.coeffs)
+
+
+class _Column(tuple):
+    """A Lagrange column that counts each coefficient formed from it."""
+
+    formed = [0]
+
+    def __iter__(self):
+        self.formed[0] += 1
+        return super().__iter__()
+
+
 class TestKroneckerSplit:
     # center polynomials met on the corpus, and x^4 + x^2 + 10528, whose
     # 307200 candidate tuples lie just over the search budget
@@ -345,11 +397,50 @@ class TestKroneckerSplit:
         [64, 0, 0, 0, 1],
         [10528, 0, 1, 0, 1],
     ]
+    # primitive, not monic, so a candidate's top coefficient must divide
+    # lead times its content: (2x^2 + x + 3)(3x^2 - x + 5) and others, and
+    # one irreducible quartic with lead 6
+    NON_MONIC = [
+        _product_coeffs([3, 1, 2], [5, -1, 3]),
+        _product_coeffs([2, 2, 3], [1, -1, 5]),
+        _product_coeffs([1, 1, 3], [1, 1, 0, 2]),
+        _product_coeffs([7, -3, 4], [2, 5, 6]),
+        _product_coeffs([3, 0, 2], [3, 0, 2, 0, 5]),
+        [5, 1, 0, 0, 6],
+    ]
 
-    @pytest.mark.parametrize("coeffs", FIXED + _random_squarefree_products(0, 12))
+    @pytest.mark.parametrize("coeffs", FIXED + NON_MONIC + _random_squarefree_products(0, 12))
     def test_matches_fraction_reference(self, coeffs):
         want = _split_or_error(_reference_kronecker_split, coeffs)
         assert _split_or_error(_kronecker_split, coeffs) == want
+
+    @pytest.mark.parametrize("coeffs", FIXED[:4] + NON_MONIC)
+    def test_early_exit_forms_fewer_coefficients(self, monkeypatch, coeffs):
+        """The same candidates reach _exact_quotient as under the parent
+        rule, since the early exit rejects only tuples it rejects, but
+        fewer coefficients are formed on the way."""
+        quotients = [0]
+        original_quotient = polynomials._exact_quotient
+        original_lagrange = polynomials._scaled_lagrange
+
+        def counted_quotient(p, g):
+            quotients[0] += 1
+            return original_quotient(p, g)
+
+        def counted_lagrange(d):
+            return tuple(_Column(col) for col in original_lagrange(d))
+
+        monkeypatch.setattr(polynomials, "_exact_quotient", counted_quotient)
+        monkeypatch.setattr(polynomials, "_scaled_lagrange", counted_lagrange)
+        counts = []
+        for split in (_parent_kronecker_split, _kronecker_split):
+            quotients[0] = _Column.formed[0] = 0
+            outcome = split(coeffs)
+            counts.append((outcome, quotients[0], _Column.formed[0]))
+        (parent, parent_quotients, parent_formed), (got, got_quotients, got_formed) = counts
+        assert got == parent
+        assert got_quotients == parent_quotients > 0
+        assert got_formed < parent_formed
 
     def test_cases_cover_every_outcome(self):
         outcomes = set()

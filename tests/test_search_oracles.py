@@ -72,15 +72,18 @@ from conecrafter.reduction import (
     hyperbolic_domain,
     verify_tiling,
 )
-from conecrafter.torus import AffineAuto, GroupAction, close_group
+from conecrafter.endo import invariant_subalgebra
+from conecrafter.torus import AffineAuto, GroupAction, close_group, is_polarization_invariant
 
 from conftest import (
     PROBLEM_DOCUMENT_CHANGES,
     affine_compose,
     count_roots_in_interval,
+    ei_power_data,
     load_corpus,
     minkowski_domain_p2,
     read_corpus_json,
+    transported_data,
 )
 
 SEEDS = (42, 7, 1003)
@@ -111,7 +114,7 @@ def reference_close_group(generators, max_order=64):
         (g for g in seen if g != ident),
         key=lambda g: (g.linear.rows, g.translation),
     )
-    return GroupAction(tuple(ordered))
+    return GroupAction(tuple(ordered), reference_linear_generators(gens))
 
 
 def _apply_matrix(m, v):
@@ -195,11 +198,12 @@ def reference_all_roots_nonnegative(p):
     return count_roots_in_interval(q, 0, None) == q.degree
 
 
-def reference_linear_generators(group):
-    """The loop invariant_ns ran over the elements."""
-    ident = Matrix.identity(group.elements[0].linear.nrows)
+def reference_linear_generators(autos):
+    """The loop invariant_ns ran over the elements: the distinct
+    non-identity linear parts, in order."""
+    ident = Matrix.identity(autos[0].linear.nrows)
     gens = []
-    for g in group.elements:
+    for g in autos:
         if g.linear != ident and g.linear not in gens:
             gens.append(g.linear)
     return tuple(gens)
@@ -746,17 +750,89 @@ def test_root_tests_on_repeated_and_zero_roots(p, positive, nonnegative):
 
 @pytest.mark.parametrize("name", ["elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"])
 def test_linear_generators_of_the_corpus_groups(name):
-    group = prepare_torus(load_corpus(name + ".json")).group
-    assert group.linear_generators == reference_linear_generators(group)
+    doc = load_corpus(name + ".json")
+    group = prepare_torus(doc).group
+    assert group.linear_parts == reference_linear_generators(group.elements)
+    want = reference_linear_generators(doc.generators) if doc.generators else ()
+    assert group.linear_generators == want
 
 
 def test_linear_generators_of_a_group_that_repeats_linear_parts():
     """A rotation and a pure translation: each linear part appears once per
-    translation, and the identity's with the nonzero translations too."""
+    translation, and the identity's with the nonzero translations too. The
+    translation's linear part is the identity, so only the rotation is a
+    linear generator."""
     rotation = AffineAuto(Matrix([[0, -1], [1, 0]]))
     shift = AffineAuto(Matrix.identity(2), (Fraction(1, 2), Fraction(1, 2)))
     group = close_group([rotation, shift])
     assert group.order == 8
-    want = reference_linear_generators(group)
-    assert group.linear_generators == want
+    want = reference_linear_generators(group.elements)
+    assert group.linear_parts == want
     assert want == (Matrix([[-1, 0], [0, -1]]), Matrix([[0, -1], [1, 0]]), Matrix([[0, 1], [-1, 0]]))
+    assert group.linear_generators == (Matrix([[0, -1], [1, 0]]),)
+
+
+def _ei2_with(name, polarization, generators):
+    data = ei_power_data(2)
+    data["name"] = name
+    data["polarization"] = polarization
+    data["group"] = {"generators": [{"linear": g} for g in generators]}
+    return data
+
+
+_SWAP = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def _generator_set_tori():
+    """The corpus tori; E_i^2 under the factor swap with the polarization
+    diag(E, 2E), which the swap moves, so it is averaged; cyclic E_i^n for
+    n = 2..4; E_i^2 under diag(J, I) and the swap, a non-abelian group of
+    order 32 with two generators; and seeded transports of those with a
+    group."""
+    tori = [read_corpus_json(name + ".json") for name in (
+        "elliptic_gauss", "product_gauss_squared", "elliptic_rational_j",
+        "bielliptic_z4", "hyperbolic_z8",
+    )]
+    tori.append(_ei2_with(
+        "ei2_swap_averaged",
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]],
+        [_SWAP],
+    ))
+    tori += [ei_power_data(n, cyclic=True) for n in (2, 3, 4)]
+    tori.append(_ei2_with(
+        "ei2_nonabelian",
+        ei_power_data(2)["polarization"],
+        [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], _SWAP],
+    ))
+    return tori + [transported_data(d, seed) for d in tori if "group" in d for seed in (1, 2)]
+
+
+GENERATOR_SET_TORI = _generator_set_tori()
+
+
+@pytest.mark.parametrize("data", GENERATOR_SET_TORI, ids=[d["name"] for d in GENERATOR_SET_TORI])
+def test_invariance_from_the_generators_matches_all_elements(data):
+    """Invariance under the group's generators cuts out the same algebra,
+    center, form lattice and polarization verdict as invariance under
+    every element, in the same canonical bases."""
+    ctx = prepare_torus(parse_document(data))
+    t, group = ctx.invariant_torus, ctx.group
+    every = replace(group, linear_generators=reference_linear_generators(group.elements))
+    assert set(group.linear_generators) <= set(every.linear_generators)
+    got, want = invariant_subalgebra(t, group), invariant_subalgebra(t, every)
+    assert got.basis == want.basis
+    assert got.center == want.center
+    assert invariant_ns(t, group).basis == invariant_ns(t, every).basis
+    for torus in (ctx.torus, t):
+        assert is_polarization_invariant(torus, group) == is_polarization_invariant(torus, every)
+
+
+def test_generator_set_tori_cover_the_cases():
+    """Some groups have fewer generators than non-identity linear parts,
+    one is not abelian, and one document's polarization is averaged."""
+    contexts = {d["name"]: prepare_torus(parse_document(d)) for d in GENERATOR_SET_TORI}
+    fewer = [n for n, c in contexts.items() if len(c.group.linear_generators) < len(c.group.linear_parts)]
+    assert {"hyperbolic_z8", "bielliptic_z4", "ei4_cyclic", "ei2_nonabelian"} <= set(fewer)
+    assert contexts["ei2_swap_averaged"].averaged
+    a, b = contexts["ei2_nonabelian"].group.linear_generators
+    assert contexts["ei2_nonabelian"].group.order == 32 and a @ b != b @ a
