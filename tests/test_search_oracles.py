@@ -15,7 +15,8 @@ draw with rng.randint and rng.randrange, which the bound draw on
 rng.getrandbits replaced; a change to CPython's randint would show here.
 The primitive vector of a ray and of a polynomial were two loops, and the
 root tests took the squarefree part before the Sturm chain took it again;
-the group's linear generators were deduplicated by each caller.
+the group's linear generators were deduplicated by each caller, and
+invariance was tested against the linear part of every element.
 A problem document's cone check lived in pipeline.build_problem, the
 orbit search found each symmetric generator's inverse by a pairwise
 product search, and the word ball was built per length as Matrix objects.
@@ -38,6 +39,7 @@ from hypothesis import strategies as st
 from conecrafter._kernels import linear_form
 from conecrafter.cone import compute_ns, invariant_ns
 from conecrafter.documents import parse_document
+from conecrafter.endo import invariant_subalgebra
 from conecrafter.errors import (
     ClosureError,
     InternalInvariantError,
@@ -72,7 +74,6 @@ from conecrafter.reduction import (
     hyperbolic_domain,
     verify_tiling,
 )
-from conecrafter.endo import invariant_subalgebra
 from conecrafter.torus import AffineAuto, GroupAction, close_group, is_polarization_invariant
 
 from conftest import (
