@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, combinations
 from typing import Sequence
 
 from .errors import InternalInvariantError, ValidationError
@@ -21,6 +22,7 @@ from .matrices import (
     commutator_rows,
     definiteness_sign,
     matrix_kernel_basis,
+    rows_product,
     trace_gram,
 )
 from .torus import GroupAction, PolarizedTorus
@@ -66,7 +68,7 @@ class EndoAlgebra(MatrixLattice):
     @cached_property
     def rosati_images(self) -> tuple[Matrix, ...]:
         """The Rosati adjoint of each basis element, in basis order."""
-        return tuple(self.rosati(b) for b in self.basis)
+        return rosati_all(self.torus, self.basis)
 
     @cached_property
     def rosati_gram(self) -> Matrix:
@@ -77,6 +79,21 @@ class EndoAlgebra(MatrixLattice):
 def rosati(t: PolarizedTorus, phi: Matrix) -> Matrix:
     """Rosati adjoint of phi: the unique psi with psi.T @ E = E @ phi."""
     return t.e_inv @ phi.T @ t.e
+
+
+def rosati_all(t: PolarizedTorus, phis: Sequence[Matrix]) -> tuple[Matrix, ...]:
+    """The Rosati adjoints of several matrices from two products: the
+    stacked transposes times E, then E^-1 times those blocks side by side,
+    whose denominators the product clears once."""
+    if not phis:
+        return ()
+    n = t.rank
+    blocks = (Matrix.trusted(tuple(row for phi in phis for row in phi.T.rows)) @ t.e).rows
+    side = Matrix.trusted(tuple(tuple(chain.from_iterable(blocks[i::n])) for i in range(n)))
+    images = (t.e_inv @ side).rows
+    return tuple(
+        Matrix.trusted(tuple(row[k:k + n] for row in images)) for k in range(0, n * len(phis), n)
+    )
 
 
 def _commutant(
@@ -111,8 +128,15 @@ def invariant_subalgebra(t: PolarizedTorus, group: GroupAction) -> EndoAlgebra:
 
 def center_basis(algebra: EndoAlgebra) -> tuple[Matrix, ...]:
     """Integral basis of the center, canonical in the same sense as the
-    algebra basis."""
-    return _commutant(algebra.torus, algebra.commutants + algebra.basis, "center")
+    algebra basis. A constraint that commutes with all the others (J, and
+    any linear generator that commutes with the rest) lies in the algebra,
+    so the basis rows already impose it and its own rows are left out."""
+    cs = algebra.commutants
+    clash = set()
+    for a, b in combinations(cs, 2):
+        if rows_product(a.rows, b.rows) != rows_product(b.rows, a.rows):
+            clash.update((a, b))
+    return _commutant(algebra.torus, tuple(c for c in cs if c in clash) + algebra.basis, "center")
 
 
 def rosati_fixes_algebra(algebra: EndoAlgebra) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from ._kernels import positive_definite_form
 from .cone import ConeStructure, cone_structure
@@ -37,6 +38,7 @@ from .reduction import (
     verify_tiling,
 )
 from .torus import (
+    AffineAuto,
     GroupAction,
     PolarizedTorus,
     TorusReport,
@@ -343,9 +345,18 @@ def _validate_normalizer(ctx: TorusContext, gamma: Matrix) -> None:
         raise ValidationError("normalizer_holomorphic", "normalizer must commute with J")
     inv = gamma.inverse()
     # conjugation fixes the identity, so the others must map onto each other
-    linears = set(ctx.group.linear_parts)
-    if any(inv @ g @ gamma not in linears for g in linears):
+    conjugates = {g: inv @ g @ gamma for g in ctx.group.linear_parts}
+    if not set(conjugates.values()) <= set(conjugates):
         raise ValidationError("normalizer_group", "normalizer must normalize the group action")
+    # gamma acts on X = A/G when gamma^-1 (L, t) gamma = (gamma^-1 L gamma,
+    # gamma^-1 t), translations mod 1, lies in G for every (L, t) in G
+    elements = set(ctx.group.elements)
+    for g in ctx.group.elements:
+        moved = tuple(sum(map(mul, row, g.translation)) for row in inv.rows)
+        if AffineAuto(conjugates.get(g.linear, g.linear), moved) not in elements:
+            raise ValidationError(
+                "normalizer_descent", "normalizer must conjugate the group into itself"
+            )
 
 
 def run_funddom(doc) -> dict:

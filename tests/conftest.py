@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 
 from conecrafter.documents import load_document
-from conecrafter.matrices import Matrix
+from conecrafter.matrices import Matrix, primitive_tuple
 from conecrafter.polynomials import (
     Polynomial,
     _variations_at,
@@ -172,6 +172,35 @@ def count_roots_in_interval(p: Polynomial, a, b) -> int:
     va = _variations_at_infinity(chain, positive=False) if a is None else _variations_at(chain, a)
     vb = _variations_at_infinity(chain, positive=True) if b is None else _variations_at(chain, b)
     return va - vb
+
+
+def reference_sturm_chain(p: Polynomial, squarefree_part: bool = True) -> list[list[int]]:
+    """The Sturm chain by Euclid's algorithm on Fraction polynomials, each
+    member scaled to a primitive integer list: the reference for
+    ``sturm_chain``'s integer remainder sequence."""
+    q = p.squarefree_part() if squarefree_part else p
+    chain = [q, q.derivative()]
+    while not chain[-1].is_zero:
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    return [list(primitive_tuple(c.coeffs)) for c in chain if not c.is_zero]
+
+
+def reference_poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """Extended Euclid on Fraction polynomials: (g, u, v) with u*a + v*b = g
+    and g monic. The reference for ``poly_xgcd``."""
+    r0, r1 = a, b
+    s0, s1 = Polynomial([1]), Polynomial([])
+    t0, t1 = Polynomial([]), Polynomial([1])
+    while not r1.is_zero:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero:
+        return r0, s0, t0
+    inv = Fraction(1, 1) / r0.leading
+    return r0 * inv, s0 * inv, t0 * inv
 
 
 def _json_entry(x: Fraction):

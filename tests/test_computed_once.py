@@ -5,7 +5,8 @@ projections of a cone, the freeness of an action, the validation of a
 torus, the integer forms of a lattice, the word ball of a verification,
 the compiled linear maps of a problem and a domain, the compiled interior
 test of a torus problem, the squarefree part of a polynomial whose roots
-are tested, the Rosati images of an algebra.
+are tested, the Rosati images of an algebra (one stacked product for the
+basis, one for the center). Decomposing an algebra takes no Fraction gcd.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
 the full endomorphism algebra for every command but endo, any compiled
@@ -105,21 +106,30 @@ def test_invariance_is_tested_against_the_generators(monkeypatch):
 @pytest.mark.parametrize("name", TORI)
 def test_rosati_images_once_per_algebra(monkeypatch, name):
     """endo's trace pairing, closure check and decomposition share the
-    Rosati images of the basis; the center's are taken once per
-    decomposition, and each central idempotent's once for its check."""
-    taken = []
-    original = endo.rosati
+    Rosati images of the basis, taken in one stacked call; the center's
+    are taken in one more per decomposition, and each central
+    idempotent's once for its check."""
+    stacked, single = [], []
+    original_all, original = endo.rosati_all, endo.rosati
+
+    def counted_all(t, phis):
+        stacked.append(tuple(phis))
+        return original_all(t, phis)
 
     def counted(t, phi):
-        taken.append(phi)
+        single.append(phi)
         return original(t, phi)
 
+    monkeypatch.setattr(endo, "rosati_all", counted_all)
+    monkeypatch.setattr(wedderburn, "rosati_all", counted_all)
     monkeypatch.setattr(endo, "rosati", counted)
     ctx = prepare_torus(load_corpus(name + ".json"))
     sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
     dec = decompose(sub)
     assert trace_positivity_check(sub) and rosati_fixes_algebra(sub)
-    assert len(taken) == sub.dim + len(sub.center) + len(dec.factors)
+    assert len(stacked) == 2 and sub.basis in stacked and sub.center in stacked
+    assert len(single) == len(dec.factors)
+    assert sub.rosati_images == tuple(original(sub.torus, b) for b in sub.basis)
 
 
 def test_ampleness_inverts_the_polarization_once(monkeypatch):
@@ -500,4 +510,23 @@ def test_decompose_takes_no_squarefree_part_of_the_center_polynomial(monkeypatch
     dec = decompose(sub)
     assert [mu.degree for mu in found] == [4]
     assert len(dec.factors) == 2
+    assert taken == []
+
+
+@pytest.mark.parametrize("name", [*TORI, "elliptic_rational_j"])
+def test_decompose_takes_no_polynomial_gcd(monkeypatch, name):
+    """The squarefree test of the center polynomial reads the last member
+    of its Sturm chain, and the idempotents come from the integer
+    remainder sequence, so no Fraction gcd runs."""
+    taken = []
+    original = polynomials.Polynomial.gcd
+
+    def counted(self, other):
+        taken.append((self, other))
+        return original(self, other)
+
+    ctx = prepare_torus(load_corpus(name + ".json"))
+    sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+    monkeypatch.setattr(polynomials.Polynomial, "gcd", counted)
+    assert decompose(sub).factors
     assert taken == []

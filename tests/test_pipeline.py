@@ -1,5 +1,6 @@
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -280,6 +281,70 @@ class TestRunFunddom:
         rep = run_funddom(doc_for("p2_minkowski"))
         assert rep["rays"] == [[0, 0, 1], [1, 0, 1], [1, 1, 1]]
         assert sorted(rep["facets"]) == [[-1, 0, 1], [0, 1, 0], [1, -1, 0]]
+
+
+def _block_diag(a, b):
+    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
+
+
+def reference_descends(group, gamma: Matrix) -> bool:
+    """Whether gamma^-1 (L, t) gamma = (gamma^-1 L gamma, gamma^-1 t) lies
+    in G for every element (L, t) of G, each conjugate formed on its own
+    with Fraction translations mod 1."""
+    inv = gamma.inverse()
+    elements = {(g.linear, tuple(Fraction(x) % 1 for x in g.translation)) for g in group.elements}
+    for g in group.elements:
+        moved = tuple(Fraction(sum(a * x for a, x in zip(row, g.translation))) % 1 for row in inv.rows)
+        if (inv @ g.linear @ gamma, moved) not in elements:
+            return False
+    return True
+
+
+class TestNormalizerDescent:
+    """m16 is B x E_i, with B, g and N from hyperbolic_z8, G generated by
+    (g + 1, translation by (1/8, 0) on E_i), and the normalizer N + R for
+    the rotation R of E_i. N commutes with g, so N^m + R^k conjugates the
+    generator to (g + 1, R^-k (1/8, 0)), and only elements with linear part
+    g + 1 carry a translation whose E_i part is (1/8, 0). So N^m + R^k
+    descends to X = A/G exactly when 4 | k."""
+
+    @pytest.mark.parametrize("k", range(8))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_descends_exactly_when_four_divides_k(self, m, k):
+        data = read_corpus_json("mutants/m16_normalizer_not_descending.json")
+        n = Matrix([row[:4] for row in data["normalizer"][:4]])
+        r = Matrix([[0, -1], [1, 0]])
+        n_m, r_k = Matrix.identity(4), Matrix.identity(2)
+        for _ in range(m):
+            n_m = n_m @ n
+        for _ in range(k):
+            r_k = r_k @ r
+        gamma = _block_diag([list(row) for row in n_m.rows], [list(row) for row in r_k.rows])
+        data["normalizer"] = gamma
+        ctx = prepare_torus(parse_document(data))
+        descends = k % 4 == 0
+        assert reference_descends(ctx.group, Matrix(gamma)) == descends
+        if descends:
+            assert build_domain(ctx).domain is not None
+        else:
+            with pytest.raises(ValidationError) as exc:
+                build_domain(ctx)
+            assert exc.value.invariant == "normalizer_descent"
+
+    def test_linear_descent_passes_before_the_translations_fail(self):
+        """m16's normalizer passes the linear check, so only the translation
+        check rejects it; check, endo and cone do not read the normalizer."""
+        doc = load_corpus("mutants/m16_normalizer_not_descending.json")
+        ctx = prepare_torus(doc)
+        inv = doc.normalizer.inverse()
+        linears = set(ctx.group.linear_parts)
+        assert {inv @ g @ doc.normalizer for g in linears} == linears
+        assert not reference_descends(ctx.group, doc.normalizer)
+        assert run_check(doc)["verdict"] == "pass"
+        for run in (run_funddom, run_verify):
+            with pytest.raises(ValidationError) as exc:
+                run(doc)
+            assert exc.value.invariant == "normalizer_descent"
 
 
 class TestRunReduce:

@@ -6,6 +6,8 @@ from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conecrafter.polynomials as polynomials
 from conecrafter.errors import DeskScaleError
@@ -23,7 +25,13 @@ from conecrafter.polynomials import (
     sturm_chain,
 )
 
-from conftest import count_roots_in_interval, evaluate, evaluate_matrix
+from conftest import (
+    count_roots_in_interval,
+    evaluate,
+    evaluate_matrix,
+    reference_poly_xgcd,
+    reference_sturm_chain,
+)
 
 
 def rand_matrix(rng, n, lo=-6, hi=6):
@@ -448,6 +456,69 @@ class TestKroneckerSplit:
             got = _split_or_error(_kronecker_split, coeffs)
             outcomes.add("none" if got is None else "error" if got[0] == "DeskScaleError" else "split")
         assert outcomes == {"none", "split", "error"}
+
+
+_RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=5)
+
+
+@st.composite
+def rational_polynomials(draw, allow_zero=False):
+    """Rational polynomials of degree <= 10: a random part times x^z and a
+    power f^k of a small factor, so that roots at 0 and repeated factors
+    come up often."""
+    p = Polynomial(draw(st.lists(_RATIONALS, min_size=1, max_size=5)))
+    if p.is_zero:
+        return p if allow_zero else Polynomial([draw(_RATIONALS.filter(bool))])
+    p = p * Polynomial([0] * draw(st.integers(0, 2)) + [1])
+    f = Polynomial(draw(st.lists(_RATIONALS, min_size=2, max_size=3)))
+    for _ in range(draw(st.integers(0, 3))):
+        if f.degree < 1 or p.degree + f.degree > 10:
+            break
+        p = p * f
+    return p
+
+
+class TestIntegerRemainderSequence:
+    """The Sturm chain and the extended gcd run on primitive integer
+    remainder sequences; each must equal Euclid's algorithm on Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_polynomials())
+    def test_sturm_chain_matches_fraction_chain(self, p):
+        for squarefree_part in (True, False):
+            assert sturm_chain(p, squarefree_part) == reference_sturm_chain(p, squarefree_part)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_polynomials(allow_zero=True), rational_polynomials(allow_zero=True))
+    def test_xgcd_matches_fraction_xgcd(self, a, b):
+        g, u, v = poly_xgcd(a, b)
+        assert (g, u, v) == reference_poly_xgcd(a, b)
+        assert u * a + v * b == g
+        if not a.is_zero and not b.is_zero:
+            assert g.leading == 1
+            assert u.degree < max(b.degree - g.degree, 1)
+            assert v.degree < max(a.degree - g.degree, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_polynomials())
+    def test_squarefree_test_reads_the_last_member(self, p):
+        """factor_squarefree_small rejects p (within its degree cap) exactly
+        when gcd(p, p') is not constant."""
+        repeated = p.gcd(p.derivative()).degree > 0
+        assert (len(sturm_chain(p, squarefree_part=False)[-1]) > 1) == repeated
+        if repeated and p.degree <= polynomials.FACTOR_DEGREE_CAP:
+            with pytest.raises(ValueError):
+                factor_squarefree_small(p)
+
+    def test_cases_cover_repeated_and_zero_roots(self):
+        """x^2 (x - 1)^3 (x + 2): the chain from p ends at gcd(p, p') =
+        x (x - 1)^2, the chain of its squarefree part at a constant."""
+        p = Polynomial([0, 0, 1]) * Polynomial([2, 1])
+        for _ in range(3):
+            p = p * Polynomial([-1, 1])
+        assert sturm_chain(p, squarefree_part=False)[-1] == [0, 1, -2, 1]
+        assert len(sturm_chain(p)[-1]) == 1
+        assert sturm_chain(p) == reference_sturm_chain(p)
 
 
 class TestXgcd:

@@ -15,8 +15,10 @@ draw with rng.randint and rng.randrange, which the bound draw on
 rng.getrandbits replaced; a change to CPython's randint would show here.
 The primitive vector of a ray and of a polynomial were two loops, and the
 root tests took the squarefree part before the Sturm chain took it again;
-the group's linear generators were deduplicated by each caller, and
-invariance was tested against the linear part of every element.
+the group's linear generators were deduplicated by each caller,
+invariance was tested against the linear part of every element, and the
+center was cut out by the rows of J and of every generator as well as
+the basis.
 A problem document's cone check lived in pipeline.build_problem, the
 orbit search found each symmetric generator's inverse by a pairwise
 product search, and the word ball was built per length as Matrix objects.
@@ -39,7 +41,8 @@ from hypothesis import strategies as st
 from conecrafter._kernels import linear_form
 from conecrafter.cone import compute_ns, invariant_ns
 from conecrafter.documents import parse_document
-from conecrafter.endo import invariant_subalgebra
+import conecrafter.endo as endo
+from conecrafter.endo import _commutant, center_basis, invariant_subalgebra
 from conecrafter.errors import (
     ClosureError,
     InternalInvariantError,
@@ -826,6 +829,37 @@ def test_invariance_from_the_generators_matches_all_elements(data):
     assert invariant_ns(t, group).basis == invariant_ns(t, every).basis
     for torus in (ctx.torus, t):
         assert is_polarization_invariant(torus, group) == is_polarization_invariant(torus, every)
+
+
+def reference_center_basis(algebra):
+    """The center cut out by the commutator rows of every constraint (J
+    and the linear generators) and of every basis element."""
+    return _commutant(algebra.torus, algebra.commutants + algebra.basis, "center")
+
+
+@pytest.mark.parametrize("data", GENERATOR_SET_TORI, ids=[d["name"] for d in GENERATOR_SET_TORI])
+def test_center_from_fewer_rows_matches_all_rows(monkeypatch, data):
+    """center_basis leaves out J's rows and those of every linear
+    generator that commutes with the others; the basis is the same. Both
+    generators of the non-abelian group keep their rows."""
+    ctx = prepare_torus(parse_document(data))
+    sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+    constrained = []
+    original = endo.commutator_rows
+
+    def recorded(m):
+        constrained.append(m)
+        return original(m)
+
+    monkeypatch.setattr(endo, "commutator_rows", recorded)
+    got = center_basis(sub)
+    monkeypatch.undo()
+    assert got == reference_center_basis(sub)
+    extra = constrained[: len(constrained) - sub.dim]
+    assert constrained[len(extra):] == list(sub.basis)
+    assert sub.torus.j not in extra
+    if data["name"].startswith("ei2_nonabelian"):
+        assert extra == list(ctx.group.linear_generators)
 
 
 def test_generator_set_tori_cover_the_cases():
