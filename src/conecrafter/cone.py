@@ -218,6 +218,10 @@ def cone_structure(t: PolarizedTorus, group: GroupAction) -> ConeStructure:
 
     The polarization must already be invariant (average it first if not);
     otherwise the form-to-endomorphism bridge leaves the invariant algebra.
+
+    A single factor has the idempotent I, so its projection is I and its
+    piece is the whole invariant lattice, in the identity rows that the
+    kernel of the zero matrix would give; only its rank is checked.
     """
     if not is_polarization_invariant(t, group):
         raise ValidationError(
@@ -226,6 +230,14 @@ def cone_structure(t: PolarizedTorus, group: GroupAction) -> ConeStructure:
     dec = decompose(invariant_subalgebra(t, group))
     inv = invariant_ns(t, group)
     ident = Matrix.identity(inv.rank)
+    if len(dec.factors) == 1:
+        (sf,) = dec.factors
+        if sf.fixed_dim != inv.rank:
+            raise InternalInvariantError(
+                "factor cone dimension disagrees with its fixed part"
+            )
+        whole = FactorCone(sf, _cone_flag(inv.rank), ident, ident.rows)
+        return ConeStructure(t, group, dec, inv, (whole,))
     factors = []
     total = Matrix.zeros(inv.rank, inv.rank)
     for sf in dec.factors:

@@ -128,15 +128,32 @@ def invariant_subalgebra(t: PolarizedTorus, group: GroupAction) -> EndoAlgebra:
 
 def center_basis(algebra: EndoAlgebra) -> tuple[Matrix, ...]:
     """Integral basis of the center, canonical in the same sense as the
-    algebra basis. A constraint that commutes with all the others (J, and
-    any linear generator that commutes with the rest) lies in the algebra,
-    so the basis rows already impose it and its own rows are left out."""
+    algebra basis.
+
+    A commutative algebra is its own center: Z(A) = A, and both bases are
+    the canonical basis of the same saturated lattice, so the algebra's
+    basis is returned as it is. The pairwise test runs only when
+    dim <= rank. That bound is a free pre-filter, not a condition: a
+    commutative semisimple subalgebra of M_r(Q) is a product of number
+    fields acting faithfully on Q^r, so its dimension is at most r, and a
+    larger algebra goes straight to the kernel below.
+
+    Otherwise the center is the kernel of the commutator rows. A
+    constraint that commutes with all the others (J, and any linear
+    generator that commutes with the rest) lies in the algebra, so the
+    basis rows already impose it and its own rows are left out."""
+    basis = algebra.basis
+    if algebra.dim <= algebra.rank and all(
+        rows_product(a.rows, b.rows) == rows_product(b.rows, a.rows)
+        for a, b in combinations(basis, 2)
+    ):
+        return basis
     cs = algebra.commutants
     clash = set()
     for a, b in combinations(cs, 2):
         if rows_product(a.rows, b.rows) != rows_product(b.rows, a.rows):
             clash.update((a, b))
-    return _commutant(algebra.torus, tuple(c for c in cs if c in clash) + algebra.basis, "center")
+    return _commutant(algebra.torus, tuple(c for c in cs if c in clash) + basis, "center")
 
 
 def rosati_fixes_algebra(algebra: EndoAlgebra) -> bool:

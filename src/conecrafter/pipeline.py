@@ -135,6 +135,8 @@ def run_check(doc) -> dict:
     if doc.kind == "reduction_problem":
         return _check_problem(doc)
     ctx = prepare_torus(doc)
+    if doc.normalizer is not None:
+        _validate_normalizer(ctx, doc.normalizer)
     checks = [{"name": c.name, "passed": c.passed} for c in ctx.report.checks]
     return {
         **_header("check", doc),

@@ -13,6 +13,14 @@ normalized per real or complex place of its center:
 
 The three families are disjoint (f/d is > 1/2, = 1/2, < 1/2 respectively),
 so lookup_kind reads the kind from these closed forms at any size.
+
+Two shapes skip work that the general route would spend on identities:
+
+    commutative    the algebra is its own center (endo.center_basis), so
+                   the cuts of its basis give the center's counts too
+    simple         the only central idempotent is I, so there is no
+                   Lagrange product, no idempotent check, and a factor's
+                   cut is the basis itself
 """
 
 from __future__ import annotations
@@ -129,7 +137,12 @@ def central_idempotents(algebra: EndoAlgebra) -> list[tuple[Matrix, Polynomial]]
     irreducible polynomial cutting out the matching center field.
 
     Ordering follows the sorted factor list of the primitive element's
-    minimal polynomial, so output depends only on the algebra."""
+    minimal polynomial, so output depends only on the algebra.
+
+    When that polynomial is irreducible the algebra is simple, and its
+    only central idempotent is I: idempotent, fixed by the involution,
+    and summing to I on its own. The factoring, and its degree and budget
+    errors, still run first."""
     z, mu = primitive_center_element(algebra, algebra.center)
     try:
         irreducibles = factor_squarefree_small(mu)
@@ -137,6 +150,8 @@ def central_idempotents(algebra: EndoAlgebra) -> list[tuple[Matrix, Polynomial]]
         raise InternalInvariantError("center minimal polynomial must be squarefree") from None
     if sum(p.degree for p in irreducibles) != mu.degree:
         raise InternalInvariantError("center factorization lost degree")
+    if len(irreducibles) == 1:
+        return [(Matrix.identity(algebra.rank), irreducibles[0])]
     # e_i = L_i(z) for the Lagrange polynomial L_i of degree < k: one
     # product of the coefficient rows with the stacked powers of z, whose
     # denominators it clears once
@@ -204,22 +219,33 @@ class WedderburnDecomposition:
     factors: tuple[SimpleFactor, ...]
 
 
+def _cut_ranks(
+    mats: Sequence[Matrix], images: Sequence[Matrix], e: Matrix, whole: bool
+) -> tuple[int, int]:
+    """Ranks of the cut e @ m and of its fixed part e @ m + rosati(m) @ e.
+    whole says that e = I (a single factor), whose cut is the matrices
+    themselves."""
+    if whole:
+        return _flat_rank(list(mats)), _flat_rank([m + r for m, r in zip(mats, images)])
+    cut = [e @ m for m in mats]
+    return _flat_rank(cut), _flat_rank([c + r @ e for c, r in zip(cut, images)])
+
+
 def _classify_factor(
-    algebra: EndoAlgebra, center: Sequence[Matrix], center_images: Sequence[Matrix],
-    e: Matrix, m_poly: Polynomial,
+    algebra: EndoAlgebra, center_images: Sequence[Matrix] | None,
+    e: Matrix, m_poly: Polynomial, whole: bool,
 ) -> SimpleFactor:
     """The factor e @ b (e is central, so e @ b @ e = e @ b) has the fixed
     part e @ b + rosati(b) @ e, as rosati(x @ y) = rosati(y) @ rosati(x)
     and central_idempotents checks rosati(e) = e. So every factor reads
-    the Rosati images of the basis and of the center, each built once."""
-    cut = [e @ b for b in algebra.basis]
-    dim = _flat_rank(cut)
-    fixed = [c + r @ e for c, r in zip(cut, algebra.rosati_images)]
-    fixed_dim = _flat_rank(fixed)
-    center_cut = [e @ zb for zb in center]
-    k = _flat_rank(center_cut)
-    center_fixed = [c + r @ e for c, r in zip(center_cut, center_images)]
-    f_z = _flat_rank(center_fixed)
+    the Rosati images of the basis and of the center, each built once.
+    center_images is None when the algebra is its own center, whose cut
+    is then the basis's."""
+    dim, fixed_dim = _cut_ranks(algebra.basis, algebra.rosati_images, e, whole)
+    if center_images is None:
+        k, f_z = dim, fixed_dim
+    else:
+        k, f_z = _cut_ranks(algebra.center, center_images, e, whole)
     real_roots = count_real_roots(m_poly)
     if f_z == k:
         if real_roots != k:
@@ -260,10 +286,12 @@ def decompose(algebra: EndoAlgebra) -> WedderburnDecomposition:
     """Split the algebra along its primitive central idempotents and
     classify every simple factor."""
     center = algebra.center
-    center_images = rosati_all(algebra.torus, center)
-    factors = []
-    for e, m_poly in central_idempotents(algebra):
-        factors.append(_classify_factor(algebra, center, center_images, e, m_poly))
+    center_images = None if center is algebra.basis else rosati_all(algebra.torus, center)
+    idempotents = central_idempotents(algebra)
+    whole = len(idempotents) == 1
+    factors = [
+        _classify_factor(algebra, center_images, e, m_poly, whole) for e, m_poly in idempotents
+    ]
     if sum(f.dim for f in factors) != algebra.dim:
         raise InternalInvariantError("factor dimensions must add up to the algebra")
     return WedderburnDecomposition(algebra, tuple(factors))

@@ -230,14 +230,10 @@ def ei_power_data(n: int, cyclic: bool = False) -> dict:
     return data
 
 
-def transported_data(data: dict, seed: int) -> dict:
-    """data moved by a seeded P in GL(r, Z), a product of r transvections
-    with multipliers +-1: J -> P^-1 J P, E -> P^T E P, and each generator
-    x -> g x + t becomes x -> P^-1 g P x + P^-1 t. The normalizer and the
-    test classes are dropped; expect_ghv is kept, since freeness and
-    translations survive the change of basis."""
+def _transport(r: int, seed: int):
+    """The seeded P in GL(r, Z), a product of r transvections with
+    multipliers +-1, and P^-1, as Fraction rows."""
     rng = random.Random(seed)
-    r = data["rank"]
     p = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
     p_inv = [row[:] for row in p]
     for _ in range(r):
@@ -246,21 +242,43 @@ def transported_data(data: dict, seed: int) -> dict:
         for row in p:  # p @ (I + c e_ij)
             row[j] += c * row[i]
         p_inv[i] = [x - c * y for x, y in zip(p_inv[i], p_inv[j])]  # (I - c e_ij) @ p_inv
+    return p, p_inv
 
-    def read(m):
-        return [[Fraction(x) for x in row] for row in m]
 
-    def written(m):
-        return [[_json_entry(x) for x in row] for row in m]
+def _read(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
+def _written(m):
+    return [[_json_entry(x) for x in row] for row in m]
+
+
+def _conjugate(p, p_inv, m):
+    return _written(_product(_product(p_inv, _read(m)), p))
+
+
+def transported_matrix(data: dict, seed: int, m) -> list:
+    """A linear map m of data's lattice in the coordinates of
+    transported_data(data, seed): P^-1 m P. A normalizer moves this way."""
+    return _conjugate(*_transport(data["rank"], seed), m)
+
+
+def transported_data(data: dict, seed: int) -> dict:
+    """data moved by the seeded P of _transport: J -> P^-1 J P,
+    E -> P^T E P, and each generator x -> g x + t becomes
+    x -> P^-1 g P x + P^-1 t. The normalizer and the test classes are
+    dropped (transported_matrix moves a normalizer); expect_ghv is kept,
+    since freeness and translations survive the change of basis."""
+    p, p_inv = _transport(data["rank"], seed)
 
     def conjugate(m):
-        return written(_product(_product(p_inv, read(m)), p))
+        return _conjugate(p, p_inv, m)
 
     out = {k: v for k, v in data.items() if k not in ("normalizer", "test_classes")}
     out["name"] = f"{data['name']}_transported{seed}"
     out["complex_structure"] = conjugate(data["complex_structure"])
     pt = [list(col) for col in zip(*p)]
-    out["polarization"] = written(_product(_product(pt, read(data["polarization"])), p))
+    out["polarization"] = _written(_product(_product(pt, _read(data["polarization"])), p))
     if "group" in data:
         gens = []
         for g in data["group"]["generators"]:
@@ -271,3 +289,91 @@ def transported_data(data: dict, seed: int) -> dict:
             gens.append(moved)
         out["group"] = {"generators": gens}
     return out
+
+
+# --- the general decomposition route, as the oracle of its shortcuts ---------
+
+
+def reference_center_basis(algebra):
+    """The center cut out by the commutator rows of every constraint (J
+    and the linear generators) and of every basis element."""
+    from conecrafter.endo import _commutant
+
+    return _commutant(algebra.torus, algebra.commutants + algebra.basis, "center")
+
+
+def reference_central_idempotents(algebra, center):
+    """e_i = L_i(z) for the Lagrange polynomial of each irreducible factor
+    of the primitive element's minimal polynomial, one power product per
+    idempotent, each checked idempotent, fixed, orthogonal, and summing
+    to I, whatever the number of factors."""
+    from conecrafter.polynomials import factor_squarefree_small, poly_xgcd
+    from conecrafter.wedderburn import primitive_center_element
+
+    z, mu = primitive_center_element(algebra, center)
+    n = algebra.rank
+    out = []
+    for m_i in factor_squarefree_small(mu):
+        q_i = mu // m_i
+        g, u, _ = poly_xgcd(q_i, m_i)
+        assert g.degree == 0
+        e, power = Matrix.zeros(n, n), Matrix.identity(n)
+        for c in (u * q_i).coeffs:
+            e, power = e + power * c, power @ z
+        out.append((e, m_i))
+    for a, (e, _) in enumerate(out):
+        assert e @ e == e and algebra.rosati(e) == e
+        assert all((e @ f).is_zero for f, _ in out[a + 1:])
+    assert sum((e for e, _ in out), Matrix.zeros(n, n)) == Matrix.identity(n)
+    return out
+
+
+def reference_classify_factor(algebra, center, e, m_poly):
+    """The factor's counts from the products e @ b and rosati(b) @ e of
+    every basis and center element, with the Rosati images taken one by
+    one."""
+    from conecrafter.polynomials import count_real_roots
+    from conecrafter.wedderburn import SimpleFactor, _flat_rank, lookup_kind
+
+    def ranks(mats):
+        cut = [e @ m for m in mats]
+        return _flat_rank(cut), _flat_rank([c + algebra.rosati(m) @ e for c, m in zip(cut, mats)])
+
+    dim, fixed_dim = ranks(algebra.basis)
+    k, f_z = ranks(center)
+    places = k if f_z == k else f_z
+    assert (f_z == k and count_real_roots(m_poly) == k) or (2 * f_z == k and count_real_roots(m_poly) == 0)
+    kind, size = lookup_kind(dim // places, fixed_dim // places)
+    return SimpleFactor(kind, size, e, tuple(m_poly.monic().coeffs), k, places, dim, fixed_dim)
+
+
+def reference_decompose(algebra):
+    """The simple factors by the general route: the all-rows center, the
+    Lagrange idempotents and the product-based counts."""
+    center = reference_center_basis(algebra)
+    return tuple(
+        reference_classify_factor(algebra, center, e, m_poly)
+        for e, m_poly in reference_central_idempotents(algebra, center)
+    )
+
+
+def reference_cone_structure(t, group):
+    """The invariant lattice and each factor's cone by the general route:
+    the projection F -> E e E^-1 F e in invariant coordinates, and its
+    image as the saturated kernel of I - P, for every factor."""
+    from conecrafter.cone import FactorCone, _cone_flag, invariant_ns
+    from conecrafter.endo import invariant_subalgebra
+    from conecrafter.matrices import integer_kernel_matrix
+
+    inv = invariant_ns(t, group)
+    ident = Matrix.identity(inv.rank)
+    factors = []
+    for sf in reference_decompose(invariant_subalgebra(t, group)):
+        e = sf.idempotent
+        projection = inv.matrix_of([t.e @ (e @ t.e_inv @ b @ e) for b in inv.basis])
+        kernel = integer_kernel_matrix((ident - projection).to_integer()[0])
+        piece = () if kernel is None else kernel.rows
+        assert projection.rank() == len(piece) == sf.fixed_dim
+        factors.append(FactorCone(sf, _cone_flag(len(piece)), projection, piece))
+    assert sum((fc.projection for fc in factors), Matrix.zeros(inv.rank, inv.rank)) == ident
+    return inv, tuple(factors)

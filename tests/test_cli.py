@@ -26,6 +26,7 @@ MUTANT_CODES = {
     "m13_test_classes_not_list": 4,
     "m14_domain_rays_not_list": 4,
     "m15_generator_leaves_cone": 2,
+    "m16_normalizer_not_descending": 2,
 }
 
 HOSTILE_FILES = {

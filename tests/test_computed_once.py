@@ -6,7 +6,9 @@ torus, the integer forms of a lattice, the word ball of a verification,
 the compiled linear maps of a problem and a domain, the compiled interior
 test of a torus problem, the squarefree part of a polynomial whose roots
 are tested, the Rosati images of an algebra (one stacked product for the
-basis, one for the center). Decomposing an algebra takes no Fraction gcd.
+basis, one for the center unless the algebra is its own center).
+Decomposing an algebra takes no Fraction gcd, and a single factor takes
+no Lagrange polynomial, projection or kernel.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
 the full endomorphism algebra for every command but endo, any compiled
@@ -107,8 +109,9 @@ def test_invariance_is_tested_against_the_generators(monkeypatch):
 def test_rosati_images_once_per_algebra(monkeypatch, name):
     """endo's trace pairing, closure check and decomposition share the
     Rosati images of the basis, taken in one stacked call; the center's
-    are taken in one more per decomposition, and each central
-    idempotent's once for its check."""
+    are taken in one more per decomposition unless the algebra is its own
+    center, and each central idempotent's once for its check unless the
+    only one is I."""
     stacked, single = [], []
     original_all, original = endo.rosati_all, endo.rosati
 
@@ -127,9 +130,68 @@ def test_rosati_images_once_per_algebra(monkeypatch, name):
     sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
     dec = decompose(sub)
     assert trace_positivity_check(sub) and rosati_fixes_algebra(sub)
-    assert len(stacked) == 2 and sub.basis in stacked and sub.center in stacked
-    assert len(single) == len(dec.factors)
+    commutative = sub.center is sub.basis
+    assert commutative == (name != "product_gauss_squared")
+    assert len(stacked) == (1 if commutative else 2)
+    assert sub.basis in stacked and sub.center in stacked
+    assert len(single) == (0 if len(dec.factors) == 1 else len(dec.factors))
     assert sub.rosati_images == tuple(original(sub.torus, b) for b in sub.basis)
+
+
+@pytest.mark.parametrize("name", ["bielliptic_z4", "hyperbolic_z8", "elliptic_gauss"])
+def test_commutative_algebra_is_its_own_center(monkeypatch, name):
+    """A commutative algebra's center is its basis: center_basis builds no
+    commutator rows, and decompose takes Rosati images once, for the
+    basis."""
+    stacked, rows = [], []
+    original_all, original_rows = endo.rosati_all, endo.commutator_rows
+
+    def counted_all(t, phis):
+        stacked.append(tuple(phis))
+        return original_all(t, phis)
+
+    def counted_rows(m):
+        rows.append(m)
+        return original_rows(m)
+
+    ctx = prepare_torus(load_corpus(name + ".json"))
+    sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+    monkeypatch.setattr(endo, "rosati_all", counted_all)
+    monkeypatch.setattr(wedderburn, "rosati_all", counted_all)
+    monkeypatch.setattr(endo, "commutator_rows", counted_rows)
+    decompose(sub)
+    assert sub.center is sub.basis
+    assert rows == []
+    assert stacked == [sub.basis]
+
+
+@pytest.mark.parametrize("name,factors", [
+    ("elliptic_gauss", 1), ("hyperbolic_z8", 1), ("product_gauss_squared", 1), ("bielliptic_z4", 2),
+])
+def test_a_single_factor_splits_at_the_identity(monkeypatch, name, factors):
+    """A single factor's idempotent is I: central_idempotents takes no
+    Lagrange polynomial (poly_xgcd), and cone_structure takes no
+    projection (matrix_of) or kernel (integer_kernel_matrix) for it.
+    bielliptic_z4's two factors take one of each per factor."""
+    calls = []
+
+    def counting(owner, attr):
+        original = getattr(owner, attr)
+
+        def counted(*args):
+            calls.append(attr)
+            return original(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    ctx = prepare_torus(load_corpus(name + ".json"))
+    counting(wedderburn, "poly_xgcd")
+    counting(cone, "integer_kernel_matrix")
+    counting(cone.NSLattice, "matrix_of")
+    structure = cone.cone_structure(ctx.invariant_torus, ctx.group)
+    assert len(structure.factors) == factors
+    want = [] if factors == 1 else ["poly_xgcd"] * factors + ["matrix_of", "integer_kernel_matrix"] * factors
+    assert calls == want
 
 
 def test_ampleness_inverts_the_polarization_once(monkeypatch):

@@ -20,7 +20,7 @@ from conecrafter.pipeline import (
     run_verify,
 )
 
-from conftest import load_corpus, read_corpus_json
+from conftest import load_corpus, read_corpus_json, transported_data, transported_matrix
 
 
 def doc_for(name):
@@ -272,7 +272,7 @@ class TestRunFunddom:
         for invariant, normalizer in NORMALIZER_VIOLATIONS.items():
             data["normalizer"] = normalizer
             path.write_text(json.dumps(data))
-            for command in ("funddom", "verify"):
+            for command in ("check", "funddom", "verify"):
                 code = main([command, str(path)])
                 report = json.loads(capsys.readouterr().out)
                 assert (code, report["error"]["invariant"]) == (2, invariant), command
@@ -308,9 +308,9 @@ class TestNormalizerDescent:
     g + 1 carry a translation whose E_i part is (1/8, 0). So N^m + R^k
     descends to X = A/G exactly when 4 | k."""
 
-    @pytest.mark.parametrize("k", range(8))
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_descends_exactly_when_four_divides_k(self, m, k):
+    @staticmethod
+    def with_normalizer(m, k):
+        """m16's document with the normalizer N^m + R^k."""
         data = read_corpus_json("mutants/m16_normalizer_not_descending.json")
         n = Matrix([row[:4] for row in data["normalizer"][:4]])
         r = Matrix([[0, -1], [1, 0]])
@@ -319,29 +319,53 @@ class TestNormalizerDescent:
             n_m = n_m @ n
         for _ in range(k):
             r_k = r_k @ r
-        gamma = _block_diag([list(row) for row in n_m.rows], [list(row) for row in r_k.rows])
-        data["normalizer"] = gamma
-        ctx = prepare_torus(parse_document(data))
-        descends = k % 4 == 0
-        assert reference_descends(ctx.group, Matrix(gamma)) == descends
-        if descends:
-            assert build_domain(ctx).domain is not None
+        data["normalizer"] = _block_diag([list(row) for row in n_m.rows], [list(row) for row in r_k.rows])
+        return data
+
+    @staticmethod
+    def verdict(data):
+        """build_domain's verdict (a domain, or the invariant it fails)
+        and reference_descends, on the document's own normalizer."""
+        doc = parse_document(data)
+        ctx = prepare_torus(doc)
+        try:
+            built = build_domain(ctx).domain is not None
+        except ValidationError as exc:
+            built = exc.invariant
+        return built, reference_descends(ctx.group, doc.normalizer)
+
+    @pytest.mark.parametrize("k", range(8))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_descends_exactly_when_four_divides_k(self, m, k):
+        want = (True, True) if k % 4 == 0 else ("normalizer_descent", False)
+        assert self.verdict(self.with_normalizer(m, k)) == want
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("m,k", [(m, k) for m in (1, 2) for k in range(4)] + [(None, None)])
+    def test_transported_copies_give_the_same_verdict(self, m, k, seed):
+        """Descent does not depend on the basis: moved by a seeded P, with
+        its normalizer moved as P^-1 gamma P, the document gets the same
+        verdict. (None, None) is m16 as written."""
+        if m is None:
+            data = read_corpus_json("mutants/m16_normalizer_not_descending.json")
         else:
-            with pytest.raises(ValidationError) as exc:
-                build_domain(ctx)
-            assert exc.value.invariant == "normalizer_descent"
+            data = self.with_normalizer(m, k)
+        moved = transported_data(data, seed)
+        moved["normalizer"] = transported_matrix(data, seed, data["normalizer"])
+        assert moved["complex_structure"] != data["complex_structure"]
+        assert self.verdict(moved) == self.verdict(data)
 
     def test_linear_descent_passes_before_the_translations_fail(self):
         """m16's normalizer passes the linear check, so only the translation
-        check rejects it; check, endo and cone do not read the normalizer."""
+        check rejects it, in check as in funddom and verify; endo and cone
+        do not read the normalizer."""
         doc = load_corpus("mutants/m16_normalizer_not_descending.json")
         ctx = prepare_torus(doc)
         inv = doc.normalizer.inverse()
         linears = set(ctx.group.linear_parts)
         assert {inv @ g @ doc.normalizer for g in linears} == linears
         assert not reference_descends(ctx.group, doc.normalizer)
-        assert run_check(doc)["verdict"] == "pass"
-        for run in (run_funddom, run_verify):
+        for run in (run_check, run_funddom, run_verify):
             with pytest.raises(ValidationError) as exc:
                 run(doc)
             assert exc.value.invariant == "normalizer_descent"

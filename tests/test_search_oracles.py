@@ -18,7 +18,10 @@ root tests took the squarefree part before the Sturm chain took it again;
 the group's linear generators were deduplicated by each caller,
 invariance was tested against the linear part of every element, and the
 center was cut out by the rows of J and of every generator as well as
-the basis.
+the basis. decompose and cone_structure took the general route on every
+algebra: the kernel for the center, Lagrange idempotents with their
+checks, and a projection and kernel per factor, even for a commutative
+algebra or a single factor (conftest keeps that route as the oracle).
 A problem document's cone check lived in pipeline.build_problem, the
 orbit search found each symmetric generator's inverse by a pairwise
 product search, and the word ball was built per length as Matrix objects.
@@ -39,12 +42,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecrafter._kernels import linear_form
-from conecrafter.cone import compute_ns, invariant_ns
+from conecrafter.cone import compute_ns, cone_structure, invariant_ns
 from conecrafter.documents import parse_document
 import conecrafter.endo as endo
-from conecrafter.endo import _commutant, center_basis, invariant_subalgebra
+from conecrafter.endo import center_basis, invariant_subalgebra
 from conecrafter.errors import (
     ClosureError,
+    ConecrafterError,
     InternalInvariantError,
     SearchExhausted,
     ValidationError,
@@ -78,6 +82,7 @@ from conecrafter.reduction import (
     verify_tiling,
 )
 from conecrafter.torus import AffineAuto, GroupAction, close_group, is_polarization_invariant
+from conecrafter.wedderburn import decompose
 
 from conftest import (
     PROBLEM_DOCUMENT_CHANGES,
@@ -87,6 +92,9 @@ from conftest import (
     load_corpus,
     minkowski_domain_p2,
     read_corpus_json,
+    reference_center_basis,
+    reference_cone_structure,
+    reference_decompose,
     transported_data,
 )
 
@@ -831,17 +839,33 @@ def test_invariance_from_the_generators_matches_all_elements(data):
         assert is_polarization_invariant(torus, group) == is_polarization_invariant(torus, every)
 
 
-def reference_center_basis(algebra):
-    """The center cut out by the commutator rows of every constraint (J
-    and the linear generators) and of every basis element."""
-    return _commutant(algebra.torus, algebra.commutants + algebra.basis, "center")
+def _ei4_nonabelian_doubled():
+    """E_i^4 = (E_i^2)^2 with ei2_nonabelian's group acting on both halves:
+    its invariant algebra is M_2(Q(i)), of dimension 8 = rank, not
+    commutative, and cut out by two generators that do not commute."""
+    def doubled(g):
+        return [row + [0] * 4 for row in g] + [[0] * 4 + row for row in g]
+
+    data = ei_power_data(4)
+    data["name"] = "ei4_nonabelian_doubled"
+    data["group"] = {"generators": [
+        {"linear": doubled([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])},
+        {"linear": doubled(_SWAP)},
+    ]}
+    return data
 
 
-@pytest.mark.parametrize("data", GENERATOR_SET_TORI, ids=[d["name"] for d in GENERATOR_SET_TORI])
+CENTER_TORI = GENERATOR_SET_TORI + [_ei4_nonabelian_doubled()]
+
+
+@pytest.mark.parametrize("data", CENTER_TORI, ids=[d["name"] for d in CENTER_TORI])
 def test_center_from_fewer_rows_matches_all_rows(monkeypatch, data):
-    """center_basis leaves out J's rows and those of every linear
-    generator that commutes with the others; the basis is the same. Both
-    generators of the non-abelian group keep their rows."""
+    """A commutative algebra is its own center: center_basis returns its
+    basis and builds no commutator rows. Otherwise center_basis leaves out
+    J's rows and those of every linear generator that commutes with the
+    others. Either way the basis is the all-rows one. Both generators of
+    the non-abelian group keep their rows in the doubled torus, whose
+    algebra is not commutative."""
     ctx = prepare_torus(parse_document(data))
     sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
     constrained = []
@@ -855,11 +879,73 @@ def test_center_from_fewer_rows_matches_all_rows(monkeypatch, data):
     got = center_basis(sub)
     monkeypatch.undo()
     assert got == reference_center_basis(sub)
+    commutative = all(a @ b == b @ a for a in sub.basis for b in sub.basis)
+    assert (got is sub.basis) == commutative
+    if commutative:
+        assert constrained == []
+        return
     extra = constrained[: len(constrained) - sub.dim]
     assert constrained[len(extra):] == list(sub.basis)
     assert sub.torus.j not in extra
-    if data["name"].startswith("ei2_nonabelian"):
+    if data["name"].startswith("ei4_nonabelian_doubled"):
         assert extra == list(ctx.group.linear_generators)
+
+
+def test_center_tori_cover_both_routes():
+    """The commutative shortcut and the kernel both run: product_gauss_squared's
+    algebra (dimension 8 on rank 4) fails the dimension pre-filter, and the
+    doubled torus's passes it but does not commute."""
+    routes = {}
+    for data in CENTER_TORI:
+        ctx = prepare_torus(parse_document(data))
+        sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+        routes[data["name"]] = (sub.dim <= sub.rank, sub.center is sub.basis)
+    assert routes["product_gauss_squared"] == (False, False)
+    assert routes["ei4_nonabelian_doubled"] == (True, False)
+    assert routes["bielliptic_z4"] == routes["hyperbolic_z8"] == (True, True)
+
+
+def _ladder_tori():
+    plain = [ei_power_data(n) for n in (1, 2, 3, 4)]
+    return plain + [transported_data(d, seed) for d in plain for seed in (1, 2)]
+
+
+DECOMPOSITION_TORI = CENTER_TORI + _ladder_tori()
+
+
+def _decomposition_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConecrafterError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("data", DECOMPOSITION_TORI, ids=[d["name"] for d in DECOMPOSITION_TORI])
+def test_decomposition_and_cone_match_the_general_route(data):
+    """decompose and cone_structure skip work for a commutative algebra, a
+    simple one and a single factor, and give the same factors as the
+    general route: kind, size, idempotent, center polynomial, dimensions,
+    projections, pieces and flags. A document that exceeds the factoring
+    budget raises the same error on both routes."""
+    ctx = prepare_torus(parse_document(data))
+    t, group = ctx.invariant_torus, ctx.group
+    sub = invariant_subalgebra(t, group)
+    got = _decomposition_outcome(decompose, sub)
+    want = _decomposition_outcome(reference_decompose, sub)
+    if isinstance(want, tuple) and isinstance(want[0], str):
+        assert got == want
+        assert _decomposition_outcome(cone_structure, t, group) == want
+        return
+    assert len(got.factors) == len(want)
+    for g, w in zip(got.factors, want):
+        assert vars(g) == vars(w)
+    structure = cone_structure(t, group)
+    inv, cones = reference_cone_structure(t, group)
+    assert structure.invariant.basis == inv.basis
+    assert len(structure.factors) == len(cones)
+    for g, w in zip(structure.factors, cones):
+        assert (g.flag, g.projection, g.piece) == (w.flag, w.projection, w.piece)
+        assert vars(g.factor) == vars(w.factor)
 
 
 def test_generator_set_tori_cover_the_cases():
