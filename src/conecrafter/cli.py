@@ -34,35 +34,49 @@ EXIT_PARSE = 4
 EXIT_INTERNAL = 5
 
 
+COMMAND_HELP = {
+    "check": "validate a document's invariants",
+    "endo": "invariant endomorphism algebra and its simple factors",
+    "cone": "invariant form lattice, cone flags, test class verdicts",
+    "funddom": "construct the fundamental domain",
+    "reduce": "reduce test forms with word certificates",
+    "verify": "tiling, overlap and transfer verification",
+}
+VERIFY_DEFAULTS = {"samples": 1000, "max_steps": 20_000}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: argparse builds a help
     formatter for every argument, which costs an in-process caller (tests,
-    the benchmark, library use) about a millisecond per main() call."""
+    the benchmark, library use) about a millisecond per main() call. One
+    flat parser takes the command as a positional choice; _parse rejects
+    verify's options on the other commands."""
     parser = argparse.ArgumentParser(
         prog="conecrafter",
         description="polarized torus actions, invariant cones, fundamental domains",
+        epilog="; ".join(f"{name}: {text}" for name, text in COMMAND_HELP.items()),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "check": "validate a document's invariants",
-        "endo": "invariant endomorphism algebra and its simple factors",
-        "cone": "invariant form lattice, cone flags, test class verdicts",
-        "funddom": "construct the fundamental domain",
-        "reduce": "reduce test forms with word certificates",
-        "verify": "tiling, overlap and transfer verification",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="path to a document JSON file")
-        p.add_argument("--out", help="also write the report to this path")
-        p.add_argument("--seed", type=int, default=42, help="seeds verify's sampling; others ignore it")
-        if name == "verify":
-            p.add_argument("--samples", type=int, default=1000, help="tiling sample count")
-            p.add_argument(
-                "--max-steps", type=int, default=20_000, help="search budget per sample"
-            )
+    parser.add_argument("command", choices=COMMAND_HELP, help="what to compute")
+    parser.add_argument("input", help="path to a document JSON file")
+    parser.add_argument("--out", help="also write the report to this path")
+    parser.add_argument("--seed", type=int, default=42, help="seeds verify's sampling; others ignore it")
+    parser.add_argument("--samples", type=int, help="verify only: tiling sample count (default 1000)")
+    parser.add_argument(
+        "--max-steps", type=int, help="verify only: search budget per sample (default 20000)"
+    )
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    parser = _parser()
+    args = parser.parse_args(argv)
+    for name, default in VERIFY_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.command != "verify":
+            parser.error(f"--{name.replace('_', '-')} applies to verify only")
+    return args
 
 
 def _emit(report: dict, out) -> None:
@@ -74,7 +88,7 @@ def _emit(report: dict, out) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         # Opened before any work, so that a path that cannot be written
         # fails at once; append mode leaves an existing file (even the

@@ -201,7 +201,11 @@ class ConeStructure:
     @cached_property
     def ns(self) -> NSLattice:
         """The full form lattice, built only for the commands that read it.
-        It holds the invariant lattice, so it is never empty."""
+        It holds the invariant lattice, so it is never empty. With no
+        linear generator, J alone cuts out both, so it is the invariant
+        lattice."""
+        if not self.group.linear_generators:
+            return self.invariant
         return compute_ns(self.torus)
 
 

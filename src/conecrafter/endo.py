@@ -23,6 +23,7 @@ from .matrices import (
     definiteness_sign,
     matrix_kernel_basis,
     rows_product,
+    span_lattice,
     trace_gram,
 )
 from .torus import GroupAction, PolarizedTorus
@@ -34,12 +35,15 @@ class EndoAlgebra(MatrixLattice):
 
     basis entries are integral matrices of size rank x rank; the identity
     always lies in their span. commutants records the matrices whose
-    centralizer cut this algebra out (J first, then any group constraints).
+    centralizer cut this algebra out (J first, then any group constraints),
+    and linear_parts the non-identity linear parts of the closed group
+    that the constraints after J generate (none for End(T)).
     """
 
     torus: PolarizedTorus
     basis: tuple[Matrix, ...]
     commutants: tuple[Matrix, ...]
+    linear_parts: tuple[Matrix, ...] = ()
 
     membership = ("algebra_membership", "matrix is not in the algebra")
 
@@ -123,7 +127,9 @@ def invariant_subalgebra(t: PolarizedTorus, group: GroupAction) -> EndoAlgebra:
     the group's linear generators enter.
     """
     constraints = (t.j, *group.linear_generators)
-    return EndoAlgebra(t, _commutant(t, constraints, "invariant algebra"), constraints)
+    return EndoAlgebra(
+        t, _commutant(t, constraints, "invariant algebra"), constraints, group.linear_parts
+    )
 
 
 def center_basis(algebra: EndoAlgebra) -> tuple[Matrix, ...]:
@@ -136,24 +142,51 @@ def center_basis(algebra: EndoAlgebra) -> tuple[Matrix, ...]:
     dim <= rank. That bound is a free pre-filter, not a condition: a
     commutative semisimple subalgebra of M_r(Q) is a product of number
     fields acting faithfully on Q^r, so its dimension is at most r, and a
-    larger algebra goes straight to the kernel below.
-
-    Otherwise the center is the kernel of the commutator rows. A
-    constraint that commutes with all the others (J, and any linear
-    generator that commutes with the rest) lies in the algebra, so the
-    basis rows already impose it and its own rows are left out."""
+    larger algebra goes straight to group_algebra_center."""
     basis = algebra.basis
     if algebra.dim <= algebra.rank and all(
         rows_product(a.rows, b.rows) == rows_product(b.rows, a.rows)
         for a, b in combinations(basis, 2)
     ):
         return basis
-    cs = algebra.commutants
-    clash = set()
-    for a, b in combinations(cs, 2):
-        if rows_product(a.rows, b.rows) != rows_product(b.rows, a.rows):
-            clash.update((a, b))
-    return _commutant(algebra.torus, tuple(c for c in cs if c in clash) + basis, "center")
+    return group_algebra_center(algebra)
+
+
+def group_algebra_center(algebra: EndoAlgebra) -> tuple[Matrix, ...]:
+    """The center of the algebra, read off B = Q[J, G], the algebra that
+    J and the group's linear parts L generate.
+
+    The algebra is the commutant C(B). J commutes with every L and
+    J^2 = -I, so B is spanned by the products J^a L (a = 0, 1) and is a
+    quotient of the group algebra of the finite group they form, hence
+    semisimple. The double centralizer theorem gives C(C(B)) = B, so
+    Z(C(B)) = C(B) ∩ B = Z(B). A surjection of semisimple algebras maps
+    center onto center, and J is central, so Z(B) is spanned by the
+    conjugacy class sums S of the linear parts and by J S. The classes are
+    the orbits under conjugation by the linear generators. The canonical
+    basis is then that of the integer points of the span."""
+    t = algebra.torus
+    generators = algebra.commutants[1:]
+    conjugators = [(g.inverse().rows, g.rows) for g in generators]
+    todo = dict.fromkeys([Matrix.identity(t.rank).rows, *(m.rows for m in algebra.linear_parts)])
+    sums = []
+    while todo:
+        first = next(iter(todo))
+        orbit, frontier = {first}, [first]
+        while frontier:
+            x = frontier.pop()
+            for g_inv, g in conjugators:
+                y = rows_product(rows_product(g_inv, x), g)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        for x in orbit:
+            del todo[x]
+        sums.append(Matrix.trusted(tuple(tuple(map(sum, zip(*rows))) for rows in zip(*orbit)), True))
+    vectors = [m.flat() for s in sums for m in (s, t.j @ s)]
+    return tuple(
+        Matrix._from_flat_entries(row, t.rank, True) for row in span_lattice(vectors)
+    )
 
 
 def rosati_fixes_algebra(algebra: EndoAlgebra) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
@@ -103,9 +103,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.trusted(
-            tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]), True
-        )
+        return _identity(n)
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
@@ -276,6 +274,12 @@ class Matrix:
         if not self.is_square:
             raise ValueError("trace needs a square matrix")
         return _norm(sum(self._rows[i][i] for i in range(self._nrows)))
+
+
+@cache
+def _identity(n: int) -> Matrix:
+    """The n x n identity, built once per size: a Matrix never changes."""
+    return Matrix.trusted(tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]), True)
 
 
 def rows_product(a: tuple, b: tuple) -> tuple:
@@ -534,6 +538,40 @@ def matrix_kernel_basis(rows: Iterable[Sequence], shape: tuple[int, int]) -> lis
     return [Matrix._from_flat_entries(row, q, True) for row in kernel.rows]
 
 
+def span_lattice(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """HNF-canonical Z-basis (as rows) of the integer points of the Q-span
+    of rational rows, not all zero: the basis integer_kernel_matrix gives
+    when that lattice is a kernel.
+
+    The reduced rows R hold an identity block at their pivots, so an
+    integer point of the span is c @ R for its own pivot entries c, and
+    the points are the integer c with c @ R integral. When R is integral
+    that is every c, and R is a basis. Otherwise, with d clearing R's
+    denominators, c @ (d R) must vanish mod d at the other columns: the
+    integer kernel of [C | -d I] in the unknowns (c, y), C those columns
+    mod d, holds each such c once, with y = c @ C / d, so its rows' first
+    coordinates are a basis of them."""
+    reduced, pivots = Matrix(rows).rref()
+    k = len(pivots)
+    ints, d = clear_denominators([x for row in reduced.rows[:k] for x in row])
+    n = reduced.ncols
+    scaled = [ints[i:i + n] for i in range(0, k * n, n)]
+    if d > 1:
+        others = [
+            col for col in dict.fromkeys(
+                tuple([row[j] % d for row in scaled]) for j in range(n) if j not in pivots
+            ) if any(col)
+        ]
+        m = len(others)
+        constraints = [
+            [*col, *(-d if s == t else 0 for t in range(m))] for s, col in enumerate(others)
+        ]
+        kernel = integer_kernel_matrix(_integer_matrix(constraints))
+        columns = list(zip(*scaled))
+        scaled = [[sum(map(mul, row[:k], col)) // d for col in columns] for row in kernel.rows]
+    return hermite_normal_form(_integer_matrix(scaled))[0].rows
+
+
 class MatrixLattice:
     """Exact coordinates of matrices in a fixed basis of independent
     integral matrices.
@@ -546,23 +584,31 @@ class MatrixLattice:
     membership: tuple[str, str]
 
     @cached_property
-    def _solver(self) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-        """Entry positions where the basis is independent, and the inverse
-        of the basis restricted to them. Built once per lattice."""
+    def _solver(self) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
+        """Entry positions where the basis is independent, the inverse of
+        the basis restricted to them, and the basis entries position by
+        position (the columns of the stacked flattenings). Built once per
+        lattice."""
         flats = Matrix.trusted(tuple(tuple(b.flat()) for b in self.basis))
         _, pivots = flats.rref()
         block = Matrix.trusted(tuple(flats.col(p) for p in pivots))
-        return pivots, block.inverse().rows
+        return pivots, block.inverse().rows, tuple(zip(*flats.rows))
 
     def coordinates(self, m: Matrix) -> tuple[Fraction, ...]:
-        """Exact coordinates of m in the basis; raises when m is outside."""
+        """Exact coordinates of m in the basis; raises when m is outside.
+
+        The coordinates c come from the pivot entries alone, so m lies in
+        the span exactly when d * m = sum (d * c_i) * b_i at every entry,
+        for d clearing the denominators of c and m: a check on integers."""
         if m.shape != self.basis[0].shape:
             raise ValueError("shape mismatch")
-        pivots, inv = self._solver
+        pivots, inv, columns = self._solver
         flat = m.flat()
         rhs = [flat[p] for p in pivots]
         coords = tuple(Fraction(sum(map(mul, row, rhs))) for row in inv)
-        if self.from_coordinates(coords) != m:
+        ints, _ = clear_denominators(coords + tuple(flat))
+        scaled = ints[:len(coords)]
+        if any(sum(map(mul, scaled, col)) != x for col, x in zip(columns, ints[len(coords):])):
             raise ValidationError(*self.membership)
         return coords
 

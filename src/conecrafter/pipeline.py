@@ -193,9 +193,11 @@ def run_endo(doc) -> dict:
     ctx = prepare_torus(doc)
     sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
     dec = decompose(sub)
+    # with no linear generator, J alone cuts out both algebras
+    full = compute_end(ctx.invariant_torus) if ctx.group.linear_generators else sub
     return {
         **_header("endo", doc),
-        "end_dim": compute_end(ctx.invariant_torus).dim,
+        "end_dim": full.dim,
         "invariant_dim": sub.dim,
         "polarization_averaged": ctx.averaged,
         "trace_positive": trace_positivity_check(sub),

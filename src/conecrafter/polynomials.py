@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -372,9 +372,17 @@ def _scaled_lagrange(d: int) -> tuple[tuple[int, ...], ...]:
                 den *= xi - xj
         rows.append(num)
         dens.append(den)
-    scale = lcm(*dens)
+    scale = _lagrange_scale(d)
     rows = [[c * (scale // den) for c in num] for num, den in zip(rows, dens)]
     return tuple(zip(*rows))
+
+
+@cache
+def _lagrange_scale(d: int) -> int:
+    """The least D > 0 making every D * L_i of _scaled_lagrange(d)
+    integral: the lcm of the node products prod_{j != i} (x_i - x_j)."""
+    points = _KRONECKER_POINTS[: d + 1]
+    return lcm(*(prod(xi - xj for xj in points if xj != xi) for xi in points))
 
 
 def _exact_quotient(p: list[int], g: list[int]) -> list[int] | None:
@@ -405,12 +413,21 @@ def _kronecker_split(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
     most 4, and any nontrivial factorization contains a factor in range.
     A candidate factor is given by its values at the first d + 1 points;
     its primitive part g divides the polynomial over Q exactly when it
-    divides it in Z[x] (Gauss's lemma), so every test is in integers.
+    divides it in Z[x] (Gauss's lemma), so every test is in integers. The
+    tuples run in lexicographic order, and the first one whose primitive
+    part divides gives the split.
 
-    g's top coefficient, top / content, must divide lead, so top must
-    divide lead * content. The running gcd of the scaled coefficients,
-    formed from the top down, is a multiple of the content: a top that
-    fails to divide lead times it rejects the tuple early.
+    The last value is solved for, not enumerated. For a factor g, with
+    gamma the gcd of its values at the points, the first tuple in that
+    order that yields g is g's values divided by gamma: any other lists a
+    larger multiple of g(0) first. D * g / gamma is integral, D the
+    Lagrange scale, so gamma divides D, and g's top coefficient divides
+    lead. So that tuple's scaled top coefficient is c * delta for a
+    divisor c of lead and a divisor delta of D, up to sign, and the last
+    value follows from it. Each value so solved that the enumeration
+    would list is tested as the enumeration tests it, in its order, so
+    the first split found, and every quotient taken, is one the full
+    enumeration takes too.
     """
     deg = len(coeffs) - 1
     lead = coeffs[-1]
@@ -426,19 +443,26 @@ def _kronecker_split(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
             raise DeskScaleError("factor search budget exceeded")
         # fix the sign ambiguity g vs -g by pinning the first value positive
         value_divs[0] = [v for v in value_divs[0] if v > 0]
-        top_column, *columns = reversed(_scaled_lagrange(d))
-        for values in product(*value_divs):
-            top = sum(map(mul, values, top_column))
-            if top == 0:
-                continue
-            scaled, content = [top], top
-            for col in columns:
-                scaled.append(sum(map(mul, values, col)))
-                content = gcd(content, scaled[-1])
-                if lead * content % top:
-                    break
-            else:
-                g = [c // content for c in reversed(scaled)]
+        *prefixes, last = value_divs
+        position = {v: i for i, v in enumerate(last)}
+        columns = _scaled_lagrange(d)
+        *top_head, top_last = columns[-1]
+        deltas = _divisors(_lagrange_scale(d))
+        tops = {s * c * delta for c in _divisors(lead) for delta in deltas for s in (1, -1)}
+        for head in product(*prefixes):
+            partial = sum(map(mul, head, top_head))
+            solved = []
+            for top in tops:
+                v, r = divmod(top - partial, top_last)
+                if not r and v in position:
+                    solved.append((position[v], v))
+            for _, v in sorted(solved):
+                values = (*head, v)
+                scaled = [sum(map(mul, values, col)) for col in columns]
+                content = gcd(*scaled)
+                if lead * content % scaled[-1]:
+                    continue
+                g = [c // content for c in scaled]
                 quo = _exact_quotient(coeffs, g)
                 if quo is not None:
                     return g, quo

@@ -369,6 +369,37 @@ class TestFailurePaths:
         with pytest.raises(SystemExit):
             main(["frobnicate", "x.json"])
 
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate", "x.json"],
+        ["check"],
+        ["endo", corpus_path("elliptic_gauss.json"), "--samples", "5"],
+        ["cone", corpus_path("elliptic_gauss.json"), "--max-steps", "3"],
+        ["reduce", corpus_path("p2_minkowski.json"), "--samples", "5", "--max-steps", "3"],
+    ])
+    def test_misuse_exits_2_with_usage(self, capsys, argv):
+        """An unknown command, a missing input, and verify's options on
+        another command end in argparse's exit 2, with a usage line on
+        stderr and nothing on stdout."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: conecrafter")
+
+    def test_verify_options_keep_their_defaults(self, monkeypatch):
+        """verify reads --samples 1000 and --max-steps 20000 when they are
+        not given, and the values given otherwise."""
+        seen = []
+        monkeypatch.setattr(cli, "run_verify", lambda doc, **kw: seen.append(kw) or {"complete": True})
+        path = corpus_path("elliptic_gauss.json")
+        main(["verify", path])
+        main(["verify", path, "--samples", "7", "--max-steps", "9", "--seed", "3"])
+        assert seen == [
+            {"seed": 42, "samples": 1000, "max_steps": 20_000},
+            {"seed": 3, "samples": 7, "max_steps": 9},
+        ]
+
     @pytest.mark.parametrize("command", ["cone", "funddom", "verify"])
     def test_internal_invariant_exit(self, capsys, monkeypatch, tmp_path, command):
         """A failed internal identity ends in exit 5 with a JSON report,

@@ -12,7 +12,8 @@ no Lagrange polynomial, projection or kernel.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
 the full endomorphism algebra for every command but endo, any compiled
-function for cone and funddom. Invariance is tested against the group's
+function for cone and funddom. With no linear generator, the invariant
+algebra and lattice are the full ones, and are not built twice. Invariance is tested against the group's
 generators, not all of its elements. Sampled points
 repeat, and verify tests each distinct candidate for interiority once and
 searches each distinct sample once."""
@@ -404,14 +405,15 @@ def test_verify_builds_no_matrix_per_sample(monkeypatch):
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("run,builds", [
-    (run_endo, 1), (run_cone, 0), (run_funddom, 0), (run_verify, 0),
-])
+@pytest.mark.parametrize("run", [run_endo, run_cone, run_funddom, run_verify])
 @pytest.mark.parametrize("name", ["bielliptic_z4", "product_gauss_squared"])
-def test_full_algebra_only_for_endo(monkeypatch, run, builds, name):
+def test_full_algebra_only_for_endo(monkeypatch, run, name):
     """Only endo reads End(T) (for end_dim); the other commands work in the
-    invariant subalgebra, which lies in End(T) by construction. Every
-    module that binds compute_end gets the counter."""
+    invariant subalgebra, which lies in End(T) by construction. endo
+    builds it only when the group has a linear generator: with none
+    (product_gauss_squared), J alone cuts out the invariant subalgebra,
+    which is then End(T). Every module that binds compute_end gets the
+    counter."""
     calls = []
     original = endo.compute_end
 
@@ -422,8 +424,41 @@ def test_full_algebra_only_for_endo(monkeypatch, run, builds, name):
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("conecrafter") and getattr(module, "compute_end", None) is original:
             monkeypatch.setattr(module, "compute_end", counted)
-    run(load_corpus(name + ".json"))
-    assert len(calls) == builds
+    doc = load_corpus(name + ".json")
+    linear = bool(prepare_torus(doc).group.linear_generators)
+    assert linear == (name == "bielliptic_z4")
+    run(doc)
+    assert len(calls) == (run is run_endo and linear)
+
+
+@pytest.mark.parametrize("run,lattices", [
+    (run_endo, 0), (run_cone, 1), (run_funddom, 1), (run_verify, 1),
+])
+@pytest.mark.parametrize("name", ["elliptic_gauss", "elliptic_rational_j", "product_gauss_squared"])
+def test_no_linear_generator_builds_one_commutant_and_one_lattice(monkeypatch, run, lattices, name):
+    """With no linear generator the invariant algebra is End(T) and the
+    invariant lattice is the full form lattice, so a command builds one
+    commutant (the invariant algebra; the center comes from J alone) and
+    at most one form lattice (cone and verify read the full lattice as
+    the invariant one; endo reads none)."""
+    built = {"commutant": [], "lattice": []}
+
+    def counting(module, attr, kind):
+        original = getattr(module, attr)
+
+        def counted(*args):
+            built[kind].append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    counting(endo, "_commutant", "commutant")
+    counting(cone, "_form_lattice", "lattice")
+    doc = load_corpus(name + ".json")
+    assert not prepare_torus(doc).group.linear_generators
+    run(doc)
+    assert len(built["commutant"]) == 1
+    assert len(built["lattice"]) == lattices
 
 
 @pytest.mark.parametrize("name", ["elliptic_gauss", "bielliptic_z4"])

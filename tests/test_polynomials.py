@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conecrafter.polynomials as polynomials
+from conecrafter.documents import parse_document
 from conecrafter.errors import DeskScaleError
 from conecrafter.matrices import Matrix, primitive_tuple
+from conecrafter.pipeline import run_endo
 from conecrafter.polynomials import (
     Polynomial,
+    _divisors,
     _kronecker_split,
     _rational_roots,
     all_roots_nonnegative,
@@ -27,10 +30,12 @@ from conecrafter.polynomials import (
 
 from conftest import (
     count_roots_in_interval,
+    ei_power_data,
     evaluate,
     evaluate_matrix,
     reference_poly_xgcd,
     reference_sturm_chain,
+    transported_data,
 )
 
 
@@ -424,9 +429,10 @@ class TestKroneckerSplit:
 
     @pytest.mark.parametrize("coeffs", FIXED[:4] + NON_MONIC)
     def test_early_exit_forms_fewer_coefficients(self, monkeypatch, coeffs):
-        """The same candidates reach _exact_quotient as under the parent
-        rule, since the early exit rejects only tuples it rejects, but
-        fewer coefficients are formed on the way."""
+        """The split is the one the full enumeration finds, and no more
+        candidates reach _exact_quotient than under the enumeration, since
+        only tuples it would test are tested; fewer coefficients are
+        formed on the way, since the last value is solved for."""
         quotients = [0]
         original_quotient = polynomials._exact_quotient
         original_lagrange = polynomials._scaled_lagrange
@@ -447,8 +453,71 @@ class TestKroneckerSplit:
             counts.append((outcome, quotients[0], _Column.formed[0]))
         (parent, parent_quotients, parent_formed), (got, got_quotients, got_formed) = counts
         assert got == parent
-        assert got_quotients == parent_quotients > 0
+        assert 0 < got_quotients <= parent_quotients
         assert got_formed < parent_formed
+
+    # leading coefficients with several divisors, and factors whose values
+    # at the points share a divisor (x^2 + x + 2 is even at every integer),
+    # so that half of a factor's values comes first in the order: on the
+    # two cases after it, a search that solves for the factor's own values
+    # alone finds the other factor first
+    SEVERAL_DIVISORS = [
+        _product_coeffs([2, 1, 1], [3, -1, 1]),
+        _product_coeffs([2, 1, 1], [4, 3, 1], [1, 0, 1]),
+        _product_coeffs([2, 1, 1], [2, -1, 1]),
+        _product_coeffs([5, 2, 1], [10, 3, 1]),
+        _product_coeffs([6, -1, 3], [6, -1, 1], [3, 2, 1]),
+        _product_coeffs([6, 1, 2], [5, 3, 6]),
+        _product_coeffs([2, 3, 12], [7, 0, 5]),
+        _product_coeffs([3, 4, 10], [1, 1, 6]),
+        _product_coeffs([1, 0, 0, 12], [5, 1, 30]),
+        _product_coeffs([6, 6, 5], [2, 2, 3], [1, 1, 4]),
+        [7, 3, 0, 0, 60],
+        [30, 1, 1, 0, 12],
+    ]
+
+    @pytest.mark.parametrize("coeffs", SEVERAL_DIVISORS)
+    def test_solved_last_value_matches_the_enumeration(self, monkeypatch, coeffs):
+        """Solving the last value from the top coefficient finds the split
+        the reference and the full enumeration find, with no more exact
+        quotients than the enumeration."""
+        quotients = [0]
+        original_quotient = polynomials._exact_quotient
+
+        def counted_quotient(p, g):
+            quotients[0] += 1
+            return original_quotient(p, g)
+
+        monkeypatch.setattr(polynomials, "_exact_quotient", counted_quotient)
+        parent = _split_or_error(_parent_kronecker_split, coeffs)
+        parent_quotients, quotients[0] = quotients[0], 0
+        got = _split_or_error(_kronecker_split, coeffs)
+        assert got == parent == _split_or_error(_reference_kronecker_split, coeffs)
+        assert quotients[0] <= parent_quotients
+
+    def test_several_divisor_cases_cover_the_shapes(self):
+        """The cases split and stay whole, lead with composite numbers,
+        and include splits whose first tuple is not the factor's own
+        values but half of them: x^2 - x + 2 from (x^2 + x + 2)(x^2 - x + 2),
+        and x^2 + 3x + 10 from (x^2 + 2x + 5)(x^2 + 3x + 10)."""
+        outcomes = {_kronecker_split(c) is None for c in self.SEVERAL_DIVISORS}
+        assert outcomes == {True, False}
+        assert all(len(_divisors(c[-1])) >= 4 for c in self.SEVERAL_DIVISORS[5:])
+        for coeffs, want in zip(self.SEVERAL_DIVISORS[2:4], ([2, -1, 1], [10, 3, 1])):
+            g, _ = _kronecker_split(coeffs)
+            assert g == want
+            assert gcd(*(polynomials._int_poly_eval(g, x) for x in (0, 1, -1))) == 2
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_budget_errors_stay(self, seed):
+        """The tuple budget is checked before any search, as before:
+        x^4 + x^2 + 10528 is over it, and so is the center polynomial of
+        cyclic E_i^4 moved by either transport, whose endo exits 2."""
+        with pytest.raises(DeskScaleError, match="factor search budget exceeded"):
+            _kronecker_split(self.FIXED[4])
+        doc = parse_document(transported_data(ei_power_data(4, cyclic=True), seed))
+        with pytest.raises(DeskScaleError, match="factor search budget exceeded"):
+            run_endo(doc)
 
     def test_cases_cover_every_outcome(self):
         outcomes = set()

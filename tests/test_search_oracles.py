@@ -45,7 +45,8 @@ from conecrafter._kernels import linear_form
 from conecrafter.cone import compute_ns, cone_structure, invariant_ns
 from conecrafter.documents import parse_document
 import conecrafter.endo as endo
-from conecrafter.endo import center_basis, invariant_subalgebra
+import conecrafter.matrices as matrices
+from conecrafter.endo import center_basis, group_algebra_center, invariant_subalgebra
 from conecrafter.errors import (
     ClosureError,
     ConecrafterError,
@@ -861,11 +862,9 @@ CENTER_TORI = GENERATOR_SET_TORI + [_ei4_nonabelian_doubled()]
 @pytest.mark.parametrize("data", CENTER_TORI, ids=[d["name"] for d in CENTER_TORI])
 def test_center_from_fewer_rows_matches_all_rows(monkeypatch, data):
     """A commutative algebra is its own center: center_basis returns its
-    basis and builds no commutator rows. Otherwise center_basis leaves out
-    J's rows and those of every linear generator that commutes with the
-    others. Either way the basis is the all-rows one. Both generators of
-    the non-abelian group keep their rows in the doubled torus, whose
-    algebra is not commutative."""
+    basis. Otherwise it reads the center off the algebra that J and the
+    group generate. Neither route builds a commutator row, and either way
+    the basis is the all-rows one."""
     ctx = prepare_torus(parse_document(data))
     sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
     constrained = []
@@ -881,14 +880,7 @@ def test_center_from_fewer_rows_matches_all_rows(monkeypatch, data):
     assert got == reference_center_basis(sub)
     commutative = all(a @ b == b @ a for a in sub.basis for b in sub.basis)
     assert (got is sub.basis) == commutative
-    if commutative:
-        assert constrained == []
-        return
-    extra = constrained[: len(constrained) - sub.dim]
-    assert constrained[len(extra):] == list(sub.basis)
-    assert sub.torus.j not in extra
-    if data["name"].startswith("ei4_nonabelian_doubled"):
-        assert extra == list(ctx.group.linear_generators)
+    assert constrained == []
 
 
 def test_center_tori_cover_both_routes():
@@ -903,6 +895,98 @@ def test_center_tori_cover_both_routes():
     assert routes["product_gauss_squared"] == (False, False)
     assert routes["ei4_nonabelian_doubled"] == (True, False)
     assert routes["bielliptic_z4"] == routes["hyperbolic_z8"] == (True, True)
+
+
+def _monomial_generator(rng, n):
+    """A random element of the monomial group of E_i^n: factor k goes to
+    factor perm[k], multiplied by i^a_k, which commutes with J and keeps
+    the polarization. Half of them fix every factor, and a_k = 0 is drawn
+    more often, so that factors on which the group acts alike, and with
+    them non-commutative invariant algebras, come up."""
+    units = [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]]
+    perm = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
+    g = [[0] * (2 * n) for _ in range(2 * n)]
+    for k in range(n):
+        u = units[rng.choice((0, 0, 0, 0, 0, 1, 2, 3))]
+        for i in range(2):
+            for j in range(2):
+                g[2 * perm[k] + i][2 * k + j] = u[i][j]
+    return {"linear": g}
+
+
+def _small_group_tori(count=12, seed=2024):
+    """E_i^n (n = 1..3) with one or two seeded monomial generators whose
+    group has order at most 64, and one transported copy of each."""
+    rng = random.Random(seed)
+    tori = []
+    while len(tori) < count:
+        n = rng.randint(1, 3)
+        data = ei_power_data(n)
+        data["name"] = f"ei{n}_monomial{len(tori)}"
+        data["group"] = {"generators": [_monomial_generator(rng, n) for _ in range(rng.randint(1, 2))]}
+        try:
+            order = prepare_torus(parse_document(data)).group.order
+        except ClosureError:
+            continue
+        if order > 1:
+            tori.append(data)
+    return tori + [transported_data(d, 1) for d in tori]
+
+
+SMALL_GROUP_TORI = _small_group_tori()
+CENTER_ORACLE_TORI = (
+    SMALL_GROUP_TORI + CENTER_TORI + [read_corpus_json("elliptic_rational_j.json")]
+)
+
+
+@pytest.mark.parametrize("data", CENTER_ORACLE_TORI, ids=[d["name"] for d in CENTER_ORACLE_TORI])
+def test_group_algebra_center_matches_the_commutant(data):
+    """Z(B), read off the class sums of the group and J times them, is
+    the center that the commutator rows of the constraints and of every
+    basis element cut out, on every algebra, commutative or not; so is
+    whatever center_basis returns."""
+    ctx = prepare_torus(parse_document(data))
+    sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+    want = reference_center_basis(sub)
+    assert group_algebra_center(sub) == want
+    assert center_basis(sub) == want
+
+
+def test_center_oracle_tori_cover_the_routes(monkeypatch):
+    """Some small-group algebras are not commutative, so center_basis
+    takes Z(B) on them; and on elliptic_rational_j, whose J is not
+    integral, the reduced class sums have denominators, so the span is
+    saturated by a kernel before its canonical basis is taken."""
+    routes = set()
+    for data in SMALL_GROUP_TORI:
+        ctx = prepare_torus(parse_document(data))
+        sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+        routes.add(sub.center is sub.basis)
+    assert routes == {True, False}
+    ctx = prepare_torus(load_corpus("elliptic_rational_j.json"))
+    sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+    want = reference_center_basis(sub)
+    kernels = []
+    original = matrices.integer_kernel_matrix
+
+    def counted(c):
+        kernels.append(c)
+        return original(c)
+
+    monkeypatch.setattr(matrices, "integer_kernel_matrix", counted)
+    assert group_algebra_center(sub) == want
+    assert len(kernels) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_center_dimension_closed_forms(n):
+    """The center of plain E_i^n's algebra M_n(Q(i)) is Q(i), of
+    dimension 2. The cyclic permutation's invariant algebra is
+    Q(i)[x]/(x^n - 1), its own center, of dimension 2n."""
+    for cyclic, want in ((False, 2), (True, 2 * n)):
+        ctx = prepare_torus(parse_document(ei_power_data(n, cyclic=cyclic)))
+        sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+        assert len(group_algebra_center(sub)) == len(center_basis(sub)) == want
 
 
 def _ladder_tori():
