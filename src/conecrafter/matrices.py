@@ -584,31 +584,34 @@ class MatrixLattice:
     membership: tuple[str, str]
 
     @cached_property
-    def _solver(self) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
+    def _solver(self) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[tuple, ...]]:
         """Entry positions where the basis is independent, the inverse of
-        the basis restricted to them, and the basis entries position by
-        position (the columns of the stacked flattenings). Built once per
-        lattice."""
+        the basis restricted to them, and the flattened basis. Built once
+        per lattice."""
         flats = Matrix.trusted(tuple(tuple(b.flat()) for b in self.basis))
         _, pivots = flats.rref()
         block = Matrix.trusted(tuple(flats.col(p) for p in pivots))
-        return pivots, block.inverse().rows, tuple(zip(*flats.rows))
+        return pivots, block.inverse().rows, flats.rows
 
     def coordinates(self, m: Matrix) -> tuple[Fraction, ...]:
         """Exact coordinates of m in the basis; raises when m is outside.
 
         The coordinates c come from the pivot entries alone, so m lies in
-        the span exactly when d * m = sum (d * c_i) * b_i at every entry,
-        for d clearing the denominators of c and m: a check on integers."""
+        the span exactly when d * m = sum (d * c_i) * b_i, for d clearing
+        the denominators of c and m: a check on integers, summed over the
+        nonzero c_i only."""
         if m.shape != self.basis[0].shape:
             raise ValueError("shape mismatch")
-        pivots, inv, columns = self._solver
+        pivots, inv, flats = self._solver
         flat = m.flat()
         rhs = [flat[p] for p in pivots]
         coords = tuple(Fraction(sum(map(mul, row, rhs))) for row in inv)
         ints, _ = clear_denominators(coords + tuple(flat))
-        scaled = ints[:len(coords)]
-        if any(sum(map(mul, scaled, col)) != x for col, x in zip(columns, ints[len(coords):])):
+        acc = [0] * len(flat)
+        for c, b in zip(ints, flats):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, b)]
+        if acc != ints[len(coords):]:
             raise ValidationError(*self.membership)
         return coords
 

@@ -405,14 +405,17 @@ def test_verify_builds_no_matrix_per_sample(monkeypatch):
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("run", [run_endo, run_cone, run_funddom, run_verify])
+@pytest.mark.parametrize("run,builds", [
+    (run_endo, 1), (run_cone, 0), (run_funddom, 0), (run_verify, 0),
+])
 @pytest.mark.parametrize("name", ["bielliptic_z4", "product_gauss_squared"])
-def test_full_algebra_only_for_endo(monkeypatch, run, name):
+def test_full_algebra_only_for_endo(monkeypatch, run, builds, name):
     """Only endo reads End(T) (for end_dim); the other commands work in the
-    invariant subalgebra, which lies in End(T) by construction. endo
-    builds it only when the group has a linear generator: with none
-    (product_gauss_squared), J alone cuts out the invariant subalgebra,
-    which is then End(T). Every module that binds compute_end gets the
+    invariant subalgebra, which lies in End(T) by construction. builds
+    counts the End(T) builds on a torus whose group has a linear
+    generator (bielliptic_z4). With none (product_gauss_squared), J alone
+    cuts out the invariant subalgebra, which is then End(T), and no
+    command builds it again. Every module that binds compute_end gets the
     counter."""
     calls = []
     original = endo.compute_end
@@ -428,7 +431,7 @@ def test_full_algebra_only_for_endo(monkeypatch, run, name):
     linear = bool(prepare_torus(doc).group.linear_generators)
     assert linear == (name == "bielliptic_z4")
     run(doc)
-    assert len(calls) == (run is run_endo and linear)
+    assert len(calls) == (builds if linear else 0)
 
 
 @pytest.mark.parametrize("run,lattices", [
