@@ -2,7 +2,10 @@
 ample and nef cones, and the product shape of the invariant cone.
 
 Forms correspond to endomorphisms through F -> E^-1 F, which lands in the
-involution-fixed part of the endomorphism algebra. Positivity of a form has
+involution-fixed part of the endomorphism algebra. So a form lattice is
+the integer points of the span of the forms E @ b - (E @ b).T = E @ (b +
+rosati(b)) of an algebra's basis (endo.form_vectors): End(T) for NS(T),
+the invariant algebra for the invariant lattice. Positivity of a form has
 two exact criteria, and both are kept:
 
     bare form      is_ample / is_nef: every root of det(x I - E^-1 F) is
@@ -42,18 +45,16 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .endo import invariant_subalgebra
+from .endo import EndoAlgebra, compute_end, invariant_subalgebra
 from .errors import InternalInvariantError, ValidationError
 from .matrices import (
     Matrix,
     MatrixLattice,
-    antisymmetry_rows,
     clear_denominators,
-    congruence_rows,
     definiteness_sign,
     integer_kernel_matrix,
-    matrix_kernel_basis,
     semidefinite_rank,
+    span_lattice,
     trace_gram,
 )
 from .polynomials import all_roots_nonnegative, all_roots_positive, char_poly
@@ -143,30 +144,29 @@ class NSLattice(MatrixLattice):
         return semidefinite_rank(self._hermitian_rows(coords)) is not None
 
 
-def _form_lattice(t: PolarizedTorus, maps: Sequence[Matrix], lost: str) -> NSLattice:
-    """Canonical basis of {F integral : F alternating, g.T F g = F for g
-    in maps}; maps start with J. The polarization lies in it, so an empty
-    basis raises with the message lost."""
-    rows = antisymmetry_rows(t.rank)
-    for g in maps:
-        rows.extend(congruence_rows(g))
-    basis = matrix_kernel_basis(rows, (t.rank, t.rank))
-    if not basis:
+def _form_lattice(algebra: EndoAlgebra, lost: str) -> NSLattice:
+    """Canonical basis of the integral forms E @ b - (E @ b).T over the
+    algebra, the integer points of the span of its basis's forms. The
+    polarization lies in it, so an empty span raises with the message
+    lost."""
+    t = algebra.torus
+    if not any(map(any, algebra.forms)):
         raise InternalInvariantError(lost)
-    return NSLattice(t, tuple(basis))
+    return NSLattice(
+        t, tuple(Matrix._from_flat_entries(row, t.rank, True) for row in span_lattice(algebra.forms))
+    )
 
 
 def compute_ns(t: PolarizedTorus) -> NSLattice:
-    """Canonical basis of {F integral : F alternating, J.T F J = F}."""
-    return _form_lattice(t, (t.j,), "polarization lost from the form lattice")
+    """Canonical basis of {F integral : F alternating, J.T F J = F}, read
+    off End(T)."""
+    return _form_lattice(compute_end(t), "polarization lost from the form lattice")
 
 
-def invariant_ns(t: PolarizedTorus, group: GroupAction) -> NSLattice:
+def invariant_ns(algebra: EndoAlgebra) -> NSLattice:
     """Canonical basis of the forms fixed by every pullback of the action,
-    which are the pullbacks by the group's linear generators."""
-    return _form_lattice(
-        t, (t.j, *group.linear_generators), "invariant polarization lost from the lattice"
-    )
+    read off its invariant algebra."""
+    return _form_lattice(algebra, "invariant polarization lost from the lattice")
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def cone_structure(t: PolarizedTorus, group: GroupAction) -> ConeStructure:
             "polarization_invariant", "cone analysis needs an invariant polarization"
         )
     dec = decompose(invariant_subalgebra(t, group))
-    inv = invariant_ns(t, group)
+    inv = invariant_ns(dec.algebra)
     ident = Matrix.identity(inv.rank)
     if len(dec.factors) == 1:
         (sf,) = dec.factors

@@ -6,6 +6,11 @@ commutation with the linear parts of the group's generators, which holds
 exactly when it holds for every element. Bases are integral and
 canonical (Hermite-reduced vectorizations), so all downstream reports are
 byte-stable.
+
+E @ rosati(phi) = phi.T @ E = -(E @ phi).T, so the forms E @ phi - (E @ phi).T
+of a basis span E times its Rosati-fixed part: the algebra's share of NS(T)
+(Birkenhake-Lange, Complex Abelian Varieties, 5.2). The Rosati images
+themselves serve only endo's two checks and the idempotents' check.
 """
 
 from __future__ import annotations
@@ -75,6 +80,11 @@ class EndoAlgebra(MatrixLattice):
         return rosati_all(self.torus, self.basis)
 
     @cached_property
+    def forms(self) -> list[list]:
+        """form_vectors of the basis, in basis order."""
+        return form_vectors(self.torus, self.basis)
+
+    @cached_property
     def rosati_gram(self) -> Matrix:
         """Gram matrix of the pairing (x, y) -> Tr(x @ rosati(y))."""
         return trace_gram(self.basis, self.rosati_images)
@@ -98,6 +108,18 @@ def rosati_all(t: PolarizedTorus, phis: Sequence[Matrix]) -> tuple[Matrix, ...]:
     return tuple(
         Matrix.trusted(tuple(row[k:k + n] for row in images)) for k in range(0, n * len(phis), n)
     )
+
+
+def form_vectors(t: PolarizedTorus, phis: Sequence[Matrix]) -> list[list]:
+    """The alternating forms E @ (phi + rosati(phi)) = E @ phi - (E @ phi).T,
+    row-major, from one product: E times the matrices side by side."""
+    n = t.rank
+    side = Matrix.trusted(tuple(tuple(chain.from_iterable(phi.rows[i] for phi in phis)) for i in range(n)))
+    rows = (t.e @ side).rows
+    return [
+        [rows[i][k + j] - rows[j][k + i] for i in range(n) for j in range(n)]
+        for k in range(0, n * len(phis), n)
+    ]
 
 
 def _commutant(

@@ -490,32 +490,6 @@ def commutator_rows(c: Matrix) -> list[list]:
     return rows
 
 
-def congruence_rows(g: Matrix) -> list[list]:
-    """Constraint rows of M -> g.T @ M @ g - M: entry (i, j) puts
-    g[k][i] * g[l][j] on M[k][l]."""
-    n = g.nrows
-    cols = [g.col(j) for j in range(n)]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [a * b for a in cols[i] for b in cols[j]]
-            row[i * n + j] -= 1
-            rows.append(row)
-    return rows
-
-
-def antisymmetry_rows(n: int) -> list[list]:
-    """Constraint rows of M -> M + M.T on row-major n x n matrices."""
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            row[i * n + j] += 1
-            row[j * n + i] += 1
-            rows.append(row)
-    return rows
-
-
 def matrix_kernel_basis(rows: Iterable[Sequence], shape: tuple[int, int]) -> list[Matrix]:
     """Z-basis of the integer p*q matrices M whose row-major entries satisfy
     every constraint row (row . vec(M) = 0).

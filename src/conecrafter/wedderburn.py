@@ -14,13 +14,16 @@ normalized per real or complex place of its center:
 The three families are disjoint (f/d is > 1/2, = 1/2, < 1/2 respectively),
 so lookup_kind reads the kind from these closed forms at any size.
 
+A fixed part's dimension is that of its forms E @ (x + rosati(x)) =
+E @ x - (E @ x).T (endo.form_vectors), as E is invertible.
+
 Two shapes skip work that the general route would spend on identities:
 
     commutative    the algebra is its own center (endo.center_basis), so
                    the cuts of its basis give the center's counts too
     simple         the only central idempotent is I, so there is no
                    Lagrange product, no idempotent check, and a factor's
-                   cut is the basis itself
+                   cut is the basis itself, whose forms are the algebra's
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
-from .endo import EndoAlgebra, rosati_all
+from .endo import EndoAlgebra, form_vectors
 from .errors import InternalInvariantError, ValidationError
 from .matrices import Matrix
 from .polynomials import (
@@ -79,10 +82,8 @@ def minimal_polynomial(m: Matrix, k: int) -> Polynomial:
     return Polynomial([-reduced[i, d] for i in range(d)] + [1])
 
 
-def _flat_rank(mats: list[Matrix]) -> int:
-    if not mats:
-        return 0
-    return Matrix.trusted(tuple(tuple(m.flat()) for m in mats)).rank()
+def _rank(vectors: list) -> int:
+    return Matrix.trusted(tuple(map(tuple, vectors))).rank()
 
 
 # Fixed, so center_poly and the factor order depend on the algebra alone; kept
@@ -220,32 +221,31 @@ class WedderburnDecomposition:
 
 
 def _cut_ranks(
-    mats: Sequence[Matrix], images: Sequence[Matrix], e: Matrix, whole: bool
+    algebra: EndoAlgebra, mats: Sequence[Matrix], e: Matrix, whole: bool
 ) -> tuple[int, int]:
-    """Ranks of the cut e @ m and of its fixed part e @ m + rosati(m) @ e.
-    whole says that e = I (a single factor), whose cut is the matrices
-    themselves."""
+    """Ranks of the cut x = e @ m of independent matrices and of its
+    fixed part x + rosati(x): the rank of the cut's forms, as E is
+    invertible. whole says that e = I (a single factor), whose cut is the
+    matrices themselves; the basis's forms are the algebra's."""
     if whole:
-        return _flat_rank(list(mats)), _flat_rank([m + r for m, r in zip(mats, images)])
+        forms = algebra.forms if mats is algebra.basis else form_vectors(algebra.torus, mats)
+        return len(mats), _rank(forms)
     cut = [e @ m for m in mats]
-    return _flat_rank(cut), _flat_rank([c + r @ e for c, r in zip(cut, images)])
+    return _rank([c.flat() for c in cut]), _rank(form_vectors(algebra.torus, cut))
 
 
 def _classify_factor(
-    algebra: EndoAlgebra, center_images: Sequence[Matrix] | None,
-    e: Matrix, m_poly: Polynomial, whole: bool,
+    algebra: EndoAlgebra, e: Matrix, m_poly: Polynomial, whole: bool
 ) -> SimpleFactor:
     """The factor e @ b (e is central, so e @ b @ e = e @ b) has the fixed
-    part e @ b + rosati(b) @ e, as rosati(x @ y) = rosati(y) @ rosati(x)
-    and central_idempotents checks rosati(e) = e. So every factor reads
-    the Rosati images of the basis and of the center, each built once.
-    center_images is None when the algebra is its own center, whose cut
-    is then the basis's."""
-    dim, fixed_dim = _cut_ranks(algebra.basis, algebra.rosati_images, e, whole)
-    if center_images is None:
+    part x + rosati(x) for x = e @ b, and rosati(e @ b) = rosati(b) @ e
+    because central_idempotents checks rosati(e) = e. The center's counts
+    are the basis's when the algebra is its own center."""
+    dim, fixed_dim = _cut_ranks(algebra, algebra.basis, e, whole)
+    if algebra.center is algebra.basis:
         k, f_z = dim, fixed_dim
     else:
-        k, f_z = _cut_ranks(algebra.center, center_images, e, whole)
+        k, f_z = _cut_ranks(algebra, algebra.center, e, whole)
     real_roots = count_real_roots(m_poly)
     if f_z == k:
         if real_roots != k:
@@ -285,13 +285,9 @@ def _classify_factor(
 def decompose(algebra: EndoAlgebra) -> WedderburnDecomposition:
     """Split the algebra along its primitive central idempotents and
     classify every simple factor."""
-    center = algebra.center
-    center_images = None if center is algebra.basis else rosati_all(algebra.torus, center)
     idempotents = central_idempotents(algebra)
     whole = len(idempotents) == 1
-    factors = [
-        _classify_factor(algebra, center_images, e, m_poly, whole) for e, m_poly in idempotents
-    ]
+    factors = [_classify_factor(algebra, e, m_poly, whole) for e, m_poly in idempotents]
     if sum(f.dim for f in factors) != algebra.dim:
         raise InternalInvariantError("factor dimensions must add up to the algebra")
     return WedderburnDecomposition(algebra, tuple(factors))

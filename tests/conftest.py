@@ -291,6 +291,48 @@ def transported_data(data: dict, seed: int) -> dict:
     return out
 
 
+# --- the form lattice as a kernel, the oracle of reading it off an algebra ---
+
+
+def congruence_rows(g: Matrix) -> list[list]:
+    """Constraint rows of M -> g.T @ M @ g - M: entry (i, j) puts
+    g[k][i] * g[l][j] on M[k][l]."""
+    n = g.nrows
+    cols = [g.col(j) for j in range(n)]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [a * b for a in cols[i] for b in cols[j]]
+            row[i * n + j] -= 1
+            rows.append(row)
+    return rows
+
+
+def antisymmetry_rows(n: int) -> list[list]:
+    """Constraint rows of M -> M + M.T on row-major n x n matrices."""
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            row[i * n + j] += 1
+            row[j * n + i] += 1
+            rows.append(row)
+    return rows
+
+
+def reference_form_lattice(t, maps) -> tuple[Matrix, ...]:
+    """Canonical basis of {F integral : F alternating, g.T F g = F for g
+    in maps}, as a kernel in the r^2 entries of F: the antisymmetry rows
+    and the congruence rows of each map. With maps J alone that is NS(T);
+    with J and the group's linear generators, the invariant lattice."""
+    from conecrafter.matrices import matrix_kernel_basis
+
+    rows = antisymmetry_rows(t.rank)
+    for g in maps:
+        rows.extend(congruence_rows(g))
+    return tuple(matrix_kernel_basis(rows, (t.rank, t.rank)))
+
+
 # --- the general decomposition route, as the oracle of its shortcuts ---------
 
 
@@ -333,11 +375,14 @@ def reference_classify_factor(algebra, center, e, m_poly):
     every basis and center element, with the Rosati images taken one by
     one."""
     from conecrafter.polynomials import count_real_roots
-    from conecrafter.wedderburn import SimpleFactor, _flat_rank, lookup_kind
+    from conecrafter.wedderburn import SimpleFactor, _rank, lookup_kind
+
+    def flat_rank(mats):
+        return _rank([m.flat() for m in mats])
 
     def ranks(mats):
         cut = [e @ m for m in mats]
-        return _flat_rank(cut), _flat_rank([c + algebra.rosati(m) @ e for c, m in zip(cut, mats)])
+        return flat_rank(cut), flat_rank([c + algebra.rosati(m) @ e for c, m in zip(cut, mats)])
 
     dim, fixed_dim = ranks(algebra.basis)
     k, f_z = ranks(center)
@@ -361,11 +406,11 @@ def reference_cone_structure(t, group):
     """The invariant lattice and each factor's cone by the general route:
     the projection F -> E e E^-1 F e in invariant coordinates, and its
     image as the saturated kernel of I - P, for every factor."""
-    from conecrafter.cone import FactorCone, _cone_flag, invariant_ns
+    from conecrafter.cone import FactorCone, NSLattice, _cone_flag
     from conecrafter.endo import invariant_subalgebra
     from conecrafter.matrices import integer_kernel_matrix
 
-    inv = invariant_ns(t, group)
+    inv = NSLattice(t, reference_form_lattice(t, (t.j, *group.linear_generators)))
     ident = Matrix.identity(inv.rank)
     factors = []
     for sf in reference_decompose(invariant_subalgebra(t, group)):

@@ -6,13 +6,15 @@ torus, the integer forms of a lattice, the word ball of a verification,
 the compiled linear maps of a problem and a domain, the compiled interior
 test of a torus problem, the squarefree part of a polynomial whose roots
 are tested, the Rosati images of an algebra (one stacked product for the
-basis, one for the center unless the algebra is its own center).
+basis), the forms of an algebra's basis (one stacked product, shared by
+its decomposition and its form lattice).
 Decomposing an algebra takes no Fraction gcd, and a single factor takes
 no Lagrange polynomial, projection or kernel.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
-the full endomorphism algebra for every command but endo, any compiled
-function for cone and funddom. With no linear generator, the invariant
+the full endomorphism algebra for every command but endo and those that
+read the full form lattice, the Rosati images for every command but
+endo, any compiled function for cone and funddom. With no linear generator, the invariant
 algebra and lattice are the full ones, and are not built twice. Invariance is tested against the group's
 generators, not all of its elements. Sampled points
 repeat, and verify tests each distinct candidate for interiority once and
@@ -26,6 +28,7 @@ import pytest
 import conecrafter._kernels as kernels
 import conecrafter.cone as cone
 import conecrafter.endo as endo
+import conecrafter.matrices as matrices
 import conecrafter.pipeline as pipeline
 import conecrafter.polynomials as polynomials
 import conecrafter.reduction as reduction
@@ -79,77 +82,93 @@ def test_decompose_computes_the_center_once(monkeypatch):
 
 def test_invariance_is_tested_against_the_generators(monkeypatch):
     """hyperbolic_z8's group has order 8 and one generator, so its
-    invariant algebra and form lattice are cut out by J and that
-    generator: 2 constraints, not J and the 7 other elements."""
-    constraints = []
+    invariant algebra is cut out by J and that generator: 2 constraints,
+    not J and the 7 other elements, and one kernel. The invariant form
+    lattice is read off that algebra: it builds no constraint row and
+    takes no kernel of its own."""
+    constraints, kernels = [], []
+    original_rows, original_kernel = endo.commutator_rows, matrices.integer_kernel_matrix
 
-    def recording(module, name):
-        original = getattr(module, name)
+    def recorded(m):
+        constraints.append(m)
+        return original_rows(m)
 
-        def recorded(m):
-            constraints.append((name, m))
-            return original(m)
+    def kernel(c):
+        kernels.append(c)
+        return original_kernel(c)
 
-        monkeypatch.setattr(module, name, recorded)
-
-    recording(endo, "commutator_rows")
-    recording(cone, "congruence_rows")
     ctx = prepare_torus(load_corpus("hyperbolic_z8.json"))
     t, group = ctx.invariant_torus, ctx.group
+    monkeypatch.setattr(endo, "commutator_rows", recorded)
+    monkeypatch.setattr(matrices, "integer_kernel_matrix", kernel)
     assert group.order == 8 and len(group.linear_parts) == 7
     (generator,) = group.linear_generators
     sub = invariant_subalgebra(t, group)
     assert sub.commutants == (t.j, generator)
-    assert constraints == [("commutator_rows", t.j), ("commutator_rows", generator)]
+    assert constraints == [t.j, generator]
+    assert len(kernels) == 1
     constraints.clear()
-    cone.invariant_ns(t, group)
-    assert constraints == [("congruence_rows", t.j), ("congruence_rows", generator)]
+    kernels.clear()
+    cone.invariant_ns(sub)
+    assert constraints == kernels == []
+
+
+@pytest.mark.parametrize("name", TORI)
+def _count_stacked(monkeypatch, name):
+    """Record the matrices passed to each call of endo's stacked helper
+    name, at every module that binds it."""
+    stacked = []
+    original = getattr(endo, name)
+
+    def counted(t, phis):
+        stacked.append(tuple(phis))
+        return original(t, phis)
+
+    for module in (endo, wedderburn, cone):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return stacked
 
 
 @pytest.mark.parametrize("name", TORI)
 def test_rosati_images_once_per_algebra(monkeypatch, name):
-    """endo's trace pairing, closure check and decomposition share the
-    Rosati images of the basis, taken in one stacked call; the center's
-    are taken in one more per decomposition unless the algebra is its own
-    center, and each central idempotent's once for its check unless the
-    only one is I."""
-    stacked, single = [], []
-    original_all, original = endo.rosati_all, endo.rosati
-
-    def counted_all(t, phis):
-        stacked.append(tuple(phis))
-        return original_all(t, phis)
+    """decompose takes no stacked Rosati images: it reads the fixed parts
+    off forms, one stacked product per cut of the basis and, unless the
+    algebra is its own center, of the center. endo's trace pairing and
+    closure check share the basis's images, taken in one stacked call,
+    and each central idempotent's are taken once for its check unless
+    the only one is I."""
+    single = []
+    original = endo.rosati
 
     def counted(t, phi):
         single.append(phi)
         return original(t, phi)
 
-    monkeypatch.setattr(endo, "rosati_all", counted_all)
-    monkeypatch.setattr(wedderburn, "rosati_all", counted_all)
+    stacked = _count_stacked(monkeypatch, "rosati_all")
+    forms = _count_stacked(monkeypatch, "form_vectors")
     monkeypatch.setattr(endo, "rosati", counted)
     ctx = prepare_torus(load_corpus(name + ".json"))
     sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
     dec = decompose(sub)
-    assert trace_positivity_check(sub) and rosati_fixes_algebra(sub)
     commutative = sub.center is sub.basis
     assert commutative == (name != "product_gauss_squared")
-    assert len(stacked) == (1 if commutative else 2)
-    assert sub.basis in stacked and sub.center in stacked
+    assert stacked == []
+    assert len(forms) == len(dec.factors) * (1 if commutative else 2)
     assert len(single) == (0 if len(dec.factors) == 1 else len(dec.factors))
+    assert trace_positivity_check(sub) and rosati_fixes_algebra(sub)
+    assert stacked == [sub.basis]
     assert sub.rosati_images == tuple(original(sub.torus, b) for b in sub.basis)
 
 
 @pytest.mark.parametrize("name", ["bielliptic_z4", "hyperbolic_z8", "elliptic_gauss"])
 def test_commutative_algebra_is_its_own_center(monkeypatch, name):
     """A commutative algebra's center is its basis: center_basis builds no
-    commutator rows, and decompose takes Rosati images once, for the
-    basis."""
-    stacked, rows = [], []
-    original_all, original_rows = endo.rosati_all, endo.commutator_rows
-
-    def counted_all(t, phis):
-        stacked.append(tuple(phis))
-        return original_all(t, phis)
+    commutator rows, and decompose takes no Rosati images and no forms of
+    the center, only those of the basis (a single factor) or of its cuts
+    (one per factor)."""
+    rows = []
+    original_rows = endo.commutator_rows
 
     def counted_rows(m):
         rows.append(m)
@@ -157,13 +176,17 @@ def test_commutative_algebra_is_its_own_center(monkeypatch, name):
 
     ctx = prepare_torus(load_corpus(name + ".json"))
     sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
-    monkeypatch.setattr(endo, "rosati_all", counted_all)
-    monkeypatch.setattr(wedderburn, "rosati_all", counted_all)
+    stacked = _count_stacked(monkeypatch, "rosati_all")
+    forms = _count_stacked(monkeypatch, "form_vectors")
     monkeypatch.setattr(endo, "commutator_rows", counted_rows)
-    decompose(sub)
+    dec = decompose(sub)
     assert sub.center is sub.basis
     assert rows == []
-    assert stacked == [sub.basis]
+    assert stacked == []
+    if len(dec.factors) == 1:
+        assert forms == [sub.basis]
+    else:
+        assert len(forms) == len(dec.factors) and sub.basis not in forms
 
 
 @pytest.mark.parametrize("name,factors", [
@@ -410,28 +433,48 @@ def test_verify_builds_no_matrix_per_sample(monkeypatch):
 ])
 @pytest.mark.parametrize("name", ["bielliptic_z4", "product_gauss_squared"])
 def test_full_algebra_only_for_endo(monkeypatch, run, builds, name):
-    """Only endo reads End(T) (for end_dim); the other commands work in the
-    invariant subalgebra, which lies in End(T) by construction. builds
-    counts the End(T) builds on a torus whose group has a linear
-    generator (bielliptic_z4). With none (product_gauss_squared), J alone
-    cuts out the invariant subalgebra, which is then End(T), and no
-    command builds it again. Every module that binds compute_end gets the
-    counter."""
-    calls = []
-    original = endo.compute_end
+    """Only endo reads End(T) itself (for end_dim); builds counts those
+    builds. The other commands work in the invariant subalgebra, which
+    lies in End(T) by construction, and build End(T) only to read the
+    full form lattice off it: once per command that reads that lattice
+    (cone and verify). Both counts are of a torus whose group has a
+    linear generator (bielliptic_z4). With none (product_gauss_squared),
+    J alone cuts out the invariant subalgebra, which is then End(T), and
+    no command builds it again. Every module that binds compute_end gets
+    the counter."""
+    calls, lattices = [], []
+    original, original_ns = endo.compute_end, cone.compute_ns
 
     def counted(t):
         calls.append(t)
         return original(t)
 
+    def counted_ns(t):
+        lattices.append(t)
+        return original_ns(t)
+
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("conecrafter") and getattr(module, "compute_end", None) is original:
             monkeypatch.setattr(module, "compute_end", counted)
+    monkeypatch.setattr(cone, "compute_ns", counted_ns)
     doc = load_corpus(name + ".json")
     linear = bool(prepare_torus(doc).group.linear_generators)
     assert linear == (name == "bielliptic_z4")
     run(doc)
-    assert len(calls) == (builds if linear else 0)
+    assert len(lattices) == (linear and run in (run_cone, run_verify))
+    assert len(calls) == (builds + len(lattices) if linear else 0)
+
+
+@pytest.mark.parametrize("run,calls", [
+    (run_endo, 1), (run_cone, 0), (run_funddom, 0), (run_verify, 0),
+])
+@pytest.mark.parametrize("name", TORI)
+def test_only_endo_takes_rosati_images(monkeypatch, run, calls, name):
+    """Only endo's two report checks read the stacked Rosati images of an
+    algebra; cone, funddom and verify read its forms instead."""
+    stacked = _count_stacked(monkeypatch, "rosati_all")
+    run(load_corpus(name + ".json"))
+    assert len(stacked) == calls
 
 
 @pytest.mark.parametrize("run,lattices", [

@@ -15,6 +15,7 @@ from conecrafter.cone import (
     is_nef,
     ns_to_endo,
 )
+from conecrafter.endo import invariant_subalgebra
 from conecrafter.errors import ValidationError
 from conecrafter.matrices import Matrix, integer_kernel_matrix
 from conecrafter.pipeline import prepare_torus
@@ -52,7 +53,7 @@ class TestNSLattice:
     def test_ranks(self, name, full, inv):
         ctx = ctx_for(name)
         assert compute_ns(ctx.invariant_torus).rank == full
-        assert invariant_ns(ctx.invariant_torus, ctx.group).rank == inv
+        assert invariant_ns(invariant_subalgebra(ctx.invariant_torus, ctx.group)).rank == inv
 
     def test_basis_elements_are_classes(self):
         for name in ("product_gauss_squared", "hyperbolic_z8"):
@@ -66,7 +67,7 @@ class TestNSLattice:
     def test_invariant_basis_is_invariant(self):
         ctx = ctx_for("hyperbolic_z8")
         t = ctx.invariant_torus
-        inv = invariant_ns(t, ctx.group)
+        inv = invariant_ns(invariant_subalgebra(t, ctx.group))
         for f in inv.basis:
             for g in ctx.group.elements:
                 assert g.linear.T @ f @ g.linear == f
@@ -86,7 +87,7 @@ class TestNSLattice:
 
     def test_membership_error(self):
         ctx = ctx_for("hyperbolic_z8")
-        ns = invariant_ns(ctx.invariant_torus, ctx.group)
+        ns = invariant_ns(invariant_subalgebra(ctx.invariant_torus, ctx.group))
         stray = compute_ns(ctx.invariant_torus).basis[0]
         with pytest.raises(ValidationError) as exc:
             ns.coordinates(stray)
@@ -122,7 +123,7 @@ class TestAmpleness:
 
     def test_corpus_verdicts_bielliptic(self):
         ctx = ctx_for("bielliptic_z4")
-        ns = invariant_ns(ctx.invariant_torus, ctx.group)
+        ns = invariant_ns(invariant_subalgebra(ctx.invariant_torus, ctx.group))
         verdicts = [
             ([1, 1], True, True),
             ([1, 0], False, True),
@@ -137,7 +138,7 @@ class TestAmpleness:
     def test_corpus_verdicts_hyperbolic(self):
         # the invariant cone is the sector y > sqrt(2) |x|
         ctx = ctx_for("hyperbolic_z8")
-        ns = invariant_ns(ctx.invariant_torus, ctx.group)
+        ns = invariant_ns(invariant_subalgebra(ctx.invariant_torus, ctx.group))
         for coords, ample in [
             ([0, 1], True),
             ([1, 3], True),
@@ -182,12 +183,13 @@ def coordinate_lattices():
     out = []
     for name in ("elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"):
         ctx = ctx_for(name)
-        out += [compute_ns(ctx.invariant_torus), invariant_ns(ctx.invariant_torus, ctx.group)]
+        sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+        out += [compute_ns(ctx.invariant_torus), invariant_ns(sub)]
     for n in (1, 2, 3):
         out.append(compute_ns(ei_torus(n)))
         if n > 1:
             group = close_group([AffineAuto(cyclic_shift(n))])
-            out.append(invariant_ns(ei_torus(n), group))
+            out.append(invariant_ns(invariant_subalgebra(ei_torus(n), group)))
     out.append(compute_ns(ei_torus(2, sign=-1)))
     return tuple(out)
 
@@ -295,7 +297,7 @@ class TestPairing:
     def test_symmetric_and_matches_entries(self):
         ctx = ctx_for("hyperbolic_z8")
         t = ctx.invariant_torus
-        ns = invariant_ns(t, ctx.group)
+        ns = invariant_ns(invariant_subalgebra(t, ctx.group))
         pm = ns.pairing_matrix
         assert pm.is_symmetric
         for i, fi in enumerate(ns.basis):
@@ -304,7 +306,7 @@ class TestPairing:
 
     def test_hyperbolic_pairing_diagonal(self):
         ctx = ctx_for("hyperbolic_z8")
-        ns = invariant_ns(ctx.invariant_torus, ctx.group)
+        ns = invariant_ns(invariant_subalgebra(ctx.invariant_torus, ctx.group))
         cleared, den = ns.pairing_matrix.to_integer()
         assert cleared == den * Matrix([[8, 0], [0, 4]])
 

@@ -1,11 +1,12 @@
 """Pinned report digests for the E_i^n ladder.
 
 `tests/golden/ladder_digests.json` holds, for plain and cyclic E_i^n with
-n = 2..4 and two seeded transports of each, the sha256 of the stdout of
-`endo`, `cone` and `funddom` and their exit codes. The ladder reaches
-shapes the corpus does not: a commutative algebra with three factors and
-a non-commutative single factor above rank 4. After an intended change,
-rewrite the file with
+n = 2..4 and two seeded transports of each, and for plain E_i^6 and
+E_i^8, the sha256 of the stdout of `endo`, `cone` and `funddom` and their
+exit codes. The ladder reaches shapes the corpus does not: a commutative
+algebra with three factors, a non-commutative single factor above rank 4,
+and form lattices of rank 36 and 64 read off algebras of dimension 72 and
+128 on rank 12 and 16. After an intended change, rewrite the file with
 
     PYTHONPATH=src python tests/test_ladder_digests.py --write
 """
@@ -33,7 +34,8 @@ COMMANDS = ("endo", "cone", "funddom")
 
 def _ladder():
     bases = [ei_power_data(n, cyclic) for cyclic in (False, True) for n in (2, 3, 4)]
-    return [d for base in bases for d in (base, *(transported_data(base, s) for s in (1, 2)))]
+    moved = [d for base in bases for d in (base, *(transported_data(base, s) for s in (1, 2)))]
+    return moved + [ei_power_data(n) for n in (6, 8)]
 
 
 LADDER = {d["name"]: d for d in _ladder()}

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from conecrafter.matrices import (
     Matrix,
     _gauss_jordan,
-    antisymmetry_rows,
     commutator_rows,
-    congruence_rows,
     definiteness_sign,
     hermite_normal_form,
     in_lattice_plus_integers,
@@ -22,7 +20,7 @@ from conecrafter.matrices import (
     trace_gram,
 )
 
-from conftest import block_diag, positive_definite, vstack
+from conftest import antisymmetry_rows, block_diag, congruence_rows, positive_definite, vstack
 
 
 def rand_int_matrix(rng, n, m, lo=-9, hi=9):
@@ -485,7 +483,8 @@ class TestElimination:
 
 class TestConstraintRows:
     """The constraint rows equal the closure they replace, evaluated on
-    unit matrices."""
+    unit matrices. The congruence and antisymmetry rows are the form
+    lattice oracle's, in conftest."""
 
     @settings(max_examples=60, deadline=None)
     @given(square_sizes.flatmap(square_matrices))

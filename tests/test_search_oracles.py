@@ -96,6 +96,7 @@ from conftest import (
     reference_center_basis,
     reference_cone_structure,
     reference_decompose,
+    reference_form_lattice,
     transported_data,
 )
 
@@ -664,7 +665,7 @@ def test_hermitian_rows_match_the_per_form_loop(name):
     ctx = prepare_torus(load_corpus(name + ".json"))
     t = ctx.invariant_torus
     rng = random.Random(name)
-    for lattice in (invariant_ns(t, ctx.group), compute_ns(t)):
+    for lattice in (invariant_ns(invariant_subalgebra(t, ctx.group)), compute_ns(t)):
         classes = [
             [0] * lattice.rank,
             [1] + [0] * (lattice.rank - 1),
@@ -827,7 +828,8 @@ GENERATOR_SET_TORI = _generator_set_tori()
 def test_invariance_from_the_generators_matches_all_elements(data):
     """Invariance under the group's generators cuts out the same algebra,
     center, form lattice and polarization verdict as invariance under
-    every element, in the same canonical bases."""
+    every element, in the same canonical bases. The lattice under every
+    element is the congruence kernel of the form lattice oracle."""
     ctx = prepare_torus(parse_document(data))
     t, group = ctx.invariant_torus, ctx.group
     every = replace(group, linear_generators=reference_linear_generators(group.elements))
@@ -835,7 +837,7 @@ def test_invariance_from_the_generators_matches_all_elements(data):
     got, want = invariant_subalgebra(t, group), invariant_subalgebra(t, every)
     assert got.basis == want.basis
     assert got.center == want.center
-    assert invariant_ns(t, group).basis == invariant_ns(t, every).basis
+    assert invariant_ns(got).basis == reference_form_lattice(t, (t.j, *every.linear_generators))
     for torus in (ctx.torus, t):
         assert is_polarization_invariant(torus, group) == is_polarization_invariant(torus, every)
 
@@ -1030,6 +1032,46 @@ def test_decomposition_and_cone_match_the_general_route(data):
     for g, w in zip(structure.factors, cones):
         assert (g.flag, g.projection, g.piece) == (w.flag, w.projection, w.piece)
         assert vars(g.factor) == vars(w.factor)
+
+
+def _form_oracle_tori():
+    """The center and decomposition oracles' tori (with their transported
+    copies, the seeded monomial groups and elliptic_rational_j) and plain
+    and cyclic E_i^n for n = 1..4, each once."""
+    tori = CENTER_ORACLE_TORI + DECOMPOSITION_TORI
+    tori += [ei_power_data(n, cyclic) for n in (1, 2, 3, 4) for cyclic in (False, True)]
+    return list({d["name"]: d for d in tori}.values())
+
+
+FORM_ORACLE_TORI = _form_oracle_tori()
+
+
+@pytest.mark.parametrize("data", FORM_ORACLE_TORI, ids=[d["name"] for d in FORM_ORACLE_TORI])
+def test_form_lattices_from_the_algebras_match_the_kernel(data):
+    """NS(T) read off End(T), and the invariant lattice read off the
+    invariant algebra, as the integer points of the span of the forms
+    E @ b - (E @ b).T, have the canonical bases of the kernels that the
+    antisymmetry and congruence rows cut out, basis for basis."""
+    ctx = prepare_torus(parse_document(data))
+    t, group = ctx.invariant_torus, ctx.group
+    assert compute_ns(t).basis == reference_form_lattice(t, (t.j,))
+    sub = invariant_subalgebra(t, group)
+    assert invariant_ns(sub).basis == reference_form_lattice(t, (t.j, *group.linear_generators))
+
+
+def test_form_oracle_tori_cover_the_cases():
+    """The form oracle runs on a non-integral J, on transported tori, on
+    groups with and without linear generators, and on algebras that are
+    and are not commutative."""
+    names = {d["name"] for d in FORM_ORACLE_TORI}
+    assert {"elliptic_rational_j", "ei1", "ei4", "ei1_cyclic", "ei4_cyclic", "ei3_transported2"} <= names
+    assert {d["name"] for d in SMALL_GROUP_TORI} <= names
+    shapes = set()
+    for data in FORM_ORACLE_TORI:
+        ctx = prepare_torus(parse_document(data))
+        sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
+        shapes.add((bool(ctx.group.linear_generators), sub.center is sub.basis))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_generator_set_tori_cover_the_cases():
