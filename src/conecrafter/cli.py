@@ -25,7 +25,7 @@ from .errors import (
     SearchExhausted,
     ValidationError,
 )
-from .pipeline import COMMANDS, run_verify
+from .pipeline import COMMANDS, DEFAULT_MAX_STEPS, DEFAULT_SAMPLES, DEFAULT_SEED, run_verify
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,7 +42,7 @@ COMMAND_HELP = {
     "reduce": "reduce test forms with word certificates",
     "verify": "tiling, overlap and transfer verification",
 }
-VERIFY_DEFAULTS = {"samples": 1000, "max_steps": 20_000}
+VERIFY_DEFAULTS = {"samples": DEFAULT_SAMPLES, "max_steps": DEFAULT_MAX_STEPS}
 
 
 @functools.cache
@@ -60,10 +60,10 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMAND_HELP, help="what to compute")
     parser.add_argument("input", help="path to a document JSON file")
     parser.add_argument("--out", help="also write the report to this path")
-    parser.add_argument("--seed", type=int, default=42, help="seeds verify's sampling; others ignore it")
-    parser.add_argument("--samples", type=int, help="verify only: tiling sample count (default 1000)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seeds verify's sampling; others ignore it")
+    parser.add_argument("--samples", type=int, help=f"verify only: tiling sample count (default {DEFAULT_SAMPLES})")
     parser.add_argument(
-        "--max-steps", type=int, help="verify only: search budget per sample (default 20000)"
+        "--max-steps", type=int, help=f"verify only: search budget per sample (default {DEFAULT_MAX_STEPS})"
     )
     return parser
 

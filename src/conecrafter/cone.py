@@ -30,8 +30,9 @@ and Sylvester's criterion into one function once per problem
 (_kernels.positive_definite_form).
 
 The invariant cone then splits along the simple factors of the invariant
-algebra, each piece a cone of positive definite Hermitian elements whose
-shape is reported as a flag:
+algebra. A factor's piece is the span of its fixed forms E @ x - (E @ x).T
+for x in e @ A (SimpleFactor.forms), a cone of positive definite Hermitian
+elements whose shape is reported as a flag:
 
     ray          fixed part of the factor has dimension 1
     hyperbolic   dimension 2, one branch of a signature (1,1) quadric
@@ -52,9 +53,8 @@ from .matrices import (
     MatrixLattice,
     clear_denominators,
     definiteness_sign,
-    integer_kernel_matrix,
+    hermite_normal_form,
     semidefinite_rank,
-    span_lattice,
     trace_gram,
 )
 from .polynomials import all_roots_nonnegative, all_roots_positive, char_poly
@@ -146,14 +146,14 @@ class NSLattice(MatrixLattice):
 
 def _form_lattice(algebra: EndoAlgebra, lost: str) -> NSLattice:
     """Canonical basis of the integral forms E @ b - (E @ b).T over the
-    algebra, the integer points of the span of its basis's forms. The
-    polarization lies in it, so an empty span raises with the message
-    lost."""
+    algebra, the integer points of the span of its basis's forms
+    (EndoAlgebra.form_lattice). The polarization lies in it, so an empty
+    span raises with the message lost."""
     t = algebra.torus
     if not any(map(any, algebra.forms)):
         raise InternalInvariantError(lost)
     return NSLattice(
-        t, tuple(Matrix._from_flat_entries(row, t.rank, True) for row in span_lattice(algebra.forms))
+        t, tuple(Matrix._from_flat_entries(row, t.rank, True) for row in algebra.form_lattice)
     )
 
 
@@ -174,15 +174,13 @@ class FactorCone:
     """Positive cone of one simple factor, as seen inside the invariant
     form lattice.
 
-    projection acts on invariant coordinates as F -> E e E^-1 F e for the
-    factor's idempotent e; piece is the saturated integer basis (rows,
-    HNF-canonical) of its image, and ns_dim, the piece's rank, is the
-    factor's share of the lattice rank.
+    piece is the saturated integer basis (rows, HNF-canonical) of the span
+    of its fixed forms (SimpleFactor.forms) in invariant coordinates, and
+    ns_dim, the piece's rank, is the factor's share of the lattice rank.
     """
 
     factor: SimpleFactor
     flag: str
-    projection: Matrix
     piece: tuple[tuple[int, ...], ...]
 
     @property
@@ -223,9 +221,11 @@ def cone_structure(t: PolarizedTorus, group: GroupAction) -> ConeStructure:
     The polarization must already be invariant (average it first if not);
     otherwise the form-to-endomorphism bridge leaves the invariant algebra.
 
-    A single factor has the idempotent I, so its projection is I and its
-    piece is the whole invariant lattice, in the identity rows that the
-    kernel of the zero matrix would give; only its rank is checked.
+    A factor's piece is the HNF of its fixed forms' invariant coordinates:
+    both the forms and the lattice are integer points of their spans, so
+    the coordinates span the piece's saturated lattice. A single factor's
+    forms are the lattice's basis (EndoAlgebra.form_lattice), so its piece
+    is the identity rows. Several factors' pieces must form a basis.
     """
     if not is_polarization_invariant(t, group):
         raise ValidationError(
@@ -233,34 +233,17 @@ def cone_structure(t: PolarizedTorus, group: GroupAction) -> ConeStructure:
         )
     dec = decompose(invariant_subalgebra(t, group))
     inv = invariant_ns(dec.algebra)
-    ident = Matrix.identity(inv.rank)
     if len(dec.factors) == 1:
-        (sf,) = dec.factors
-        if sf.fixed_dim != inv.rank:
-            raise InternalInvariantError(
-                "factor cone dimension disagrees with its fixed part"
-            )
-        whole = FactorCone(sf, _cone_flag(inv.rank), ident, ident.rows)
-        return ConeStructure(t, group, dec, inv, (whole,))
-    factors = []
-    total = Matrix.zeros(inv.rank, inv.rank)
-    for sf in dec.factors:
-        e = sf.idempotent
-        projection = inv.matrix_of([t.e @ (e @ ns_to_endo(t, b) @ e) for b in inv.basis])
-        if projection.rank() != sf.fixed_dim:
-            raise InternalInvariantError(
-                "factor cone dimension disagrees with its fixed part"
-            )
-        # The projections are orthogonal idempotents summing to I, so P's
-        # image is ker(I - P), whose integer points are saturated.
-        kernel = integer_kernel_matrix((ident - projection).to_integer()[0])
-        piece = () if kernel is None else kernel.rows
-        if len(piece) != sf.fixed_dim:
-            raise InternalInvariantError("factor piece has the wrong rank")
-        factors.append(FactorCone(sf, _cone_flag(len(piece)), projection, piece))
-        total = total + projection
-    if sum(fc.ns_dim for fc in factors) != inv.rank:
-        raise InternalInvariantError("factor cones do not fill the invariant lattice")
-    if total != ident:
-        raise InternalInvariantError("factor projections must sum to the identity")
-    return ConeStructure(t, group, dec, inv, tuple(factors))
+        pieces = [Matrix.identity(inv.rank).rows]
+    else:
+        pieces = [
+            hermite_normal_form(
+                Matrix([inv.coordinates(Matrix._from_flat_entries(row, t.rank, True)) for row in sf.forms])
+            )[0].rows
+            for sf in dec.factors
+        ]
+        stacked = [row for piece in pieces for row in piece]
+        if len(stacked) != inv.rank or Matrix(stacked).rank() != inv.rank:
+            raise InternalInvariantError("factor pieces do not fill the invariant lattice")
+    factors = tuple(FactorCone(sf, _cone_flag(len(p)), p) for sf, p in zip(dec.factors, pieces))
+    return ConeStructure(t, group, dec, inv, factors)

@@ -10,7 +10,7 @@ byte-stable.
 E @ rosati(phi) = phi.T @ E = -(E @ phi).T, so the forms E @ phi - (E @ phi).T
 of a basis span E times its Rosati-fixed part: the algebra's share of NS(T)
 (Birkenhake-Lange, Complex Abelian Varieties, 5.2). The Rosati images
-themselves serve only endo's two checks and the idempotents' check.
+themselves serve only endo's two checks, of positivity and of closure.
 """
 
 from __future__ import annotations
@@ -71,9 +71,6 @@ class EndoAlgebra(MatrixLattice):
     def center(self) -> tuple[Matrix, ...]:
         return center_basis(self)
 
-    def rosati(self, phi: Matrix) -> Matrix:
-        return rosati(self.torus, phi)
-
     @cached_property
     def rosati_images(self) -> tuple[Matrix, ...]:
         """The Rosati adjoint of each basis element, in basis order."""
@@ -83,6 +80,12 @@ class EndoAlgebra(MatrixLattice):
     def forms(self) -> list[list]:
         """form_vectors of the basis, in basis order."""
         return form_vectors(self.torus, self.basis)
+
+    @cached_property
+    def form_lattice(self) -> tuple[tuple[int, ...], ...]:
+        """span_lattice of forms, reduced once per algebra: its form lattice,
+        and for a simple algebra its only factor's fixed forms."""
+        return span_lattice(self.forms)
 
     @cached_property
     def rosati_gram(self) -> Matrix:

@@ -527,6 +527,8 @@ def span_lattice(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     coordinates are a basis of them."""
     reduced, pivots = Matrix(rows).rref()
     k = len(pivots)
+    if not k:
+        raise ValueError("span_lattice: the rows are all zero, so their span is empty")
     ints, d = clear_denominators([x for row in reduced.rows[:k] for x in row])
     n = reduced.ncols
     scaled = [ints[i:i + n] for i in range(0, k * n, n)]

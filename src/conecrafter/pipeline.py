@@ -54,6 +54,9 @@ from .torus import (
 )
 from .wedderburn import decompose
 
+# verify's defaults, which the command line's options also read
+DEFAULT_SEED, DEFAULT_SAMPLES, DEFAULT_MAX_STEPS = 42, 1000, 20_000
+
 
 def _jsonable(x):
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
@@ -281,7 +284,6 @@ def build_domain(ctx: TorusContext) -> DomainConstruction:
             raise ValidationError(
                 "normalizer_lattice", "normalizer must preserve the invariant lattice"
             )
-    e_coords = Matrix.column(structure.invariant.coordinates(t.e))
     global_rays = []
     summaries = []
     downgrades = []
@@ -306,7 +308,8 @@ def build_domain(ctx: TorusContext) -> DomainConstruction:
             # of basis @ X = Y holds Y's columns in piece coordinates
             basis = Matrix(piece).T
             local_action = basis.solve(norm_action @ basis)
-            base_local = basis.solve(fc.projection @ e_coords)
+            # the base class E @ e, the polarization's part in the factor
+            base_local = basis.solve(Matrix.column(structure.invariant.coordinates(t.e @ fc.factor.idempotent)))
             if local_action is None or base_local is None:
                 raise InternalInvariantError("vector left its factor piece")
             if not local_action.is_integral:
@@ -447,7 +450,9 @@ def run_reduce(doc) -> dict:
     }
 
 
-def run_verify(doc, seed: int = 42, samples: int = 1000, max_steps: int = 20_000) -> dict:
+def run_verify(
+    doc, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES, max_steps: int = DEFAULT_MAX_STEPS
+) -> dict:
     if samples < 0:
         raise ValidationError("verify_budget", f"samples must be at least 0, got {samples}")
     if max_steps < 1:

@@ -15,7 +15,8 @@ The three families are disjoint (f/d is > 1/2, = 1/2, < 1/2 respectively),
 so lookup_kind reads the kind from these closed forms at any size.
 
 A fixed part's dimension is that of its forms E @ (x + rosati(x)) =
-E @ x - (E @ x).T (endo.form_vectors), as E is invertible.
+E @ x - (E @ x).T (endo.form_vectors), as E is invertible; each factor
+keeps the canonical basis of their integer points, its cone piece.
 
 Two shapes skip work that the general route would spend on identities:
 
@@ -23,7 +24,8 @@ Two shapes skip work that the general route would spend on identities:
                    the cuts of its basis give the center's counts too
     simple         the only central idempotent is I, so there is no
                    Lagrange product, no idempotent check, and a factor's
-                   cut is the basis itself, whose forms are the algebra's
+                   cut is the basis itself, whose forms and their lattice
+                   are the algebra's (EndoAlgebra.form_lattice)
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Sequence
 
 from .endo import EndoAlgebra, form_vectors
 from .errors import InternalInvariantError, ValidationError
-from .matrices import Matrix
+from .matrices import Matrix, span_lattice
 from .polynomials import (
     Polynomial,
     count_real_roots,
@@ -179,7 +181,8 @@ def central_idempotents(algebra: EndoAlgebra) -> list[tuple[Matrix, Polynomial]]
     for e_i, _ in out:
         if (e_i @ e_i) != e_i:
             raise InternalInvariantError("central idempotent is not idempotent")
-        if algebra.rosati(e_i) != e_i:
+        # rosati(e) = e exactly when E @ e is alternating, as E @ rosati(e) = e.T @ E
+        if not (algebra.torus.e @ e_i).is_alternating:
             raise InternalInvariantError(
                 "a positive involution must fix each central idempotent"
             )
@@ -198,7 +201,8 @@ class SimpleFactor:
     """One simple summand of the algebra, as seen through its idempotent.
 
     kind and size name the factor's shape over the reals per place of its
-    center: size l real, m complex or t quaternion matrices."""
+    center: size l real, m complex or t quaternion matrices. forms is the
+    canonical basis (flat rows) of the integral forms of its cut e @ b."""
 
     kind: str
     size: int
@@ -207,7 +211,11 @@ class SimpleFactor:
     center_degree: int
     places: int
     dim: int
-    fixed_dim: int
+    forms: tuple[tuple[int, ...], ...]
+
+    @property
+    def fixed_dim(self) -> int:
+        return len(self.forms)
 
     @property
     def label(self) -> str:
@@ -220,18 +228,13 @@ class WedderburnDecomposition:
     factors: tuple[SimpleFactor, ...]
 
 
-def _cut_ranks(
-    algebra: EndoAlgebra, mats: Sequence[Matrix], e: Matrix, whole: bool
-) -> tuple[int, int]:
-    """Ranks of the cut x = e @ m of independent matrices and of its
-    fixed part x + rosati(x): the rank of the cut's forms, as E is
-    invertible. whole says that e = I (a single factor), whose cut is the
-    matrices themselves; the basis's forms are the algebra's."""
+def _cut(mats: Sequence[Matrix], e: Matrix, whole: bool) -> tuple[int, Sequence[Matrix]]:
+    """The cut e @ m of independent matrices, with its rank. whole says
+    that e = I (a single factor), whose cut is the matrices themselves."""
     if whole:
-        forms = algebra.forms if mats is algebra.basis else form_vectors(algebra.torus, mats)
-        return len(mats), _rank(forms)
+        return len(mats), mats
     cut = [e @ m for m in mats]
-    return _rank([c.flat() for c in cut]), _rank(form_vectors(algebra.torus, cut))
+    return _rank([c.flat() for c in cut]), cut
 
 
 def _classify_factor(
@@ -241,11 +244,13 @@ def _classify_factor(
     part x + rosati(x) for x = e @ b, and rosati(e @ b) = rosati(b) @ e
     because central_idempotents checks rosati(e) = e. The center's counts
     are the basis's when the algebra is its own center."""
-    dim, fixed_dim = _cut_ranks(algebra, algebra.basis, e, whole)
+    dim, cut = _cut(algebra.basis, e, whole)
+    forms = algebra.form_lattice if whole else span_lattice(form_vectors(algebra.torus, cut))
     if algebra.center is algebra.basis:
-        k, f_z = dim, fixed_dim
+        k, f_z = dim, len(forms)
     else:
-        k, f_z = _cut_ranks(algebra, algebra.center, e, whole)
+        k, center = _cut(algebra.center, e, whole)
+        f_z = _rank(form_vectors(algebra.torus, center))
     real_roots = count_real_roots(m_poly)
     if f_z == k:
         if real_roots != k:
@@ -265,11 +270,11 @@ def _classify_factor(
         raise ValidationError(
             "classification", f"center of degree {k} fixes dimension {f_z}"
         )
-    if dim % places or fixed_dim % places:
+    if dim % places or len(forms) % places:
         raise ValidationError(
             "classification", "factor dimensions must be multiples of the place count"
         )
-    kind, size = lookup_kind(dim // places, fixed_dim // places)
+    kind, size = lookup_kind(dim // places, len(forms) // places)
     return SimpleFactor(
         kind=kind,
         size=size,
@@ -278,7 +283,7 @@ def _classify_factor(
         center_degree=k,
         places=places,
         dim=dim,
-        fixed_dim=fixed_dim,
+        forms=forms,
     )
 
 

@@ -349,6 +349,7 @@ def reference_central_idempotents(algebra, center):
     of the primitive element's minimal polynomial, one power product per
     idempotent, each checked idempotent, fixed, orthogonal, and summing
     to I, whatever the number of factors."""
+    from conecrafter.endo import rosati
     from conecrafter.polynomials import factor_squarefree_small, poly_xgcd
     from conecrafter.wedderburn import primitive_center_element
 
@@ -364,32 +365,51 @@ def reference_central_idempotents(algebra, center):
             e, power = e + power * c, power @ z
         out.append((e, m_i))
     for a, (e, _) in enumerate(out):
-        assert e @ e == e and algebra.rosati(e) == e
+        assert e @ e == e and rosati(algebra.torus, e) == e
         assert all((e @ f).is_zero for f, _ in out[a + 1:])
     assert sum((e for e, _ in out), Matrix.zeros(n, n)) == Matrix.identity(n)
     return out
 
 
+def reference_saturation(rows) -> tuple[tuple[int, ...], ...]:
+    """HNF-canonical basis of the integer points of the span of rational
+    rows, as the integer kernel of the integer kernel of the rows: the
+    second kernel cuts out the vectors orthogonal to everything the rows
+    annihilate, which is their span."""
+    from conecrafter.matrices import integer_kernel_matrix
+
+    ints = Matrix([Matrix([row]).to_integer()[0].rows[0] for row in rows])
+    annihilator = integer_kernel_matrix(ints)
+    if annihilator is None:
+        return Matrix.identity(ints.ncols).rows
+    return integer_kernel_matrix(annihilator).rows
+
+
 def reference_classify_factor(algebra, center, e, m_poly):
     """The factor's counts from the products e @ b and rosati(b) @ e of
     every basis and center element, with the Rosati images taken one by
-    one."""
+    one, and its fixed forms E @ (e @ b + rosati(b) @ e), saturated by
+    kernels."""
+    from conecrafter.endo import rosati
     from conecrafter.polynomials import count_real_roots
     from conecrafter.wedderburn import SimpleFactor, _rank, lookup_kind
 
-    def flat_rank(mats):
-        return _rank([m.flat() for m in mats])
+    t = algebra.torus
+
+    def fixed(mats):
+        return [t.e @ (e @ m + rosati(t, m) @ e) for m in mats]
 
     def ranks(mats):
-        cut = [e @ m for m in mats]
-        return flat_rank(cut), flat_rank([c + algebra.rosati(m) @ e for c, m in zip(cut, mats)])
+        return _rank([(e @ m).flat() for m in mats]), _rank([f.flat() for f in fixed(mats)])
 
     dim, fixed_dim = ranks(algebra.basis)
+    forms = reference_saturation([f.flat() for f in fixed(algebra.basis)])
+    assert len(forms) == fixed_dim
     k, f_z = ranks(center)
     places = k if f_z == k else f_z
     assert (f_z == k and count_real_roots(m_poly) == k) or (2 * f_z == k and count_real_roots(m_poly) == 0)
     kind, size = lookup_kind(dim // places, fixed_dim // places)
-    return SimpleFactor(kind, size, e, tuple(m_poly.monic().coeffs), k, places, dim, fixed_dim)
+    return SimpleFactor(kind, size, e, tuple(m_poly.monic().coeffs), k, places, dim, forms)
 
 
 def reference_decompose(algebra):
@@ -404,9 +424,10 @@ def reference_decompose(algebra):
 
 def reference_cone_structure(t, group):
     """The invariant lattice and each factor's cone by the general route:
-    the projection F -> E e E^-1 F e in invariant coordinates, and its
-    image as the saturated kernel of I - P, for every factor."""
-    from conecrafter.cone import FactorCone, NSLattice, _cone_flag
+    the projection P: F -> E e E^-1 F e in invariant coordinates, and its
+    image as the saturated kernel of I - P, for every factor. Returns the
+    lattice and, per factor, its flag, P and piece."""
+    from conecrafter.cone import NSLattice, _cone_flag
     from conecrafter.endo import invariant_subalgebra
     from conecrafter.matrices import integer_kernel_matrix
 
@@ -419,6 +440,6 @@ def reference_cone_structure(t, group):
         kernel = integer_kernel_matrix((ident - projection).to_integer()[0])
         piece = () if kernel is None else kernel.rows
         assert projection.rank() == len(piece) == sf.fixed_dim
-        factors.append(FactorCone(sf, _cone_flag(len(piece)), projection, piece))
-    assert sum((fc.projection for fc in factors), Matrix.zeros(inv.rank, inv.rank)) == ident
+        factors.append((_cone_flag(len(piece)), projection, piece))
+    assert sum((p for _, p, _ in factors), Matrix.zeros(inv.rank, inv.rank)) == ident
     return inv, tuple(factors)

@@ -1,10 +1,17 @@
+import contextlib
+import glob
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecrafter import cli, cone, pipeline
 from conecrafter.cli import main
+from conecrafter.matrices import Matrix
 
 from conftest import PROBLEM_DOCUMENT_CHANGES, corpus_path
 
@@ -404,15 +411,15 @@ class TestFailurePaths:
     def test_internal_invariant_exit(self, capsys, monkeypatch, tmp_path, command):
         """A failed internal identity ends in exit 5 with a JSON report,
         not a traceback. Here cone_structure finds every factor piece
-        empty, which its rank check must catch."""
-        monkeypatch.setattr(cone, "integer_kernel_matrix", lambda c: None)
+        zero, which its rank check must catch."""
+        monkeypatch.setattr(cone, "hermite_normal_form", lambda m: (Matrix.zeros(*m.shape), m))
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
             capsys, command, corpus_path("bielliptic_z4.json"), "--out", str(target)
         )
         assert code == cli.EXIT_INTERNAL == 5
         assert json.loads(out) == {
-            "error": {"type": "internal", "message": "factor piece has the wrong rank"}
+            "error": {"type": "internal", "message": "factor pieces do not fill the invariant lattice"}
         }
         assert target.read_text() == out
 
@@ -453,3 +460,79 @@ class TestParserBuiltOnce:
             if argv[-1] == "42":  # the default seed: the golden report
                 stem = os.path.splitext(os.path.basename(argv[1]))[0]
                 assert out == golden(stem, argv[0])
+
+
+# --- fuzz: mutated corpus documents end in a JSON report ---------------------
+
+FUZZ_CORPUS = sorted(
+    os.path.relpath(path, corpus_path(""))
+    for sub in ("", "mutants")
+    for path in glob.glob(os.path.join(corpus_path(sub), "*.json"))
+)
+FUZZ_RUNS = [[command] for command in cli.COMMAND_HELP if command != "verify"] + [
+    ["verify", "--samples", "20", "--max-steps", "500"]
+]
+# a value of each JSON type, for the retyping mutation
+OTHER_TYPES = [None, True, 0, -3, 2.5, "1/2", "x", [], [[1]], {}, {"linear": [[1]]}]
+
+
+def _json_paths(node, path=()):
+    """The path of every value below the root, containers first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _is_rows(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(isinstance(row, list) for row in value)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A corpus document with one entry replaced by a small number, one key
+    or list item dropped, one value given another JSON type, or one row cut
+    from a list of lists."""
+    with open(corpus_path(draw(st.sampled_from(FUZZ_CORPUS)))) as fh:
+        doc = json.load(fh)
+    kind = draw(st.sampled_from(["replace", "drop", "retype", "cut"]))
+    paths = list(_json_paths(doc))
+    if kind == "replace":
+        paths = [p for p in paths if not isinstance(_at(doc, p), (list, dict))]
+    elif kind == "cut":
+        paths = [p for p in paths if _is_rows(_at(doc, p))]
+    path = draw(st.sampled_from(paths))
+    parent, key = _at(doc, path[:-1]), path[-1]
+    if kind == "replace":
+        parent[key] = draw(st.one_of(st.integers(-4, 4), st.sampled_from(["1/2", "-3/4", "0", "2"])))
+    elif kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(parent[key])]))
+    else:
+        del parent[key][draw(st.integers(0, len(parent[key]) - 1))]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_end_in_a_json_report(doc):
+    """Every command on a mutated corpus document exits 0, 2, 3, 4 or 5
+    with one JSON object on stdout, never with a traceback; verify runs
+    with a small budget."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for run in FUZZ_RUNS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([run[0], path, *run[1:]])
+            assert code in (0, 2, 3, 4, 5), (run, code)
+            assert isinstance(json.loads(out.getvalue()), dict)

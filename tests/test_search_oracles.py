@@ -1006,13 +1006,40 @@ def _decomposition_outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
-@pytest.mark.parametrize("data", DECOMPOSITION_TORI, ids=[d["name"] for d in DECOMPOSITION_TORI])
+def _form_oracle_tori():
+    """The center and decomposition oracles' tori (with their transported
+    copies, the seeded monomial groups and elliptic_rational_j) and plain
+    and cyclic E_i^n for n = 1..4, each once."""
+    tori = CENTER_ORACLE_TORI + DECOMPOSITION_TORI
+    tori += [ei_power_data(n, cyclic) for n in (1, 2, 3, 4) for cyclic in (False, True)]
+    return list({d["name"]: d for d in tori}.values())
+
+
+FORM_ORACLE_TORI = _form_oracle_tori()
+
+# the decomposition tori, the other form-oracle tori, and each of those not
+# yet transported moved by a third transport. Its seed gives
+# ei3_cyclic_transported6 an invariant lattice whose canonical basis has
+# pivots 2, where a factor's fixed forms have coordinates that are not yet
+# in Hermite normal form. Transporting a transported torus again can take
+# minutes in the factor search before desk_scale.
+CONE_ORACLE_TORI = (
+    DECOMPOSITION_TORI
+    + [d for d in FORM_ORACLE_TORI if d not in DECOMPOSITION_TORI]
+    + [transported_data(d, 6) for d in FORM_ORACLE_TORI if "transported" not in d["name"]]
+)
+
+
+@pytest.mark.parametrize("data", CONE_ORACLE_TORI, ids=[d["name"] for d in CONE_ORACLE_TORI])
 def test_decomposition_and_cone_match_the_general_route(data):
     """decompose and cone_structure skip work for a commutative algebra, a
-    simple one and a single factor, and give the same factors as the
-    general route: kind, size, idempotent, center polynomial, dimensions,
-    projections, pieces and flags. A document that exceeds the factoring
-    budget raises the same error on both routes."""
+    simple one and a single factor, and read each factor's piece off its
+    fixed forms. They give the same factors as the general route (kind,
+    size, idempotent, center polynomial, dimensions, fixed forms) and the
+    same pieces and flags as its projections P: F -> E e E^-1 F e. The
+    base class E @ e that build_domain reads for a factor has the
+    coordinates P [E]. A document that exceeds the factoring budget
+    raises the same error on both routes."""
     ctx = prepare_torus(parse_document(data))
     t, group = ctx.invariant_torus, ctx.group
     sub = invariant_subalgebra(t, group)
@@ -1029,21 +1056,28 @@ def test_decomposition_and_cone_match_the_general_route(data):
     inv, cones = reference_cone_structure(t, group)
     assert structure.invariant.basis == inv.basis
     assert len(structure.factors) == len(cones)
-    for g, w in zip(structure.factors, cones):
-        assert (g.flag, g.projection, g.piece) == (w.flag, w.projection, w.piece)
-        assert vars(g.factor) == vars(w.factor)
+    e_coords = Matrix.column(inv.coordinates(t.e))
+    for g, (flag, projection, piece) in zip(structure.factors, cones):
+        assert (g.flag, g.piece) == (flag, piece)
+        base = inv.coordinates(t.e @ g.factor.idempotent)
+        assert Matrix.column(base) == projection @ e_coords
 
 
-def _form_oracle_tori():
-    """The center and decomposition oracles' tori (with their transported
-    copies, the seeded monomial groups and elliptic_rational_j) and plain
-    and cyclic E_i^n for n = 1..4, each once."""
-    tori = CENTER_ORACLE_TORI + DECOMPOSITION_TORI
-    tori += [ei_power_data(n, cyclic) for n in (1, 2, 3, 4) for cyclic in (False, True)]
-    return list({d["name"]: d for d in tori}.values())
-
-
-FORM_ORACLE_TORI = _form_oracle_tori()
+def test_cone_oracle_tori_reach_the_hermite_step():
+    """On ei3_cyclic_transported6 the invariant lattice's canonical basis
+    has a pivot above 1, and a factor's fixed forms have invariant
+    coordinates that the Hermite normal form still changes, so the oracle
+    above checks that step."""
+    data = next(d for d in CONE_ORACLE_TORI if d["name"] == "ei3_cyclic_transported6")
+    ctx = prepare_torus(parse_document(data))
+    structure = cone_structure(ctx.invariant_torus, ctx.group)
+    inv = structure.invariant
+    assert max(next(x for x in b.flat() if x) for b in inv.basis) > 1
+    raw = [
+        tuple(tuple(inv.coordinates(Matrix._from_flat_entries(row, inv.torus.rank, True))) for row in fc.factor.forms)
+        for fc in structure.factors
+    ]
+    assert any(r != fc.piece for r, fc in zip(raw, structure.factors))
 
 
 @pytest.mark.parametrize("data", FORM_ORACLE_TORI, ids=[d["name"] for d in FORM_ORACLE_TORI])
