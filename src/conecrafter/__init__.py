@@ -12,13 +12,7 @@ from .cone import (
     is_ample,
     is_nef,
 )
-from .endo import (
-    EndoAlgebra,
-    compute_end,
-    invariant_subalgebra,
-    rosati,
-    trace_positivity_check,
-)
+from .endo import EndoAlgebra, compute_end, invariant_subalgebra, rosati
 from .errors import (
     ClosureError,
     ConecrafterError,
@@ -97,7 +91,6 @@ __all__ = [
     "pell_positive_unit",
     "pushdown_domain",
     "rosati",
-    "trace_positivity_check",
     "validate_torus",
     "verify_tiling",
 ]

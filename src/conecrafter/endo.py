@@ -9,8 +9,10 @@ byte-stable.
 
 E @ rosati(phi) = phi.T @ E = -(E @ phi).T, so the forms E @ phi - (E @ phi).T
 of a basis span E times its Rosati-fixed part: the algebra's share of NS(T)
-(Birkenhake-Lange, Complex Abelian Varieties, 5.2). The Rosati images
-themselves serve only endo's two checks, of positivity and of closure.
+(Birkenhake-Lange, Complex Abelian Varieties, 5.2). No command takes a
+Rosati image: endo's two Rosati verdicts follow from the validated
+polarization (pipeline.run_endo), and the d x d checks of closure and of
+trace positivity on an algebra's basis live on in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -20,17 +22,8 @@ from functools import cached_property
 from itertools import chain, combinations
 from typing import Sequence
 
-from .errors import InternalInvariantError, ValidationError
-from .matrices import (
-    Matrix,
-    MatrixLattice,
-    commutator_rows,
-    definiteness_sign,
-    matrix_kernel_basis,
-    rows_product,
-    span_lattice,
-    trace_gram,
-)
+from .errors import InternalInvariantError
+from .matrices import Matrix, MatrixLattice, commutator_rows, matrix_kernel_basis, rows_product, span_lattice
 from .torus import GroupAction, PolarizedTorus
 
 
@@ -60,21 +53,9 @@ class EndoAlgebra(MatrixLattice):
     def rank(self) -> int:
         return self.torus.rank
 
-    def contains(self, m: Matrix) -> bool:
-        try:
-            self.coordinates(m)
-            return True
-        except ValidationError:
-            return False
-
     @cached_property
     def center(self) -> tuple[Matrix, ...]:
         return center_basis(self)
-
-    @cached_property
-    def rosati_images(self) -> tuple[Matrix, ...]:
-        """The Rosati adjoint of each basis element, in basis order."""
-        return rosati_all(self.torus, self.basis)
 
     @cached_property
     def forms(self) -> list[list]:
@@ -87,30 +68,10 @@ class EndoAlgebra(MatrixLattice):
         and for a simple algebra its only factor's fixed forms."""
         return span_lattice(self.forms)
 
-    @cached_property
-    def rosati_gram(self) -> Matrix:
-        """Gram matrix of the pairing (x, y) -> Tr(x @ rosati(y))."""
-        return trace_gram(self.basis, self.rosati_images)
-
 
 def rosati(t: PolarizedTorus, phi: Matrix) -> Matrix:
     """Rosati adjoint of phi: the unique psi with psi.T @ E = E @ phi."""
     return t.e_inv @ phi.T @ t.e
-
-
-def rosati_all(t: PolarizedTorus, phis: Sequence[Matrix]) -> tuple[Matrix, ...]:
-    """The Rosati adjoints of several matrices from two products: the
-    stacked transposes times E, then E^-1 times those blocks side by side,
-    whose denominators the product clears once."""
-    if not phis:
-        return ()
-    n = t.rank
-    blocks = (Matrix.trusted(tuple(row for phi in phis for row in phi.T.rows)) @ t.e).rows
-    side = Matrix.trusted(tuple(tuple(chain.from_iterable(blocks[i::n])) for i in range(n)))
-    images = (t.e_inv @ side).rows
-    return tuple(
-        Matrix.trusted(tuple(row[k:k + n] for row in images)) for k in range(0, n * len(phis), n)
-    )
 
 
 def form_vectors(t: PolarizedTorus, phis: Sequence[Matrix]) -> list[list]:
@@ -213,16 +174,3 @@ def group_algebra_center(algebra: EndoAlgebra) -> tuple[Matrix, ...]:
         Matrix._from_flat_entries(row, t.rank, True) for row in span_lattice(vectors)
     )
 
-
-def rosati_fixes_algebra(algebra: EndoAlgebra) -> bool:
-    return all(algebra.contains(r) for r in algebra.rosati_images)
-
-
-def trace_positivity_check(algebra: EndoAlgebra) -> bool:
-    """Whether (x, y) -> Tr(x @ rosati(y)) is positive definite on the
-    algebra. For a polarization this holds; it is the exactness anchor for
-    every ampleness computation downstream."""
-    gram = algebra.rosati_gram
-    if gram != gram.T:
-        raise InternalInvariantError("rosati trace pairing must be symmetric")
-    return definiteness_sign(gram) == 1

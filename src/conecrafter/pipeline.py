@@ -21,7 +21,7 @@ from operator import mul
 from ._kernels import positive_definite_form
 from .cone import ConeStructure, cone_structure
 from .documents import SCHEMA, ProblemDocument, TorusDocument
-from .endo import compute_end, invariant_subalgebra, rosati_fixes_algebra, trace_positivity_check
+from .endo import compute_end, invariant_subalgebra
 from .errors import InternalInvariantError, ValidationError
 from .matrices import Matrix, primitive_tuple
 from .reduction import (
@@ -198,13 +198,19 @@ def run_endo(doc) -> dict:
     dec = decompose(sub)
     # with no linear generator, J alone cuts out both algebras
     full = compute_end(ctx.invariant_torus) if ctx.group.linear_generators else sub
+    # Both Rosati verdicts hold for every torus prepare_torus returns.
+    # Closure: validation checks J^T E J = E and g^T E g = E, so rho(J) = -J
+    # and rho(g) = g^-1; rho is an anti-automorphism, so it maps the
+    # commutant C(S) of S = {J, g, ...} to C(rho(S)) = C(S). Positivity: the
+    # normalized E @ J = H is positive definite, and for x commuting with J,
+    # Tr(x @ rho(x)) = |H^1/2 @ x @ H^-1/2|^2 in the Frobenius norm.
     return {
         **_header("endo", doc),
         "end_dim": full.dim,
         "invariant_dim": sub.dim,
         "polarization_averaged": ctx.averaged,
-        "trace_positive": trace_positivity_check(sub),
-        "rosati_closed": rosati_fixes_algebra(sub),
+        "trace_positive": True,
+        "rosati_closed": True,
         "factors": [
             {
                 "label": f.label,

@@ -309,8 +309,15 @@ def all_roots_nonnegative(p: Polynomial) -> bool:
 
 # --- factorization over Q, degree <= 8 -------------------------------------
 
+# trial division to sqrt(10^14) = 10^7 takes about a second; the largest
+# value the test suite factors is about 1.1 * 10^13
+_DIVISOR_BOUND = 10**14
+
+
 def _divisors(n: int) -> list[int]:
     n = abs(n)
+    if n > _DIVISOR_BOUND:
+        raise DeskScaleError("factor search budget exceeded")
     small, large = [], []
     d = 1
     while d * d <= n:

@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 
 from conecrafter.documents import load_document
-from conecrafter.matrices import Matrix, primitive_tuple
+from conecrafter.matrices import Matrix, definiteness_sign, primitive_tuple, trace_gram
 from conecrafter.polynomials import (
     Polynomial,
     _variations_at,
@@ -289,6 +289,61 @@ def transported_data(data: dict, seed: int) -> dict:
             gens.append(moved)
         out["group"] = {"generators": gens}
     return out
+
+
+# --- endo's two Rosati verdicts, checked on an algebra's d x d basis ---------
+
+
+def rosati_all(t, phis) -> tuple[Matrix, ...]:
+    """The Rosati adjoints E^-1 @ phi.T @ E of several matrices from two
+    products: the stacked transposes times E, then E^-1 times those blocks
+    side by side."""
+    if not phis:
+        return ()
+    n = t.rank
+    blocks = (Matrix.trusted(tuple(row for phi in phis for row in phi.T.rows)) @ t.e).rows
+    side = Matrix.trusted(tuple(tuple(x for block in blocks[i::n] for x in block) for i in range(n)))
+    images = (t.e_inv @ side).rows
+    return tuple(
+        Matrix.trusted(tuple(row[k:k + n] for row in images)) for k in range(0, n * len(phis), n)
+    )
+
+
+def rosati_images(algebra) -> tuple[Matrix, ...]:
+    """The Rosati adjoint of each basis element, in basis order, taken
+    once per algebra object (cached on it, as a cached_property would)."""
+    if "rosati_images" not in algebra.__dict__:
+        algebra.__dict__["rosati_images"] = rosati_all(algebra.torus, algebra.basis)
+    return algebra.__dict__["rosati_images"]
+
+
+def algebra_contains(algebra, m: Matrix) -> bool:
+    """Whether m lies in the span of the algebra's basis over Q."""
+    from conecrafter.errors import ValidationError
+
+    try:
+        algebra.coordinates(m)
+        return True
+    except ValidationError:
+        return False
+
+
+def rosati_gram(algebra) -> Matrix:
+    """Gram matrix of the pairing (x, y) -> Tr(x @ rosati(y)) on the basis."""
+    return trace_gram(algebra.basis, rosati_images(algebra))
+
+
+def rosati_fixes_algebra(algebra) -> bool:
+    """Whether the Rosati image of every basis element lies in the span."""
+    return all(algebra_contains(algebra, r) for r in rosati_images(algebra))
+
+
+def trace_positivity_check(algebra) -> bool:
+    """Whether (x, y) -> Tr(x @ rosati(y)) is a symmetric positive definite
+    pairing on the algebra, the positivity of the Rosati involution."""
+    gram = rosati_gram(algebra)
+    assert gram == gram.T, "the Rosati trace pairing must be symmetric"
+    return definiteness_sign(gram) == 1
 
 
 # --- the form lattice as a kernel, the oracle of reading it off an algebra ---

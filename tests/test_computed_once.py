@@ -5,16 +5,18 @@ pieces of a cone, the freeness of an action, the validation of a
 torus, the integer forms of a lattice, the word ball of a verification,
 the compiled linear maps of a problem and a domain, the compiled interior
 test of a torus problem, the squarefree part of a polynomial whose roots
-are tested, the Rosati images of an algebra (one stacked product for the
-basis), the forms of an algebra's basis (one stacked product, shared by
-its decomposition and its form lattice, and reduced once).
+are tested, the Rosati images of an algebra in the tests' oracles (one
+stacked product for the basis), the forms of an algebra's basis (one
+stacked product, shared by its decomposition and its form lattice, and
+reduced once).
 Decomposing an algebra takes no Fraction gcd, and a single factor takes
 no Lagrange polynomial, coordinates or Hermite normal form.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
 the full endomorphism algebra for every command but endo and those that
-read the full form lattice, the Rosati images for every command but
-endo, any compiled function for cone and funddom. With no linear generator, the invariant
+read the full form lattice, the Rosati images and any d x d Gram matrix
+for every command (endo reads its two Rosati verdicts off validation),
+any compiled function for cone and funddom. With no linear generator, the invariant
 algebra and lattice are the full ones, and are not built twice. Invariance is tested against the group's
 generators, not all of its elements. Sampled points
 repeat, and verify tests each distinct candidate for interiority once and
@@ -35,13 +37,8 @@ import conecrafter.reduction as reduction
 import conecrafter.torus as torus
 import conecrafter.wedderburn as wedderburn
 from conecrafter.cone import compute_ns, is_ample, is_nef
-from conecrafter.endo import (
-    compute_end,
-    invariant_subalgebra,
-    rosati,
-    rosati_fixes_algebra,
-    trace_positivity_check,
-)
+from conecrafter.documents import parse_document
+from conecrafter.endo import compute_end, invariant_subalgebra, rosati
 from conecrafter.errors import ValidationError
 from conecrafter.matrices import Matrix
 from conecrafter.pipeline import (
@@ -57,7 +54,15 @@ from conecrafter.reduction import ReductionProblem, binary_quadratic_problem
 from conecrafter.torus import PolarizedTorus
 from conecrafter.wedderburn import decompose
 
-from conftest import load_corpus
+import conftest
+from conftest import (
+    ei_power_data,
+    load_corpus,
+    read_corpus_json,
+    rosati_fixes_algebra,
+    rosati_images,
+    trace_positivity_check,
+)
 
 TORI = ["elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"]
 
@@ -113,18 +118,19 @@ def test_invariance_is_tested_against_the_generators(monkeypatch):
     assert constraints == kernels == []
 
 
-@pytest.mark.parametrize("name", TORI)
 def _count_stacked(monkeypatch, name):
-    """Record the matrices passed to each call of endo's stacked helper
-    name, at every module that binds it."""
+    """Record the matrices passed to each call of the stacked helper name
+    (endo's form_vectors, or the oracles' rosati_all in conftest), at every
+    module that binds it."""
     stacked = []
-    original = getattr(endo, name)
+    modules = (endo, wedderburn, cone, conftest)
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
 
     def counted(t, phis):
         stacked.append(tuple(phis))
         return original(t, phis)
 
-    for module in (endo, wedderburn, cone):
+    for module in modules:
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return stacked
@@ -134,8 +140,8 @@ def _count_stacked(monkeypatch, name):
 def test_rosati_images_once_per_algebra(monkeypatch, name):
     """decompose takes no stacked Rosati images: it reads the fixed parts
     off forms, one stacked product per cut of the basis and, unless the
-    algebra is its own center, of the center. endo's trace pairing and
-    closure check share the basis's images, taken in one stacked call.
+    algebra is its own center, of the center. The oracles of endo's two
+    Rosati verdicts share the basis's images, taken in one stacked call.
     No central idempotent takes a Rosati image: its check reads whether
     E @ e is alternating."""
     single = []
@@ -158,15 +164,15 @@ def test_rosati_images_once_per_algebra(monkeypatch, name):
     assert single == []
     assert trace_positivity_check(sub) and rosati_fixes_algebra(sub)
     assert stacked == [sub.basis]
-    assert sub.rosati_images == tuple(original(sub.torus, b) for b in sub.basis)
+    assert rosati_images(sub) == tuple(original(sub.torus, b) for b in sub.basis)
 
 
 @pytest.mark.parametrize("name", ["bielliptic_z4", "hyperbolic_z8", "elliptic_gauss"])
 def test_commutative_algebra_is_its_own_center(monkeypatch, name):
     """A commutative algebra's center is its basis: center_basis builds no
-    commutator rows, and decompose takes no Rosati images and no forms of
-    the center, only those of the basis (a single factor) or of its cuts
-    (one per factor)."""
+    commutator rows, and decompose takes no forms of the center, only
+    those of the basis (a single factor) or of its cuts (one per
+    factor)."""
     rows = []
     original_rows = endo.commutator_rows
 
@@ -176,13 +182,11 @@ def test_commutative_algebra_is_its_own_center(monkeypatch, name):
 
     ctx = prepare_torus(load_corpus(name + ".json"))
     sub = invariant_subalgebra(ctx.invariant_torus, ctx.group)
-    stacked = _count_stacked(monkeypatch, "rosati_all")
     forms = _count_stacked(monkeypatch, "form_vectors")
     monkeypatch.setattr(endo, "commutator_rows", counted_rows)
     dec = decompose(sub)
     assert sub.center is sub.basis
     assert rows == []
-    assert stacked == []
     if len(dec.factors) == 1:
         assert forms == [sub.basis]
     else:
@@ -509,16 +513,39 @@ def test_full_algebra_only_for_endo(monkeypatch, run, builds, name):
     assert len(calls) == (builds + len(lattices) if linear else 0)
 
 
-@pytest.mark.parametrize("run,calls", [
+@pytest.mark.parametrize("run,verdicts", [
     (run_endo, 1), (run_cone, 0), (run_funddom, 0), (run_verify, 0),
 ])
 @pytest.mark.parametrize("name", TORI)
-def test_only_endo_takes_rosati_images(monkeypatch, run, calls, name):
-    """Only endo's two report checks read the stacked Rosati images of an
-    algebra; cone, funddom and verify read its forms instead."""
+def test_only_endo_takes_rosati_images(monkeypatch, run, verdicts, name):
+    """No command takes a stacked Rosati image, endo included: only endo
+    reports the two Rosati verdicts, and it reads them off the validated
+    polarization. cone, funddom and verify read the algebra's forms."""
     stacked = _count_stacked(monkeypatch, "rosati_all")
-    run(load_corpus(name + ".json"))
-    assert len(stacked) == calls
+    report = run(load_corpus(name + ".json"))
+    assert stacked == []
+    assert ("trace_positive" in report, "rosati_closed" in report) == (verdicts, verdicts)
+
+
+@pytest.mark.parametrize("data", [
+    read_corpus_json("product_gauss_squared.json"), ei_power_data(2), ei_power_data(3),
+], ids=["product_gauss_squared", "ei2", "ei3"])
+def test_endo_tests_definiteness_on_rank_sized_matrices(monkeypatch, data):
+    """During endo, semidefinite_rank sees only r x r matrices (the
+    validation of E @ J), never a d x d Gram matrix on the invariant
+    algebra: on these tori d = r^2 / 2 differs from r."""
+    shapes = []
+    original = matrices.semidefinite_rank
+
+    def recorded(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return original(rows)
+
+    monkeypatch.setattr(matrices, "semidefinite_rank", recorded)
+    r = data["rank"]
+    report = run_endo(parse_document(data))
+    assert report["trace_positive"] is True and report["invariant_dim"] != r
+    assert shapes and set(shapes) == {(r, r)}
 
 
 @pytest.mark.parametrize("run,lattices", [

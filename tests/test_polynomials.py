@@ -519,6 +519,14 @@ class TestKroneckerSplit:
         with pytest.raises(DeskScaleError, match="factor search budget exceeded"):
             run_endo(doc)
 
+    def test_divisor_search_is_bounded(self):
+        """Trial division runs to sqrt(|n|), so a value past 10^14 (10^7
+        steps) exits with the factor budget's error before it divides."""
+        for n in (10**17 + 3, -(10**14) - 1):
+            with pytest.raises(DeskScaleError, match="factor search budget exceeded"):
+                _divisors(n)
+        assert _divisors(-12) == [1, 2, 3, 4, 6, 12]
+
     def test_cases_cover_every_outcome(self):
         outcomes = set()
         for coeffs in self.FIXED + _random_squarefree_products(0, 12):

@@ -22,6 +22,8 @@ the basis. decompose and cone_structure took the general route on every
 algebra: the kernel for the center, Lagrange idempotents with their
 checks, and a projection and kernel per factor, even for a commutative
 algebra or a single factor (conftest keeps that route as the oracle).
+endo computed its two Rosati verdicts on the algebra's basis, as a
+closure check and a d x d trace Gram matrix (conftest keeps both).
 A problem document's cone check lived in pipeline.build_problem, the
 orbit search found each symmetric generator's inverse by a pairwise
 product search, and the word ball was built per length as Matrix objects.
@@ -46,7 +48,7 @@ from conecrafter.cone import compute_ns, cone_structure, invariant_ns
 from conecrafter.documents import parse_document
 import conecrafter.endo as endo
 import conecrafter.matrices as matrices
-from conecrafter.endo import center_basis, group_algebra_center, invariant_subalgebra
+from conecrafter.endo import center_basis, compute_end, group_algebra_center, invariant_subalgebra
 from conecrafter.errors import (
     ClosureError,
     ConecrafterError,
@@ -64,6 +66,7 @@ from conecrafter.pipeline import (
     build_domain,
     build_torus_problem,
     prepare_torus,
+    run_endo,
 )
 from conecrafter.reduction import (
     WORD_LENGTH,
@@ -97,6 +100,8 @@ from conftest import (
     reference_cone_structure,
     reference_decompose,
     reference_form_lattice,
+    rosati_fixes_algebra,
+    trace_positivity_check,
     transported_data,
 )
 
@@ -1078,6 +1083,45 @@ def test_cone_oracle_tori_reach_the_hermite_step():
         for fc in structure.factors
     ]
     assert any(r != fc.piece for r, fc in zip(raw, structure.factors))
+
+
+def _rosati_oracles(algebra):
+    return trace_positivity_check(algebra), rosati_fixes_algebra(algebra)
+
+
+@pytest.mark.parametrize("data", CONE_ORACLE_TORI, ids=[d["name"] for d in CONE_ORACLE_TORI])
+def test_rosati_verdicts_match_the_basis_oracles(data):
+    """endo reads trace_positive and rosati_closed off the validated
+    polarization. On every torus that builds they equal the d x d oracles
+    on the invariant algebra and on End(T): the trace pairing
+    Tr(x @ rosati(y)) on the basis is positive definite, and the Rosati
+    image of each basis element lies in the span. A torus that exceeds
+    the factoring budget exits with desk_scale before any verdict."""
+    doc = parse_document(data)
+    report = _decomposition_outcome(run_endo, doc)
+    if isinstance(report, tuple):
+        assert report == ("DeskScaleError", "factor search budget exceeded")
+        return
+    ctx = prepare_torus(doc)
+    t = ctx.invariant_torus
+    verdicts = (report["trace_positive"], report["rosati_closed"])
+    assert verdicts == _rosati_oracles(invariant_subalgebra(t, ctx.group)) == _rosati_oracles(compute_end(t))
+
+
+@pytest.mark.parametrize("data", CONE_ORACLE_TORI, ids=[d["name"] for d in CONE_ORACLE_TORI])
+def test_rosati_oracles_catch_a_basis_outside_the_commutant(data):
+    """The oracles, not endo, now catch a commutant fault: an algebra
+    whose first basis element is replaced by the unit matrix at (0, 0),
+    which commutes with no J (J @ e_0 = c e_0 would need c^2 = -1), fails
+    at least one of them."""
+    ctx = prepare_torus(parse_document(data))
+    t = ctx.invariant_torus
+    r = t.rank
+    unit = Matrix([[int(i == j == 0) for j in range(r)] for i in range(r)])
+    assert unit @ t.j != t.j @ unit
+    for algebra in (invariant_subalgebra(t, ctx.group), compute_end(t)):
+        broken = replace(algebra, basis=(unit, *algebra.basis[1:]))
+        assert _rosati_oracles(broken) != (True, True)
 
 
 @pytest.mark.parametrize("data", FORM_ORACLE_TORI, ids=[d["name"] for d in FORM_ORACLE_TORI])
