@@ -16,17 +16,33 @@ source and Python's limit on int-to-str conversion cannot trip. Callers
 build each function once per problem, cone or lattice, and recheck what
 they certify with generic code that shares nothing with these functions.
 
+So the source depends only on a matrix's shape: its size and which
+entries are zero, +-1 or other. ``exec`` runs once per source per
+process: a bounded cache (``COMPILE_CACHE_SIZE`` sources, least recently
+used dropped first) keeps the ``build(k0, k1, ...)`` function that the
+source defines, and every kernel of that shape is one call of it that
+binds its own coefficients. A process that runs several commands (tests,
+the benchmark, library callers) compiles each shape once; a one-shot CLI
+process compiles as many as it builds.
+
 ``positive_definite_form(rows, n)`` puts Sylvester's criterion behind
 such a map: it forms the upper triangle of an n x n integer symmetric
 matrix as rows @ v, then runs the fraction-free symmetric elimination
 (Bareiss 1968) unrolled, one assignment per entry update, returning False
-at the first leading principal minor that is not positive. The tiling
+at the first leading principal minor that is not positive. It forms the
+first pivot before the rest of the triangle, so a matrix refused there,
+as most refused tiling samples are, costs one linear form. The tiling
 search of a torus problem builds one. ``positive_definite_test(n)`` is it
 on the identity map. Its reference is the same elimination written as a
 loop, ``positive_definite`` in the tests' ``conftest.py``.
 """
 
+import functools
+
 BACKEND = "pure"
+# kernel sources kept compiled per process; the six commands on the
+# corpus documents and mutants build 30 kernels of 23 shapes
+COMPILE_CACHE_SIZE = 256
 
 
 def imat_mul(a, b, n, k, m):
@@ -145,10 +161,13 @@ def positive_definite_form(rows, n):
 
     entries = [a(i, j) for i in range(n) for j in range(i, n)]
     body, exprs, values = _expressions(rows)
-    body += [f"{e} = {x}" for e, x in zip(entries, exprs)]
+    assign = [f"{e} = {x}" for e, x in zip(entries, exprs)]
+    body += assign[:1]
     for k in range(n):
         pivot = a(k, k)
         body += [f"if {pivot} <= 0:", "    return False"]
+        if not k:
+            body += assign[1:]
         for i in range(k + 1, n):
             for j in range(i, n):
                 update = f"{pivot} * {a(i, j)} - {a(k, i)} * {a(k, j)}"
@@ -200,6 +219,14 @@ def _compile(body, values):
     lines = [f"def build({params}):", "    def compiled(v):"]
     lines += ["        " + line for line in body]
     lines.append("    return compiled")
+    return _builder("\n".join(lines))(*values)
+
+
+@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _builder(source):
+    """The build function source defines, executed once per source text
+    per process. The source names coefficients but holds none, so every
+    kernel of one shape shares it, and each call of build binds its own."""
     scope = {}
-    exec("\n".join(lines), scope)
-    return scope["build"](*values)
+    exec(source, scope)
+    return scope["build"]

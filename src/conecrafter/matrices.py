@@ -179,9 +179,13 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self._ncols != other._nrows:
             raise ValueError("shape mismatch in product")
+        shape = self._nrows, self._ncols, other._ncols
+        if self.is_integral and other.is_integral:
+            flat = imat_mul(self.flat(), other.flat(), *shape)
+            return Matrix._from_flat_entries(flat, other._ncols, True)
         a, da = clear_denominators(self.flat())
         b, db = clear_denominators(other.flat())
-        flat = imat_mul(a, b, self._nrows, self._ncols, other._ncols)
+        flat = imat_mul(a, b, *shape)
         d = da * db
         return Matrix._from_flat_entries(_divided(flat, d), other._ncols, d == 1 or None)
 
@@ -525,7 +529,7 @@ def span_lattice(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     integer kernel of [C | -d I] in the unknowns (c, y), C those columns
     mod d, holds each such c once, with y = c @ C / d, so its rows' first
     coordinates are a basis of them."""
-    reduced, pivots = Matrix(rows).rref()
+    reduced, pivots = _integer_matrix(clear_denominators(row)[0] for row in rows).rref()
     k = len(pivots)
     if not k:
         raise ValueError("span_lattice: the rows are all zero, so their span is empty")

@@ -26,20 +26,23 @@ The fixed small matrices that verification applies thousands of times are
 compiled once into straight-line functions (``_kernels.linear_map`` and
 its one-row and sign-test forms): each symmetric generator's step, the
 eta order of a search, a domain's closed-membership test and its ray
-combination. A tiling sample is certified apart from them: the search
-returns its path as indices into the symmetric generators, and
-``verify_tiling`` replays that path on the generators' rows through the
-generic ``_apply``, which shares no code with the compiled steps, and
-tests the end point with ``PolyhedralCone.contains``. A compiled step that
-disagrees with its matrix therefore shows as a failed recheck. The image
-of an overlap witness is rechecked the same way.
+combination. Each is built once per problem or cone; its source, which
+depends only on the matrix's shape, is executed once per process, and the
+coefficients are bound per build. A tiling sample is certified apart from
+them: the search returns its path as indices into the symmetric
+generators, and ``verify_tiling`` replays that path on the generators'
+rows through the generic ``_apply``, which shares no code with the
+compiled steps, and tests the end point with ``PolyhedralCone.contains``,
+a plain loop over the facets. A compiled step that disagrees with its
+matrix therefore shows as a failed recheck. The image of an overlap
+witness is rechecked the same way.
 
 The samplers (``_tiling_samples`` and ``PolyhedralCone.interior_samples``)
-draw each integer range through one bound draw (``_uniform``) on
-``rng.getrandbits``. It applies the rejection rule of CPython's
-``randrange``: k = bit_length(width) bits per try, values >= width
-rejected. So it reads the same bits from the stream and returns the same
-values as ``rng.randint`` would, every sample list is the one ``randint``
+draw each value inline from ``rng.getrandbits`` by the rejection rule of
+CPython's ``randrange``: k = bit_length(width) bits per try, values >=
+width rejected. So they read the same bits from the stream and return the
+same values as ``rng.randint`` would, without the argument checks and the
+three calls it makes per value: every sample list is the one ``randint``
 gives, and no report depends on which of the two drew it.
 """
 
@@ -66,24 +69,6 @@ from .matrices import Matrix, integer_kernel_matrix, primitive_tuple, rows_produ
 MAX_CONE_DIM = 4
 # the length of the word ball that find_eta and find_interior_overlap search
 WORD_LENGTH = 4
-
-
-def _uniform(rng: random.Random, low: int, high: int) -> Callable[[], int]:
-    """() -> the next rng.randint(low, high), from the same bits of rng's
-    stream: CPython's randrange draws k = bit_length(width) bits per try
-    and rejects values >= width, and so does this draw, without the
-    argument checks and the three calls randint makes per value."""
-    getrandbits = rng.getrandbits
-    width = high - low + 1
-    k = width.bit_length()
-
-    def draw() -> int:
-        r = getrandbits(k)
-        while r >= width:
-            r = getrandbits(k)
-        return low + r
-
-    return draw
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -149,9 +134,11 @@ class PolyhedralCone:
         return cls(tuple(prim), tuple(normals))
 
     def contains(self, v: Sequence, strict: bool = False) -> bool:
-        if strict:
-            return all(_dot(f, v) > 0 for f in self.facets)
-        return all(_dot(f, v) >= 0 for f in self.facets)
+        for f in self.facets:
+            side = sum(map(mul, f, v))
+            if side < 0 or (strict and not side):
+                return False
+        return True
 
     @cached_property
     def closed_test(self) -> Callable[[Sequence], bool]:
@@ -165,10 +152,19 @@ class PolyhedralCone:
 
     def interior_samples(self, count: int, seed: int) -> list[tuple[int, ...]]:
         """Deterministic strictly interior lattice points: positive random
-        combinations of the rays."""
-        coefficient = _uniform(random.Random(seed), 1, 9)
+        combinations of the rays, each coefficient rng.randint(1, 9)."""
+        getrandbits = random.Random(seed).getrandbits
         combine = self._combine
-        return [combine([coefficient() for _ in self.rays]) for _ in range(count)]
+        samples = []
+        for _ in range(count):
+            coefficients = []
+            for _ in self.rays:
+                r = getrandbits(4)
+                while r >= 9:
+                    r = getrandbits(4)
+                coefficients.append(1 + r)
+            samples.append(combine(coefficients))
+        return samples
 
 
 @dataclass(frozen=True)
@@ -508,7 +504,8 @@ def _best_first_reduce(
     frontier in order of eta_form, the compiled v -> eta . v. Greedy
     descent plus the bounded uphill that boundary flips need, in one queue.
     Returns the path from start, in application order, as indices into the
-    problem's symmetric_generators, or None when the budget runs out.
+    problem's symmetric_generators, or None when the budget (at least one
+    node) runs out; a start inside the domain is the empty path.
 
     Nodes are int tuples, moved by the problem's compiled steps and tested
     by the domain's compiled closed_test. A node reached by a letter is not
@@ -516,6 +513,8 @@ def _best_first_reduce(
     image is the node's parent and so already seen: each queue entry
     carries the letters to try from it."""
     inside = domain.closed_test
+    if inside(start):
+        return ()
     seen = {start}
     parent: dict[tuple, tuple] = {}
     heap = [(eta_form(start), 0, start, problem.search_moves[-1])]
@@ -549,43 +548,53 @@ def _tiling_samples(
 ) -> list[tuple[int, ...]]:
     """Half scattered interior points, half adversarial images of domain
     points under random words. Each distinct candidate is tested for
-    interiority once."""
+    interiority once. Each value is rng.randint's, drawn inline."""
+    is_interior = problem.is_interior
     verdicts: dict[tuple, bool] = {}
-
-    def interior(pt: tuple) -> bool:
-        known = verdicts.get(pt)
-        if known is None:
-            known = verdicts[pt] = problem.is_interior(pt)
-        return known
-
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     base = problem.base_point
     samples = []
     attempts = 0
     scale = 2
-    shift = _uniform(rng, -3 * scale, 3 * scale)
+    width = 6 * scale + 1  # randint(-3 * scale, 3 * scale)
+    bits = width.bit_length()
     while len(samples) < count // 2 and attempts < 200 * count:
         attempts += 1
-        pt = tuple([scale * x + shift() for x in base])
+        coords = []
+        for x in base:
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            coords.append(scale * (x - 3) + r)
+        pt = tuple(coords)
         if attempts % 100 == 0:
             scale += 1
-            shift = _uniform(rng, -3 * scale, 3 * scale)
-        if interior(pt):
+            width = 6 * scale + 1
+            bits = width.bit_length()
+        known = verdicts.get(pt)
+        if known is None:
+            known = verdicts[pt] = is_interior(pt)
+        if known:
             samples.append(pt)
     steps = problem.steps
+    letters = len(steps)  # randint(0, letters - 1) picks a step
+    letter_bits = letters.bit_length()
     inner = domain.interior_samples(count - len(samples), seed + 1)
-    if steps:
-        length = _uniform(rng, 1, 8)
-        letter = _uniform(rng, 0, len(steps) - 1)
     for pt in inner:
         cur = pt
         if steps:
-            for _ in range(length()):
-                cur = steps[letter()](cur)
-        if interior(cur):
-            samples.append(cur)
-        else:
-            samples.append(pt)
+            n = getrandbits(4)  # the word has randint(1, 8) = n + 1 letters
+            while n >= 8:
+                n = getrandbits(4)
+            for _ in range(n + 1):
+                r = getrandbits(letter_bits)
+                while r >= letters:
+                    r = getrandbits(letter_bits)
+                cur = steps[r](cur)
+        known = verdicts.get(cur)
+        if known is None:
+            known = verdicts[cur] = is_interior(cur)
+        samples.append(cur if known else pt)
     return samples
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conecrafter import _kernels
@@ -176,6 +176,56 @@ def test_form_maps_match_the_generic_product(case):
     """16 x r maps, the shape of a rank-4 torus's Hermitian form map."""
     rows, v = case
     assert _kernels.linear_map(rows)(v) == generic_map(rows, v)
+
+
+@st.composite
+def one_shape_twice(draw):
+    """Two matrices of one kernel shape, the same zero and +-1 entries,
+    every other entry c of the first scaled in the second by -1, 2 or 3,
+    and vectors to apply both to."""
+    first, _ = draw(matrices_and_vectors())
+    assume(any(abs(c) > 1 for row in first for c in row))
+    second = [
+        [c if abs(c) <= 1 else draw(st.sampled_from((-1, 2, 3))) * c for c in row]
+        for row in first
+    ]
+    width = len(first[0])
+    vector = st.lists(coefficients, min_size=width, max_size=width).map(tuple)
+    vectors = draw(st.lists(vector, min_size=1, max_size=4))
+    return first, second, vectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_shape_twice())
+@example(([[2, 0], [1, -7]], [[-2, 0], [1, 21]], [(1, 1)]))
+def test_kernels_of_one_shape_keep_their_own_coefficients(case):
+    """The two kernels share one compiled build, and each binds its own
+    coefficients: a compile cache that handed the second the first's
+    kernel gives the first's products."""
+    first, second, vectors = case
+    oracles = (
+        (_kernels.linear_map, generic_map),
+        (_kernels.nonnegative_test, lambda rows, v: all(x >= 0 for x in generic_map(rows, v))),
+        (lambda rows: _kernels.linear_form(rows[0]), lambda rows, v: generic_map(rows[:1], v)[0]),
+    )
+    for make, oracle in oracles:
+        kernels = [make(rows) for rows in (first, second)]
+        assert kernels[0].__code__ is kernels[1].__code__
+        for rows, kernel in zip((first, second), kernels):
+            assert [kernel(v) for v in vectors] == [oracle(rows, v) for v in vectors]
+
+
+def test_the_compile_cache_is_bounded():
+    """Past COMPILE_CACHE_SIZE distinct shapes the least recently used
+    source is dropped, and a dropped shape compiles again when built."""
+    size = _kernels.COMPILE_CACHE_SIZE
+    for width in range(1, size + 20):
+        assert _kernels.linear_form([2] * width)((1,) * width) == 2 * width
+    info = _kernels._builder.cache_info()
+    assert info.maxsize == size
+    assert info.currsize == size
+    assert _kernels.linear_form([2])((5,)) == 10
+    assert _kernels._builder.cache_info().misses == info.misses + 1
 
 
 def test_linear_map_checks_its_input_width():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,6 +44,41 @@ def int_matrices(draw, max_dim=4):
         )
     )
     return Matrix(rows)
+
+
+@st.composite
+def product_operands(draw):
+    """a (n x k) and b (k x m), each integral or with Fraction entries,
+    its integrality computed already or left unknown."""
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    fractions = st.builds(Fraction, small_entries, st.integers(1, 6))
+
+    def operand(r, c):
+        entries = draw(st.sampled_from((small_entries, st.one_of(small_entries, fractions))))
+        mat = Matrix([[draw(entries) for _ in range(c)] for _ in range(r)])
+        if draw(st.booleans()):
+            mat.is_integral
+        return mat
+
+    return operand(n, k), operand(k, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_product_matches_the_fraction_sums(case):
+    """Integral, Fraction and mixed operands: the entries of the row by
+    column Fraction sums, normalized, and the integral flag they have."""
+    a, b = case
+    want = [
+        [Fraction(sum(map(mul, map(Fraction, row), col))) for col in zip(*b.rows)]
+        for row in a.rows
+    ]
+    got = a @ b
+    assert got.rows == tuple(map(tuple, want))
+    assert [type(x) for row in got.rows for x in row] == [
+        int if x.denominator == 1 else Fraction for row in want for x in row
+    ]
+    assert got.is_integral is all(x.denominator == 1 for row in want for x in row)
 
 
 class TestArithmetic:

@@ -69,6 +69,7 @@ from conecrafter.pipeline import (
     run_endo,
 )
 from conecrafter.reduction import (
+    P2_GENERATORS,
     WORD_LENGTH,
     GroupWord,
     OverlapWitness,
@@ -78,7 +79,6 @@ from conecrafter.reduction import (
     TilingReport,
     _best_first_reduce,
     _tiling_samples,
-    _uniform,
     binary_quadratic_problem,
     find_eta,
     find_interior_overlap,
@@ -480,6 +480,12 @@ def _problem(name):
     if name == "hyperbolic_sector":
         problem = _hyperbolic_problem()
         return problem, hyperbolic_domain(problem.generators[0][1], problem.base_point)
+    if name.startswith("p2_letters_"):
+        # the p2 cone under some of S, T, N: N alone makes one symmetric
+        # generator, S and T three
+        letters = name.removeprefix("p2_letters_")
+        generators = [(n, g) for n, g in P2_GENERATORS if n in letters]
+        return binary_quadratic_problem(generators), minkowski_domain_p2()
     return _torus(name)
 
 
@@ -639,8 +645,11 @@ def test_interior_samples_match_the_generic_sums(name, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS + (1000,))
-@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("name", PROBLEMS + ["p2_letters_N", "p2_letters_ST"])
 def test_samples_match_the_randint_draws(name, seed):
+    """The samplers draw inline by randrange's rejection rule. Letter
+    ranges of size 1, 2, 3 and 4, coefficient ranges of size 9 and shift
+    ranges of size 13, 19, ...: the values randint gives."""
     problem, domain = _problem(name)
     for count in (0, 1, 7, 1000):
         got = _tiling_samples(problem, domain, count, seed)
@@ -648,21 +657,6 @@ def test_samples_match_the_randint_draws(name, seed):
         assert domain.interior_samples(count, seed) == (
             reference_interior_samples(domain, count, seed)
         )
-
-
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9, 16, 17, 2**40, 2**40 + 1])
-@pytest.mark.parametrize("low", [0, -7, 10**30])
-def test_uniform_draw_matches_randint(width, low):
-    """Ranges of size 1, 2^k and 2^k + 1: the same values, and the same
-    bits taken from the stream, as randint."""
-    for seed in SEEDS:
-        rng = random.Random(seed)
-        reference = random.Random(seed)
-        draw = _uniform(rng, low, low + width - 1)
-        assert [draw() for _ in range(300)] == [
-            reference.randint(low, low + width - 1) for _ in range(300)
-        ]
-        assert rng.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("name", ["elliptic_gauss", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8"])
