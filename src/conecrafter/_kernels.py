@@ -1,8 +1,19 @@
-"""Integer kernels: matrix products, division-free characteristic polynomials,
-sign evaluations, and compiled linear maps and definiteness tests used by
-the exact linear algebra layer.
+"""Integer kernels: compiled matrix products, division-free characteristic
+polynomials, sign evaluations, and compiled linear maps and definiteness
+tests used by the exact linear algebra layer.
 
 All functions work on Python big integers, so results are exact at any size.
+
+``rows_product`` is the package's one matrix product: ``Matrix.__matmul__``
+and every loop that composes small matrices (group closure, word balls,
+conjugation orbits) run on it. A product a @ b of row tuples runs through
+a function compiled once per process for the shape (k, m) of b: b's
+entries are unpacked into locals, and each row of a becomes m sums of k
+products, so any number of rows streams through one function. Its source
+names no value, so it is executed once per shape with nothing to bind.
+Past ``PRODUCT_COMPILE_CAP`` entries in b, a generic loop that skips the
+zero entries of a runs instead. ``imat_mul`` is the same product on flat
+lists.
 
 A loop that applies one fixed small integer matrix thousands of times pays
 more for the interpreter's generic row-by-row products than for the
@@ -21,9 +32,10 @@ entries are zero, +-1 or other. ``exec`` runs once per source per
 process: a bounded cache (``COMPILE_CACHE_SIZE`` sources, least recently
 used dropped first) keeps the ``build(k0, k1, ...)`` function that the
 source defines, and every kernel of that shape is one call of it that
-binds its own coefficients. A process that runs several commands (tests,
-the benchmark, library callers) compiles each shape once; a one-shot CLI
-process compiles as many as it builds.
+binds its own coefficients; a product's ``build()`` binds none. A
+process that runs several commands (tests, the benchmark, library
+callers) compiles each shape once; a one-shot CLI process compiles as
+many as it builds.
 
 ``positive_definite_form(rows, n)`` puts Sylvester's criterion behind
 such a map: it forms the upper triangle of an n x n integer symmetric
@@ -43,21 +55,45 @@ BACKEND = "pure"
 # kernel sources kept compiled per process; the six commands on the
 # corpus documents and mutants build 30 kernels of 23 shapes
 COMPILE_CACHE_SIZE = 256
+# a right factor of k x m entries gets a compiled product kernel when
+# k * m is at most this; a larger one (the rank-32 ladder multiplies
+# 32 x 32) runs the generic loop, so no kernel holds thousands of terms
+PRODUCT_COMPILE_CAP = 64
+
+
+def rows_product(a, b):
+    """a @ b for matrices given as sequences of rows of exact numbers, as
+    a tuple of row tuples.
+
+    A right factor of k rows of m entries with k * m at most
+    PRODUCT_COMPILE_CAP runs through the product kernel compiled once per
+    process for (k, m); any number of rows of a streams through it. A
+    larger one runs the generic loop: each row of a adds up x times row t
+    of b over its nonzero entries x, so the mostly zero matrices of the
+    large ladder tori cost about their nonzero entries."""
+    k = len(b)
+    m = len(b[0]) if k else 0
+    if 0 < k * m <= PRODUCT_COMPILE_CAP:
+        return _product_kernel(k, m)(a, b)
+    out = []
+    for row in a:
+        acc = [0] * m
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def imat_mul(a, b, n, k, m):
-    """Multiply an n*k by a k*m integer matrix, both row-major flat lists."""
-    out = [0] * (n * m)
-    for i in range(n):
-        arow = a[i * k:(i + 1) * k]
-        base = i * m
-        for j in range(k):
-            aij = arow[j]
-            if aij:
-                brow = b[j * m:(j + 1) * m]
-                for t in range(m):
-                    out[base + t] += aij * brow[t]
-    return out
+    """Multiply an n*k by a k*m integer matrix, both row-major flat lists,
+    as a row-major flat list: rows_product on their rows."""
+    if not k:
+        return [0] * (n * m)
+    rows = rows_product(
+        [a[i * k:(i + 1) * k] for i in range(n)], [b[t * m:(t + 1) * m] for t in range(k)]
+    )
+    return [x for row in rows for x in row]
 
 
 def berkowitz_charpoly(a, n):
@@ -220,6 +256,26 @@ def _compile(body, values):
     lines += ["        " + line for line in body]
     lines.append("    return compiled")
     return _builder("\n".join(lines))(*values)
+
+
+@functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _product_kernel(k, m):
+    """(a, b) -> a @ b as row tuples, for a right factor b of k rows of m
+    entries: b is unpacked into the locals b0_0, b0_1, ... once, and each
+    row of a, unpacked into x0, x1, ..., becomes m sums of k products.
+    The source names no value, so it goes to _builder without _compile."""
+    entries = [[f"b{t}_{j}" for j in range(m)] for t in range(k)]
+    unpack = "".join(f"({''.join(e + ', ' for e in row)}), " for row in entries)
+    sums = "".join(" + ".join(f"x{t}*{entries[t][j]}" for t in range(k)) + ", " for j in range(m))
+    names = "".join(f"x{t}, " for t in range(k))
+    lines = [
+        "def build():",
+        "    def product(a, b):",
+        f"        {unpack}= b",
+        f"        return tuple([({sums}) for {names}in a])",
+        "    return product",
+    ]
+    return _builder("\n".join(lines))()
 
 
 @functools.lru_cache(maxsize=COMPILE_CACHE_SIZE)

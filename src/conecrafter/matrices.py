@@ -4,7 +4,9 @@ of the package is built on.
 
 Entries are Python ints or fractions.Fraction; nothing here ever rounds.
 Products and eliminations compute on ints, each operand or row scaled by
-its common denominator, so Fractions appear only in their results.
+its common denominator, so Fractions appear only in their results. Every
+product runs on ``_kernels.rows_product``, which this module exports for
+the loops that compose row tuples without building a Matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cache, cached_property
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from ._kernels import imat_mul
+from ._kernels import rows_product
 from .errors import ValidationError
 
 Scalar = int | Fraction
@@ -171,6 +173,8 @@ class Matrix:
         )
 
     def __mul__(self, scalar) -> "Matrix":
+        if isinstance(scalar, int) and self.is_integral:
+            return Matrix.trusted(tuple([tuple([x * scalar for x in r]) for r in self._rows]), True)
         s = _norm(scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar))
         return Matrix([[x * s for x in r] for r in self._rows])
 
@@ -179,15 +183,15 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self._ncols != other._nrows:
             raise ValueError("shape mismatch in product")
-        shape = self._nrows, self._ncols, other._ncols
         if self.is_integral and other.is_integral:
-            flat = imat_mul(self.flat(), other.flat(), *shape)
-            return Matrix._from_flat_entries(flat, other._ncols, True)
-        a, da = clear_denominators(self.flat())
-        b, db = clear_denominators(other.flat())
-        flat = imat_mul(a, b, *shape)
+            return Matrix.trusted(rows_product(self._rows, other._rows), True)
+        a, da = self.to_integer()
+        b, db = other.to_integer()
         d = da * db
-        return Matrix._from_flat_entries(_divided(flat, d), other._ncols, d == 1 or None)
+        return Matrix.trusted(
+            tuple([tuple(_divided(row, d)) for row in rows_product(a._rows, b._rows)]),
+            d == 1 or None,
+        )
 
     def transpose(self) -> "Matrix":
         return Matrix.trusted(tuple(zip(*self._rows)), self._integral)
@@ -284,14 +288,6 @@ class Matrix:
 def _identity(n: int) -> Matrix:
     """The n x n identity, built once per size: a Matrix never changes."""
     return Matrix.trusted(tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]), True)
-
-
-def rows_product(a: tuple, b: tuple) -> tuple:
-    """a @ b for integer matrices given as row tuples, as row tuples. Loops
-    that compose many small matrices use it and build a Matrix only for
-    what they return."""
-    cols = tuple(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def trace_gram(left: Sequence[Matrix], right: Sequence[Matrix]) -> Matrix:
@@ -547,8 +543,10 @@ def span_lattice(rows: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
             [*col, *(-d if s == t else 0 for t in range(m))] for s, col in enumerate(others)
         ]
         kernel = integer_kernel_matrix(_integer_matrix(constraints))
-        columns = list(zip(*scaled))
-        scaled = [[sum(map(mul, row[:k], col)) // d for col in columns] for row in kernel.rows]
+        scaled = [
+            [x // d for x in row]
+            for row in rows_product([row[:k] for row in kernel.rows], scaled)
+        ]
     return hermite_normal_form(_integer_matrix(scaled))[0].rows
 
 

@@ -336,18 +336,19 @@ def _int_poly_eval(coeffs: list[int], x: int) -> int:
     return acc
 
 
-def _rational_roots(coeffs: list[int]) -> list[Fraction]:
-    """Rational roots of a primitive integer polynomial (each listed once)."""
+def _rational_roots(coeffs: list[int], divisors=_divisors) -> list[Fraction]:
+    """Rational roots of a primitive integer polynomial (each listed once).
+    divisors lists the divisors of an int, as _divisors does."""
     if coeffs[0] == 0:
         roots = [Fraction(0)]
         trimmed = list(coeffs)
         while trimmed[0] == 0:
             trimmed.pop(0)
-        return sorted(roots + [r for r in _rational_roots(trimmed) if r != 0])
+        return sorted(roots + [r for r in _rational_roots(trimmed, divisors) if r != 0])
     a0, an = coeffs[0], coeffs[-1]
     found = []
-    for p in _divisors(a0):
-        for q in _divisors(an):
+    for p in divisors(a0):
+        for q in divisors(an):
             if gcd(p, q) != 1:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):
@@ -412,7 +413,9 @@ def _exact_quotient(p: list[int], g: list[int]) -> list[int] | None:
     return quo
 
 
-def _kronecker_split(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
+def _kronecker_split(
+    coeffs: list[int], divisors=_divisors
+) -> tuple[list[int], list[int]] | None:
     """One nontrivial factorization of a primitive squarefree integer
     polynomial with no rational roots, or None when irreducible.
 
@@ -435,6 +438,16 @@ def _kronecker_split(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
     would list is tested as the enumeration tests it, in its order, so
     the first split found, and every quotient taken, is one the full
     enumeration takes too.
+
+    The tuple budget is checked after each node's divisor list. A value
+    at a node is never 0 (no rational roots), so each node adds at least
+    the candidates 1 and -1 and the running product never falls: the
+    search is refused at the first node that takes it past the budget,
+    exactly when the product over all nodes would be, and the values at
+    the later nodes are never divided. divisors lists the divisors of an
+    int, as _divisors does; a caller passes one memoized list per
+    factoring, so a value met again (the constant term at node 0, lead)
+    is divided once.
     """
     deg = len(coeffs) - 1
     lead = coeffs[-1]
@@ -442,20 +455,20 @@ def _kronecker_split(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
         value_divs = []
         budget = 1
         for x in _KRONECKER_POINTS[: d + 1]:
-            divs = _divisors(_int_poly_eval(coeffs, x))
+            divs = divisors(_int_poly_eval(coeffs, x))
             cands = [w for dd in divs for w in (dd, -dd)]
             value_divs.append(cands)
             budget *= len(cands)
-        if budget > _KRONECKER_TUPLE_CAP:
-            raise DeskScaleError("factor search budget exceeded")
+            if budget > _KRONECKER_TUPLE_CAP:
+                raise DeskScaleError("factor search budget exceeded")
         # fix the sign ambiguity g vs -g by pinning the first value positive
         value_divs[0] = [v for v in value_divs[0] if v > 0]
         *prefixes, last = value_divs
         position = {v: i for i, v in enumerate(last)}
         columns = _scaled_lagrange(d)
         *top_head, top_last = columns[-1]
-        deltas = _divisors(_lagrange_scale(d))
-        tops = {s * c * delta for c in _divisors(lead) for delta in deltas for s in (1, -1)}
+        deltas = divisors(_lagrange_scale(d))
+        tops = {s * c * delta for c in divisors(lead) for delta in deltas for s in (1, -1)}
         for head in product(*prefixes):
             partial = sum(map(mul, head, top_head))
             solved = []
@@ -481,8 +494,9 @@ def _factor_squarefree_monic(q: Polynomial) -> list[Polynomial]:
     if q.degree == 0:
         return []
     work = list(primitive_tuple(q.coeffs))
+    divisors = cache(_divisors)
     factors = []
-    for root in _rational_roots(work):
+    for root in _rational_roots(work, divisors):
         factors.append(Polynomial([-root, 1]))
     rem = q
     for f in factors:
@@ -494,7 +508,7 @@ def _factor_squarefree_monic(q: Polynomial) -> list[Polynomial]:
             # no rational roots and degree <= 3: irreducible over Q
             factors.append(Polynomial(coeffs).monic())
             continue
-        split = _kronecker_split(coeffs)
+        split = _kronecker_split(coeffs, divisors)
         if split is None:
             factors.append(Polynomial(coeffs).monic())
         else:

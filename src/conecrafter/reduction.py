@@ -31,11 +31,12 @@ depends only on the matrix's shape, is executed once per process, and the
 coefficients are bound per build. A tiling sample is certified apart from
 them: the search returns its path as indices into the symmetric
 generators, and ``verify_tiling`` replays that path on the generators'
-rows through the generic ``_apply``, which shares no code with the
-compiled steps, and tests the end point with ``PolyhedralCone.contains``,
-a plain loop over the facets. A compiled step that disagrees with its
-matrix therefore shows as a failed recheck. The image of an overlap
-witness is rechecked the same way.
+rows through the generic ``_apply``, and tests the end point with
+``PolyhedralCone.contains``, a plain loop over the facets. Neither shares
+code with any kernel, the compiled products (``_kernels.rows_product``)
+that compose the word ball included, so a compiled step that disagrees
+with its matrix shows as a failed recheck. The image of an overlap
+witness under its word's matrix is rechecked the same way.
 
 The samplers (``_tiling_samples`` and ``PolyhedralCone.interior_samples``)
 draw each value inline from ``rng.getrandbits`` by the rejection rule of

@@ -228,6 +228,116 @@ def test_the_compile_cache_is_bounded():
     assert _kernels._builder.cache_info().misses == info.misses + 1
 
 
+# --- compiled products ------------------------------------------------------
+
+# n x k by k x m with k * m past PRODUCT_COMPILE_CAP: the generic loop
+ABOVE_CAP = (2, 9, 8)
+
+
+def fraction_product(a, b):
+    """a @ b by the triple loop, every term and sum a Fraction."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = Fraction(0)
+            for t in range(len(b)):
+                total += Fraction(a[i][t]) * Fraction(b[t][j])
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@st.composite
+def product_operands(draw, entries=coefficients):
+    n, k, m = draw(st.one_of(st.tuples(*[st.integers(1, 6)] * 3), st.just(ABOVE_CAP)))
+    a = tuple(tuple(draw(st.lists(entries, min_size=k, max_size=k))) for _ in range(n))
+    b = tuple(tuple(draw(st.lists(entries, min_size=m, max_size=m))) for _ in range(k))
+    return a, b
+
+
+fraction_entries = st.one_of(
+    coefficients,
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 30)),
+    st.builds(lambda x: Fraction(x, 7), coefficients),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+@example((((HUGE, -1, 0),), ((1,), (-HUGE,), (5,))))
+@example(((((-1,) * ABOVE_CAP[1]),) * ABOVE_CAP[0], ((HUGE,) * ABOVE_CAP[2],) * ABOVE_CAP[1]))
+def test_rows_product_matches_the_fraction_sums(case):
+    """Integer operands from 1 x 1 x 1 to 6 x 6 x 6, and one shape past
+    the compile cap: equal sums, every entry an int."""
+    a, b = case
+    got = _kernels.rows_product(a, b)
+    assert got == fraction_product(a, b)
+    assert all(type(x) is int for row in got for x in row)
+    n, k, m = len(a), len(b), len(b[0])
+    assert _kernels.imat_mul(list(sum(a, ())), list(sum(b, ())), n, k, m) == list(sum(got, ()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands(fraction_entries))
+def test_matrix_product_matches_the_fraction_sums(case):
+    """Fraction operands through Matrix @, whose non-integral path clears
+    denominators before the kernel: the normalized sums."""
+    a, b = case
+    got = (Matrix(a) @ Matrix(b)).rows
+    want = fraction_product(a, b)
+    assert got == want
+    assert [type(x) for row in got for x in row] == [
+        int if x.denominator == 1 else Fraction for row in want for x in row
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_operands(), st.integers(1, 6), st.data())
+def test_products_of_one_shape_share_one_kernel(case, n, data):
+    """A second product with the right factor's shape, other values and
+    another row count runs the same compiled code, recompiled or not,
+    and each returns its own sums."""
+    a, b = case
+    k, m = len(b), len(b[0])
+    assume(k * m <= _kernels.PRODUCT_COMPILE_CAP)
+    rows = st.lists(coefficients, min_size=k, max_size=k).map(tuple)
+    a2 = tuple(data.draw(rows) for _ in range(n))
+    b2 = tuple(tuple(-x if x else 7 for x in row) for row in b)
+    _kernels._product_kernel.cache_clear()
+    first = _kernels._product_kernel(k, m)
+    _kernels._product_kernel.cache_clear()
+    second = _kernels._product_kernel(k, m)
+    assert first is not second
+    assert first.__code__ is second.__code__
+    assert first(a, b) == fraction_product(a, b)
+    assert second(a2, b2) == fraction_product(a2, b2)
+    assert first(a2, b2) == second(a2, b2)
+
+
+def test_the_product_cache_is_bounded():
+    """Every shape under the cap compiles once; past COMPILE_CACHE_SIZE
+    shapes the least recently used is dropped and compiles again when
+    used, and a right factor past the cap compiles nothing."""
+    cap = _kernels.PRODUCT_COMPILE_CAP
+    shapes = [(k, m) for k in range(1, cap + 1) for m in range(1, cap // k + 1)]
+    assert len(shapes) > _kernels.COMPILE_CACHE_SIZE
+    _kernels._product_kernel.cache_clear()
+    for k, m in shapes:
+        b = tuple(tuple(range(t * m, (t + 1) * m)) for t in range(k))
+        assert _kernels.rows_product(((1,) * k,), b) == (tuple(map(sum, zip(*b))),)
+    info = _kernels._product_kernel.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (
+        _kernels.COMPILE_CACHE_SIZE, _kernels.COMPILE_CACHE_SIZE, len(shapes)
+    )
+    assert _kernels.rows_product(((3,),), ((5,),)) == ((15,),)
+    assert _kernels._product_kernel.cache_info().misses == info.misses + 1
+    n, k, m = ABOVE_CAP
+    assert k * m > cap
+    assert _kernels.rows_product(((1,) * k,) * n, ((1,) * m,) * k) == ((k,) * m,) * n
+    assert _kernels._product_kernel.cache_info().misses == info.misses + 1
+
+
 def test_linear_map_checks_its_input_width():
     with pytest.raises(ValueError):
         _kernels.linear_map([[1, 2], [3]])

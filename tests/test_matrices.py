@@ -81,6 +81,25 @@ def test_product_matches_the_fraction_sums(case):
     assert got.is_integral is all(x.denominator == 1 for row in want for x in row)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    product_operands(),
+    st.one_of(small_entries, st.builds(Fraction, small_entries, st.integers(1, 6))),
+)
+def test_scalar_multiple_matches_the_fraction_products(case, scalar):
+    """Integral or Fraction matrices times int or Fraction scalars, from
+    either side: the normalized products and the integral flag they have
+    (an int times an integral matrix takes the path that skips _norm)."""
+    a, _ = case
+    want = tuple(tuple(Fraction(x) * scalar for x in row) for row in a.rows)
+    for got in (a * scalar, scalar * a):
+        assert got.rows == want
+        assert [type(x) for row in got.rows for x in row] == [
+            int if x.denominator == 1 else Fraction for row in want for x in row
+        ]
+        assert got.is_integral is all(x.denominator == 1 for row in want for x in row)
+
+
 class TestArithmetic:
     def test_constructor_rejects_ragged(self):
         with pytest.raises(ValueError):

@@ -519,6 +519,48 @@ class TestKroneckerSplit:
         with pytest.raises(DeskScaleError, match="factor search budget exceeded"):
             run_endo(doc)
 
+    # x^4 - x + 2162160 is positive on the reals and has 640 candidate
+    # values at x = 0 and at x = 1 (2162160 = 2^4 3^3 5 7 11 13), so
+    # 640 * 640 tuples pass the budget after the second node
+    EARLY_REFUSAL = [2162160, -1, 0, 0, 1]
+
+    def test_budget_is_checked_node_by_node(self, monkeypatch):
+        """The search is refused at the node that takes the running product
+        of candidate counts past the budget, so the value at x = -1 is
+        never divided; within one factoring each value is divided once."""
+        divided = []
+
+        def counted(n):
+            divided.append(abs(n))
+            return _divisors(n)
+
+        with pytest.raises(DeskScaleError, match="factor search budget exceeded"):
+            _kronecker_split(self.EARLY_REFUSAL, counted)
+        assert divided == [2162160, 2162160]
+        divided.clear()
+        monkeypatch.setattr(polynomials, "_divisors", counted)
+        with pytest.raises(DeskScaleError, match="factor search budget exceeded"):
+            factor_squarefree_small(Polynomial(self.EARLY_REFUSAL))
+        # a0 and lead for the rational roots; node 0 and node 1 are a0 again
+        assert sorted(divided) == [1, 2162160]
+
+    def test_transported_cyclic_ei4_divides_two_large_values(self, monkeypatch):
+        """Cyclic E_i^4 moved by transport seed 2: the constant term of its
+        degree-8 center polynomial is divided once, for the rational roots
+        and node 0, and the budget is passed after node 1, so of its 13-14
+        digit values only those two are divided before endo exits 2."""
+        divided = []
+
+        def counted(n):
+            divided.append(abs(n))
+            return _divisors(n)
+
+        monkeypatch.setattr(polynomials, "_divisors", counted)
+        doc = parse_document(transported_data(ei_power_data(4, cyclic=True), 2))
+        with pytest.raises(DeskScaleError, match="factor search budget exceeded"):
+            run_endo(doc)
+        assert [n for n in divided if n > 10**12] == [9614340684425, 10863381698000]
+
     def test_divisor_search_is_bounded(self):
         """Trial division runs to sqrt(|n|), so a value past 10^14 (10^7
         steps) exits with the factor budget's error before it divides."""
