@@ -17,11 +17,11 @@ lists.
 
 A loop that applies one fixed small integer matrix thousands of times pays
 more for the interpreter's generic row-by-row products than for the
-arithmetic. ``linear_map``, ``linear_form`` and ``nonnegative_test`` turn
-such a matrix into a straight-line Python function, built once with
-``exec``: zero terms are dropped, +-1 coefficients become plain ``x`` and
-``-x``, and every other coefficient is bound as a name (``k0``, ``k1``, ...)
-in the function's closure. The source text holds only those names and the
+arithmetic. ``linear_map`` and ``nonnegative_test`` turn such a matrix
+into a straight-line Python function, built once with ``exec``: zero terms
+are dropped, +-1 coefficients become plain ``x`` and ``-x``, and every
+other coefficient is bound as a name (``k0``, ``k1``, ...) in the
+function's closure. The source text holds only those names and the
 variable indices, never a coefficient's digits, so no value reaches the
 source and Python's limit on int-to-str conversion cannot trip. Callers
 build each function once per problem, cone or lattice, and recheck what
@@ -37,6 +37,12 @@ process that runs several commands (tests, the benchmark, library
 callers) compiles each shape once; a one-shot CLI process compiles as
 many as it builds.
 
+``orbit_search`` is the one kernel with control flow of its own: a tiling
+sample's best-first orbit search, with each generator's step, the
+priorities and the facet test inline (``reduction`` says why its lazy
+expansion is exact). Its rows eta . g_k are the names e0_0, e0_1, ..., so
+its source is one per problem shape.
+
 ``positive_definite_form(rows, n)`` puts Sylvester's criterion behind
 such a map: it forms the upper triangle of an n x n integer symmetric
 matrix as rows @ v, then runs the fraction-free symmetric elimination
@@ -44,16 +50,18 @@ matrix as rows @ v, then runs the fraction-free symmetric elimination
 at the first leading principal minor that is not positive. It forms the
 first pivot before the rest of the triangle, so a matrix refused there,
 as most refused tiling samples are, costs one linear form. The tiling
-search of a torus problem builds one. ``positive_definite_test(n)`` is it
-on the identity map. Its reference is the same elimination written as a
-loop, ``positive_definite`` in the tests' ``conftest.py``.
+search of a torus problem builds one. Its reference is the same
+elimination written as a loop, ``positive_definite`` in the tests'
+``conftest.py``.
 """
 
 import functools
+from heapq import heappop, heappush
+from operator import mul
 
 BACKEND = "pure"
 # kernel sources kept compiled per process; the six commands on the
-# corpus documents and mutants build 30 kernels of 23 shapes
+# corpus and mutants build 27 kernels (2 searches) of 21 shapes
 COMPILE_CACHE_SIZE = 256
 # a right factor of k x m entries gets a compiled product kernel when
 # k * m is at most this; a larger one (the rank-32 ladder multiplies
@@ -166,22 +174,10 @@ def linear_map(rows):
     return _straight_line(rows, lambda exprs: f"({''.join(e + ', ' for e in exprs)})")
 
 
-def linear_form(row):
-    """v -> row . v, for a fixed integer covector."""
-    return _straight_line((row,), lambda exprs: exprs[0])
-
-
 def nonnegative_test(rows):
     """v -> whether row . v >= 0 for every row, stopping at the first that
     is negative."""
     return _straight_line(rows, lambda exprs: " and ".join(e + " >= 0" for e in exprs) or "True")
-
-
-def positive_definite_test(n):
-    """u -> whether the n x n integer symmetric matrix whose upper
-    triangle, row by row, is u is positive definite."""
-    size = n * (n + 1) // 2
-    return positive_definite_form([[int(i == j) for j in range(size)] for i in range(size)], n)
 
 
 def positive_definite_form(rows, n):
@@ -212,6 +208,61 @@ def positive_definite_form(rows, n):
                 body.append(f"{a(i, j)} = {update}")
     body.append("return True")
     return _compile(body, values)
+
+
+def orbit_search(gens, inverses, eta, facets):
+    """(start, max_nodes) -> the best-first path by eta . v from start into
+    the closed cone of the facets, as indices into gens (g_k's inverse is
+    gens[inverses[k]]), or None past max_nodes distinct nodes."""
+    dim, count = len(eta), len(gens)
+    _, exprs, values = _expressions([row for g in gens for row in g] + list(facets))
+    inside = " and ".join(e + " >= 0" for e in exprs[count * dim:])
+    coords = "".join(f"x{j}, " for j in range(dim))
+    names = [f"e{k}_{j}" for k in range(count) for j in range(dim)]
+    priority = [" + ".join(f"e{k}_{j}*x{j}" for j in range(dim)) for k in range(count)]
+    steps = "\n".join(
+        f"            {'el' if k else ''}if k == {k}:\n"
+        f"                v = {coords}= {''.join(e + ', ' for e in exprs[k * dim:(k + 1) * dim])}"
+        for k in range(count)
+    )
+    # letter k is not tried from a node its inverse reached: that is the parent
+    pushes = "\n".join(
+        f"            if k != {inverses[k]}:\n"
+        f"                heappush(heap, ({priority[k]}, counter, v, {k}))\n"
+        "                counter += 1"
+        for k in range(count)
+    )
+    starts = "; ".join(f"heappush(heap, ({priority[k]}, {k}, start, {k}))" for k in range(count))
+    source = f"""def build(heappop, heappush, {', '.join([f'k{i}' for i in range(len(values))] + names)}):
+    def search(start, max_nodes):
+        {coords}= start
+        if {inside}:
+            return ()
+        parent = {{start: None}}
+        heap = []
+        {starts}
+        counter, claimed = {count}, 1
+        while heap and claimed < max_nodes:
+            _, _, u, k = heappop(heap)
+            {coords}= u
+{steps}
+            if v in parent:
+                continue
+            parent[v] = u, k
+            if {inside}:
+                break
+{pushes}
+            claimed += 1
+        else:
+            return None
+        path = []
+        while parent[v]:
+            v, k = parent[v]
+            path.append(k)
+        return tuple(path[::-1])
+    return search"""
+    weights = [sum(map(mul, eta, column)) for g in gens for column in zip(*g)]
+    return _builder(source)(heappop, heappush, *values, *weights)
 
 
 def _expressions(rows):

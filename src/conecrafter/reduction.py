@@ -10,8 +10,8 @@ of guessing.
 
 A ``ReductionProblem`` holds one generator table, ``symmetric_generators``:
 each generator and its inverse, deduplicated, with the index of each
-entry's inverse. The compiled steps, the search moves and the one word
-ball (``WORD_LENGTH`` letters, read by both ``find_eta`` and
+entry's inverse. The compiled steps and the one word ball
+(``WORD_LENGTH`` letters, read by both ``find_eta`` and
 ``find_interior_overlap``) are built from it once per problem.
 ``binary_quadratic_problem`` defines the form cone in one place: its
 interior and closure tests, and the check that each generator maps the
@@ -23,15 +23,22 @@ is searched and rechecked once; a repeated sample shares the outcome of
 its first occurrence, and a failure is still listed per occurrence.
 
 The fixed small matrices that verification applies thousands of times are
-compiled once into straight-line functions (``_kernels.linear_map`` and
-its one-row and sign-test forms): each symmetric generator's step, the
-eta order of a search, a domain's closed-membership test and its ray
-combination. Each is built once per problem or cone; its source, which
-depends only on the matrix's shape, is executed once per process, and the
-coefficients are bound per build. A tiling sample is certified apart from
-them: the search returns its path as indices into the symmetric
-generators, and ``verify_tiling`` replays that path on the generators'
-rows through the generic ``_apply``, and tests the end point with
+compiled once per problem or cone (``_kernels.linear_map``,
+``nonnegative_test``): the generators' steps, a domain's closed-membership
+test and its ray combination. A sample's orbit search is one compiled
+function, ``_kernels.orbit_search``, built at the first sample outside the
+domain. It pops the least eta . v first, ties to the entry pushed first,
+and expands lazily: entry (eta . g_k v, counter, v, k) forms g_k v when
+popped, and drops an image already reached, uncounted by ``max_steps``. It
+returns the eager search's path, or None, at every budget: the counter is
+monotone in push order, so ties break alike; two entries for one node
+share a priority, so the first pushed, whose parent the eager search
+records, pops first; so the claimed pops are the eager pops, in order. Eta
+is bound as closure names, so the source does not depend on the seed.
+
+A sample is certified apart from the kernels: ``verify_tiling`` replays
+the search's path, indices into the symmetric generators, on their rows
+through the generic ``_apply`` and tests the end point with
 ``PolyhedralCone.contains``, a plain loop over the facets. Neither shares
 code with any kernel, the compiled products (``_kernels.rows_product``)
 that compose the word ball included, so a compiled step that disagrees
@@ -52,13 +59,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from heapq import heappop, heappush
 from itertools import combinations
 from math import isqrt
 from operator import add, mul
 from typing import Callable, Sequence
 
-from ._kernels import linear_form, linear_map, nonnegative_test
+from ._kernels import linear_map, nonnegative_test, orbit_search
 from .errors import (
     DeskScaleError,
     InternalInvariantError,
@@ -366,20 +372,6 @@ class ReductionProblem:
         return tuple(linear_map(m.rows) for _, m, _ in self.symmetric_generators)
 
     @cached_property
-    def search_moves(self) -> tuple[list, ...]:
-        """The letters an orbit search tries from a node, by the letter
-        that reached it. Entry k leaves out the inverse of symmetric
-        generator k, whose image is the node's parent; the last entry, for
-        the start, keeps every letter. A letter is (index into
-        symmetric_generators, step, the entry for its image)."""
-        gens = self.symmetric_generators
-        moves = tuple([] for _ in range(len(gens) + 1))
-        for came, entry in enumerate(moves):
-            skip = gens[came][2] if came < len(gens) else None
-            entry.extend((k, step, moves[k]) for k, step in enumerate(self.steps) if k != skip)
-        return moves
-
-    @cached_property
     def word_ball(self) -> tuple[tuple[tuple[tuple[str, int], ...], tuple], ...]:
         """All nontrivial group elements reachable by words of length up to
         WORD_LENGTH, one shortest word each, identity excluded, as
@@ -494,53 +486,6 @@ class TilingReport:
         return self.samples > 0 and self.verified == self.samples and not self.failures
 
 
-def _best_first_reduce(
-    problem: ReductionProblem,
-    domain: PolyhedralCone,
-    start: tuple[int, ...],
-    eta_form: Callable[[Sequence], int],
-    max_nodes: int,
-) -> tuple[int, ...] | None:
-    """Search the orbit of start for a point of the domain, expanding the
-    frontier in order of eta_form, the compiled v -> eta . v. Greedy
-    descent plus the bounded uphill that boundary flips need, in one queue.
-    Returns the path from start, in application order, as indices into the
-    problem's symmetric_generators, or None when the budget (at least one
-    node) runs out; a start inside the domain is the empty path.
-
-    Nodes are int tuples, moved by the problem's compiled steps and tested
-    by the domain's compiled closed_test. A node reached by a letter is not
-    moved by that letter's inverse, whose
-    image is the node's parent and so already seen: each queue entry
-    carries the letters to try from it."""
-    inside = domain.closed_test
-    if inside(start):
-        return ()
-    seen = {start}
-    parent: dict[tuple, tuple] = {}
-    heap = [(eta_form(start), 0, start, problem.search_moves[-1])]
-    counter = 1
-    popped = 0
-    while heap and popped < max_nodes:
-        _, _, cur, tries = heappop(heap)
-        popped += 1
-        if inside(cur):
-            path = []
-            while cur in parent:
-                cur, k = parent[cur]
-                path.append(k)
-            return tuple(reversed(path))
-        for k, step, after in tries:
-            nxt = step(cur)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parent[nxt] = (cur, k)
-            heappush(heap, (eta_form(nxt), counter, nxt, after))
-            counter += 1
-    return None
-
-
 def _tiling_samples(
     problem: ReductionProblem,
     domain: PolyhedralCone,
@@ -618,8 +563,8 @@ def verify_tiling(
         if not problem.is_closure(r):
             raise ValidationError("domain_rays", "domain must sit inside the closed cone")
     pts = _tiling_samples(problem, domain, samples, seed)
-    eta_form = linear_form(eta)
     gens = [m.rows for _, m, _ in problem.symmetric_generators]
+    search = None  # built at the first sample outside the domain
     outcomes: dict[tuple, TilingFailure | None] = {}
     verified = 0
     failures = []
@@ -627,7 +572,10 @@ def verify_tiling(
         if pt in outcomes:
             failure = outcomes[pt]
         else:
-            path = _best_first_reduce(problem, domain, pt, eta_form, max_steps)
+            if search is None and not domain.closed_test(pt):
+                inverses = [k for _, _, k in problem.symmetric_generators]
+                search = orbit_search(gens, inverses, eta, domain.facets)
+            path = search(pt, max_steps) if search else ()
             if path is None:
                 failure = TilingFailure(pt, "search budget exhausted")
             else:
@@ -643,9 +591,7 @@ def verify_tiling(
             verified += 1
         else:
             failures.append(failure)
-    return TilingReport(
-        samples=len(pts), verified=verified, eta=eta, failures=tuple(failures)
-    )
+    return TilingReport(len(pts), verified, eta, tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ def positive_definite(rows) -> bool:
     1968) in the given order: the k-th pivot is the k-th leading principal
     minor, so the elimination stops at the first one that is not positive.
     Only the upper triangle of the remaining block is updated. This loop is
-    the reference for the compiled ``_kernels.positive_definite_test``."""
+    the reference for the compiled ``_kernels.positive_definite_form``."""
     a = [list(row) for row in rows]
     n = len(a)
     prev = 1

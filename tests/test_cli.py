@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -520,19 +521,28 @@ def mutated_documents(draw):
     return doc
 
 
+# CPU seconds each command may take on a mutated document; the corpus
+# commands take milliseconds, so only a runaway search comes near it
+FUZZ_CPU_BUDGET = 10.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(mutated_documents())
 def test_mutated_documents_end_in_a_json_report(doc):
     """Every command on a mutated corpus document exits 0, 2, 3, 4 or 5
-    with one JSON object on stdout, never with a traceback; verify runs
-    with a small budget."""
+    with one JSON object on stdout, never with a traceback, within
+    FUZZ_CPU_BUDGET seconds of CPU time; verify runs with a small
+    budget."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
         for run in FUZZ_RUNS:
             out = io.StringIO()
+            start = time.process_time()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = main([run[0], path, *run[1:]])
+            spent = time.process_time() - start
+            assert spent <= FUZZ_CPU_BUDGET, f"{' '.join(run)} took {spent:.1f} s of CPU time"
             assert code in (0, 2, 3, 4, 5), (run, code)
             assert isinstance(json.loads(out.getvalue()), dict)

@@ -578,19 +578,27 @@ def test_no_linear_generator_builds_one_commutant_and_one_lattice(monkeypatch, r
     assert len(built["lattice"]) == lattices
 
 
-@pytest.mark.parametrize("name", ["elliptic_gauss", "bielliptic_z4"])
+@pytest.mark.parametrize("name", ["elliptic_gauss", "bielliptic_z4", "hyperbolic_z8"])
 def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
     """At seed 1003 the 1000 samples of elliptic_gauss hold 36 distinct
     points, drawn from 54 distinct candidates; bielliptic_z4's hold 416,
     from 919. The interior tests are counted through the compiled test
-    build_torus_problem binds as the problem's is_interior."""
+    build_torus_problem binds as the problem's is_interior (hyperbolic_z8
+    tests more candidates than it draws samples).
+
+    The orbit search is compiled at the first distinct sample outside the
+    domain; until then each distinct sample is tested once by the domain's
+    closed_test, after it each is searched once. The two tori without
+    generators have every sample inside and compile no search."""
     sampling = [False]
     tested = []
+    gated = []
     searched = []
     sampled = []
     original_build = pipeline.positive_definite_form
     original_samples = reduction._tiling_samples
-    original_search = reduction._best_first_reduce
+    original_search = reduction.orbit_search
+    original_gate = reduction.PolyhedralCone.closed_test.func
 
     def counted_build(rows, n):
         test = original_build(rows, n)
@@ -611,18 +619,40 @@ def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
         sampled.extend(pts)
         return pts
 
-    def counted_search(problem, domain, start, *args):
-        searched.append(start)
-        return original_search(problem, domain, start, *args)
+    def counted_gate(domain):
+        test = original_gate(domain)
+
+        def gate(start):
+            gated.append(start)
+            return test(start)
+
+        return gate
+
+    def counted_search(*args):
+        search = original_search(*args)
+
+        def counted(start, max_nodes):
+            searched.append(start)
+            return search(start, max_nodes)
+
+        return counted
 
     monkeypatch.setattr(pipeline, "positive_definite_form", counted_build)
     monkeypatch.setattr(reduction, "_tiling_samples", recorded_samples)
-    monkeypatch.setattr(reduction, "_best_first_reduce", counted_search)
+    monkeypatch.setattr(reduction.PolyhedralCone, "closed_test", property(counted_gate))
+    monkeypatch.setattr(reduction, "orbit_search", counted_search)
     report = run_verify(load_corpus(name + ".json"), seed=1003)
     assert report["complete"] and report["verified"] == len(sampled) == 1000
-    assert len(set(sampled)) < len(set(tested)) < 1000
+    assert len(set(sampled)) < len(set(tested))
     assert len(tested) == len(set(tested))
-    assert sorted(searched) == sorted(set(sampled))
+    assert len(tested) < 1000 or name == "hyperbolic_z8"
+    assert len(gated) == len(set(gated)) and len(searched) == len(set(searched))
+    assert set(gated) | set(searched) == set(sampled)
+    if searched:
+        assert gated[-1] == searched[0]
+        assert len(gated) + len(searched) == len(set(sampled)) + 1
+    else:
+        assert name != "hyperbolic_z8"
 
 
 def _count_compiles(monkeypatch):
@@ -639,13 +669,14 @@ def _count_compiles(monkeypatch):
 
 @pytest.mark.parametrize("name", ["p2_minkowski", "hyperbolic_z8"])
 def test_verify_compiles_per_problem_not_per_sample(monkeypatch, name):
-    """Generator steps, the eta priority, the domain's membership test and
-    ray combination, and the torus problem's interior test are compiled
-    once per object: doubling the samples compiles nothing more.
-    linear_map, linear_form, nonnegative_test and positive_definite_form
-    all compile through _compile. The stored problem tests ampleness
-    without a lattice, so only the torus compiles a Sylvester test, and
-    it compiles one: the form map and the elimination in one function."""
+    """Generator steps, the domain's membership test and ray combination,
+    and the torus problem's interior test are compiled once per object:
+    doubling the samples compiles nothing more. linear_map,
+    nonnegative_test and positive_definite_form all compile through
+    _compile; the orbit search goes to _builder itself. The stored
+    problem tests ampleness without a lattice, so only the torus compiles
+    a Sylvester test, and it compiles one: the form map and the
+    elimination in one function."""
     lattices = {"p2_minkowski": 0, "hyperbolic_z8": 1}[name]
     compiled = _count_compiles(monkeypatch)
     eliminations = [0]

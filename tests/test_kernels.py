@@ -162,8 +162,6 @@ def test_linear_map_matches_the_generic_product(case):
     rows, v = case
     want = generic_map(rows, v)
     assert _kernels.linear_map(rows)(v) == want
-    for row, value in zip(rows, want):
-        assert _kernels.linear_form(row)(v) == value
     assert _kernels.nonnegative_test(rows)(v) == all(x >= 0 for x in want)
 
 
@@ -206,7 +204,6 @@ def test_kernels_of_one_shape_keep_their_own_coefficients(case):
     oracles = (
         (_kernels.linear_map, generic_map),
         (_kernels.nonnegative_test, lambda rows, v: all(x >= 0 for x in generic_map(rows, v))),
-        (lambda rows: _kernels.linear_form(rows[0]), lambda rows, v: generic_map(rows[:1], v)[0]),
     )
     for make, oracle in oracles:
         kernels = [make(rows) for rows in (first, second)]
@@ -220,11 +217,11 @@ def test_the_compile_cache_is_bounded():
     source is dropped, and a dropped shape compiles again when built."""
     size = _kernels.COMPILE_CACHE_SIZE
     for width in range(1, size + 20):
-        assert _kernels.linear_form([2] * width)((1,) * width) == 2 * width
+        assert _kernels.linear_map([[2] * width])((1,) * width) == (2 * width,)
     info = _kernels._builder.cache_info()
     assert info.maxsize == size
     assert info.currsize == size
-    assert _kernels.linear_form([2])((5,)) == 10
+    assert _kernels.linear_map([[2]])((5,)) == (10,)
     assert _kernels._builder.cache_info().misses == info.misses + 1
 
 
@@ -351,9 +348,17 @@ def test_no_coefficient_reaches_the_source():
     assert set(names) == {"k0", "k1"}
     assert all(not isinstance(c, int) or abs(c) <= 1 for c in compiled.__code__.co_consts)
     for n in (0, 1, 4, 8):
-        test = _kernels.positive_definite_test(n)
+        test = positive_definite_test(n)
         assert test.__code__.co_freevars == ()
         assert all(not isinstance(c, int) or abs(c) <= 1 for c in test.__code__.co_consts)
+
+
+def positive_definite_test(n):
+    """u -> whether the n x n integer symmetric matrix whose upper
+    triangle, row by row, is u is positive definite: the compiled
+    Sylvester test on the identity map."""
+    size = n * (n + 1) // 2
+    return _kernels.positive_definite_form([[int(i == j) for j in range(size)] for i in range(size)], n)
 
 
 def upper_triangle(m):
@@ -401,12 +406,12 @@ def symmetric_matrices(draw, max_n=8):
 # the previous one (39) truncates 20 * 39 to 0
 @example([[1000, 31, 2, 2], [31, 1, 0, 1], [2, 0, 2, 0], [2, 1, 0, 24]])
 def test_positive_definite_test_matches_the_elimination_loop(m):
-    assert _kernels.positive_definite_test(len(m))(upper_triangle(m)) is positive_definite(m)
+    assert positive_definite_test(len(m))(upper_triangle(m)) is positive_definite(m)
 
 
 def test_positive_definite_test_reaches_both_verdicts_at_every_size():
     for n in range(9):
-        test = _kernels.positive_definite_test(n)
+        test = positive_definite_test(n)
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         assert test(upper_triangle(identity))
         if n:
@@ -418,7 +423,7 @@ def test_positive_definite_test_reaches_both_verdicts_at_every_size():
 
 def test_positive_definite_test_checks_its_input_width():
     with pytest.raises(ValueError):
-        _kernels.positive_definite_test(2)((1, 0))
+        positive_definite_test(2)((1, 0))
 
 
 def _domain(name):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import conecrafter.reduction as reduction
 from conecrafter.errors import DeskScaleError, SearchExhausted, ValidationError
 from conecrafter.matrices import Matrix, primitive_tuple
 from conecrafter.reduction import (
@@ -391,13 +392,19 @@ class TestVerifyTiling:
         assert all(f.reason == "search budget exhausted" for f in report.failures)
 
     def test_replay_catches_a_mismatched_step(self, monkeypatch):
-        """A compiled step that disagrees with its generator's matrix sends
-        the search to points the replay on the matrices does not reach."""
+        """A compiled search whose step for T is N's disagrees with T's
+        matrix: it sends the search to points the replay on the matrices
+        does not reach. Only the rows the search is built from change."""
         prob = binary_quadratic_problem()
         names = [name for name, _, _ in prob.symmetric_generators]
-        steps = list(prob.steps)
-        steps[names.index("T")] = steps[names.index("N")]
-        monkeypatch.setitem(prob.__dict__, "steps", tuple(steps))
+        original = reduction.orbit_search
+
+        def mismatched(gens, *args):
+            gens = list(gens)
+            gens[names.index("T")] = gens[names.index("N")]
+            return original(gens, *args)
+
+        monkeypatch.setattr(reduction, "orbit_search", mismatched)
         report = verify_tiling(prob, minkowski_domain_p2(), samples=200, seed=4)
         assert not report.complete
         assert any(f.reason == "certificate recheck failed" for f in report.failures)

@@ -5,10 +5,12 @@ The reference functions below are the earlier implementations, kept
 verbatim in behaviour: the group closure composes AffineAuto objects
 (with the tests' own affine_compose), the word ball and the tiling search
 compose Matrix objects (the search now returns generator indices, which
-name the same words), the eta search transposes each ball element per
-candidate, the overlap search forms every image of every sample point,
-the sampler tests every candidate for interiority, and the tiling loop
-searches every sample, repeated or not.
+name the same words), the orbit search formed each child of a node when
+the node popped (eager_best_first_reduce; the compiled search forms it
+when the child's entry pops), the eta search transposes each ball
+element per candidate, the overlap search forms every image of every
+sample point, the sampler tests every candidate for interiority, and the
+tiling loop searches every sample, repeated or not.
 The domain's interior samples and a lattice's Hermitian form are formed
 by the generic sums the compiled linear maps replaced, and the samplers
 draw with rng.randint and rng.randrange, which the bound draw on
@@ -43,7 +45,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecrafter._kernels import linear_form
+import conecrafter._kernels as kernels
+from conecrafter._kernels import orbit_search
 from conecrafter.cone import compute_ns, cone_structure, invariant_ns
 from conecrafter.documents import parse_document
 import conecrafter.endo as endo
@@ -77,7 +80,6 @@ from conecrafter.reduction import (
     ReductionProblem,
     TilingFailure,
     TilingReport,
-    _best_first_reduce,
     _tiling_samples,
     binary_quadratic_problem,
     find_eta,
@@ -334,6 +336,41 @@ def reference_best_first_reduce(problem, domain, start, eta, max_nodes):
     return None
 
 
+def eager_best_first_reduce(problem, domain, start, eta, max_nodes):
+    """The orbit search as verify_tiling ran it before the compiled lazy
+    kernel, on int tuples: every child of a popped node is formed and
+    tested for repeats when the node pops, and max_nodes counts pops. A
+    node reached by a letter is not moved by the letter's inverse."""
+    gens = problem.symmetric_generators
+    if domain.contains(start):
+        return ()
+    seen = {start}
+    parent = {}
+    heap = [(_dot(eta, start), 0, start, None)]
+    counter = 1
+    popped = 0
+    while heap and popped < max_nodes:
+        _, _, cur, came = heapq.heappop(heap)
+        popped += 1
+        if domain.contains(cur):
+            path = []
+            while cur in parent:
+                cur, k = parent[cur]
+                path.append(k)
+            return tuple(reversed(path))
+        for k, (_, gmat, _) in enumerate(gens):
+            if came is not None and k == gens[came][2]:
+                continue
+            nxt = _apply_matrix(gmat, cur)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            parent[nxt] = (cur, k)
+            heapq.heappush(heap, (_dot(eta, nxt), counter, nxt, k))
+            counter += 1
+    return None
+
+
 def reference_tiling_samples(problem, domain, count, seed):
     rng = random.Random(seed)
     samples = []
@@ -544,6 +581,47 @@ def test_document_generator_table_and_word_ball(doc):
     _assert_table_and_ball(problem)
 
 
+# every budget up to 8 nodes, where a miscounted or misordered pop shows,
+# and the default
+BUDGETS = (1, 2, 3, 4, 5, 6, 7, 8, 20_000)
+
+
+def _search_kernel(problem, domain, eta):
+    gens = [m.rows for _, m, _ in problem.symmetric_generators]
+    inverses = [k for _, _, k in problem.symmetric_generators]
+    return orbit_search(gens, inverses, eta, domain.facets)
+
+
+@pytest.mark.parametrize("name", PROBLEMS + ["hyperbolic_sector", "p2_letters_N", "p2_letters_ST"])
+def test_search_kernel_matches_the_eager_search(monkeypatch, name):
+    """On every distinct tiling sample at each seed, the compiled lazy
+    search returns the eager search's path, or None, at every budget.
+    The kernels of all five seeds are built first and share one source,
+    so a kernel that kept another seed's eta would show here."""
+    problem, domain = _problem(name)
+    etas = {seed: find_eta(problem, seed=seed) for seed in SEEDS + (31337, 4)}
+    sources = []
+    original = kernels._builder
+
+    def recorded(source):
+        sources.append(source)
+        return original(source)
+
+    monkeypatch.setattr(kernels, "_builder", recorded)
+    searches = {seed: _search_kernel(problem, domain, eta) for seed, eta in etas.items()}
+    assert len(sources) == 5 and len(set(sources)) == 1
+    assert len({search.__code__ for search in searches.values()}) == 1
+    # S and T without N reach the domain from about four fifths of the
+    # samples, each within 16 nodes; the rest exhaust any budget, and at
+    # 20000 nodes they cost the kernel alone about 30 s
+    budgets = BUDGETS[:-1] + (200,) if name == "p2_letters_ST" else BUDGETS
+    for seed in SEEDS:
+        eta, search = etas[seed], searches[seed]
+        for pt in dict.fromkeys(_tiling_samples(problem, domain, 1000, seed)):
+            for budget in budgets:
+                assert search(pt, budget) == eager_best_first_reduce(problem, domain, pt, eta, budget)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", PROBLEMS)
 class TestSearchesMatchTheMatrixVersions:
@@ -552,11 +630,11 @@ class TestSearchesMatchTheMatrixVersions:
         assert find_eta(problem, seed=seed) == reference_find_eta(problem, seed=seed)
 
     def test_best_first_reduce(self, name, seed):
-        """The search returns indices into symmetric_generators; named,
-        they spell the reference's word."""
+        """The compiled search returns indices into symmetric_generators;
+        named, they spell the reference's word, at every budget."""
         problem, domain = _problem(name)
         eta = reference_find_eta(problem, seed=seed)
-        eta_form = linear_form(eta)
+        search = _search_kernel(problem, domain, eta)
         names = [gen_name for gen_name, _, _ in problem.symmetric_generators]
 
         def letters(path):
@@ -566,10 +644,9 @@ class TestSearchesMatchTheMatrixVersions:
             return None if word is None else word.letters
 
         for pt in _tiling_samples(problem, domain, 150, seed):
-            for budget in (20_000, 1, 3):
-                got = _best_first_reduce(problem, domain, pt, eta_form, budget)
+            for budget in BUDGETS:
                 want = reference_best_first_reduce(problem, domain, pt, eta, budget)
-                assert letters(got) == reference_letters(want)
+                assert letters(search(pt, budget)) == reference_letters(want)
 
     def test_find_interior_overlap(self, name, seed):
         problem, domain = _problem(name)

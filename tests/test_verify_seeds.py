@@ -6,8 +6,12 @@ still pass there if it happened to agree on that one stream, so
 `tests/golden/verify_seed_digests.json` holds the sha256 of the stdout of
 `verify` and its exit code on every corpus document that has a domain, at
 `--seed` 42, 7, 1003 and 31337 crossed with `--samples` 1, 7 and 1000
-(the default pair is left to the golden reports). After an intended change,
-rewrite the file with
+(the default pair is left to the golden reports). It also holds `verify`
+at `--max-steps` 1 and 3 on `hyperbolic_z8` and `p2_minkowski` at seeds 42
+and 7 (default samples), where the search budget runs out on some samples:
+which ones, and so the whole failure list, depends on the exact order in
+which the search expands its nodes. After an intended change, rewrite the
+file with
 
     PYTHONPATH=src python tests/test_verify_seeds.py --write
 """
@@ -35,17 +39,27 @@ SETTINGS = [
     if (seed, samples) != (DEFAULT_SEED, DEFAULT_SAMPLES)
 ]
 CASES = [(doc, seed, samples) for doc in DOCUMENTS for seed, samples in SETTINGS]
+BUDGET_CASES = [
+    (doc, seed, DEFAULT_SAMPLES, max_steps)
+    for doc in ("hyperbolic_z8", "p2_minkowski")
+    for seed in (DEFAULT_SEED, 7)
+    for max_steps in (1, 3)
+]
 
 
-def _key(doc: str, seed: int, samples: int) -> str:
-    return f"{doc}.seed{seed}.samples{samples}"
+def _key(doc: str, seed: int, samples: int, max_steps: int | None = None) -> str:
+    budget = "" if max_steps is None else f".max_steps{max_steps}"
+    return f"{doc}.seed{seed}.samples{samples}{budget}"
 
 
-def _digest(doc: str, seed: int, samples: int) -> dict:
+def _digest(doc: str, seed: int, samples: int, max_steps: int | None = None) -> dict:
     path = os.path.normpath(os.path.join(CORPUS, doc + ".json"))
+    args = ["verify", path, "--seed", str(seed), "--samples", str(samples)]
+    if max_steps is not None:
+        args += ["--max-steps", str(max_steps)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["verify", path, "--seed", str(seed), "--samples", str(samples)])
+        code = main(args)
     return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
@@ -55,7 +69,7 @@ def _pinned() -> dict:
 
 
 def test_digest_set_matches_the_settings():
-    assert set(_pinned()) == {_key(*case) for case in CASES}
+    assert set(_pinned()) == {_key(*case) for case in CASES + BUDGET_CASES}
 
 
 def test_each_document_has_a_domain():
@@ -69,8 +83,17 @@ def test_seeded_verify_digest(doc, seed, samples):
     assert _digest(doc, seed, samples) == _pinned()[_key(doc, seed, samples)]
 
 
+@pytest.mark.parametrize("doc,seed,samples,max_steps", BUDGET_CASES, ids=[_key(*case) for case in BUDGET_CASES])
+def test_budget_limited_verify_digest(doc, seed, samples, max_steps):
+    """A budget that runs out fails the samples the search has not reduced
+    within max_steps nodes; the report lists each of them."""
+    pinned = _pinned()[_key(doc, seed, samples, max_steps)]
+    assert _digest(doc, seed, samples, max_steps) == pinned
+    assert pinned["exit"] == 3
+
+
 def _write() -> None:
-    digests = {_key(*case): _digest(*case) for case in CASES}
+    digests = {_key(*case): _digest(*case) for case in CASES + BUDGET_CASES}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(digests, fh, indent=2, sort_keys=True)
         fh.write("\n")
