@@ -1,6 +1,6 @@
 """Integer kernels: compiled matrix products, division-free characteristic
-polynomials, sign evaluations, and compiled linear maps and definiteness
-tests used by the exact linear algebra layer.
+polynomials, sign evaluations, and compiled linear maps, definiteness
+tests and orbit searches used by the exact linear algebra layer.
 
 All functions work on Python big integers, so results are exact at any size.
 
@@ -17,11 +17,10 @@ lists.
 
 A loop that applies one fixed small integer matrix thousands of times pays
 more for the interpreter's generic row-by-row products than for the
-arithmetic. ``linear_map`` and ``nonnegative_test`` turn such a matrix
-into a straight-line Python function, built once with ``exec``: zero terms
-are dropped, +-1 coefficients become plain ``x`` and ``-x``, and every
-other coefficient is bound as a name (``k0``, ``k1``, ...) in the
-function's closure. The source text holds only those names and the
+arithmetic. ``linear_map`` turns such a matrix into a straight-line
+Python function, built once with ``exec``: zero terms are dropped, +-1
+coefficients become plain ``x`` and ``-x``, and every other coefficient
+is bound as a name (``k0``, ``k1``, ...) in the function's closure. The source text holds only those names and the
 variable indices, never a coefficient's digits, so no value reaches the
 source and Python's limit on int-to-str conversion cannot trip. Callers
 build each function once per problem, cone or lattice, and recheck what
@@ -40,7 +39,8 @@ many as it builds.
 ``orbit_search`` is the one kernel with control flow of its own: a tiling
 sample's best-first orbit search, with each generator's step, the
 priorities and the facet test inline (``reduction`` says why its lazy
-expansion is exact). Its rows eta . g_k are the names e0_0, e0_1, ..., so
+expansion is exact). Its first statement is the facet test on the start,
+so it is also the domain's closed-membership test. Its rows eta . g_k are the names e0_0, e0_1, ..., so
 its source is one per problem shape.
 
 ``positive_definite_form(rows, n)`` puts Sylvester's criterion behind
@@ -61,7 +61,7 @@ from operator import mul
 
 BACKEND = "pure"
 # kernel sources kept compiled per process; the six commands on the
-# corpus and mutants build 27 kernels (2 searches) of 21 shapes
+# corpus and mutants build 25 kernels (5 searches) of 19 shapes
 COMPILE_CACHE_SIZE = 256
 # a right factor of k x m entries gets a compiled product kernel when
 # k * m is at most this; a larger one (the rank-32 ladder multiplies
@@ -171,13 +171,8 @@ def sign_variations(signs):
 
 def linear_map(rows):
     """v -> rows @ v as a tuple, for a fixed integer matrix given by rows."""
-    return _straight_line(rows, lambda exprs: f"({''.join(e + ', ' for e in exprs)})")
-
-
-def nonnegative_test(rows):
-    """v -> whether row . v >= 0 for every row, stopping at the first that
-    is negative."""
-    return _straight_line(rows, lambda exprs: " and ".join(e + " >= 0" for e in exprs) or "True")
+    body, exprs, values = _expressions(rows)
+    return _compile(body + [f"return ({''.join(e + ', ' for e in exprs)})"], values)
 
 
 def positive_definite_form(rows, n):
@@ -291,12 +286,6 @@ def _expressions(rows):
         exprs.append(expr or "0")
     unpack = [f"{', '.join(f'x{j}' for j in range(width))}, = v"] if width else []
     return unpack, exprs, values
-
-
-def _straight_line(rows, join):
-    """Compile v -> the expression join makes of the row expressions."""
-    body, exprs, values = _expressions(rows)
-    return _compile(body + [f"return {join(exprs)}"], values)
 
 
 def _compile(body, values):

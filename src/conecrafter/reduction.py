@@ -23,18 +23,20 @@ is searched and rechecked once; a repeated sample shares the outcome of
 its first occurrence, and a failure is still listed per occurrence.
 
 The fixed small matrices that verification applies thousands of times are
-compiled once per problem or cone (``_kernels.linear_map``,
-``nonnegative_test``): the generators' steps, a domain's closed-membership
-test and its ray combination. A sample's orbit search is one compiled
-function, ``_kernels.orbit_search``, built at the first sample outside the
-domain. It pops the least eta . v first, ties to the entry pushed first,
-and expands lazily: entry (eta . g_k v, counter, v, k) forms g_k v when
-popped, and drops an image already reached, uncounted by ``max_steps``. It
-returns the eager search's path, or None, at every budget: the counter is
-monotone in push order, so ties break alike; two entries for one node
-share a priority, so the first pushed, whose parent the eager search
-records, pops first; so the claimed pops are the eager pops, in order. Eta
-is bound as closure names, so the source does not depend on the seed.
+compiled once per problem or cone (``_kernels.linear_map``): the
+generators' steps and a domain's ray combination. A sample's orbit search
+is one compiled function, ``_kernels.orbit_search``, built once per
+verification before the first sample, and called on every distinct
+sample: it tests its start first, and returns the empty path for a start
+in the closed domain. It pops the least eta . v first, ties to the entry
+pushed first, and expands lazily: entry (eta . g_k v, counter, v, k)
+forms g_k v when popped, and drops an image already reached, uncounted by
+``max_steps``. It returns the eager search's path, or None, at every
+budget: the counter is monotone in push order, so ties break alike; two
+entries for one node share a priority, so the first pushed, whose parent
+the eager search records, pops first; so the claimed pops are the eager
+pops, in order. Eta is bound as closure names, so the source does not
+depend on the seed.
 
 A sample is certified apart from the kernels: ``verify_tiling`` replays
 the search's path, indices into the symmetric generators, on their rows
@@ -64,7 +66,7 @@ from math import isqrt
 from operator import add, mul
 from typing import Callable, Sequence
 
-from ._kernels import linear_map, nonnegative_test, orbit_search
+from ._kernels import linear_map, orbit_search
 from .errors import (
     DeskScaleError,
     InternalInvariantError,
@@ -146,11 +148,6 @@ class PolyhedralCone:
             if side < 0 or (strict and not side):
                 return False
         return True
-
-    @cached_property
-    def closed_test(self) -> Callable[[Sequence], bool]:
-        """contains(v) for the closed cone, compiled once per cone."""
-        return nonnegative_test(self.facets)
 
     @cached_property
     def _combine(self) -> Callable[[Sequence], tuple]:
@@ -564,7 +561,8 @@ def verify_tiling(
             raise ValidationError("domain_rays", "domain must sit inside the closed cone")
     pts = _tiling_samples(problem, domain, samples, seed)
     gens = [m.rows for _, m, _ in problem.symmetric_generators]
-    search = None  # built at the first sample outside the domain
+    inverses = [k for _, _, k in problem.symmetric_generators]
+    search = orbit_search(gens, inverses, eta, domain.facets)
     outcomes: dict[tuple, TilingFailure | None] = {}
     verified = 0
     failures = []
@@ -572,10 +570,7 @@ def verify_tiling(
         if pt in outcomes:
             failure = outcomes[pt]
         else:
-            if search is None and not domain.closed_test(pt):
-                inverses = [k for _, _, k in problem.symmetric_generators]
-                search = orbit_search(gens, inverses, eta, domain.facets)
-            path = search(pt, max_steps) if search else ()
+            path = search(pt, max_steps)
             if path is None:
                 failure = TilingFailure(pt, "search budget exhausted")
             else:

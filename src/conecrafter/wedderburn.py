@@ -23,9 +23,9 @@ Two shapes skip work that the general route would spend on identities:
     commutative    the algebra is its own center (endo.center_basis), so
                    the cuts of its basis give the center's counts too
     simple         the only central idempotent is I, so there is no
-                   Lagrange product, no idempotent check, and a factor's
-                   cut is the basis itself, whose forms and their lattice
-                   are the algebra's (EndoAlgebra.form_lattice)
+                   q(z) + m(z) to invert, no idempotent check, and a
+                   factor's cut is the basis itself, whose forms and
+                   their lattice are the algebra's (EndoAlgebra.form_lattice)
 """
 
 from __future__ import annotations
@@ -38,12 +38,7 @@ from typing import Sequence
 from .endo import EndoAlgebra, form_vectors
 from .errors import InternalInvariantError, ValidationError
 from .matrices import Matrix, span_lattice
-from .polynomials import (
-    Polynomial,
-    count_real_roots,
-    factor_squarefree_small,
-    poly_xgcd,
-)
+from .polynomials import Polynomial, count_real_roots, factor_squarefree_small
 
 # (kind, s, fixed dimension f of size n) with d = s * n^2, per the table above
 KINDS = (
@@ -155,28 +150,30 @@ def central_idempotents(algebra: EndoAlgebra) -> list[tuple[Matrix, Polynomial]]
         raise InternalInvariantError("center factorization lost degree")
     if len(irreducibles) == 1:
         return [(Matrix.identity(algebra.rank), irreducibles[0])]
-    # e_i = L_i(z) for the Lagrange polynomial L_i of degree < k: one
-    # product of the coefficient rows with the stacked powers of z, whose
-    # denominators it clears once
+    # e_i = q_i(z) @ (q_i(z) + m_i(z))^-1 for q_i = mu / m_i: on the i-th
+    # summand m_i(z) is 0 and q_i(z) invertible, on every other q_i(z) is
+    # 0 and m_i(z) invertible, so the sum is invertible exactly when the
+    # factors are coprime. Both have degree below k: one product of their
+    # coefficient rows with the stacked powers of z evaluates them all
     n, k = algebra.rank, mu.degree
     powers = [Matrix.identity(n)]
     for _ in range(k - 1):
         powers.append(powers[-1] @ z)
-    lagranges = []
+    rows = []
     for m_i in irreducibles:
         q_i = mu // m_i
-        g, u, _ = poly_xgcd(q_i, m_i)
-        if g.degree != 0:
-            raise InternalInvariantError("center factors must be pairwise coprime")
-        # poly_xgcd's u has degree below deg m_i, so u * q_i is reduced mod mu
-        coeffs = (u * q_i).coeffs
-        lagranges.append(coeffs + (0,) * (k - len(coeffs)))
+        for p in (q_i, q_i + m_i):
+            rows.append(p.coeffs + (0,) * (k - len(p.coeffs)))
     stacked = Matrix.trusted(tuple(tuple(p.flat()) for p in powers))
-    flats = Matrix.trusted(tuple(lagranges)) @ stacked
-    out = [
-        (Matrix.trusted(tuple(row[i:i + n] for i in range(0, n * n, n))), m_i)
-        for row, m_i in zip(flats.rows, irreducibles)
-    ]
+    flats = (Matrix.trusted(tuple(rows)) @ stacked).rows
+    values = [Matrix.trusted(tuple(row[i:i + n] for i in range(0, n * n, n))) for row in flats]
+    out = []
+    for q_z, sum_z, m_i in zip(values[::2], values[1::2], irreducibles):
+        try:
+            inverse = sum_z.inverse()
+        except ValueError:
+            raise InternalInvariantError("center factors must be pairwise coprime") from None
+        out.append((q_z @ inverse, m_i))
     total = Matrix.zeros(n, n)
     for e_i, _ in out:
         if (e_i @ e_i) != e_i:

@@ -188,7 +188,8 @@ def reference_sturm_chain(p: Polynomial, squarefree_part: bool = True) -> list[l
 
 def reference_poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """Extended Euclid on Fraction polynomials: (g, u, v) with u*a + v*b = g
-    and g monic. The reference for ``poly_xgcd``."""
+    and g monic, the source of reference_central_idempotents' Lagrange
+    polynomials."""
     r0, r1 = a, b
     s0, s1 = Polynomial([1]), Polynomial([])
     t0, t1 = Polynomial([]), Polynomial([1])
@@ -400,12 +401,13 @@ def reference_center_basis(algebra):
 
 
 def reference_central_idempotents(algebra, center):
-    """e_i = L_i(z) for the Lagrange polynomial of each irreducible factor
-    of the primitive element's minimal polynomial, one power product per
-    idempotent, each checked idempotent, fixed, orthogonal, and summing
-    to I, whatever the number of factors."""
+    """e_i = L_i(z) for the Lagrange polynomial u_i * q_i of each
+    irreducible factor m_i of the primitive element's minimal polynomial,
+    u_i from extended Euclid on Fractions (reference_poly_xgcd), one power
+    product per idempotent, each checked idempotent, fixed, orthogonal,
+    and summing to I, whatever the number of factors."""
     from conecrafter.endo import rosati
-    from conecrafter.polynomials import factor_squarefree_small, poly_xgcd
+    from conecrafter.polynomials import factor_squarefree_small
     from conecrafter.wedderburn import primitive_center_element
 
     z, mu = primitive_center_element(algebra, center)
@@ -413,7 +415,7 @@ def reference_central_idempotents(algebra, center):
     out = []
     for m_i in factor_squarefree_small(mu):
         q_i = mu // m_i
-        g, u, _ = poly_xgcd(q_i, m_i)
+        g, u, _ = reference_poly_xgcd(q_i, m_i)
         assert g.degree == 0
         e, power = Matrix.zeros(n, n), Matrix.identity(n)
         for c in (u * q_i).coeffs:

@@ -10,7 +10,7 @@ stacked product for the basis), the forms of an algebra's basis (one
 stacked product, shared by its decomposition and its form lattice, and
 reduced once).
 Decomposing an algebra takes no Fraction gcd, and a single factor takes
-no Lagrange polynomial, coordinates or Hermite normal form.
+no inversion for its idempotent, coordinates or Hermite normal form.
 Structures a command does not read are not built: the form lattices for
 endo, the full one for funddom, a Matrix per tiling sample for verify,
 the full endomorphism algebra for every command but endo and those that
@@ -197,11 +197,12 @@ def test_commutative_algebra_is_its_own_center(monkeypatch, name):
     ("elliptic_gauss", 1), ("hyperbolic_z8", 1), ("product_gauss_squared", 1), ("bielliptic_z4", 2),
 ])
 def test_a_single_factor_splits_at_the_identity(monkeypatch, name, factors):
-    """A single factor's idempotent is I: central_idempotents takes no
-    Lagrange polynomial (poly_xgcd), and cone_structure takes no
-    coordinates, matrix_of or Hermite normal form for its piece, which is
-    the whole lattice. bielliptic_z4's two factors take one Lagrange
-    polynomial and one HNF each, and the coordinates of each fixed form."""
+    """A single factor's idempotent is I: central_idempotents inverts no
+    q(z) + m(z), and cone_structure takes no coordinates, matrix_of or
+    Hermite normal form for its piece, which is the whole lattice.
+    bielliptic_z4's two factors take one inversion and one HNF each, and
+    the coordinates of each fixed form; the first coordinates build the
+    lattice's solver, which inverts its pivot block once."""
     calls = []
 
     def counting(owner, attr):
@@ -214,15 +215,17 @@ def test_a_single_factor_splits_at_the_identity(monkeypatch, name, factors):
         monkeypatch.setattr(owner, attr, counted)
 
     ctx = prepare_torus(load_corpus(name + ".json"))
-    counting(wedderburn, "poly_xgcd")
+    counting(wedderburn.Matrix, "inverse")
     counting(cone, "hermite_normal_form")
     counting(cone.NSLattice, "matrix_of")
     counting(cone.NSLattice, "coordinates")
     structure = cone.cone_structure(ctx.invariant_torus, ctx.group)
     assert len(structure.factors) == factors
-    want = [] if factors == 1 else ["poly_xgcd"] * factors + [
+    want = [] if factors == 1 else ["inverse"] * factors + [
         name for fc in structure.factors for name in ["coordinates"] * fc.ns_dim + ["hermite_normal_form"]
     ]
+    if want:
+        want.insert(factors + 1, "inverse")
     assert calls == want
 
 
@@ -586,19 +589,18 @@ def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
     build_torus_problem binds as the problem's is_interior (hyperbolic_z8
     tests more candidates than it draws samples).
 
-    The orbit search is compiled at the first distinct sample outside the
-    domain; until then each distinct sample is tested once by the domain's
-    closed_test, after it each is searched once. The two tori without
-    generators have every sample inside and compile no search."""
+    The orbit search is compiled once, before the first sample, and each
+    distinct sample is searched once: a start inside the domain returns
+    the empty path at the search's first test, so nothing gates it. The
+    two tori without generators build a search with no letters."""
     sampling = [False]
     tested = []
-    gated = []
+    built = []
     searched = []
     sampled = []
     original_build = pipeline.positive_definite_form
     original_samples = reduction._tiling_samples
     original_search = reduction.orbit_search
-    original_gate = reduction.PolyhedralCone.closed_test.func
 
     def counted_build(rows, n):
         test = original_build(rows, n)
@@ -619,17 +621,9 @@ def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
         sampled.extend(pts)
         return pts
 
-    def counted_gate(domain):
-        test = original_gate(domain)
-
-        def gate(start):
-            gated.append(start)
-            return test(start)
-
-        return gate
-
-    def counted_search(*args):
-        search = original_search(*args)
+    def counted_search(gens, *args):
+        built.append(len(gens))
+        search = original_search(gens, *args)
 
         def counted(start, max_nodes):
             searched.append(start)
@@ -639,20 +633,14 @@ def test_verify_tests_and_searches_each_point_once(monkeypatch, name):
 
     monkeypatch.setattr(pipeline, "positive_definite_form", counted_build)
     monkeypatch.setattr(reduction, "_tiling_samples", recorded_samples)
-    monkeypatch.setattr(reduction.PolyhedralCone, "closed_test", property(counted_gate))
     monkeypatch.setattr(reduction, "orbit_search", counted_search)
     report = run_verify(load_corpus(name + ".json"), seed=1003)
     assert report["complete"] and report["verified"] == len(sampled) == 1000
     assert len(set(sampled)) < len(set(tested))
     assert len(tested) == len(set(tested))
     assert len(tested) < 1000 or name == "hyperbolic_z8"
-    assert len(gated) == len(set(gated)) and len(searched) == len(set(searched))
-    assert set(gated) | set(searched) == set(sampled)
-    if searched:
-        assert gated[-1] == searched[0]
-        assert len(gated) + len(searched) == len(set(sampled)) + 1
-    else:
-        assert name != "hyperbolic_z8"
+    assert len(built) == 1 and (built[0] > 0) == (name == "hyperbolic_z8")
+    assert searched == list(dict.fromkeys(sampled))
 
 
 def _count_compiles(monkeypatch):
@@ -669,14 +657,13 @@ def _count_compiles(monkeypatch):
 
 @pytest.mark.parametrize("name", ["p2_minkowski", "hyperbolic_z8"])
 def test_verify_compiles_per_problem_not_per_sample(monkeypatch, name):
-    """Generator steps, the domain's membership test and ray combination,
-    and the torus problem's interior test are compiled once per object:
-    doubling the samples compiles nothing more. linear_map,
-    nonnegative_test and positive_definite_form all compile through
-    _compile; the orbit search goes to _builder itself. The stored
-    problem tests ampleness without a lattice, so only the torus compiles
-    a Sylvester test, and it compiles one: the form map and the
-    elimination in one function."""
+    """Generator steps, the domain's ray combination and the torus
+    problem's interior test are compiled once per object: doubling the
+    samples compiles nothing more. linear_map and positive_definite_form
+    compile through _compile; the orbit search goes to _builder itself.
+    The stored problem tests ampleness without a lattice, so only the
+    torus compiles a Sylvester test, and it compiles one: the form map and
+    the elimination in one function."""
     lattices = {"p2_minkowski": 0, "hyperbolic_z8": 1}[name]
     compiled = _count_compiles(monkeypatch)
     eliminations = [0]

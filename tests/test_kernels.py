@@ -14,8 +14,13 @@ from hypothesis import strategies as st
 
 from conecrafter import _kernels
 from conecrafter.matrices import Matrix
-from conecrafter.pipeline import build_domain, prepare_torus
-from conecrafter.reduction import PolyhedralCone, hyperbolic_domain
+from conecrafter.pipeline import (
+    _problem_domain,
+    build_domain,
+    build_torus_problem,
+    prepare_torus,
+)
+from conecrafter.reduction import find_eta, hyperbolic_domain
 
 from conftest import load_corpus, positive_definite
 
@@ -154,6 +159,16 @@ def matrices_and_vectors(draw, max_rows=4, max_cols=4):
     return rows, v
 
 
+def closed_search(rows):
+    """The orbit search with no letters: its facet test alone, which
+    returns () for a start in the closed cone of the rows, else None."""
+    return _kernels.orbit_search([], [], (0,) * len(rows[0]), rows)
+
+
+def in_closed_cone(rows, v):
+    return () if all(x >= 0 for x in generic_map(rows, v)) else None
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices_and_vectors())
 @example(([[0, 0], [1, -1]], (HUGE, -HUGE)))
@@ -162,7 +177,7 @@ def test_linear_map_matches_the_generic_product(case):
     rows, v = case
     want = generic_map(rows, v)
     assert _kernels.linear_map(rows)(v) == want
-    assert _kernels.nonnegative_test(rows)(v) == all(x >= 0 for x in want)
+    assert closed_search(rows)(v, 1) == in_closed_cone(rows, v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,15 +216,12 @@ def test_kernels_of_one_shape_keep_their_own_coefficients(case):
     coefficients: a compile cache that handed the second the first's
     kernel gives the first's products."""
     first, second, vectors = case
-    oracles = (
-        (_kernels.linear_map, generic_map),
-        (_kernels.nonnegative_test, lambda rows, v: all(x >= 0 for x in generic_map(rows, v))),
-    )
-    for make, oracle in oracles:
+    oracles = ((_kernels.linear_map, generic_map, ()), (closed_search, in_closed_cone, (1,)))
+    for make, oracle, budget in oracles:
         kernels = [make(rows) for rows in (first, second)]
         assert kernels[0].__code__ is kernels[1].__code__
         for rows, kernel in zip((first, second), kernels):
-            assert [kernel(v) for v in vectors] == [oracle(rows, v) for v in vectors]
+            assert [kernel(v, *budget) for v in vectors] == [oracle(rows, v) for v in vectors]
 
 
 def test_the_compile_cache_is_bounded():
@@ -426,22 +438,35 @@ def test_positive_definite_test_checks_its_input_width():
         positive_definite_test(2)((1, 0))
 
 
-def _domain(name):
-    if name == "p2_minkowski":
-        return PolyhedralCone.from_rays(load_corpus("p2_minkowski.json").domain_rays)
+def _search(name):
+    """A domain and the orbit search verify builds on it: the problem's
+    generators and eta for a corpus document, no letters for the sector."""
     if name == "hyperbolic_sector":
-        return hyperbolic_domain(Matrix([[3, 2], [4, 3]]), (0, 1))
-    return build_domain(prepare_torus(load_corpus(name + ".json"))).domain
+        domain = hyperbolic_domain(Matrix([[3, 2], [4, 3]]), (0, 1))
+        return domain, _kernels.orbit_search([], [], (0, 0), domain.facets)
+    doc = load_corpus(name + ".json")
+    if name == "p2_minkowski":
+        problem, domain = _problem_domain(doc)
+    else:
+        ctx = prepare_torus(doc)
+        built = build_domain(ctx)
+        problem, domain = build_torus_problem(ctx, built), built.domain
+    gens = [m.rows for _, m, _ in problem.symmetric_generators]
+    inverses = [k for _, _, k in problem.symmetric_generators]
+    return domain, _kernels.orbit_search(gens, inverses, find_eta(problem), domain.facets)
 
 
 @pytest.mark.parametrize("name", [
     "p2_minkowski", "elliptic_gauss", "bielliptic_z4", "hyperbolic_z8", "hyperbolic_sector",
 ])
 def test_closed_test_matches_contains(name):
-    domain = _domain(name)
+    """The search's first test is the closed domain's membership: it
+    returns () exactly for a start that contains holds for, and a start
+    outside spends the one node of its budget and returns None."""
+    domain, search = _search(name)
     rng = random.Random(name)
     points = [tuple(rng.randint(-9, 9) for _ in range(domain.dim)) for _ in range(400)]
     points += list(domain.rays) + [tuple(0 for _ in range(domain.dim))]
     verdicts = [domain.contains(p) for p in points]
-    assert [domain.closed_test(p) for p in points] == verdicts
+    assert [search(p, 1) for p in points] == [() if inside else None for inside in verdicts]
     assert True in verdicts and False in verdicts

@@ -24,7 +24,6 @@ from conecrafter.polynomials import (
     char_poly,
     count_real_roots,
     factor_squarefree_small,
-    poly_xgcd,
     sturm_chain,
 )
 
@@ -33,7 +32,6 @@ from conftest import (
     ei_power_data,
     evaluate,
     evaluate_matrix,
-    reference_poly_xgcd,
     reference_sturm_chain,
     transported_data,
 )
@@ -581,13 +579,13 @@ _RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=5)
 
 
 @st.composite
-def rational_polynomials(draw, allow_zero=False):
+def rational_polynomials(draw):
     """Rational polynomials of degree <= 10: a random part times x^z and a
     power f^k of a small factor, so that roots at 0 and repeated factors
     come up often."""
     p = Polynomial(draw(st.lists(_RATIONALS, min_size=1, max_size=5)))
     if p.is_zero:
-        return p if allow_zero else Polynomial([draw(_RATIONALS.filter(bool))])
+        return Polynomial([draw(_RATIONALS.filter(bool))])
     p = p * Polynomial([0] * draw(st.integers(0, 2)) + [1])
     f = Polynomial(draw(st.lists(_RATIONALS, min_size=2, max_size=3)))
     for _ in range(draw(st.integers(0, 3))):
@@ -598,7 +596,7 @@ def rational_polynomials(draw, allow_zero=False):
 
 
 class TestIntegerRemainderSequence:
-    """The Sturm chain and the extended gcd run on primitive integer
+    """The Sturm chain and the squarefree test run on primitive integer
     remainder sequences; each must equal Euclid's algorithm on Fractions."""
 
     @settings(max_examples=300, deadline=None)
@@ -606,17 +604,6 @@ class TestIntegerRemainderSequence:
     def test_sturm_chain_matches_fraction_chain(self, p):
         for squarefree_part in (True, False):
             assert sturm_chain(p, squarefree_part) == reference_sturm_chain(p, squarefree_part)
-
-    @settings(max_examples=300, deadline=None)
-    @given(rational_polynomials(allow_zero=True), rational_polynomials(allow_zero=True))
-    def test_xgcd_matches_fraction_xgcd(self, a, b):
-        g, u, v = poly_xgcd(a, b)
-        assert (g, u, v) == reference_poly_xgcd(a, b)
-        assert u * a + v * b == g
-        if not a.is_zero and not b.is_zero:
-            assert g.leading == 1
-            assert u.degree < max(b.degree - g.degree, 1)
-            assert v.degree < max(a.degree - g.degree, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(rational_polynomials())
@@ -638,19 +625,3 @@ class TestIntegerRemainderSequence:
         assert sturm_chain(p, squarefree_part=False)[-1] == [0, 1, -2, 1]
         assert len(sturm_chain(p)[-1]) == 1
         assert sturm_chain(p) == reference_sturm_chain(p)
-
-
-class TestXgcd:
-    def test_bezout_identity(self):
-        rng = random.Random(13)
-        for _ in range(30):
-            a = Polynomial([rng.randrange(-4, 5) for _ in range(rng.randrange(1, 5))] + [1])
-            b = Polynomial([rng.randrange(-4, 5) for _ in range(rng.randrange(1, 5))] + [1])
-            g, u, v = poly_xgcd(a, b)
-            assert (u * a + v * b).monic().coeffs == g.monic().coeffs
-
-    def test_coprime_gives_unit(self):
-        g, u, v = poly_xgcd(Polynomial([-1, 1]), Polynomial([1, 1]))
-        assert g.degree == 0
-        lhs = u * Polynomial([-1, 1]) + v * Polynomial([1, 1])
-        assert lhs.coeffs == g.coeffs

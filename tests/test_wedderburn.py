@@ -14,7 +14,7 @@ from conecrafter.wedderburn import (
     minimal_polynomial,
 )
 
-from conftest import block_diag, evaluate_matrix, load_corpus
+from conftest import block_diag, evaluate_matrix, load_corpus, reference_central_idempotents
 
 
 def ctx_for(name):
@@ -138,6 +138,20 @@ class TestCentralIdempotents:
             assert (b @ a).is_zero
         assert total == Matrix.identity(t.rank)
 
+    @pytest.mark.parametrize("name", [
+        "elliptic_gauss", "elliptic_rational_j", "product_gauss_squared", "bielliptic_z4", "hyperbolic_z8",
+    ])
+    @pytest.mark.parametrize("invariant", [False, True], ids=["full", "invariant"])
+    def test_matches_the_lagrange_polynomials(self, name, invariant):
+        """q_i(z) @ (q_i(z) + m_i(z))^-1 is L_i(z) for the Lagrange
+        polynomial L_i = u_i * q_i that extended Euclid on Fractions gives,
+        factor by factor and in the same order, on the full and the
+        invariant algebra of each corpus torus."""
+        ctx = ctx_for(name)
+        t = ctx.invariant_torus
+        alg = invariant_subalgebra(t, ctx.group) if invariant else compute_end(t)
+        assert central_idempotents(alg) == reference_central_idempotents(alg, alg.center)
+
     def test_idempotents_are_central(self):
         ctx = ctx_for("bielliptic_z4")
         alg = invariant_subalgebra(ctx.invariant_torus, ctx.group)
@@ -155,6 +169,27 @@ class TestCentralIdempotents:
             lambda algebra, center: (Matrix.identity(algebra.rank), repeated),
         )
         with pytest.raises(InternalInvariantError, match="must be squarefree"):
+            central_idempotents(alg)
+
+    @pytest.mark.parametrize("use_j,mu,factors,message", [
+        (False, [1, -2, 1], [[-1, 1], [-1, 1]], "pairwise coprime"),
+        (True, [1, 0, 1], [[-1, 1], [1, 1]], "not idempotent"),
+    ], ids=["shared_factor", "factors_of_another_polynomial"])
+    def test_broken_factors_are_internal_errors(self, monkeypatch, use_j, mu, factors, message):
+        """z = I with mu = (x - 1)^2 factored as x - 1 twice: q(z) + m(z)
+        is 0, so it has no inverse. z = J with mu = x^2 + 1 factored as
+        x - 1 and x + 1: q = x + 1 gives e = (J + I) @ (2J)^-1 = (I - J)/2,
+        and e @ e = -J/2 is not e."""
+        t = ctx_for("elliptic_gauss").invariant_torus
+        alg = compute_end(t)
+        z = t.j if use_j else Matrix.identity(alg.rank)
+        monkeypatch.setattr(
+            wedderburn, "primitive_center_element", lambda algebra, center: (z, Polynomial(mu))
+        )
+        monkeypatch.setattr(
+            wedderburn, "factor_squarefree_small", lambda p: [Polynomial(f) for f in factors]
+        )
+        with pytest.raises(InternalInvariantError, match=message):
             central_idempotents(alg)
 
 
