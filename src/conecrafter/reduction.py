@@ -4,23 +4,23 @@ positive cones, with exact certificates.
 Everything here is integer or rational arithmetic: cones carry explicit
 facet normals, form reductions return words in named generators whose
 product is rechecked against the claimed output, and tiling verification
-is a semi-decision procedure that replays each sample's search path on the
-generators' matrices and reports every sample it could not reduce instead
-of guessing.
+is a semi-decision procedure that rechecks each sample's search path on
+the generators' matrices and reports every sample it could not reduce
+instead of guessing.
 
 A ``ReductionProblem`` holds one generator table, ``symmetric_generators``:
 each generator and its inverse, deduplicated, with the index of each
 entry's inverse. The compiled steps and the one word ball
-(``WORD_LENGTH`` letters, read by both ``find_eta`` and
-``find_interior_overlap``) are built from it once per problem.
+(``WORD_LENGTH`` letters, read with its transposes by both ``find_eta``
+and ``find_interior_overlap``) are built from it once per problem.
 ``binary_quadratic_problem`` defines the form cone in one place: its
 interior and closure tests, and the check that each generator maps the
 cone onto itself.
 
 Samples repeat (random words often land on the same point), so each
 distinct point is tested for interiority once, and each distinct sample
-is searched and rechecked once; a repeated sample shares the outcome of
-its first occurrence, and a failure is still listed per occurrence.
+is searched and rechecked once: occurrences are counted first, and a
+failure is still listed per occurrence, in sample order.
 
 The fixed small matrices that verification applies thousands of times are
 compiled once per problem or cone (``_kernels.linear_map``): the
@@ -38,27 +38,42 @@ the eager search records, pops first; so the claimed pops are the eager
 pops, in order. Eta is bound as closure names, so the source does not
 depend on the seed.
 
-A sample is certified apart from the kernels: ``verify_tiling`` replays
-the search's path, indices into the symmetric generators, on their rows
-through the generic ``_apply`` and tests the end point with
-``PolyhedralCone.contains``, a plain loop over the facets. Neither shares
+A sample is certified apart from the kernels. The search returns a path
+k1, ..., kL of indices into the symmetric generators, and the sample v
+reduces into the domain when g_kL ... g_k1 v is on the inner side of
+every facet f, that is when (f . g_kL ... g_k1) . v >= 0. ``verify_tiling``
+tests v against these pulled-back facets. Those of a path are the ones of
+its suffix k2, ..., kL times g_k1, so they are formed once per distinct
+suffix, by the generic ``_apply`` on the transposed rows of the
+generators' matrices; random samples share few paths (about 80 over the
+1000 samples of ``p2_minkowski``). Neither this nor the facet test shares
 code with any kernel, the compiled products (``_kernels.rows_product``)
 that compose the word ball included, so a compiled step that disagrees
 with its matrix shows as a failed recheck. The image of an overlap
-witness under its word's matrix is rechecked the same way.
+witness under its word's matrix is rechecked with
+``PolyhedralCone.contains``.
 
-The samplers (``_tiling_samples`` and ``PolyhedralCone.interior_samples``)
-draw each value inline from ``rng.getrandbits`` by the rejection rule of
-CPython's ``randrange``: k = bit_length(width) bits per try, values >=
-width rejected. So they read the same bits from the stream and return the
-same values as ``rng.randint`` would, without the argument checks and the
-three calls it makes per value: every sample list is the one ``randint``
-gives, and no report depends on which of the two drew it.
+Every random value is the one ``rng.randint`` would give, from the same
+bits of the stream, without the argument checks and the three calls it
+makes per value; so no sample list, eta or report depends on how a value
+was drawn. randint(a, b) draws r = getrandbits(k), k = bit_length(width)
+for width = b - a + 1, until r < width, and returns a + r (randrange(n)
+is the case a = 0). The scattered points, word lengths and letters of
+``_tiling_samples`` and ``find_eta``'s offsets follow that rule inline. ``PolyhedralCone.interior_samples``
+reads its coefficients, each randint(1, 9), in bulk: getrandbits(32 n)
+returns n outputs of the generator as little-endian 32-bit words, and
+getrandbits(4) is the top 4 bits of one output, the high nibble of its
+top byte b. That nibble is below 9 exactly when b < 144, so a
+``bytes.translate`` of the top bytes that deletes 144-255 and maps b to
+1 + (b >> 4) gives the values in order. Each read takes one output per
+value still missing, so the reads end on the output that gives the last
+value, as randint's would.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations
@@ -78,6 +93,10 @@ from .matrices import Matrix, integer_kernel_matrix, primitive_tuple, rows_produ
 MAX_CONE_DIM = 4
 # the length of the word ball that find_eta and find_interior_overlap search
 WORD_LENGTH = 4
+# randint(1, 9) on one 32-bit output: its top 4 bits r, kept when r < 9, give
+# 1 + r; so a top byte b < 144 gives 1 + (b >> 4), and b >= 144 is rejected
+_COEFFICIENT_OF_TOP_BYTE = bytes([1 + (b >> 4) for b in range(144)] + [0] * 112)
+_REJECTED_TOP_BYTES = bytes(range(144, 256))
 
 
 def _dot(u: Sequence, v: Sequence):
@@ -156,19 +175,20 @@ class PolyhedralCone:
 
     def interior_samples(self, count: int, seed: int) -> list[tuple[int, ...]]:
         """Deterministic strictly interior lattice points: positive random
-        combinations of the rays, each coefficient rng.randint(1, 9)."""
+        combinations of the rays, each coefficient rng.randint(1, 9),
+        read in bulk (the module docstring says why they are equal)."""
         getrandbits = random.Random(seed).getrandbits
+        rays = len(self.rays)
+        needed = count * rays
+        coefficients = b""
+        while len(coefficients) < needed:
+            # one output per value still needed; each rejected one leaves a
+            # shortfall that the next read tops up
+            n = needed - len(coefficients)
+            top = getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
+            coefficients += top.translate(_COEFFICIENT_OF_TOP_BYTE, _REJECTED_TOP_BYTES)
         combine = self._combine
-        samples = []
-        for _ in range(count):
-            coefficients = []
-            for _ in self.rays:
-                r = getrandbits(4)
-                while r >= 9:
-                    r = getrandbits(4)
-                coefficients.append(1 + r)
-            samples.append(combine(coefficients))
-        return samples
+        return [combine(coefficients[i:i + rays]) for i in range(0, needed, rays)]
 
 
 @dataclass(frozen=True)
@@ -392,6 +412,12 @@ class ReductionProblem:
             frontier = nxt
         return tuple(found)
 
+    @cached_property
+    def word_ball_transposes(self) -> tuple[tuple, ...]:
+        """The transpose of each word_ball element, as row tuples, in the
+        same order: eta . M is M.T @ eta, and f . M is M.T @ f."""
+        return tuple(tuple(zip(*rows)) for _, rows in self.word_ball)
+
 
 def binary_quadratic_problem(generators: Sequence[tuple[str, Matrix]] = ()) -> ReductionProblem:
     """Unimodular changes of variable acting on positive definite binary
@@ -438,24 +464,41 @@ def find_eta(
 
     Candidates are pairings against interior lattice points, which makes
     cone positivity exact; genericity is enforced against the word ball.
+    The candidate point's offsets are rng.randint(-scale, scale), drawn
+    inline; a point drawn again is rejected again, so each distinct point
+    is tested once.
     """
-    transposes = [tuple(zip(*rows)) for _, rows in problem.word_ball]
+    transposes = problem.word_ball_transposes
     pairing = problem.pairing.rows
-    rng = random.Random(seed)
+    is_interior = problem.is_interior
+    getrandbits = random.Random(seed).getrandbits
     base = problem.base_point
+    tested = set()
     tried = 0
     scale = 1
+    width = 2 * scale + 1  # randint(-scale, scale) = r - scale, r < width
+    bits = width.bit_length()
     while tried < max_candidates:
         tried += 1
-        pt = tuple(
-            scale * x + rng.randint(-scale, scale) for x in base
-        )
+        coords = []
+        for x in base:
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            coords.append(scale * x - scale + r)
+        pt = tuple(coords)
         if tried % 50 == 0:
             scale += 1
-        if not problem.is_interior(pt):
+            width = 2 * scale + 1
+            bits = width.bit_length()
+        if pt in tested:
+            continue
+        tested.add(pt)
+        if not is_interior(pt):
             continue
         eta = primitive_tuple(_apply(pairing, pt))
-        if any(_apply(t, eta) == eta for t in transposes):
+        first = eta[0]
+        if any(_dot(t[0], eta) == first and _apply(t, eta) == eta for t in transposes):
             continue
         return eta
     raise SearchExhausted(
@@ -550,43 +593,47 @@ def verify_tiling(
     eta: tuple[int, ...] | None = None,
 ) -> TilingReport:
     """Semi-decision that the domain tiles the cone under the group: every
-    sampled interior point must reduce into the domain along a path that,
-    replayed on the generators' matrices, ends in the domain. Failures are
-    reported, never silently dropped: one entry per occurrence, though each
-    distinct point is searched once."""
+    sampled interior point must reduce into the domain along a path whose
+    word, applied on the generators' matrices, ends in the domain.
+    Failures are reported, never silently dropped: one entry per
+    occurrence, though each distinct point is searched once. A path is
+    rechecked on the domain's facets pulled back through its word (the
+    module docstring says how)."""
     if eta is None:
         eta = find_eta(problem, seed=seed)
     for r in domain.rays:
         if not problem.is_closure(r):
             raise ValidationError("domain_rays", "domain must sit inside the closed cone")
     pts = _tiling_samples(problem, domain, samples, seed)
-    gens = [m.rows for _, m, _ in problem.symmetric_generators]
-    inverses = [k for _, _, k in problem.symmetric_generators]
-    search = orbit_search(gens, inverses, eta, domain.facets)
-    outcomes: dict[tuple, TilingFailure | None] = {}
+    table = problem.symmetric_generators
+    gens = [m.rows for _, m, _ in table]
+    transposes = [tuple(zip(*rows)) for rows in gens]
+    search = orbit_search(gens, [k for _, _, k in table], eta, domain.facets)
+    pulled_back = {(): domain.facets}  # path suffix -> f . (its word) per facet f
+    occurrences = Counter(pts)
+    failed: dict[tuple, TilingFailure] = {}
     verified = 0
-    failures = []
-    for pt in pts:
-        if pt in outcomes:
-            failure = outcomes[pt]
+    for pt, count in occurrences.items():
+        path = search(pt, max_steps)
+        if path is None:
+            failed[pt] = TilingFailure(pt, "search budget exhausted")
+            continue
+        facets = pulled_back.get(path)
+        if facets is None:
+            known = 1  # the longest suffix already pulled back starts here
+            while path[known:] not in pulled_back:
+                known += 1
+            facets = pulled_back[path[known:]]
+            for j in range(known - 1, -1, -1):
+                facets = pulled_back[path[j:]] = tuple([_apply(transposes[path[j]], f) for f in facets])
+        for f in facets:
+            if sum(map(mul, f, pt)) < 0:
+                failed[pt] = TilingFailure(pt, "certificate recheck failed")
+                break
         else:
-            path = search(pt, max_steps)
-            if path is None:
-                failure = TilingFailure(pt, "search budget exhausted")
-            else:
-                end = pt
-                for k in path:
-                    end = _apply(gens[k], end)
-                if domain.contains(end):
-                    failure = None
-                else:
-                    failure = TilingFailure(pt, "certificate recheck failed")
-            outcomes[pt] = failure
-        if failure is None:
-            verified += 1
-        else:
-            failures.append(failure)
-    return TilingReport(len(pts), verified, eta, tuple(failures))
+            verified += count
+    failures = tuple(failed[pt] for pt in pts if pt in failed) if failed else ()
+    return TilingReport(len(pts), verified, eta, failures)
 
 
 @dataclass(frozen=True)
@@ -615,16 +662,21 @@ def find_interior_overlap(
 
     The sample points are strictly positive combinations of the domain's
     rays, so an element with a pulled-back facet that is <= 0 on every
-    ray carries none of them inside; it is skipped without filtering."""
+    ray carries none of them inside; it is skipped at that facet, without
+    pulling back the rest or filtering."""
     pts = [
         p for p in dict.fromkeys(domain.interior_samples(samples, seed))
         if domain.contains(p, strict=True)
     ]
     on_rays = linear_map(domain.rays)
-    for letters, rows in problem.word_ball:
-        cols = tuple(zip(*rows))
-        pulled = [_apply(cols, f) for f in domain.facets]
-        if any(max(on_rays(p)) <= 0 for p in pulled):
+    for (letters, rows), cols in zip(problem.word_ball, problem.word_ball_transposes):
+        pulled = []
+        for f in domain.facets:
+            p = _apply(cols, f)
+            if max(on_rays(p)) <= 0:
+                break
+            pulled.append(p)
+        if len(pulled) < len(domain.facets):
             continue
         inside = pts
         for p in pulled:

@@ -6,6 +6,7 @@ import pytest
 import conecrafter.reduction as reduction
 from conecrafter.errors import DeskScaleError, SearchExhausted, ValidationError
 from conecrafter.matrices import Matrix, primitive_tuple
+from conecrafter.pipeline import build_domain, build_torus_problem, prepare_torus
 from conecrafter.reduction import (
     GAUSS_N,
     GAUSS_S,
@@ -29,7 +30,7 @@ from conecrafter.reduction import (
     verify_tiling,
 )
 
-from conftest import minkowski_domain_p2
+from conftest import load_corpus, minkowski_domain_p2
 
 
 def positive_definite_forms(bound):
@@ -391,21 +392,32 @@ class TestVerifyTiling:
         assert report.failures
         assert all(f.reason == "search budget exhausted" for f in report.failures)
 
-    def test_replay_catches_a_mismatched_step(self, monkeypatch):
-        """A compiled search whose step for T is N's disagrees with T's
-        matrix: it sends the search to points the replay on the matrices
-        does not reach. Only the rows the search is built from change."""
-        prob = binary_quadratic_problem()
-        names = [name for name, _, _ in prob.symmetric_generators]
+    @pytest.mark.parametrize("name,letter,stand_in", [
+        ("p2_minkowski", "T", "N"), ("hyperbolic_z8", "A", "A~"),
+    ])
+    def test_replay_catches_a_mismatched_step(self, monkeypatch, name, letter, stand_in):
+        """A compiled search whose step for one letter is another's
+        disagrees with the letter's matrix: it sends the search to points
+        the recheck on the matrices does not reach. Only the rows the
+        search is built from change: T's become N's on the p2 cone, and A's
+        become A~'s on the torus hyperbolic_z8, where the search then never
+        applies A (a sample that needs it exhausts the budget)."""
+        if name == "p2_minkowski":
+            prob, domain = binary_quadratic_problem(), minkowski_domain_p2()
+        else:
+            ctx = prepare_torus(load_corpus(name + ".json"))
+            built = build_domain(ctx)
+            prob, domain = build_torus_problem(ctx, built), built.domain
+        names = [gen_name for gen_name, _, _ in prob.symmetric_generators]
         original = reduction.orbit_search
 
         def mismatched(gens, *args):
             gens = list(gens)
-            gens[names.index("T")] = gens[names.index("N")]
+            gens[names.index(letter)] = gens[names.index(stand_in)]
             return original(gens, *args)
 
         monkeypatch.setattr(reduction, "orbit_search", mismatched)
-        report = verify_tiling(prob, minkowski_domain_p2(), samples=200, seed=4)
+        report = verify_tiling(prob, domain, samples=200, seed=4, max_steps=200)
         assert not report.complete
         assert any(f.reason == "certificate recheck failed" for f in report.failures)
 

@@ -8,13 +8,18 @@ compose Matrix objects (the search now returns generator indices, which
 name the same words), the orbit search formed each child of a node when
 the node popped (eager_best_first_reduce; the compiled search forms it
 when the child's entry pops), the eta search transposes each ball
-element per candidate, the overlap search forms every image of every
-sample point, the sampler tests every candidate for interiority, and the
-tiling loop searches every sample, repeated or not.
+element per candidate and tests every candidate, repeated or not, the
+overlap search forms every image of every sample point, the sampler
+tests every candidate for interiority, and the tiling loop searches every
+sample, repeated or not. verify_tiling certified a path by replaying it
+letter by letter and testing the end point (reference_replay, on the
+compiled search's paths); it now tests the sample against the domain's
+facets pulled back through the path's word.
 The domain's interior samples and a lattice's Hermitian form are formed
 by the generic sums the compiled linear maps replaced, and the samplers
-draw with rng.randint and rng.randrange, which the bound draw on
-rng.getrandbits replaced; a change to CPython's randint would show here.
+draw with rng.randint and rng.randrange, which the inline draws on
+rng.getrandbits and the bulk read of the coefficients replaced; a change
+to CPython's randint would show here.
 The primitive vector of a ray and of a polynomial were two loops, and the
 root tests took the squarefree part before the Sturm chain took it again;
 the group's linear generators were deduplicated by each caller,
@@ -411,6 +416,38 @@ def reference_verify_tiling(problem, domain, samples=1000, seed=42, max_steps=20
     return TilingReport(len(pts), verified, eta, tuple(failures))
 
 
+def reference_replay(problem, domain, samples=1000, seed=42, max_steps=20_000):
+    """verify_tiling as it certified a sample before the facet recheck:
+    the compiled search's path replayed letter by letter on the
+    generators' rows, and the end point tested with domain.contains. Each
+    distinct sample is searched and replayed once, and a failure is listed
+    per occurrence."""
+    eta = reference_find_eta(problem, seed=seed)
+    pts = reference_tiling_samples(problem, domain, samples, seed)
+    mats = [m for _, m, _ in problem.symmetric_generators]
+    inverses = [k for _, _, k in problem.symmetric_generators]
+    search = orbit_search([m.rows for m in mats], inverses, eta, domain.facets)
+    outcomes = {}
+    verified = 0
+    failures = []
+    for pt in pts:
+        if pt not in outcomes:
+            path = search(pt, max_steps)
+            if path is None:
+                outcomes[pt] = TilingFailure(pt, "search budget exhausted")
+            else:
+                end = pt
+                for k in path:
+                    end = _apply_matrix(mats[k], end)
+                fine = domain.contains(end)
+                outcomes[pt] = None if fine else TilingFailure(pt, "certificate recheck failed")
+        if outcomes[pt] is None:
+            verified += 1
+        else:
+            failures.append(outcomes[pt])
+    return TilingReport(len(pts), verified, eta, tuple(failures))
+
+
 def reference_find_interior_overlap(problem, domain, seed=42, word_length=4, samples=200):
     pts = [
         p for p in reference_interior_samples(domain, samples, seed)
@@ -622,12 +659,29 @@ def test_search_kernel_matches_the_eager_search(monkeypatch, name):
                 assert search(pt, budget) == eager_best_first_reduce(problem, domain, pt, eta, budget)
 
 
+def _eta_outcome(fn, problem, seed, max_candidates):
+    try:
+        return fn(problem, seed=seed, max_candidates=max_candidates)
+    except SearchExhausted as exc:
+        return ("SearchExhausted", str(exc))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", PROBLEMS)
 class TestSearchesMatchTheMatrixVersions:
     def test_find_eta(self, name, seed):
+        """find_eta draws its offsets inline and tests each distinct point
+        once; at every max_candidates from 0 to 80, and at the default, it
+        returns the reference's eta or raises its SearchExhausted message.
+        On p2_minkowski each seed needs more than the 50 candidates of
+        scale 1, so draws past the scale change (offsets in [-2, 2], 3 bits
+        a try) are compared too."""
         problem, _ = _problem(name)
-        assert find_eta(problem, seed=seed) == reference_find_eta(problem, seed=seed)
+        for budget in (*range(81), 1000):
+            got = _eta_outcome(find_eta, problem, seed, budget)
+            assert got == _eta_outcome(reference_find_eta, problem, seed, budget), budget
+        if name == "p2_minkowski":
+            assert _eta_outcome(find_eta, problem, seed, 50)[0] == "SearchExhausted"
 
     def test_best_first_reduce(self, name, seed):
         """The compiled search returns indices into symmetric_generators;
@@ -668,6 +722,25 @@ def test_verify_tiling_matches_the_per_sample_loop(name, seed, max_steps):
     assert got.verified + len(got.failures) == got.samples == 1000
     failed = {f.point for f in got.failures}
     assert [f.point for f in got.failures] == [p for p in pts if p in failed]
+
+
+@pytest.mark.parametrize("max_steps", (1, 3, None))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", PROBLEMS + ["p2_letters_ST"])
+def test_facet_recheck_matches_the_step_by_step_replay(name, seed, max_steps):
+    """Testing a sample against the domain's facets pulled back through
+    its path's word gives the report that replaying the path and testing
+    the end point gives: the same verified count and the same failures,
+    one per occurrence, in order. None is the default budget; on
+    p2_letters_ST, whose unreachable samples exhaust any budget, it is
+    200."""
+    problem, domain = _problem(name)
+    if max_steps is None:
+        max_steps = 200 if name == "p2_letters_ST" else 20_000
+    got = verify_tiling(problem, domain, samples=1000, seed=seed, max_steps=max_steps)
+    assert got == reference_replay(problem, domain, 1000, seed, max_steps)
+    if name == "p2_letters_ST":
+        assert any(f.reason == "search budget exhausted" for f in got.failures)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -713,12 +786,28 @@ def test_overlap_without_interior_points_is_none():
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", PROBLEMS + ["hyperbolic_sector"])
-def test_interior_samples_match_the_generic_sums(name, seed):
+def test_interior_samples_match_the_generic_sums(monkeypatch, name, seed):
+    """The coefficients are read in bulk, one getrandbits call for
+    several outputs, and a call that keeps too few is topped up by
+    another. The domains have 1 (elliptic_gauss), 2 and 3 rays; at these
+    counts some draw tops up, which the recorded draw counts show."""
     _, domain = _problem(name)
-    for count in (0, 1, 200, 1000):
+    counts = (0, 1, 7, 200, 1000, 5000)
+    want = [reference_interior_samples(domain, count, seed) for count in counts]
+    draws = []
+
+    class Recorded(random.Random):
+        def getrandbits(self, k):
+            draws[-1] += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    for count, expected in zip(counts, want):
+        draws.append(0)
         got = domain.interior_samples(count, seed)
-        assert got == reference_interior_samples(domain, count, seed)
+        assert got == expected
         assert all(type(x) is int for p in got for x in p)
+    assert draws[0] == 0 and max(draws) > 1
 
 
 @pytest.mark.parametrize("seed", SEEDS + (1000,))
