@@ -2,11 +2,13 @@
 ample and nef cones, and the product shape of the invariant cone.
 
 Forms correspond to endomorphisms through F -> E^-1 F, which lands in the
-involution-fixed part of the endomorphism algebra. So a form lattice is
-the integer points of the span of the forms E @ b - (E @ b).T = E @ (b +
-rosati(b)) of an algebra's basis (endo.form_vectors): End(T) for NS(T),
-the invariant algebra for the invariant lattice. Positivity of a form has
-two exact criteria, and both are kept:
+involution-fixed part of the endomorphism algebra. So the invariant
+lattice is the integer points of the span of the forms E @ b - (E @ b).T
+= E @ (b + rosati(b)) of the invariant algebra's basis (endo.form_vectors).
+NS(T) itself, which cone's ns_rank and verify's pushdown read, is solved
+for directly (compute_ns): the integral alternating F with J.T F J = F,
+with no End(T) built. Positivity of a form has two exact criteria, and
+both are kept:
 
     bare form      is_ample / is_nef: every root of det(x I - E^-1 F) is
                    positive / nonnegative (a Sturm root count)
@@ -41,12 +43,12 @@ elements whose shape is reported as a flag:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .endo import EndoAlgebra, compute_end, invariant_subalgebra
+from ._record import Record
+from .endo import EndoAlgebra, invariant_subalgebra
 from .errors import InternalInvariantError, ValidationError
 from .matrices import (
     Matrix,
@@ -54,6 +56,7 @@ from .matrices import (
     clear_denominators,
     definiteness_sign,
     hermite_normal_form,
+    matrix_kernel_basis,
     semidefinite_rank,
     trace_gram,
 )
@@ -76,8 +79,7 @@ def is_nef(t: PolarizedTorus, f: Matrix) -> bool:
     return all_roots_nonnegative(char_poly(ns_to_endo(t, f)))
 
 
-@dataclass(frozen=True)
-class NSLattice(MatrixLattice):
+class NSLattice(Record, MatrixLattice):
     """Lattice of integral alternating J-compatible forms with a fixed
     canonical basis; coordinates are taken in that basis.
 
@@ -87,10 +89,12 @@ class NSLattice(MatrixLattice):
     lattice. See the module docstring for why this agrees with the
     bare-form is_ample / is_nef, which stay as the reference."""
 
-    torus: PolarizedTorus
-    basis: tuple[Matrix, ...]
-
+    _fields = ("torus", "basis")
     membership = ("ns_membership", "form is outside the lattice span")
+
+    def __init__(self, torus: PolarizedTorus, basis: tuple[Matrix, ...]):
+        self.torus = torus
+        self.basis = basis
 
     @property
     def rank(self) -> int:
@@ -144,33 +148,58 @@ class NSLattice(MatrixLattice):
         return semidefinite_rank(self._hermitian_rows(coords)) is not None
 
 
-def _form_lattice(algebra: EndoAlgebra, lost: str) -> NSLattice:
-    """Canonical basis of the integral forms E @ b - (E @ b).T over the
-    algebra, the integer points of the span of its basis's forms
+def compute_ns(t: PolarizedTorus) -> NSLattice:
+    """Canonical basis of {F integral : F alternating, J.T F J = F}: the
+    integer kernel of F -> J.T F J - F on the upper-triangle entries f_ab
+    (a < b) of F, row-major. An integral alternating F is its upper
+    entries, and the first nonzero entry of a flattened alternating
+    matrix is an upper one, so this is the HNF basis that span_lattice
+    gives on the full entries of End(T)'s forms.
+
+    f_ab puts J[a][p] J[b][q] on entry (p, q) of J.T F J and minus that on
+    (q, p), so only the nonzero entries of J's rows a and b enter, each
+    pair on the upper one of its two entries. The polarization lies in
+    the kernel, so an empty one raises."""
+    n = t.rank
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    upper = {ab: k for k, ab in enumerate(pairs)}
+    support = [[(p, x) for p, x in enumerate(row) if x] for row in t.j.rows]
+    rows = [[0] * len(pairs) for _ in pairs]
+    for k, (a, b) in enumerate(pairs):
+        rows[k][k] -= 1
+        for p, x in support[a]:
+            for q, y in support[b]:
+                if p < q:
+                    rows[upper[p, q]][k] += x * y
+                elif q < p:
+                    rows[upper[q, p]][k] -= x * y
+    kernel = matrix_kernel_basis(rows, (1, len(pairs)))
+    if not kernel:
+        raise InternalInvariantError("polarization lost from the form lattice")
+    basis = []
+    for row in kernel:
+        flat = [0] * (n * n)
+        for (a, b), x in zip(pairs, row.flat()):
+            flat[a * n + b], flat[b * n + a] = x, -x
+        basis.append(Matrix._from_flat_entries(flat, n, True))
+    return NSLattice(t, tuple(basis))
+
+
+def invariant_ns(algebra: EndoAlgebra) -> NSLattice:
+    """Canonical basis of the forms fixed by every pullback of the action:
+    the integral forms E @ b - (E @ b).T over its invariant algebra, the
+    integer points of the span of its basis's forms
     (EndoAlgebra.form_lattice). The polarization lies in it, so an empty
-    span raises with the message lost."""
+    span raises."""
     t = algebra.torus
     if not any(map(any, algebra.forms)):
-        raise InternalInvariantError(lost)
+        raise InternalInvariantError("invariant polarization lost from the lattice")
     return NSLattice(
         t, tuple(Matrix._from_flat_entries(row, t.rank, True) for row in algebra.form_lattice)
     )
 
 
-def compute_ns(t: PolarizedTorus) -> NSLattice:
-    """Canonical basis of {F integral : F alternating, J.T F J = F}, read
-    off End(T)."""
-    return _form_lattice(compute_end(t), "polarization lost from the form lattice")
-
-
-def invariant_ns(algebra: EndoAlgebra) -> NSLattice:
-    """Canonical basis of the forms fixed by every pullback of the action,
-    read off its invariant algebra."""
-    return _form_lattice(algebra, "invariant polarization lost from the lattice")
-
-
-@dataclass(frozen=True)
-class FactorCone:
+class FactorCone(Record):
     """Positive cone of one simple factor, as seen inside the invariant
     form lattice.
 
@@ -179,22 +208,34 @@ class FactorCone:
     ns_dim, the piece's rank, is the factor's share of the lattice rank.
     """
 
-    factor: SimpleFactor
-    flag: str
-    piece: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("factor", "flag", "piece")
+
+    def __init__(self, factor: SimpleFactor, flag: str, piece: tuple[tuple[int, ...], ...]):
+        self.factor = factor
+        self.flag = flag
+        self.piece = piece
 
     @property
     def ns_dim(self) -> int:
         return len(self.piece)
 
 
-@dataclass(frozen=True)
-class ConeStructure:
-    torus: PolarizedTorus
-    group: GroupAction
-    decomposition: WedderburnDecomposition
-    invariant: NSLattice
-    factors: tuple[FactorCone, ...]
+class ConeStructure(Record):
+    _fields = ("torus", "group", "decomposition", "invariant", "factors")
+
+    def __init__(
+        self,
+        torus: PolarizedTorus,
+        group: GroupAction,
+        decomposition: WedderburnDecomposition,
+        invariant: NSLattice,
+        factors: tuple[FactorCone, ...],
+    ):
+        self.torus = torus
+        self.group = group
+        self.decomposition = decomposition
+        self.invariant = invariant
+        self.factors = factors
 
     @cached_property
     def ns(self) -> NSLattice:

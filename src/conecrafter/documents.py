@@ -2,8 +2,10 @@
 reduction problems.
 
 Schema "conecrafter/1". Every number is an integer or a "p/q" string;
-floats are rejected so nothing inexact can enter. Parsing stops at shape
-and type errors; mathematical invariants are the validation stage's job.
+floats are rejected so nothing inexact can enter, and so is a string
+with an exponent, whose few bytes can stand for a huge integer. Parsing
+stops at shape and type errors; mathematical invariants are the
+validation stage's job.
 
 Parsed numbers stay ints: a JSON int is kept as it is, and a "p/q" string
 becomes an int or a reduced Fraction. Each matrix entry is normalized once,
@@ -13,9 +15,9 @@ here, and the rows go to Matrix.trusted without a second pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ParseError
 from .matrices import Matrix
 from .torus import AffineAuto, PolarizedTorus
@@ -37,6 +39,10 @@ def _rational(x, where: str, index: int | None = None) -> int | Fraction:
     if isinstance(x, int):
         return int(x)
     if isinstance(x, str):
+        # the schema has no exponent, and Fraction would expand the ten
+        # bytes "1e20000000" into an integer of twenty million digits
+        if "e" in x or "E" in x:
+            raise ParseError(f"{_at(where, index)}: bad rational {x!r}")
         try:
             x = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -84,27 +90,46 @@ def _vector(obj, where: str, length: int | None = None) -> tuple:
     return tuple(_rational(x, where) for x in obj)
 
 
-@dataclass(frozen=True)
-class TorusDocument:
-    name: str
-    torus: PolarizedTorus
-    generators: tuple[AffineAuto, ...]
-    normalizer: Matrix | None = None
-    expect_ghv: bool | None = None
-    test_classes: tuple[tuple[int, ...], ...] = field(default=())
-
+class TorusDocument(Record):
+    __slots__ = _fields = (
+        "name", "torus", "generators", "normalizer", "expect_ghv", "test_classes"
+    )
     kind = "torus"
 
+    def __init__(
+        self,
+        name: str,
+        torus: PolarizedTorus,
+        generators: tuple[AffineAuto, ...],
+        normalizer: Matrix | None = None,
+        expect_ghv: bool | None = None,
+        test_classes: tuple[tuple[int, ...], ...] = (),
+    ):
+        self.name = name
+        self.torus = torus
+        self.generators = generators
+        self.normalizer = normalizer
+        self.expect_ghv = expect_ghv
+        self.test_classes = test_classes
 
-@dataclass(frozen=True)
-class ProblemDocument:
-    name: str
-    cone: str
-    domain_rays: tuple[tuple[int, ...], ...]
-    generators: tuple[tuple[str, Matrix], ...] = field(default=())
-    test_forms: tuple[tuple[int, ...], ...] = field(default=())
 
+class ProblemDocument(Record):
+    __slots__ = _fields = ("name", "cone", "domain_rays", "generators", "test_forms")
     kind = "reduction_problem"
+
+    def __init__(
+        self,
+        name: str,
+        cone: str,
+        domain_rays: tuple[tuple[int, ...], ...],
+        generators: tuple[tuple[str, Matrix], ...] = (),
+        test_forms: tuple[tuple[int, ...], ...] = (),
+    ):
+        self.name = name
+        self.cone = cone
+        self.domain_rays = domain_rays
+        self.generators = generators
+        self.test_forms = test_forms
 
 
 def _parse_torus(data: dict, name: str) -> TorusDocument:

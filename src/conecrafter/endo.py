@@ -17,18 +17,17 @@ trace positivity on an algebra's basis live on in the tests as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Sequence
 
+from ._record import Record
 from .errors import InternalInvariantError
 from .matrices import Matrix, MatrixLattice, commutator_rows, matrix_kernel_basis, rows_product, span_lattice
 from .torus import GroupAction, PolarizedTorus
 
 
-@dataclass(frozen=True)
-class EndoAlgebra(MatrixLattice):
+class EndoAlgebra(Record, MatrixLattice):
     """A unital matrix algebra over Q given by an exact basis.
 
     basis entries are integral matrices of size rank x rank; the identity
@@ -38,12 +37,20 @@ class EndoAlgebra(MatrixLattice):
     that the constraints after J generate (none for End(T)).
     """
 
-    torus: PolarizedTorus
-    basis: tuple[Matrix, ...]
-    commutants: tuple[Matrix, ...]
-    linear_parts: tuple[Matrix, ...] = ()
-
+    _fields = ("torus", "basis", "commutants", "linear_parts")
     membership = ("algebra_membership", "matrix is not in the algebra")
+
+    def __init__(
+        self,
+        torus: PolarizedTorus,
+        basis: tuple[Matrix, ...],
+        commutants: tuple[Matrix, ...],
+        linear_parts: tuple[Matrix, ...] = (),
+    ):
+        self.torus = torus
+        self.basis = basis
+        self.commutants = commutants
+        self.linear_parts = linear_parts
 
     @property
     def dim(self) -> int:

@@ -13,12 +13,12 @@ its generators map the form cone onto itself, come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from ._kernels import positive_definite_form
+from ._record import Record
 from .cone import ConeStructure, cone_structure
 from .documents import SCHEMA, ProblemDocument, TorusDocument
 from .endo import compute_end, invariant_subalgebra
@@ -77,15 +77,28 @@ def _header(command: str, doc) -> dict:
     return {"schema": SCHEMA, "command": command, "document": doc.name}
 
 
-@dataclass(frozen=True)
-class TorusContext:
-    document: TorusDocument
-    report: TorusReport  # the document's torus, before normalization
-    torus: PolarizedTorus
-    flipped: bool
-    group: GroupAction
-    averaged: bool
-    invariant_torus: PolarizedTorus
+class TorusContext(Record):
+    _fields = (
+        "document", "report", "torus", "flipped", "group", "averaged", "invariant_torus"
+    )
+
+    def __init__(
+        self,
+        document: TorusDocument,
+        report: TorusReport,
+        torus: PolarizedTorus,
+        flipped: bool,
+        group: GroupAction,
+        averaged: bool,
+        invariant_torus: PolarizedTorus,
+    ):
+        self.document = document
+        self.report = report  # the document's torus, before normalization
+        self.torus = torus
+        self.flipped = flipped
+        self.group = group
+        self.averaged = averaged
+        self.invariant_torus = invariant_torus
 
     @cached_property
     def is_free(self) -> bool:
@@ -259,13 +272,24 @@ def run_cone(doc) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class DomainConstruction:
-    structure: ConeStructure
-    domain: PolyhedralCone | None
-    factor_summaries: tuple[dict, ...]
-    normalizer_action: Matrix | None
-    downgrades: tuple[str, ...] = ()
+class DomainConstruction(Record):
+    __slots__ = _fields = (
+        "structure", "domain", "factor_summaries", "normalizer_action", "downgrades"
+    )
+
+    def __init__(
+        self,
+        structure: ConeStructure,
+        domain: PolyhedralCone | None,
+        factor_summaries: tuple[dict, ...],
+        normalizer_action: Matrix | None,
+        downgrades: tuple[str, ...] = (),
+    ):
+        self.structure = structure
+        self.domain = domain
+        self.factor_summaries = factor_summaries
+        self.normalizer_action = normalizer_action
+        self.downgrades = downgrades
 
 
 def build_domain(ctx: TorusContext) -> DomainConstruction:

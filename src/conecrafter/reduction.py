@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations
 from math import isqrt
@@ -82,6 +81,7 @@ from operator import add, mul
 from typing import Callable, Sequence
 
 from ._kernels import linear_map, orbit_search
+from ._record import Record
 from .errors import (
     DeskScaleError,
     InternalInvariantError,
@@ -108,13 +108,15 @@ def _apply(rows: tuple, v: Sequence) -> tuple:
     return tuple([sum(map(mul, row, v)) for row in rows])
 
 
-@dataclass(frozen=True)
-class PolyhedralCone:
+class PolyhedralCone(Record):
     """Full-dimensional pointed rational cone, by rays and inward facet
     normals. Membership is a sign check against the facets."""
 
-    rays: tuple[tuple[int, ...], ...]
-    facets: tuple[tuple[int, ...], ...]
+    _fields = ("rays", "facets")
+
+    def __init__(self, rays: tuple[tuple[int, ...], ...], facets: tuple[tuple[int, ...], ...]):
+        self.rays = rays
+        self.facets = facets
 
     @property
     def dim(self) -> int:
@@ -191,15 +193,17 @@ class PolyhedralCone:
         return [combine(coefficients[i:i + rays]) for i in range(0, needed, rays)]
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(Record):
     """Word in named generators with the composed group element.
 
     letters are (name, power) pairs in application order; matrix is the
     corresponding product under the convention of whoever built the word."""
 
-    letters: tuple[tuple[str, int], ...]
-    matrix: Matrix
+    __slots__ = _fields = ("letters", "matrix")
+
+    def __init__(self, letters: tuple[tuple[str, int], ...], matrix: Matrix):
+        self.letters = letters
+        self.matrix = matrix
 
 
 # --- binary quadratic forms -------------------------------------------------
@@ -273,11 +277,13 @@ P2_GENERATORS = (("S", P2_ACTION_S), ("T", P2_ACTION_T), ("N", P2_ACTION_N))
 
 # --- real quadratic units ---------------------------------------------------
 
-@dataclass(frozen=True)
-class PellSolution:
-    x: int
-    y: int
-    norm: int
+class PellSolution(Record):
+    __slots__ = _fields = ("x", "y", "norm")
+
+    def __init__(self, x: int, y: int, norm: int):
+        self.x = x
+        self.y = y
+        self.norm = norm
 
 
 def pell_fundamental_unit(d: int) -> PellSolution:
@@ -343,29 +349,39 @@ def hyperbolic_domain(action: Matrix, base: Sequence[int]) -> PolyhedralCone:
 
 # --- reduction problems -----------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ReductionProblem:
+class ReductionProblem(Record):
     """Arithmetic group acting by integer matrices on lattice coordinates,
     preserving an open cone with an exact membership test.
 
     pairing must be positive on (interior, closure - 0) pairs; it is how
-    dual-interior covectors are produced.
+    dual-interior covectors are produced. Problems compare by identity.
     """
 
-    dim: int
-    generators: tuple[tuple[str, Matrix], ...]
-    pairing: Matrix
-    base_point: tuple[int, ...]
-    is_interior: Callable[[Sequence], bool]
-    is_closure: Callable[[Sequence], bool]
+    _fields = ("dim", "generators", "pairing", "base_point", "is_interior", "is_closure")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        for name, m in self.generators:
-            if m.shape != (self.dim, self.dim) or not m.is_integral:
-                raise ValidationError("generator_shape", f"generator {name} is not a {self.dim}x{self.dim} integer matrix")
+    def __init__(
+        self,
+        dim: int,
+        generators: tuple[tuple[str, Matrix], ...],
+        pairing: Matrix,
+        base_point: tuple[int, ...],
+        is_interior: Callable[[Sequence], bool],
+        is_closure: Callable[[Sequence], bool],
+    ):
+        self.dim = dim
+        self.generators = generators
+        self.pairing = pairing
+        self.base_point = base_point
+        self.is_interior = is_interior
+        self.is_closure = is_closure
+        for name, m in generators:
+            if m.shape != (dim, dim) or not m.is_integral:
+                raise ValidationError("generator_shape", f"generator {name} is not a {dim}x{dim} integer matrix")
             if m.det() not in (1, -1):
                 raise ValidationError("generator_unimodular", f"generator {name} must be unimodular")
-        if not self.is_interior(self.base_point):
+        if not is_interior(base_point):
             raise ValidationError("base_point", "base point must be interior")
 
     @cached_property
@@ -506,18 +522,28 @@ def find_eta(
     )
 
 
-@dataclass(frozen=True)
-class TilingFailure:
-    point: tuple[int, ...]
-    reason: str
+class TilingFailure(Record):
+    __slots__ = _fields = ("point", "reason")
+
+    def __init__(self, point: tuple[int, ...], reason: str):
+        self.point = point
+        self.reason = reason
 
 
-@dataclass(frozen=True)
-class TilingReport:
-    samples: int
-    verified: int
-    eta: tuple[int, ...]
-    failures: tuple[TilingFailure, ...] = field(default=())
+class TilingReport(Record):
+    __slots__ = _fields = ("samples", "verified", "eta", "failures")
+
+    def __init__(
+        self,
+        samples: int,
+        verified: int,
+        eta: tuple[int, ...],
+        failures: tuple[TilingFailure, ...] = (),
+    ):
+        self.samples = samples
+        self.verified = verified
+        self.eta = eta
+        self.failures = failures
 
     @property
     def complete(self) -> bool:
@@ -636,11 +662,13 @@ def verify_tiling(
     return TilingReport(len(pts), verified, eta, failures)
 
 
-@dataclass(frozen=True)
-class OverlapWitness:
-    word: GroupWord
-    point: tuple[int, ...]
-    image: tuple[int, ...]
+class OverlapWitness(Record):
+    __slots__ = _fields = ("word", "point", "image")
+
+    def __init__(self, word: GroupWord, point: tuple[int, ...], image: tuple[int, ...]):
+        self.word = word
+        self.point = point
+        self.image = image
 
 
 def find_interior_overlap(
@@ -693,18 +721,20 @@ def find_interior_overlap(
 
 # --- quotient transfer ------------------------------------------------------
 
-@dataclass(frozen=True)
-class PushdownReport:
+class PushdownReport(Record):
     """Transfer of a fundamental domain to the quotient picture.
 
     pullback includes invariant coordinates into the full form lattice;
     pushforward is solved from pullback @ pushforward = sum of the group
     pullbacks, and their composite must be the group order exactly."""
 
-    pullback: Matrix
-    pushforward: Matrix
-    group_order: int
-    verified: bool
+    __slots__ = _fields = ("pullback", "pushforward", "group_order", "verified")
+
+    def __init__(self, pullback: Matrix, pushforward: Matrix, group_order: int, verified: bool):
+        self.pullback = pullback
+        self.pushforward = pushforward
+        self.group_order = group_order
+        self.verified = verified
 
 
 def pushdown_domain(structure) -> PushdownReport:

@@ -16,13 +16,13 @@ GroupAction.linear_generators; translations matter for freeness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import ClosureError, ValidationError
 from .matrices import (
     Matrix,
@@ -35,17 +35,17 @@ from .matrices import (
 DEFAULT_MAX_ORDER = 64
 
 
-@dataclass(frozen=True)
-class PolarizedTorus:
-    j: Matrix
-    e: Matrix
+class PolarizedTorus(Record):
+    _fields = ("j", "e")
 
-    def __post_init__(self):
-        if not self.j.is_square or not self.e.is_square:
+    def __init__(self, j: Matrix, e: Matrix):
+        self.j = j
+        self.e = e
+        if not j.is_square or not e.is_square:
             raise ValidationError("shape", "J and E must be square")
-        if self.j.shape != self.e.shape:
+        if j.shape != e.shape:
             raise ValidationError("shape", "J and E must have equal shape")
-        if self.j.nrows % 2 != 0:
+        if j.nrows % 2 != 0:
             raise ValidationError("shape", "lattice rank must be even")
 
     @property
@@ -57,17 +57,21 @@ class PolarizedTorus:
         return self.e.inverse()
 
 
-@dataclass(frozen=True)
-class TorusCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+class TorusCheck(Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass(frozen=True)
-class TorusReport:
-    checks: tuple[TorusCheck, ...]
-    sign: int  # +1 / -1 definite direction of E @ J, 0 when not definite
+class TorusReport(Record):
+    __slots__ = _fields = ("checks", "sign")
+
+    def __init__(self, checks: tuple[TorusCheck, ...], sign: int):
+        self.checks = checks
+        self.sign = sign  # +1 / -1 definite direction of E @ J, 0 when not definite
 
     @property
     def ok(self) -> bool:
@@ -149,23 +153,22 @@ def normalize_polarization(
     return t, False
 
 
-@dataclass(frozen=True)
-class AffineAuto:
+class AffineAuto(Record):
     """Affine automorphism x -> linear @ x + translation of the torus.
 
     The translation is stored mod 1, each entry an int or a Fraction in
     [0, 1)."""
 
-    linear: Matrix
-    translation: tuple[Scalar, ...] = field(default=())
+    __slots__ = _fields = ("linear", "translation")
 
-    def __post_init__(self):
-        if not self.linear.is_square:
+    def __init__(self, linear: Matrix, translation: tuple[Scalar, ...] = ()):
+        self.linear = linear
+        if not linear.is_square:
             raise ValidationError("shape", "linear part must be square")
-        tr = self.translation or (0,) * self.linear.nrows
-        if len(tr) != self.linear.nrows:
+        tr = translation or (0,) * linear.nrows
+        if len(tr) != linear.nrows:
             raise ValidationError("shape", "translation length must match rank")
-        object.__setattr__(self, "translation", tuple([x % 1 for x in tr]))
+        self.translation = tuple([x % 1 for x in tr])
 
     @property
     def is_identity(self) -> bool:
@@ -181,14 +184,16 @@ class AffineAuto:
         )
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(Record):
     """A finite group of affine automorphisms; identity listed first.
     linear_generators are the distinct non-identity linear parts of the
     generators it was closed from: what invariance is tested against."""
 
-    elements: tuple[AffineAuto, ...]
-    linear_generators: tuple[Matrix, ...]
+    _fields = ("elements", "linear_generators")
+
+    def __init__(self, elements: tuple[AffineAuto, ...], linear_generators: tuple[Matrix, ...]):
+        self.elements = elements
+        self.linear_generators = linear_generators
 
     @property
     def order(self) -> int:

@@ -31,10 +31,10 @@ Two shapes skip work that the general route would spend on identities:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
+from ._record import Record
 from .endo import EndoAlgebra, form_vectors
 from .errors import InternalInvariantError, ValidationError
 from .matrices import Matrix, span_lattice
@@ -193,22 +193,36 @@ def central_idempotents(algebra: EndoAlgebra) -> list[tuple[Matrix, Polynomial]]
     return out
 
 
-@dataclass(frozen=True)
-class SimpleFactor:
+class SimpleFactor(Record):
     """One simple summand of the algebra, as seen through its idempotent.
 
     kind and size name the factor's shape over the reals per place of its
     center: size l real, m complex or t quaternion matrices. forms is the
     canonical basis (flat rows) of the integral forms of its cut e @ b."""
 
-    kind: str
-    size: int
-    idempotent: Matrix
-    center_poly: tuple
-    center_degree: int
-    places: int
-    dim: int
-    forms: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = (
+        "kind", "size", "idempotent", "center_poly", "center_degree", "places", "dim", "forms"
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        size: int,
+        idempotent: Matrix,
+        center_poly: tuple,
+        center_degree: int,
+        places: int,
+        dim: int,
+        forms: tuple[tuple[int, ...], ...],
+    ):
+        self.kind = kind
+        self.size = size
+        self.idempotent = idempotent
+        self.center_poly = center_poly
+        self.center_degree = center_degree
+        self.places = places
+        self.dim = dim
+        self.forms = forms
 
     @property
     def fixed_dim(self) -> int:
@@ -219,10 +233,12 @@ class SimpleFactor:
         return f"{self.kind}({self.size})"
 
 
-@dataclass(frozen=True)
-class WedderburnDecomposition:
-    algebra: EndoAlgebra
-    factors: tuple[SimpleFactor, ...]
+class WedderburnDecomposition(Record):
+    __slots__ = _fields = ("algebra", "factors")
+
+    def __init__(self, algebra: EndoAlgebra, factors: tuple[SimpleFactor, ...]):
+        self.algebra = algebra
+        self.factors = factors
 
 
 def _cut(mats: Sequence[Matrix], e: Matrix, whole: bool) -> tuple[int, Sequence[Matrix]]:

@@ -389,6 +389,19 @@ def reference_form_lattice(t, maps) -> tuple[Matrix, ...]:
     return tuple(matrix_kernel_basis(rows, (t.rank, t.rank)))
 
 
+def reference_ns_from_end(t) -> tuple[Matrix, ...]:
+    """NS(T) by the route compute_ns took before it solved J.T F J = F on
+    the upper entries of F: read off End(T), as the integer points of the
+    span of the forms E @ b - (E @ b).T of its basis."""
+    from conecrafter.endo import compute_end, form_vectors
+    from conecrafter.matrices import span_lattice
+
+    return tuple(
+        Matrix._from_flat_entries(list(row), t.rank, True)
+        for row in span_lattice(form_vectors(t, compute_end(t).basis))
+    )
+
+
 # --- the general decomposition route, as the oracle of its shortcuts ---------
 
 

@@ -215,6 +215,26 @@ class TestFailurePaths:
         assert error["type"] == "parse"
         assert str(path) in error["message"]
 
+    @pytest.mark.parametrize("entry", ["1e20000000", "1E20000000", "25e-2"])
+    def test_exponent_strings_are_parse_failures(self, capsys, tmp_path, entry):
+        """The schema's numbers are integers and "p/q" strings. An exponent
+        is a bad rational, at once: the ten bytes "1e20000000" in place of
+        bielliptic_z4's translation entry "1/4" would expand into an
+        integer of twenty million digits."""
+        with open(corpus_path("bielliptic_z4.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        assert data["group"]["generators"][0]["translation"][2] == "1/4"
+        data["group"]["generators"][0]["translation"][2] = entry
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        start = time.process_time()
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert time.process_time() - start < FUZZ_CPU_BUDGET / 10
+        assert code == 4
+        error = json.loads(out)["error"]
+        assert error["type"] == "parse"
+        assert f"bad rational {entry!r}" in error["message"]
+
     def test_funddom_higher_rank_downgrade(self, capsys):
         code, out, _ = run_cli(
             capsys, "funddom", corpus_path("product_gauss_squared.json")

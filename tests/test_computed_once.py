@@ -484,15 +484,14 @@ def test_verify_builds_no_matrix_per_sample(monkeypatch):
 ])
 @pytest.mark.parametrize("name", ["bielliptic_z4", "product_gauss_squared"])
 def test_full_algebra_only_for_endo(monkeypatch, run, builds, name):
-    """Only endo reads End(T) itself (for end_dim); builds counts those
-    builds. The other commands work in the invariant subalgebra, which
-    lies in End(T) by construction, and build End(T) only to read the
-    full form lattice off it: once per command that reads that lattice
-    (cone and verify). Both counts are of a torus whose group has a
-    linear generator (bielliptic_z4). With none (product_gauss_squared),
-    J alone cuts out the invariant subalgebra, which is then End(T), and
-    no command builds it again. Every module that binds compute_end gets
-    the counter."""
+    """Only endo builds End(T) (for end_dim); builds counts those builds.
+    The other commands work in the invariant subalgebra, which lies in
+    End(T) by construction. The full form lattice is solved for without
+    End(T), once per command that reads it (cone and verify). Both counts
+    are of a torus whose group has a linear generator (bielliptic_z4).
+    With none (product_gauss_squared), J alone cuts out the invariant
+    subalgebra, which is then End(T), and no command builds either again.
+    Every module that binds compute_end gets the counter."""
     calls, lattices = [], []
     original, original_ns = endo.compute_end, cone.compute_ns
 
@@ -513,7 +512,7 @@ def test_full_algebra_only_for_endo(monkeypatch, run, builds, name):
     assert linear == (name == "bielliptic_z4")
     run(doc)
     assert len(lattices) == (linear and run in (run_cone, run_verify))
-    assert len(calls) == (builds + len(lattices) if linear else 0)
+    assert len(calls) == (builds if linear else 0)
 
 
 @pytest.mark.parametrize("run,verdicts", [
@@ -559,8 +558,8 @@ def test_no_linear_generator_builds_one_commutant_and_one_lattice(monkeypatch, r
     """With no linear generator the invariant algebra is End(T) and the
     invariant lattice is the full form lattice, so a command builds one
     commutant (the invariant algebra; the center comes from J alone) and
-    at most one form lattice (cone and verify read the full lattice as
-    the invariant one; endo reads none)."""
+    at most one form lattice, counted over both builders (cone and verify
+    read the full lattice as the invariant one; endo reads none)."""
     built = {"commutant": [], "lattice": []}
 
     def counting(module, attr, kind):
@@ -573,7 +572,8 @@ def test_no_linear_generator_builds_one_commutant_and_one_lattice(monkeypatch, r
         monkeypatch.setattr(module, attr, counted)
 
     counting(endo, "_commutant", "commutant")
-    counting(cone, "_form_lattice", "lattice")
+    counting(cone, "invariant_ns", "lattice")
+    counting(cone, "compute_ns", "lattice")
     doc = load_corpus(name + ".json")
     assert not prepare_torus(doc).group.linear_generators
     run(doc)

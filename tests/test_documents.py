@@ -273,6 +273,8 @@ def _fraction_rational(x, where):
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
+        if any(c in x for c in "eE"):
+            raise ParseError(f"{where}: bad rational {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -313,6 +315,7 @@ _valid_entries = st.one_of(_json_ints, _fraction_strings, _json_ints.map(str))
 _entries = st.one_of(
     _valid_entries,
     st.sampled_from(["4/2", "-0/7", "6/4", " 3/9 ", "1/0", "0/0", "x", "1.5", ""]),
+    st.sampled_from(["1e3", "1E3", "2.5e-1", "-1e300", "1/4e2", "e", "1e3/2"]),
     st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False),
     st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6)),
